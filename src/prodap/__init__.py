@@ -14,6 +14,7 @@ from .cyclelab import (
     CyclePoly,
     EvenCycle,
     bondy_simonovits_bound,
+    cycle_audit,
     cycle_bound_audit,
     cycle_identity_check,
     cycle_poly,

@@ -12,7 +12,6 @@ bound ex(n, C_2k) < 100*k*n^(1+1/k), computed with exact integer k-th roots.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb
 
@@ -57,24 +56,21 @@ class EvenCycle:
     def even_position_indices(self) -> tuple[int, ...]:
         return self.indices[1::2]
 
-
-def _edge_lookup(graph: RepGraph) -> dict:
-    table = {}
-    for e in graph.edges:
-        table[((0, e.u), (1, e.v))] = e
-        table[((1, e.v), (0, e.u))] = e
-    return table
+    def as_json(self) -> dict:
+        return {
+            "vertices": [[side, idx] for side, idx in self.vertices],
+            "indices": list(self.indices),
+        }
 
 
 def _canonical_cycle(graph: RepGraph, vertices: list[Vertex]) -> EvenCycle:
     """Rotate to the smallest vertex and orient toward its smaller neighbor."""
-    lookup = _edge_lookup(graph)
+    lookup = graph.edge_lookup
+    rank = graph.vertex_rank
     n = len(vertices)
-    key = graph.vertex_order_key
-    start = min(range(n), key=lambda t: key(vertices[t]))
-    prev_v = vertices[(start - 1) % n]
-    next_v = vertices[(start + 1) % n]
-    step = 1 if key(next_v) <= key(prev_v) else -1
+    ranks = [rank[v] for v in vertices]
+    start = ranks.index(min(ranks))
+    step = 1 if ranks[(start + 1) % n] <= ranks[(start - 1) % n] else -1
     ordered = [vertices[(start + step * t) % n] for t in range(n)]
     indices, values = [], []
     for t in range(n):
@@ -87,7 +83,8 @@ def _canonical_cycle(graph: RepGraph, vertices: list[Vertex]) -> EvenCycle:
 
 
 def _cycle_sort_key(graph: RepGraph, cycle: EvenCycle):
-    return (len(cycle.vertices), [graph.vertex_order_key(v) for v in cycle.vertices])
+    rank = graph.vertex_rank
+    return (len(cycle.vertices), [rank[v] for v in cycle.vertices])
 
 
 def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
@@ -97,38 +94,58 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     between its endpoints avoiding the edge itself closes the shortest cycle
     through that edge; the minimum over edges is the girth.  Ties break by
     canonical vertex order.
+
+    The search runs on integer vertex ids and scans neighbours in adjacency
+    order.  It stops at the first vertex it reaches that has an edge other
+    than the avoided one to the far endpoint: level by level, that is the
+    vertex a full search would close the path through, so the last level
+    never needs expanding.
     """
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
     adj = graph.adjacency
+    vertices = list(adj)
+    vid = {v: t for t, v in enumerate(vertices)}
+    nbrs = [[(vid[w], via.index) for w, via in adj[v]] for v in vertices]
+    links: list[dict] = [{} for _ in vertices]  # neighbour -> indices of joining edges
+    for v, row in enumerate(nbrs):
+        for w, idx in row:
+            links[v].setdefault(w, set()).add(idx)
     best = None
     best_key = None
     for e in sorted(graph.edges, key=lambda e: e.index):
-        src, dst = (0, e.u), (1, e.v)
+        src, dst, skip = vid[(0, e.u)], vid[(1, e.v)], e.index
         max_edges = (2 * k - 1) if best is None else min(2 * k, len(best.vertices)) - 1
-        parent: dict = {src: None}
-        queue = deque([(src, 0)])
-        found = None
-        while queue:
-            v, depth = queue.popleft()
-            if depth >= max_edges:
-                continue
-            for w, via in adj.get(v, ()):
-                if via.index == e.index or w in parent:
-                    continue
-                parent[w] = v
-                if w == dst:
-                    found = w
-                    queue.clear()
+        parent = [-1] * len(vertices)
+        parent[src] = src
+        idxs = links[src].get(dst)
+        last = src if idxs and (len(idxs) > 1 or skip not in idxs) else -1
+        frontier = [src]
+        for _ in range(max_edges - 1):
+            if last >= 0 or not frontier:
+                break
+            level = []
+            for v in frontier:
+                for w, idx in nbrs[v]:
+                    if idx == skip or parent[w] >= 0:
+                        continue
+                    parent[w] = v
+                    idxs = links[w].get(dst)
+                    if idxs and (len(idxs) > 1 or skip not in idxs):
+                        last = w
+                        break
+                    level.append(w)
+                if last >= 0:
                     break
-                queue.append((w, depth + 1))
-        if found is None:
+            frontier = level
+        if last < 0:
             continue
-        path = []
-        v = found
-        while v is not None:
-            path.append(v)
+        path = [vertices[dst]]
+        v = last
+        while v != src:
+            path.append(vertices[v])
             v = parent[v]
+        path.append(vertices[src])
         cycle = _canonical_cycle(graph, path)
         ck = _cycle_sort_key(graph, cycle)
         if best is None or ck < best_key:
@@ -296,18 +313,34 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
     return report
 
 
+def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
+    """The full audit of one cycle against the progression A with reduced
+    descriptor desc: the alternating product identity, the coefficient
+    polynomial and the divisibility checks.  Any failure raises
+    FalsificationError.  The three checks are looked up as module globals
+    at call time, so a wrapper installed on this module sees every call."""
+    if not cycle_identity_check(cycle, A):
+        raise FalsificationError("cycle identity failed", payload=cycle.as_json())
+    poly = cycle_poly(cycle, desc)
+    divisibility_audit(poly, desc)
+    return poly
+
+
 def integer_kth_root(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, exact."""
+    """floor(x ** (1/k)) for x >= 0, k >= 1, exact.
+
+    Integer Newton iteration from 2**ceil(bits/k), which is at least the
+    root; the iterates fall strictly until they reach it."""
     if x < 0 or k < 1:
         raise InputError("integer_kth_root requires x >= 0 and k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    guess = int(round(x ** (1.0 / k)))
-    while guess > 0 and guess**k > x:
-        guess -= 1
-    while (guess + 1) ** k <= x:
-        guess += 1
-    return guess
+    root = 1 << -(-x.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * root + x // root ** (k - 1)) // k
+        if nxt >= root:
+            return root
+        root = nxt
 
 
 def bondy_simonovits_bound(n: int, k: int) -> int:

@@ -18,13 +18,7 @@ from math import gcd, log
 
 from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
-from .cyclelab import (
-    cycle_identity_check,
-    cycle_poly,
-    divisibility_audit,
-    enumerate_even_cycles,
-    find_even_cycle,
-)
+from .cyclelab import cycle_audit, enumerate_even_cycles, find_even_cycle
 from .errors import CapacityError, FalsificationError, InputError
 from .exactnum import QuadElem
 from .irregular import irregularity_report
@@ -346,13 +340,6 @@ def study_csv(records) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_to_json(cycle) -> dict:
-    return {
-        "vertices": [[side, idx] for side, idx in cycle.vertices],
-        "indices": list(cycle.indices),
-    }
-
-
 def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 200) -> None:
     """Shared integer-side audits: reduction, gcd bound, graph, cycles,
     irregularity, concavity."""
@@ -383,16 +370,10 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 2
     shortest = find_even_cycle(graph, 5)
     audited = []
     for cyc in enumerate_even_cycles(graph, 5, max_count=cycle_cap):
-        identity = cycle_identity_check(cyc, final_A)
-        if not identity:
-            raise FalsificationError(
-                "cycle identity failed", payload=_cycle_to_json(cyc)
-            )
-        poly = cycle_poly(cyc, desc)
-        divisibility_audit(poly, desc)
+        cycle_audit(cyc, final_A, desc)
         audited.append(len(cyc.vertices))
     stages["cycles"] = {
-        "shortest": _cycle_to_json(shortest) if shortest else None,
+        "shortest": shortest.as_json() if shortest else None,
         "audited": len(audited),
         "lengths": audited,
         "all_pass": True,
@@ -456,7 +437,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
                 "edges": c4.edges,
                 "threshold": c4.threshold,
                 "exceeded": c4.exceeded,
-                "four_cycle": _cycle_to_json(c4.cycle) if c4.cycle else None,
+                "four_cycle": c4.cycle.as_json() if c4.cycle else None,
             }
             if c4.cycle is not None:
                 starts = four_cycle_r_rotations(qinst.graph, c4.cycle)

@@ -91,6 +91,12 @@ class RepGraph:
 
     Vertices are (side, element index) with side 0 and 1 the two copies of
     the base set; each edge joins (0, u) to (1, v).
+
+    Vertices are ordered by element value, then side: ``vertex_rank`` holds
+    the dense rank of (sort_key(value), side), so the order follows values,
+    not positions in ``elements``, and vertices with equal keys share a rank.
+    The rank, the adjacency and the edge lookup are computed once per graph;
+    caching them is sound only because the dataclass is frozen.
     """
 
     elements: tuple
@@ -104,17 +110,43 @@ class RepGraph:
         return self.elements[vertex[1]]
 
     @cached_property
+    def vertex_rank(self) -> dict:
+        # every value sits on both sides, so the dense rank of (key, side)
+        # is twice the dense rank of the key, plus the side
+        keys = [sort_key(x) for x in self.elements]
+        rank: dict = {}
+        dense, prev = -1, None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if dense < 0 or keys[i] != prev:
+                dense, prev = dense + 1, keys[i]
+            rank[(0, i)], rank[(1, i)] = 2 * dense, 2 * dense + 1
+        return rank
+
+    @cached_property
     def adjacency(self) -> dict:
         adj: dict = {}
         for e in self.edges:
             a, b = (0, e.u), (1, e.v)
             adj.setdefault(a, []).append((b, e))
             adj.setdefault(b, []).append((a, e))
-        order = lambda item: (sort_key(self.vertex_value(item[0])), item[0][0])
-        return {v: sorted(nbrs, key=order) for v, nbrs in sorted(adj.items())}
+        rank = self.vertex_rank
+        return {
+            v: sorted(nbrs, key=lambda item: rank[item[0]])
+            for v, nbrs in sorted(adj.items())
+        }
 
-    def vertex_order_key(self, vertex):
-        return (sort_key(self.vertex_value(vertex)), vertex[0])
+    @cached_property
+    def edge_lookup(self) -> dict:
+        """Edge joining two vertices, keyed by the endpoint pair in either
+        order; of several edges on one pair the last one wins."""
+        table = {}
+        for e in self.edges:
+            a, b = (0, e.u), (1, e.v)
+            table[(a, b)] = table[(b, a)] = e
+        return table
+
+    def vertex_order_key(self, vertex) -> int:
+        return self.vertex_rank[vertex]
 
 
 def _first_rep(a, base, index_of):

@@ -157,7 +157,7 @@ class TestExitCodes:
         bad.write_text(json.dumps({"field": "integer"}))
         assert run(["find-ap", "--in", bad]) == 2
 
-    def test_corrupted_graph_falsifies(self, tmp_path):
+    def test_corrupted_graph_falsifies(self, tmp_path, capsys):
         # hand-crafted 4-cycle whose values cannot satisfy the alternating
         # product identity: the audit must exit 4 with a report
         graph = tmp_path / "g.json"
@@ -177,3 +177,10 @@ class TestExitCodes:
         with open(ap, "w") as fh:
             fh.write(dumps_canonical({"D": "1", "r": "2", "d": "1", "L": 4}))
         assert run(["cycles", "--graph", graph, "--k", 2, "--audit", "--ap", ap]) == 4
+        # same falsification payload as the pipeline's cycle audit
+        report = json.loads(capsys.readouterr().err)
+        assert report["falsification"] == "cycle identity failed"
+        assert report["payload"] == {
+            "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "indices": [0, 1, 2, 3],
+        }

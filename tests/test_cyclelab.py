@@ -1,6 +1,9 @@
 """Cycle detection, the alternating product identity, coefficient audits,
 and the even-cycle extremal bound."""
 
+from collections import deque
+from fractions import Fraction
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,8 @@ from prodap.cyclelab import (
     symmetric_coefficients,
 )
 from prodap.errors import FalsificationError, InputError, ShapeError
-from prodap.prodset import Edge, RepGraph, build_rep_graph
+from prodap.exactnum import QuadElem
+from prodap.prodset import Edge, RepGraph, build_rep_graph, sort_key
 
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
 # 6=1*6, 7=1*7, 12=2*6, 14=2*7
@@ -230,10 +234,20 @@ class TestBound:
         assert integer_kth_root(big, 40) == 7
         assert integer_kth_root(big - 1, 40) == 6
 
-    @given(st.integers(min_value=0, max_value=10**24), st.integers(min_value=1, max_value=12))
+    # x reaches far past the largest float
+    @given(st.integers(min_value=0, max_value=10**1200), st.integers(min_value=1, max_value=200))
     def test_root_brackets(self, x, k):
         r = integer_kth_root(x, k)
         assert r**k <= x < (r + 1) ** k
+
+    def test_huge_inputs(self):
+        for x, k in [(10**400, 2), (10**400 - 1, 3), (2**5000 + 1, 7), (3**999, 999)]:
+            r = integer_kth_root(x, k)
+            assert r**k <= x < (r + 1) ** k
+        # the target here is ~10**593, past the largest float
+        bound = bondy_simonovits_bound(10**6, 60)
+        target = 6000**60 * (10**6) ** 61
+        assert (bound - 1) ** 60 < target <= bound**60
 
     def test_audit_below_bound(self):
         _, _, g = cover_instance(10)
@@ -276,3 +290,213 @@ class TestForestAgreement:
             parent[ra] = rb
         found = find_even_cycle(g, len(edges) // 2 + 2) if edges else None
         assert (found is None) == acyclic
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: the cycle search as first written, on tuple vertices with the
+# Fraction-valued order key and an edge lookup rebuilt for every cycle
+# ---------------------------------------------------------------------------
+
+
+def _ref_order_key(graph, vertex):
+    return (sort_key(graph.vertex_value(vertex)), vertex[0])
+
+
+def _ref_adjacency(graph):
+    adj = {}
+    for e in graph.edges:
+        a, b = (0, e.u), (1, e.v)
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    return {
+        v: sorted(nbrs, key=lambda item: _ref_order_key(graph, item[0]))
+        for v, nbrs in sorted(adj.items())
+    }
+
+
+def _ref_canonical_cycle(graph, vertices):
+    lookup = {}
+    for e in graph.edges:
+        lookup[((0, e.u), (1, e.v))] = e
+        lookup[((1, e.v), (0, e.u))] = e
+    n = len(vertices)
+    key = lambda v: _ref_order_key(graph, v)
+    start = min(range(n), key=lambda t: key(vertices[t]))
+    step = 1 if key(vertices[(start + 1) % n]) <= key(vertices[(start - 1) % n]) else -1
+    ordered = [vertices[(start + step * t) % n] for t in range(n)]
+    indices, values = [], []
+    for t in range(n):
+        e = lookup.get((ordered[t], ordered[(t + 1) % n]))
+        if e is None:
+            raise ShapeError(f"no edge between {ordered[t]} and {ordered[(t + 1) % n]}")
+        indices.append(e.index)
+        values.append(e.value)
+    return EvenCycle(tuple(ordered), tuple(indices), tuple(values))
+
+
+def _ref_cycle_sort_key(graph, cycle):
+    return (len(cycle.vertices), [_ref_order_key(graph, v) for v in cycle.vertices])
+
+
+def ref_find_even_cycle(graph, k):
+    adj = _ref_adjacency(graph)
+    best = best_key = None
+    for e in sorted(graph.edges, key=lambda e: e.index):
+        src, dst = (0, e.u), (1, e.v)
+        max_edges = (2 * k - 1) if best is None else min(2 * k, len(best.vertices)) - 1
+        parent = {src: None}
+        queue = deque([(src, 0)])
+        found = None
+        while queue:
+            v, depth = queue.popleft()
+            if depth >= max_edges:
+                continue
+            for w, via in adj.get(v, ()):
+                if via.index == e.index or w in parent:
+                    continue
+                parent[w] = v
+                if w == dst:
+                    found = w
+                    queue.clear()
+                    break
+                queue.append((w, depth + 1))
+        if found is None:
+            continue
+        path = []
+        v = found
+        while v is not None:
+            path.append(v)
+            v = parent[v]
+        cycle = _ref_canonical_cycle(graph, path)
+        ck = _ref_cycle_sort_key(graph, cycle)
+        if best is None or ck < best_key:
+            best, best_key = cycle, ck
+    return best
+
+
+def ref_enumerate_even_cycles(graph, k, max_count=None):
+    adj = _ref_adjacency(graph)
+    roots = sorted(adj, key=lambda v: _ref_order_key(graph, v))
+    order = {v: i for i, v in enumerate(roots)}
+    found = {}
+
+    def dfs(root, v, path, on_path):
+        if max_count is not None and len(found) >= max_count:
+            return
+        for w, _ in adj.get(v, ()):
+            if w == root and len(path) >= 4:
+                if order[path[1]] < order[path[-1]]:
+                    cycle = _ref_canonical_cycle(graph, path)
+                    found.setdefault((cycle.vertices, cycle.indices), cycle)
+                continue
+            if w in on_path or order.get(w, -1) < order[root]:
+                continue
+            if len(path) < 2 * k:
+                on_path.add(w)
+                path.append(w)
+                dfs(root, w, path, on_path)
+                path.pop()
+                on_path.discard(w)
+
+    for root in roots:
+        dfs(root, root, [root], {root})
+        if max_count is not None and len(found) >= max_count:
+            break
+    return sorted(found.values(), key=lambda c: _ref_cycle_sort_key(graph, c))
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except ShapeError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+_FIELD_VALUES = {
+    "integer": st.integers(1, 40),
+    "rational": st.fractions(min_value=Fraction(1, 6), max_value=12, max_denominator=6),
+    "quadratic": st.builds(
+        lambda a, b: QuadElem(Fraction(a), Fraction(b), 2), st.integers(-3, 3), st.integers(-3, 3)
+    ),
+}
+
+
+@st.composite
+def bipartite_graphs(draw, allow_multi=False):
+    """RepGraphs as a graph file can describe them: elements in any order,
+    possibly tied, and edges given in any order with permuted indices; with
+    allow_multi, also parallel edges and repeated indices."""
+    field = draw(st.sampled_from(sorted(_FIELD_VALUES)))
+    elements = tuple(draw(st.lists(_FIELD_VALUES[field], min_size=2, max_size=8)))
+    n = len(elements)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=18,
+            unique=not allow_multi,
+        )
+    )
+    if allow_multi:
+        index_values = st.integers(0, len(pairs))
+        indices = draw(st.lists(index_values, min_size=len(pairs), max_size=len(pairs)))
+    else:
+        indices = draw(st.permutations(range(len(pairs))))
+    edges = tuple(
+        Edge(u, v, j, elements[u] * elements[v]) for (u, v), j in zip(pairs, indices)
+    )
+    return RepGraph(elements, edges)
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs(), st.integers(2, 5))
+    def test_find_even_cycle_matches_reference(self, g, k):
+        assert find_even_cycle(g, k) == ref_find_even_cycle(g, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs(), st.integers(2, 4), st.one_of(st.none(), st.integers(1, 6)))
+    def test_enumerate_matches_reference(self, g, k, cap):
+        assert enumerate_even_cycles(g, k, cap) == ref_enumerate_even_cycles(g, k, cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs(allow_multi=True), st.integers(2, 4))
+    def test_parallel_edges_and_repeated_indices_match_reference(self, g, k):
+        assert _outcome(find_even_cycle, g, k) == _outcome(ref_find_even_cycle, g, k)
+        assert _outcome(enumerate_even_cycles, g, k, 5) == _outcome(
+            ref_enumerate_even_cycles, g, k, 5
+        )
+
+    def test_unsorted_tied_elements(self):
+        # the same square as SQUARE_B, listed out of order with a tied copy
+        elements = (7, Fraction(2), 6, 1, 2)
+        pairs = [(3, 2), (3, 0), (1, 2), (4, 0), (1, 0)]
+        edges = tuple(
+            Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs)
+        )
+        g = RepGraph(elements, edges)
+        assert g.vertex_rank[(0, 1)] == g.vertex_rank[(0, 4)]
+        cyc = find_even_cycle(g, 3)
+        assert cyc is not None and cyc == ref_find_even_cycle(g, 3)
+        assert enumerate_even_cycles(g, 3) == ref_enumerate_even_cycles(g, 3)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            # a 4-cycle whose opposite edges share an index: avoiding the
+            # index of any one edge also cuts its twin, so no cycle closes
+            [(0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)],
+            # the same with a parallel copy of one edge under the same index
+            [(0, 1, 0), (1, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)],
+        ],
+    )
+    def test_repeated_index_is_avoided_everywhere(self, pairs):
+        elements = (2, 3)
+        g = RepGraph(elements, tuple(Edge(u, v, j, elements[u] * elements[v]) for u, v, j in pairs))
+        assert find_even_cycle(g, 2) is None
+        assert ref_find_even_cycle(g, 2) is None
+
+    def test_cover_graph_matches_reference(self):
+        _, _, g = cover_instance(12)
+        assert find_even_cycle(g, 5) == ref_find_even_cycle(g, 5)
+        assert enumerate_even_cycles(g, 4, 40) == ref_enumerate_even_cycles(g, 4, 40)

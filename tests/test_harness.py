@@ -1,5 +1,6 @@
 """Preprocessing, generators, the scaling study, and the audit pipeline."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -176,6 +177,22 @@ class TestPipeline:
         a = pipeline_report_json(demo_instance_file("quad", seed=5))
         b = pipeline_report_json(demo_instance_file("quad", seed=5))
         assert a == b
+
+    # sha256 of the canonical reports; a change that alters report bytes on
+    # purpose updates these and records why
+    GOLDEN = {
+        ("cover100", 0): "3614b6c9d57c79fd5cc5b18e3da6287f94c819feb47c8d148056405ac3048f29",
+        ("quad", 0): "20bf7f5be4bafe154ec0d620361050920ec654ca1adf1c5b808df2bded7f0bb5",
+        ("quad", 1): "754c89228f7cd5b6e8f112b421da8a3556c6991a28d00efab5c7ca4e385f63e4",
+        ("quad", 2): "8e1a20496df2e2fe50f384f721e40aab38f4afa43a2e880d1bcbdf8e3e134c0b",
+        ("quad", 3): "ed26e05ccb58662b8698eab9a5412f4236e255f3bb339f66fd9fe92cdfc0b366",
+        ("quad", 4): "bf6f674b594ba36f51fbcd9c6b126ed1b3fd7af6b6e9da5efcb82cfe9c7216db",
+    }
+
+    @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
+    def test_golden_report_digest(self, kind, seed):
+        text = pipeline_report_json(demo_instance_file(kind, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed)]
 
     def test_fabricated_claim_fails_loudly(self):
         inst = InstanceFile("integer", [2, 3, 5], ap=APDescriptor(1, 5, 1, 3))
