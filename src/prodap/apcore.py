@@ -6,7 +6,17 @@ an input progression A inside B.B into that shape with gcd(d, D*r) = 1 by
 repeatedly dividing out a prime that appears to a higher power in the
 difference than in the start, shrinking B alongside.  Every step is followed
 by an independent re-verification that A is still covered by products of the
-shrunken set; the case analysis is never trusted on its own.
+shrunken set; the case analysis is never trusted on its own.  The measure
+each step must decrease, the total prime multiplicity Omega of the set, is
+carried through the steps: each input element is factorized once, and an
+element divided by q in {1, p, p**2} loses Omega(q).
+
+``gcd_bound_audit`` checks the paper's bound gcd(t_i, t_j) <= D*L on a
+reduced descriptor in O(L) exact integer steps.  Reducedness gives
+gcd(r + d*j, d) = 1, hence gcd(t_i, t_j) = D * gcd(r + d*j, i - j), and the
+worst pair follows in closed form (see the function).  The gcd at the
+reported pair is recomputed from the terms, so a wrong closed form surfaces
+as a FalsificationError rather than as a silently wrong witness.
 """
 
 from __future__ import annotations
@@ -14,15 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .errors import (
     FalsificationError,
     InputError,
     RepresentationError,
     ShapeError,
 )
-from .exactnum import DEFAULT_TABLE, PrimeTable
+from .exactnum import DEFAULT_TABLE, PrimeTable, valuation
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,9 @@ def verify_coverage(A: list[int], B: list[int]) -> None:
             )
 
 
-def _omega_sum(B: list[int], table: PrimeTable) -> int:
-    """Total prime multiplicity of the product of all elements (1 contributes 0)."""
-    return sum(sum(e for _, e in table.factorize(b)) for b in B if b > 1)
+def _omega(b: int, table: PrimeTable) -> int:
+    """Prime multiplicity of b, counted with repetition (Omega(1) = 0)."""
+    return sum(e for _, e in table.factorize(b)) if b > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,10 @@ def reduce_ap(
     verify_coverage(A, cur_B)
 
     steps: list[ReductionStep] = []
-    initial_measure = _omega_sum(cur_B, table)
+    # Omega of every current element, factorized once; a step dividing b by
+    # q in {1, p, p**2} maps it to Omega(b) - Omega(q), since q | b
+    omega = {b: _omega(b, table) for b in cur_B}
+    initial_measure = sum(omega.values())
     measure = initial_measure
 
     while True:
@@ -149,11 +160,7 @@ def reduce_ap(
         # power in r at least 1 (the power-0 case is handled by extraction)
         pick = None
         for p, e_d in (table.factorize(d) if d > 1 else []):
-            e_r = 0
-            rr = r
-            while rr % p == 0:
-                rr //= p
-                e_r += 1
+            e_r = valuation(r, p)
             if e_d > e_r >= 1:
                 pick = (p, e_r, e_d)
                 break
@@ -164,7 +171,6 @@ def reduce_ap(
             # every term carries exactly one factor p; strip one p from the
             # divisible elements of B and divide A by p
             divisors = tuple((b, p if b % p == 0 else 1) for b in cur_B)
-            new_B = sorted({b // p if b % p == 0 else b for b in cur_B})
             ap_div = p
             case = "k1"
         else:
@@ -172,11 +178,7 @@ def reduce_ap(
             # and divide A by p**2
             divs = []
             for b in cur_B:
-                e = 0
-                bb = b
-                while bb % p == 0:
-                    bb //= p
-                    e += 1
+                e = valuation(b, p)
                 if e == 0:
                     divs.append((b, 1))
                 elif e < k_r:
@@ -184,9 +186,11 @@ def reduce_ap(
                 else:
                     divs.append((b, p * p))
             divisors = tuple(divs)
-            new_B = sorted({b // q for b, q in divs})
             ap_div = p * p
             case = "partition-B1B2B3"
+        q_omega = {1: 0, p: 1, p * p: 2}
+        omega = {b // q: omega[b] - q_omega[q] for b, q in divisors}
+        new_B = sorted(omega)
         r //= ap_div
         d //= ap_div
         new_A = [r + d * i for i in range(L)]
@@ -203,7 +207,7 @@ def reduce_ap(
                     "missing_term": str(exc.term),
                 },
             ) from exc
-        new_measure = _omega_sum(new_B, table)
+        new_measure = sum(omega.values())
         if new_measure >= measure:
             raise FalsificationError(
                 "reduction step did not decrease the prime-multiplicity measure",
@@ -243,53 +247,41 @@ def reduce_ap(
     return cur_B, desc, trace
 
 
-def _worst_pair_gcd_fast(desc: APDescriptor) -> tuple[int, int, int]:
-    """Maximum pairwise gcd over all j < i, for terms within int64 range.
-
-    Euclid's first step gives gcd(t_i, t_j) = gcd(t_j, D*d*(i-j)), and
-    gcd(a, b*c) = gcd(a, b) * gcd(a // gcd(a, b), c) holds unconditionally
-    (check each prime's exponent), so with G_j = gcd(t_j, D*d) the pairwise
-    gcd is G_j * gcd(t_j // G_j, i - j).  The second factor only sees values
-    below L, which keeps the vectorized scan cheap.
-    """
-    L = desc.L
-    t = desc.D * (desc.r + desc.d * np.arange(L, dtype=np.int64))
-    G = np.gcd(t, desc.D * desc.d)
-    u = t // G
-    best_g, best_i, best_j = 0, 1, 0
-    chunk = 128
-    for lo in range(1, L, chunk):
-        hi = min(lo + chunk, L)
-        deltas = np.arange(lo, hi, dtype=np.int64)
-        rows = L - lo
-        g = np.gcd(u[:rows, None] % deltas[None, :], deltas[None, :])
-        g *= G[:rows, None]
-        jj = np.arange(rows, dtype=np.int64)[:, None]
-        g[jj + deltas[None, :] > L - 1] = 0
-        flat = int(np.argmax(g))
-        j0, k0 = divmod(flat, hi - lo)
-        val = int(g[j0, k0])
-        if val > best_g:
-            best_g, best_i, best_j = val, j0 + lo + k0, j0
-    return best_i, best_j, best_g
-
-
 def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:
     """Check gcd(term_i, term_j) <= D*L over all pairs j < i of a reduced
-    descriptor; returns (ok, (i, j, gcd)) for a maximizing pair."""
+    descriptor; returns (ok, (i, j, gcd)) for a maximizing pair.
+
+    Reducedness gives gcd(r + d*j, d) = 1, so gcd(term_i, term_j) =
+    D * gcd(r + d*j, i - j).  A value g is therefore reached iff gcd(g, d) = 1
+    and j0(g) = -r * d**-1 mod g, the first j with g | r + d*j, leaves room
+    for i = j0 + g <= L - 1.  The worst pair is (j0 + g, j0) for the largest
+    such g in 2..L-1, or (1, 0) with gcd D when there is none: the largest
+    gcd, then the smallest j, then the smallest i.  The gcd at that pair is
+    recomputed from the terms themselves, and a mismatch is a falsification.
+    """
     if not desc.is_reduced:
         raise InputError(
             f"descriptor not reduced: gcd(d={desc.d}, D*r={desc.D * desc.r}) != 1"
         )
-    terms = desc.terms()
-    bound = desc.D * desc.L
-    if terms[-1] < 2**62:
-        i, j, worst = _worst_pair_gcd_fast(desc)
-    else:
-        worst, i, j = 0, 1, 0
-        for jj in range(desc.L):
-            for ii in range(jj + 1, desc.L):
-                g = gcd(terms[ii], terms[jj])
-                if g > worst:
-                    worst, i, j = g, ii, jj
-    return worst <= bound, (i, j, worst)
+    D, r, d, L = desc.D, desc.r, desc.d, desc.L
+    i, j, g = 1, 0, 1
+    for h in range(L - 1, 1, -1):
+        if gcd(h, d) == 1:
+            j0 = -r * pow(d, -1, h) % h
+            if j0 + h <= L - 1:
+                i, j, g = j0 + h, j0, h
+                break
+    worst = gcd(desc.term(i), desc.term(j))
+    if worst != D * g:
+        from . import jsonio  # jsonio imports this module
+
+        raise FalsificationError(
+            "closed-form worst pair disagrees with its recomputed gcd",
+            payload={
+                "descriptor": jsonio.descriptor_to_json(desc),
+                "pair": [i, j],
+                "closed_form": jsonio.enc_int(D * g),
+                "gcd": jsonio.enc_int(worst),
+            },
+        )
+    return worst <= D * L, (i, j, worst)

@@ -183,11 +183,12 @@ def cmd_irregular(args) -> int:
     out = {
         "window": list(report.window.primes),
         "per_prime": {
-            str(p): [e.index for e in edges] for p, edges in report.per_prime.items()
+            jsonio.enc_int(p): [e.index for e in edges]
+            for p, edges in report.per_prime.items()
         },
         "selected": [e.index for e in report.selected],
         "selected_primes": {
-            str(idx): list(ps) for idx, ps in report.selected_primes.items()
+            jsonio.enc_int(idx): list(ps) for idx, ps in report.selected_primes.items()
         },
         "forest": report.forest,
     }

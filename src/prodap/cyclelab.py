@@ -17,6 +17,7 @@ from math import comb
 
 from .apcore import APDescriptor
 from .errors import FalsificationError, InputError, ShapeError
+from .jsonio import enc_int
 from .prodset import RepGraph
 
 Vertex = tuple[int, int]
@@ -265,10 +266,10 @@ def cycle_poly(cycle: EvenCycle, desc: APDescriptor) -> CyclePoly:
             "cycle polynomial does not vanish at (r, d)",
             payload={
                 "indices": list(cycle.indices),
-                "coeffs": [str(c) for c in coeffs],
-                "r": str(desc.r),
-                "d": str(desc.d),
-                "value": str(value),
+                "coeffs": [enc_int(c) for c in coeffs],
+                "r": enc_int(desc.r),
+                "d": enc_int(desc.d),
+                "value": enc_int(value),
             },
         )
     nonzero = [t for t, c in enumerate(coeffs) if c != 0]
@@ -301,7 +302,7 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
         raise FalsificationError(
             "cycle coefficient audit failed",
             payload={
-                "coeffs": [str(c) for c in poly.coeffs],
+                "coeffs": [enc_int(c) for c in poly.coeffs],
                 "l": poly.l,
                 "m": poly.m,
                 "d_divides_cl": d_ok,
@@ -376,6 +377,6 @@ def cycle_bound_audit(graph: RepGraph, k: int) -> CycleBoundReport:
     if exceeded and cycle is None:
         raise FalsificationError(
             "edge count exceeds the even-cycle extremal bound yet no cycle found",
-            payload={"n": n, "k": k, "edges": edges, "bound": str(bound)},
+            payload={"n": n, "k": k, "edges": edges, "bound": enc_int(bound)},
         )
     return CycleBoundReport(n, k, edges, bound, exceeded, cycle)

@@ -189,18 +189,28 @@ def factorize(n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
     return (table or DEFAULT_TABLE).factorize(n)
 
 
-def ord_p(n: int, p: int, table: PrimeTable | None = None) -> int:
-    """Largest e such that p**e divides n.  Undefined for n = 0."""
-    if n == 0:
-        raise DomainError("p-adic valuation of 0 is undefined")
-    if not (table or DEFAULT_TABLE).is_prime(p):
-        raise DomainError(f"ord_p requires a prime modulus, got {p}")
+def valuation(n: int, p: int) -> int:
+    """Largest e such that p**e divides n, for n != 0 and p >= 2.
+
+    Unchecked beyond that: callers that need p prime use ``ord_p``.
+    """
+    if n == 0 or p < 2:
+        raise DomainError(f"valuation needs n != 0 and p >= 2, got n={n}, p={p}")
     n = abs(n)
     e = 0
     while n % p == 0:
         n //= p
         e += 1
     return e
+
+
+def ord_p(n: int, p: int, table: PrimeTable | None = None) -> int:
+    """Largest e such that p**e divides n, for a prime p.  Undefined for n = 0."""
+    if n == 0:
+        raise DomainError("p-adic valuation of 0 is undefined")
+    if not (table or DEFAULT_TABLE).is_prime(p):
+        raise DomainError(f"ord_p requires a prime modulus, got {p}")
+    return valuation(n, p)
 
 
 def largest_prime_factor(n: int, table: PrimeTable | None = None) -> int:

@@ -462,7 +462,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
             if any(x.denominator != 1 for x in scaled):
                 raise FalsificationError(
                     "integerized targets are not integral",
-                    payload={"scale": str(scale)},
+                    payload={"scale": jsonio.enc_int(scale)},
                 )
             A = [x.numerator for x in scaled]
         else:

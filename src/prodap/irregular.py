@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .apcore import APDescriptor
 from .errors import InputError
-from .exactnum import DEFAULT_TABLE, PrimeTable
+from .exactnum import DEFAULT_TABLE, PrimeTable, valuation
 from .prodset import Edge, RepGraph
 
 
@@ -58,14 +58,6 @@ def hit_count(p: int, desc: APDescriptor, table: PrimeTable | None = None) -> in
     return (L - 1 - i0) // p + 1
 
 
-def _ord(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 @dataclass
 class IrregularityReport:
     """Classification result: per-prime irregular edges, the greedy selection
@@ -93,9 +85,9 @@ def classify_edges(
             )
     per_prime: dict[int, list[Edge]] = {p: [] for p in window.primes}
     edge_primes: dict[int, tuple[int, ...]] = {}
-    d_ord = {p: _ord(desc.D, p) for p in window.primes}
+    d_ord = {p: valuation(desc.D, p) for p in window.primes}
     for e in sorted(graph.edges, key=lambda e: e.index):
-        mine = tuple(p for p in window.primes if _ord(e.value, p) > d_ord[p])
+        mine = tuple(p for p in window.primes if valuation(e.value, p) > d_ord[p])
         if mine:
             edge_primes[e.index] = mine
             for p in mine:

@@ -5,42 +5,69 @@ string when integral), quadratic elements as {"a": ..., "b": ...} with the
 field discriminant m carried once at instance level (standalone element
 encodings include it).  All report dumps are canonical: sorted keys, compact
 separators, trailing newline, so identical inputs give identical bytes.
+
+``enc_int`` and ``dec_int`` are the only int <-> decimal conversions of the
+wire format.  Python caps those conversions at
+``sys.get_int_max_str_digits()`` digits (4300 by default); an integer past the
+cap in either direction is a CapacityError, not a malformed literal.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .apcore import APDescriptor
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .exactnum import QuadElem
 from .prodset import Edge, RepGraph
 
 
+def _digit_cap() -> int:
+    """Python's int <-> str digit limit; 0 means none (Python < 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def enc_int(x: int) -> str:
-    return str(int(x))
+    x = int(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # the only way str(int) fails
+        raise CapacityError(
+            f"integer of {x.bit_length()} bits exceeds the {_digit_cap()}-digit "
+            "limit on int-to-decimal conversion",
+            limit=_digit_cap(),
+        ) from exc
 
 
 def dec_int(s) -> int:
     try:
         return int(s)
     except (TypeError, ValueError) as exc:
+        if isinstance(s, str):
+            digits = s.strip().lstrip("+-").replace("_", "")
+            if digits.isascii() and digits.isdigit() and len(digits) > _digit_cap() > 0:
+                raise CapacityError(
+                    f"integer literal of {len(digits)} digits exceeds the "
+                    f"{_digit_cap()}-digit limit on decimal-to-int conversion",
+                    limit=_digit_cap(),
+                ) from exc
         raise InputError(f"bad integer literal {s!r}") from exc
 
 
 def enc_rat(x) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if x.denominator == 1:
+        return enc_int(x.numerator)
+    return f"{enc_int(x.numerator)}/{enc_int(x.denominator)}"
 
 
 def dec_rat(s) -> Fraction:
+    num, den = s.split("/", 1) if isinstance(s, str) and "/" in s else (s, 1)
     try:
-        if isinstance(s, str) and "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(dec_int(num), dec_int(den))
+    except ZeroDivisionError as exc:
         raise InputError(f"bad rational literal {s!r}") from exc
 
 
@@ -79,7 +106,7 @@ def descriptor_from_json(obj) -> APDescriptor:
         raise InputError(f"bad descriptor {obj!r}")
     try:
         return APDescriptor(
-            dec_int(obj["D"]), dec_int(obj["r"]), dec_int(obj["d"]), int(obj["L"])
+            dec_int(obj["D"]), dec_int(obj["r"]), dec_int(obj["d"]), dec_int(obj["L"])
         )
     except KeyError as exc:
         raise InputError(f"descriptor missing field {exc}") from exc
@@ -114,9 +141,9 @@ def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
         elements = tuple(_dec_element(e, field, m) for e in obj["elements"])
         edges = tuple(
             Edge(
-                int(e["u"]),
-                int(e["v"]),
-                int(e["index"]),
+                dec_int(e["u"]),
+                dec_int(e["v"]),
+                dec_int(e["index"]),
                 _dec_element(e["value"], field, m),
             )
             for e in obj["edges"]
@@ -135,8 +162,13 @@ def dumps_canonical(obj) -> str:
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: not a JSON document: {exc}") from exc
+    except ValueError as exc:  # a bare JSON number past the digit limit
+        raise CapacityError(f"{path}: {exc}", limit=_digit_cap()) from exc
 
 
 def save_json(path, obj) -> None:

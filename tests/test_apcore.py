@@ -1,10 +1,17 @@
 """Descriptor reduction and the pairwise-gcd bound."""
 
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import prodap
+from prodap import apcore
 from prodap.apcore import (
     APDescriptor,
     ap_terms,
@@ -13,7 +20,47 @@ from prodap.apcore import (
     validate_ap,
     verify_coverage,
 )
-from prodap.errors import InputError, RepresentationError, ShapeError
+from prodap.errors import FalsificationError, InputError, RepresentationError, ShapeError
+from prodap.exactnum import factorize
+
+
+def pairwise_worst(desc):
+    """Oracle: the O(L^2) scan over all pairs j < i, first maximum in (j, i)
+    order, returned in the shape of gcd_bound_audit."""
+    terms = desc.terms()
+    worst, i, j = 0, 1, 0
+    for jj in range(desc.L):
+        for ii in range(jj + 1, desc.L):
+            g = gcd(terms[ii], terms[jj])
+            if g > worst:
+                worst, i, j = g, ii, jj
+    return worst <= desc.D * desc.L, (i, j, worst)
+
+
+def omega_sum(B):
+    """Oracle for the reduction measure: factorize every element from scratch."""
+    return sum(e for b in B if b > 1 for _, e in factorize(b))
+
+
+def inflated_instance(rng):
+    """A reduced progression with 1 in the set, scaled by random small primes
+    (p*p on A and p on B, or p on A and B | p*B)."""
+    while True:
+        r, d = rng.randint(1, 9), rng.randint(1, 6)
+        if gcd(d, r) == 1:
+            break
+    L = rng.randint(3, 6)
+    A = [r + d * i for i in range(L)]
+    B = sorted(set(A) | {1})
+    for _ in range(rng.randint(1, 3)):
+        p = rng.choice([2, 3, 5, 7])
+        if rng.random() < 0.5:
+            A = [p * p * a for a in A]
+            B = [p * b for b in B]
+        else:
+            A = [p * a for a in A]
+            B = sorted(set(B) | {p * b for b in B})
+    return A, B
 
 
 class TestDescriptor:
@@ -103,24 +150,8 @@ class TestReduce:
 
     def test_randomized_inflations(self):
         rng = random.Random(0xAB12)
-        primes = [2, 3, 5, 7]
         for _ in range(60):
-            # base instance: reduced progression with 1 in the set
-            while True:
-                r, d = rng.randint(1, 9), rng.randint(1, 6)
-                if gcd(d, r) == 1:
-                    break
-            L = rng.randint(3, 6)
-            A = [r + d * i for i in range(L)]
-            B = sorted(set(A) | {1})
-            for _ in range(rng.randint(1, 3)):
-                p = rng.choice(primes)
-                if rng.random() < 0.5:
-                    A = [p * p * a for a in A]
-                    B = [p * b for b in B]
-                else:
-                    A = [p * a for a in A]
-                    B = sorted(set(B) | {p * b for b in B})
+            A, B = inflated_instance(rng)
             B2, desc, trace = reduce_ap(A, B)
             assert desc.is_reduced
             assert len(B2) <= len(B)
@@ -135,6 +166,21 @@ class TestReduce:
             non_terminal = measures[: len(trace.steps) + 1]
             for a, b in zip(non_terminal, non_terminal[1:]):
                 assert b <= a
+
+    def test_measures_match_factorization(self):
+        # the measure is carried through the steps; it must equal the
+        # from-scratch prime multiplicity of each step's result set
+        rng = random.Random(0x0E6A)
+        cases = [([6, 10, 14], [2, 3, 5, 7]), ([4, 12, 20, 28], [2, 4, 6, 10, 14])]
+        cases += [inflated_instance(rng) for _ in range(80)]
+        steps = 0
+        for A, B in cases:
+            _, _, trace = reduce_ap(A, B)
+            assert trace.initial_measure == omega_sum(set(B))
+            for s in trace.steps:
+                assert s.measure == omega_sum(s.result_set)
+            steps += len(trace.steps)
+        assert steps > 100
 
 
 class TestGcdBound:
@@ -151,10 +197,14 @@ class TestGcdBound:
             gcd_bound_audit(APDescriptor(1, 2, 2, 3))
 
     def test_big_terms_python_path(self):
-        # terms above the int64 range go through the pure-Python scan
-        desc = APDescriptor(1, 10**19 + 1, 2, 4)
-        ok, (i, j, g) = gcd_bound_audit(desc)
-        assert ok
+        # terms far above the int64 range: the closed form is pure big-int
+        for desc in (
+            APDescriptor(1, 10**19 + 1, 2, 4),
+            APDescriptor(3, 10**40 + 1, 7 * 10**20 + 1, 50),
+            APDescriptor(2**70 + 1, 5, 2**64, 40),
+        ):
+            assert desc.terms()[-1] > 2**63
+            assert gcd_bound_audit(desc) == pairwise_worst(desc)
 
     def test_randomized(self):
         rng = random.Random(0x9C2D)
@@ -170,3 +220,31 @@ class TestGcdBound:
             assert ok
             terms = APDescriptor(D, r, d, L).terms()
             assert gcd(terms[i], terms[j]) == g
+            assert (ok, (i, j, g)) == pairwise_worst(APDescriptor(D, r, d, L))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 40), st.integers(1, 2**80)),
+        st.one_of(st.integers(1, 10**6), st.integers(2**62, 2**100)),
+        st.one_of(st.integers(1, 60), st.integers(1, 10**12)),
+        st.integers(3, 80),
+    )
+    def test_matches_pairwise_oracle(self, D, r, d, L):
+        assume(gcd(d, D * r) == 1)
+        desc = APDescriptor(D, r, d, L)
+        assert gcd_bound_audit(desc) == pairwise_worst(desc)
+
+    def test_witness_is_rechecked(self, monkeypatch):
+        # a wrong closed form (j0 forced to 0) must surface as a falsification
+        monkeypatch.setattr(apcore, "pow", lambda *args: 0, raising=False)
+        with pytest.raises(FalsificationError) as exc:
+            gcd_bound_audit(APDescriptor(1, 1, 1, 10))
+        assert exc.value.payload["pair"] == [9, 0]
+        assert exc.value.payload["closed_form"] == "9"
+
+
+def test_import_leaves_numpy_out():
+    src = Path(prodap.__file__).resolve().parents[1]
+    code = "import sys, prodap; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0

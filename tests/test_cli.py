@@ -2,6 +2,7 @@
 falsification)."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -92,6 +93,31 @@ class TestReduce:
         assert data["set"] == ["1", "3", "5", "7"]
         assert data["gcd_bound"]["ok"] is True
 
+    def test_big_d_long_progression(self, tmp_path):
+        # inflated like a long big-D input: U * V_i with U = 2*q*left and
+        # V_i = right*(r + 2i); reduction leaves D = q*left*right, d = 2, and
+        # the reduced terms pass 2**62 (formerly the O(L^2) pure-Python scan)
+        from prodap.apcore import APDescriptor
+        from prodap.harness import InstanceFile
+
+        L, r, q, left, right = 1500, 1_000_003, 23, 11 * 13**3 * 17, 13**3 * 17**2
+        D, U = q * left * right, 2 * q * left
+        assert gcd(r, 2 * D) == 1 and D * r > 2**62
+        B = sorted({right * (r + 2 * i) for i in range(L)} | {U})
+        path = tmp_path / "inst.json"
+        out = tmp_path / "red.json"
+        save_instance(path, InstanceFile("integer", B, ap=APDescriptor(U * right, r, 2, L)))
+        assert run(["reduce", "--in", path, "--out", out]) == 0
+        data = load_json(out)
+        assert data["descriptor"] == {"D": str(D), "r": str(r), "d": "2", "L": L}
+        assert [s["case"] for s in data["trace"]] == ["k1", "extract-gcd"]
+        # closed form: the largest odd g <= L-1 whose first multiple
+        # r + 2*j0 leaves room for i = j0 + g
+        g = next(g for g in range(L - 1, 1, -2) if (-r * pow(2, -1, g)) % g + g <= L - 1)
+        j0 = (-r * pow(2, -1, g)) % g
+        assert data["gcd_bound"] == {"ok": True, "worst": [j0 + g, j0, str(D * g)]}
+        assert gcd(D * (r + 2 * (j0 + g)), D * (r + 2 * j0)) == D * g
+
 
 class TestRationalizeCmd:
     def test_quad_demo(self, tmp_path):
@@ -113,6 +139,39 @@ class TestConvexDemo:
         assert run(["convex-demo", "--ap", ap, "--out", out]) == 0
         data = load_json(out)
         assert data["concave"] is True and data["margins"] == ["16"]
+
+
+class TestBigIntegers:
+    """Integers past Python's int <-> str digit limit (4300 by default) are
+    a capacity error (exit 3), never a traceback or a malformed literal."""
+
+    def test_output_past_digit_limit(self, tmp_path, capsys):
+        # margin D^2 d^2 = 10**5000 cannot be written as a decimal string
+        ap = tmp_path / "ap.json"
+        ap.write_text(json.dumps({"D": "1", "r": "1", "d": "1" + "0" * 2500, "L": 3}))
+        assert run(["convex-demo", "--ap", ap, "--out", tmp_path / "c.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
+    def test_literal_past_digit_limit(self, tmp_path, capsys):
+        ap = tmp_path / "ap.json"
+        ap.write_text(json.dumps({"D": "1", "r": "1" + "0" * 4999, "d": "1", "L": 3}))
+        assert run(["convex-demo", "--ap", ap]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "bad integer literal" not in err
+
+    def test_bare_number_past_digit_limit(self, tmp_path):
+        ap = tmp_path / "ap.json"
+        ap.write_text('{"D": 1, "r": 1' + "0" * 5000 + ', "d": 1, "L": 3}')
+        assert run(["convex-demo", "--ap", ap]) == 3
+
+    def test_malformed_literals_stay_input_errors(self, tmp_path):
+        for text in ['{"D": "1", "r": "1x", "d": "1", "L": 3}',
+                     '{"D": "1", "r": "1", "d": "1", "L": "three"}',
+                     '{"D": "1", "r": ']:
+            ap = tmp_path / "ap.json"
+            ap.write_text(text)
+            assert run(["convex-demo", "--ap", ap]) == 2
 
 
 class TestStudyCmd:

@@ -17,6 +17,7 @@ from prodap.exactnum import (
     primes_in,
     sqrt_decompose,
     squarefree_decompose,
+    valuation,
 )
 
 
@@ -59,6 +60,29 @@ class TestOrdP:
         e = ord_p(n, p)
         assert n % p**e == 0
         assert (n // p**e) % p != 0
+
+
+class TestValuation:
+    def test_examples(self):
+        assert valuation(12, 2) == 2
+        assert valuation(-54, 3) == 3
+        assert valuation(7, 5) == 0
+        # no primality check: the multiplicity of any base >= 2
+        assert valuation(2**10, 4) == 5
+
+    def test_errors(self):
+        with pytest.raises(DomainError):
+            valuation(0, 3)
+        with pytest.raises(DomainError):
+            valuation(12, 1)
+
+    @given(st.integers(min_value=-(10**30), max_value=10**30).filter(bool), st.integers(2, 60))
+    def test_cofactor(self, n, p):
+        e = valuation(n, p)
+        assert n % p**e == 0
+        assert (n // p**e) % p != 0
+        if is_prime(p):
+            assert ord_p(n, p) == e
 
 
 class TestPrimes:
