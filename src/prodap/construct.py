@@ -4,80 +4,76 @@ to floor(n*ln n), whose product set covers the whole interval [1, floor(n*ln n)]
 Witnesses are produced by a greedy splitter: a term with a large prime factor
 splits off that prime directly; otherwise factors migrate one smallest prime
 at a time from the big part to the small part until both parts land in the
-set.  Threshold comparisons against ln n are decided by certified interval
-refinement, never by a float.
+set.  Threshold comparisons against ln n are decided by an integer
+enclosure of ln n, never by a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import mpmath
-from mpmath import iv
+from functools import lru_cache
 
 from .errors import DomainError, FalsificationError, InputError
 from .exactnum import DEFAULT_TABLE, PrimeTable
 
 SIZE_RATIO_CHECK_FROM = 10  # |B| <= 2n is asserted from this n on
 
-_LN_CACHE: dict[int, tuple] = {}
+
+def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2**prec * atanh(a/b) <= hi, for 0 <= a/b <= 1/3.
+
+    Each floored power p_j = p_{j-1}*a**2 // b**2 sits below its true value
+    by less than 9/8, so each of the j summed terms is short by less than 3
+    and the tail after p_j = 0 is below 2."""
+    p = (a << prec) // b
+    a2, b2 = a * a, b * b
+    s = j = 0
+    while p:
+        s += p // (2 * j + 1)
+        p = p * a2 // b2
+        j += 1
+    return s, s + 3 * j + 2
 
 
-def _ln_endpoints(n: int, prec: int):
-    """Certified enclosure of ln n: exact-float endpoints (lo, hi)."""
-    old = iv.prec
-    try:
-        iv.prec = prec
-        v = iv.log(iv.mpf(n))
-        return mpmath.mpf(v.a), mpmath.mpf(v.b)
-    finally:
-        iv.prec = old
+def floor_mul_ln(c: int, n: int) -> int:
+    """floor(c * ln n), exact, for integers c >= 0 and n >= 1.
 
-
-def _nlogn_endpoints(n: int, prec: int):
-    old = iv.prec
-    try:
-        iv.prec = prec
-        v = iv.mpf(n) * iv.log(iv.mpf(n))
-        return mpmath.mpf(v.a), mpmath.mpf(v.b)
-    finally:
-        iv.prec = old
-
-
-def floor_n_log_n(n: int) -> int:
-    """floor(n * ln n), certified: precision grows until both interval
-    endpoints share a floor (ln n is irrational for n >= 2, so this ends)."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 0
-    prec = 64
+    ln n = 2k*atanh(1/3) + 2*atanh((n - 2**k)/(n + 2**k)) with
+    2**k <= n < 2**(k+1), so both arguments are at most 1/3.  Precision
+    doubles until both ends of the enclosure share a floor; this ends because
+    c*ln n is irrational for c >= 1 and n >= 2, and for c = 0 or n = 1 the
+    lower end is exactly 0 while the upper one stays below 1."""
+    if c < 0 or n < 1:
+        raise DomainError(f"need c >= 0 and n >= 1, got c={c}, n={n}")
+    k = n.bit_length() - 1
+    prec = c.bit_length() + k.bit_length() + 32
     while True:
-        a, b = _nlogn_endpoints(n, prec)
-        lo = int(mpmath.floor(a))
-        hi = int(mpmath.floor(b))
-        if lo == hi:
+        lo1, hi1 = _atanh_fixed(1, 3, prec)
+        lo2, hi2 = _atanh_fixed(n - (1 << k), n + (1 << k), prec)
+        lo = (c * (k * lo1 + lo2)) >> (prec - 1)
+        if lo == (c * (k * hi1 + hi2)) >> (prec - 1):
             return lo
         prec *= 2
 
 
-def exceeds_ln(p: int, n: int) -> bool:
-    """Exact decision of p > ln n for integer p (never equal for n >= 2).
+def floor_n_log_n(n: int) -> int:
+    """floor(n * ln n), exact."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    return floor_mul_ln(n, n)
 
-    Comparison against certified float endpoints is exact; precision doubles
-    until p falls outside the enclosure."""
+
+@lru_cache(maxsize=64)
+def _floor_ln(n: int) -> int:
+    return floor_mul_ln(1, n)
+
+
+def exceeds_ln(p: int, n: int) -> bool:
+    """Exact decision of p > ln n for integer p: ln n is irrational for
+    n >= 2, so p > ln n exactly when p > floor(ln n)."""
     if n < 2:
         return p > 0
-    prec, lo, hi = _LN_CACHE.get(n, (0, None, None))
-    while True:
-        if lo is not None:
-            if p > hi:
-                return True
-            if p < lo:
-                return False
-        prec = max(2 * prec, 64)
-        lo, hi = _ln_endpoints(n, prec)
-        _LN_CACHE[n] = (prec, lo, hi)
+    return p > _floor_ln(n)
 
 
 @dataclass
@@ -97,9 +93,7 @@ class ConstructionResult:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.n or (
-            x <= self.M and x > self.n and DEFAULT_TABLE.is_prime(x)
-        )
+        return _in_cover(x, self.n, self.M, DEFAULT_TABLE)
 
 
 def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
@@ -126,27 +120,28 @@ def _in_cover(x: int, n: int, M: int, table: PrimeTable) -> bool:
 
 def split_factor(
     x: int, n: int, result: ConstructionResult, table: PrimeTable | None = None
-) -> tuple[int, int] | None:
-    """Witness pair (d1, d2), d1 <= d2, with d1*d2 = x and both in the cover
-    set, or None if the transfer loop fails (which the coverage argument says
-    cannot happen for x in range)."""
+) -> tuple[int, int, str] | None:
+    """Witness (d1, d2, method), d1 <= d2, with d1*d2 = x and both in the
+    cover set; method names the path that found it ("unit", "large-prime" or
+    "transfer").  None if the transfer loop fails (which the coverage argument
+    says cannot happen for x in range)."""
     table = table or DEFAULT_TABLE
     if not 1 <= x <= result.M:
         raise InputError(f"x={x} outside [1, {result.M}]")
     if x == 1:
-        return (1, 1)
+        return (1, 1, "unit")
     factors = table.factorize(x)
     p_big = factors[-1][0]
     if exceeds_ln(p_big, n) and x // p_big <= n:
         a, b = sorted((p_big, x // p_big))
-        return (a, b)
+        return (a, b, "large-prime")
     # transfer loop: start from the largest prime, migrate the smallest prime
     # factor of the big part across until both parts are in the set
     d1, d2 = p_big, x // p_big
     while True:
         if _in_cover(d1, n, result.M, table) and _in_cover(d2, n, result.M, table):
             a, b = sorted((d1, d2))
-            return (a, b)
+            return (a, b, "transfer")
         if d2 == 1:
             return None
         p_small = table.factorize(d2)[0][0]
@@ -154,24 +149,15 @@ def split_factor(
         d2 //= p_small
 
 
-def _split_method(x: int, n: int, result: ConstructionResult, table: PrimeTable) -> str:
-    if x == 1:
-        return "unit"
-    p_big = table.factorize(x)[-1][0]
-    if exceeds_ln(p_big, n) and x // p_big <= n:
-        return "large-prime"
-    return "transfer"
-
-
 def _exhaustive_witness(
     x: int, n: int, result: ConstructionResult, table: PrimeTable
-) -> tuple[int, int] | None:
+) -> tuple[int, int, str] | None:
     d = 1
     while d * d <= x:
         if x % d == 0 and _in_cover(d, n, result.M, table) and _in_cover(
             x // d, n, result.M, table
         ):
-            return (d, x // d)
+            return (d, x // d, "exhaustive")
         d += 1
     return None
 
@@ -184,17 +170,15 @@ def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResul
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
     for x in range(1, result.M + 1):
-        pair = split_factor(x, n, result, table)
-        method = _split_method(x, n, result, table) if pair else None
-        if pair is None and n < 10:
-            pair = _exhaustive_witness(x, n, result, table)
-            method = "exhaustive"
-        if pair is None:
+        found = split_factor(x, n, result, table)
+        if found is None and n < 10:
+            found = _exhaustive_witness(x, n, result, table)
+        if found is None:
             raise FalsificationError(
                 f"no witness for {x} in the cover set of n={n}",
                 payload={"n": n, "M": result.M, "x": x},
             )
-        d1, d2 = pair
+        d1, d2, method = found
         if d1 * d2 != x or not (
             _in_cover(d1, n, result.M, table) and _in_cover(d2, n, result.M, table)
         ):
@@ -202,6 +186,6 @@ def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResul
                 f"invalid witness ({d1}, {d2}) for {x}",
                 payload={"n": n, "x": x, "d1": d1, "d2": d2},
             )
-        result.witnesses[x] = pair
+        result.witnesses[x] = (d1, d2)
         result.methods[x] = method
     return result

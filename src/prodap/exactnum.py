@@ -9,6 +9,7 @@ primality anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,15 +71,7 @@ class PrimeTable:
         if n < 2:
             return []
         self._ensure(n)
-        hi = len(self._primes)
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._primes[mid] <= n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._primes[:lo]
+        return self._primes[: bisect_right(self._primes, n)]
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
         """Primes p with lo <= p <= hi, ascending (segmented sieve)."""
@@ -107,7 +100,7 @@ class PrimeTable:
         if n < 2:
             return False
         if n <= self._limit:
-            i = self._bisect(n)
+            i = bisect_left(self._primes, n)
             return i < len(self._primes) and self._primes[i] == n
         root = isqrt(n)
         if root > self.capacity:
@@ -120,16 +113,6 @@ class PrimeTable:
             if n % p == 0:
                 return False
         return True
-
-    def _bisect(self, n: int) -> int:
-        lo, hi = 0, len(self._primes)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._primes[mid] < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with ascending p, exact or error.
@@ -211,14 +194,6 @@ def ord_p(n: int, p: int, table: PrimeTable | None = None) -> int:
     if not (table or DEFAULT_TABLE).is_prime(p):
         raise DomainError(f"ord_p requires a prime modulus, got {p}")
     return valuation(n, p)
-
-
-def largest_prime_factor(n: int, table: PrimeTable | None = None) -> int:
-    return factorize(n, table)[-1][0]
-
-
-def smallest_prime_factor(n: int, table: PrimeTable | None = None) -> int:
-    return factorize(n, table)[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -380,15 +355,3 @@ class QuadElem:
         if self.is_rational:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.m})"
-
-
-def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x * y
-
-
-def quad_div(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x / y
-
-
-def quad_is_rational(x: QuadElem) -> bool:
-    return x.is_rational

@@ -440,7 +440,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
                 "four_cycle": c4.cycle.as_json() if c4.cycle else None,
             }
             if c4.cycle is not None:
-                starts = four_cycle_r_rotations(qinst.graph, c4.cycle)
+                starts = four_cycle_r_rotations(c4.cycle)
                 if any(s != targets[0] for s in starts):
                     raise FalsificationError(
                         "4-cycle start extraction disagreed with the claim",

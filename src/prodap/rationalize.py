@@ -90,7 +90,7 @@ def scale_by_sqrt_d(B, d):
     )
 
 
-def four_cycle_r(graph: RepGraph, cycle: EvenCycle, i1: int, i2: int) -> Fraction:
+def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:
     """Recover the progression start from two adjacent edges of a 4-cycle.
 
     With edge values r + i1 and r + i2 and rational quotient q, the start is
@@ -118,13 +118,13 @@ def four_cycle_r(graph: RepGraph, cycle: EvenCycle, i1: int, i2: int) -> Fractio
     return r
 
 
-def four_cycle_r_rotations(graph: RepGraph, cycle: EvenCycle) -> list[Fraction]:
+def four_cycle_r_rotations(cycle: EvenCycle) -> list[Fraction]:
     """The start recovered from each of the four adjacent edge pairs."""
     out = []
     for t in range(4):
         i1 = cycle.indices[t]
         i2 = cycle.indices[(t + 1) % 4]
-        out.append(four_cycle_r(graph, cycle, i1, i2))
+        out.append(four_cycle_r(cycle, i1, i2))
     return out
 
 

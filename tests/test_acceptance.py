@@ -227,7 +227,7 @@ def test_criterion_7_rationalization():
             for target in inst.targets:
                 assert target in ps
             cyc = find_even_cycle(inst.graph, 2)
-            starts = four_cycle_r_rotations(inst.graph, cyc)
+            starts = four_cycle_r_rotations(cyc)
             assert len(set(starts)) == 1 and starts[0] == inst.targets[0]
             rotations_checked += 1
             count += 1

@@ -1,17 +1,33 @@
 """The dense cover construction and its witness verifier."""
 
-import pytest
+import subprocess
+import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import prodap
 from prodap.construct import (
     ConstructionResult,
     cover_set,
     coverage_check,
     exceeds_ln,
+    floor_mul_ln,
     floor_n_log_n,
     split_factor,
 )
-from prodap.errors import CapacityError, InputError
+from prodap.errors import CapacityError, DomainError, InputError
 from prodap.exactnum import PrimeTable
+
+
+def decimal_floor_mul_ln(c: int, n: int, digits: int) -> int:
+    """floor(c * ln n) from decimal, whose ln is correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return int((Decimal(c) * Decimal(n).ln()).to_integral_value(ROUND_FLOOR))
 
 
 class TestThresholds:
@@ -23,6 +39,28 @@ class TestThresholds:
         assert floor_n_log_n(100) == 460
         assert floor_n_log_n(500) == 3107
         assert floor_n_log_n(1000) == 6907
+        assert floor_n_log_n(1) == 0
+
+    def test_floor_nlogn_large(self):
+        # each needs more than 53 bits of ln n to decide the floor
+        assert floor_n_log_n(10**14) == 3223619130191663
+        assert floor_n_log_n(2**200 + 1) == (
+            222768914942526343909251230219509461266654458709818150147560549
+        )
+        assert floor_n_log_n(10**1000) == decimal_floor_mul_ln(10**1000, 10**1000, 1100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**400), st.integers(2, 2**400))
+    def test_floor_mul_ln_matches_decimal(self, c, n):
+        assert floor_mul_ln(c, n) == decimal_floor_mul_ln(c, n, 500)
+
+    def test_floor_mul_ln_domain(self):
+        assert floor_mul_ln(0, 7) == 0
+        assert floor_mul_ln(5, 1) == 0
+        with pytest.raises(DomainError):
+            floor_mul_ln(-1, 7)
+        with pytest.raises(DomainError):
+            floor_mul_ln(1, 0)
 
     def test_exceeds_ln(self):
         # ln 10 = 2.302..., ln 3 = 1.098...
@@ -31,6 +69,16 @@ class TestThresholds:
         assert not exceeds_ln(1, 3)
         assert exceeds_ln(2, 3)
         assert exceeds_ln(1, 2)  # ln 2 < 1
+
+    @pytest.mark.parametrize("k", [34, 37, 39, 45])
+    def test_exceeds_ln_near_e_power(self, k):
+        # round(e**k) lies so close to e**k that more than 53 bits of ln n
+        # are needed to separate k from ln n
+        with localcontext() as ctx:
+            ctx.prec = 100
+            n = int(Decimal(k).exp().to_integral_value())
+            expected = Decimal(n).ln() < k
+        assert exceeds_ln(k, n) is expected
 
 
 class TestCoverSet:
@@ -76,13 +124,13 @@ class TestCoverSet:
 class TestSplitFactor:
     def test_examples(self):
         res = cover_set(10)
-        assert split_factor(22, 10, res) == (2, 11)
-        assert split_factor(16, 10, res) == (2, 8)
-        assert split_factor(1, 10, res) == (1, 1)
+        assert split_factor(22, 10, res) == (2, 11, "large-prime")
+        assert split_factor(16, 10, res) == (2, 8, "transfer")
+        assert split_factor(1, 10, res) == (1, 1, "unit")
 
     def test_prime_term(self):
         res = cover_set(10)
-        assert split_factor(23, 10, res) == (1, 23)
+        assert split_factor(23, 10, res) == (1, 23, "large-prime")
 
     def test_out_of_range(self):
         res = cover_set(10)
@@ -94,8 +142,9 @@ class TestSplitFactor:
         for x in range(1, res.M + 1):
             pair = split_factor(x, 50, res)
             assert pair is not None
-            d1, d2 = pair
+            d1, d2, method = pair
             assert d1 * d2 == x and d1 <= d2
+            assert method in {"unit", "large-prime", "transfer"}
             assert d1 in res and d2 in res
 
 
@@ -123,3 +172,10 @@ class TestCoverage:
         assert set(res.methods) == set(res.witnesses)
         assert "transfer" in res.methods.values()
         assert "large-prime" in res.methods.values()
+
+
+def test_import_leaves_mpmath_out():
+    src = Path(prodap.__file__).resolve().parents[1]
+    code = "import sys, prodap; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0

@@ -65,14 +65,14 @@ class TestFourCycleR:
         inst = quadratic_demo_instance(2)
         cyc = find_even_cycle(inst.graph, 2)
         # edges with values 2 (index 0) and 4 (index 2): q = 1/2, r = 2
-        r = four_cycle_r(inst.graph, cyc, 0, 2)
+        r = four_cycle_r(cyc, 0, 2)
         assert r == 2
 
     def test_rotations_agree(self):
         for m in (2, -1):
             inst = random_quad_cycle_instance(5, m)
             cyc = find_even_cycle(inst.graph, 2)
-            starts = four_cycle_r_rotations(inst.graph, cyc)
+            starts = four_cycle_r_rotations(cyc)
             assert len(set(starts)) == 1
             assert starts[0] == inst.targets[0]
 
@@ -81,7 +81,7 @@ class TestFourCycleR:
         inst = quadratic_demo_instance(2)
         cyc = find_even_cycle(inst.graph, 2)
         shifted = ReindexedCycle(cyc, lambda j: j + 10)
-        assert four_cycle_r(inst.graph, shifted, 10, 12) == -8
+        assert four_cycle_r(shifted, 10, 12) == -8
 
     def test_consistency_check_rejects_dilated(self):
         # doubling the index spacing breaks value = start + index
@@ -89,15 +89,15 @@ class TestFourCycleR:
         cyc = find_even_cycle(inst.graph, 2)
         dilated = ReindexedCycle(cyc, lambda j: 2 * j)
         with pytest.raises(InputError):
-            four_cycle_r(inst.graph, dilated, 0, 4)
+            four_cycle_r(dilated, 0, 4)
 
     def test_non_adjacent_rejected(self):
         inst = quadratic_demo_instance(2)
         cyc = find_even_cycle(inst.graph, 2)
         with pytest.raises(InputError):
-            four_cycle_r(inst.graph, cyc, cyc.indices[0], cyc.indices[0])
+            four_cycle_r(cyc, cyc.indices[0], cyc.indices[0])
         with pytest.raises(InputError):
-            four_cycle_r(inst.graph, cyc, cyc.indices[0], cyc.indices[2])
+            four_cycle_r(cyc, cyc.indices[0], cyc.indices[2])
 
 
 def ReindexedCycle(cyc, f):
