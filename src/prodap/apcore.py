@@ -30,7 +30,7 @@ from .errors import (
     RepresentationError,
     ShapeError,
 )
-from .exactnum import DEFAULT_TABLE, PrimeTable, valuation
+from .exactnum import DEFAULT_TABLE, valuation
 
 
 @dataclass(frozen=True)
@@ -84,30 +84,61 @@ def validate_ap(A: list[int]) -> tuple[int, int, int]:
     return A[0], d, len(A)
 
 
-def _find_pair(a: int, elems: list[int], elem_set: set[int]) -> tuple[int, int] | None:
-    """Lexicographically first pair (x, y), x <= y, with x*y == a, both in the set."""
-    for x in elems:
-        if x * x > a:
-            break
-        if a % x == 0 and a // x in elem_set:
-            return (x, a // x)
-    return None
+def first_pairs(A, base) -> list[tuple | None]:
+    """Per term a of A, its lexicographically first factor pair
+    (base[i], a / base[i]) with a / base[i] = base[j], j >= i, or None.
+
+    base is sorted by ``prodset.sort_key`` and duplicate-free.  The first i
+    whose cofactor is in the base has j >= i, or the scan would have stopped
+    at j.  Over positive integers the scan also stops once base[i]**2 > a,
+    and a % x == 0 then holds only for integral a; other bases (negative,
+    rational or quadratic elements) try every element."""
+    members = set(base)
+    positive = set(map(type, base)) == {int} and base[0] > 0
+    pairs = []
+    for a in A:
+        pair = None
+        if positive:
+            for x in base:
+                if x * x > a:
+                    break
+                if a % x == 0 and a // x in members:
+                    pair = (x, a // x)
+                    break
+        else:
+            for x in base:
+                if isinstance(a, int) and isinstance(x, int):
+                    if a % x:
+                        continue
+                    q = a // x
+                else:
+                    q = a / x
+                if q in members:
+                    pair = (x, q)
+                    break
+        pairs.append(pair)
+    return pairs
+
+
+def factor_pairs(A, base) -> list[tuple]:
+    """``first_pairs``; RepresentationError at the first term with none."""
+    pairs = first_pairs(A, base)
+    if None in pairs:
+        a = A[pairs.index(None)]
+        raise RepresentationError(
+            f"term {a} is not a product of two set elements", term=a
+        )
+    return pairs
 
 
 def verify_coverage(A: list[int], B: list[int]) -> None:
     """Raise RepresentationError at the first term of A not in B.B."""
-    elems = sorted(B)
-    elem_set = set(elems)
-    for a in A:
-        if _find_pair(a, elems, elem_set) is None:
-            raise RepresentationError(
-                f"term {a} is not a product of two set elements", term=a
-            )
+    factor_pairs(A, sorted(B))
 
 
-def _omega(b: int, table: PrimeTable) -> int:
+def _omega(b: int) -> int:
     """Prime multiplicity of b, counted with repetition (Omega(1) = 0)."""
-    return sum(e for _, e in table.factorize(b)) if b > 1 else 0
+    return sum(e for _, e in DEFAULT_TABLE.factorize(b)) if b > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -130,9 +161,7 @@ class ReductionTrace:
         return len(self.steps)
 
 
-def reduce_ap(
-    A: list[int], B: list[int], table: PrimeTable | None = None
-) -> tuple[list[int], APDescriptor, ReductionTrace]:
+def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
     """Rewrite A subset of B.B as D*(r + d*i) with gcd(d, D*r) = 1.
 
     Returns (B', descriptor, trace).  The returned descriptor's terms are the
@@ -141,7 +170,6 @@ def reduce_ap(
     FalsificationError if a case of the reduction fails its post-step coverage
     oracle on a concrete instance.
     """
-    table = table or DEFAULT_TABLE
     r, d, L = validate_ap(A)
     if any(not isinstance(b, int) or b < 1 for b in B):
         raise InputError("base-set elements must be positive integers")
@@ -151,7 +179,7 @@ def reduce_ap(
     steps: list[ReductionStep] = []
     # Omega of every current element, factorized once; a step dividing b by
     # q in {1, p, p**2} maps it to Omega(b) - Omega(q), since q | b
-    omega = {b: _omega(b, table) for b in cur_B}
+    omega = {b: _omega(b) for b in cur_B}
     initial_measure = sum(omega.values())
     measure = initial_measure
 
@@ -159,7 +187,7 @@ def reduce_ap(
         # smallest prime appearing to a higher power in d than in r, with the
         # power in r at least 1 (the power-0 case is handled by extraction)
         pick = None
-        for p, e_d in (table.factorize(d) if d > 1 else []):
+        for p, e_d in (DEFAULT_TABLE.factorize(d) if d > 1 else []):
             e_r = valuation(r, p)
             if e_d > e_r >= 1:
                 pick = (p, e_r, e_d)
@@ -230,7 +258,7 @@ def reduce_ap(
     desc = APDescriptor(g, r // g, d // g, L)
     assert desc.is_reduced, "terminal extraction must yield gcd(d, D*r) = 1"
     k0 = tuple(
-        p for p, _ in table.factorize(desc.d) if desc.r % p != 0
+        p for p, _ in DEFAULT_TABLE.factorize(desc.d) if desc.r % p != 0
     ) if desc.d > 1 else ()
     if g > 1:
         steps.append(

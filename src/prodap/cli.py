@@ -50,7 +50,7 @@ def _write_or_print(path, obj):
 
 
 def cmd_construct(args) -> int:
-    table = PrimeTable(args.capacity) if args.capacity else None
+    table = PrimeTable(args.capacity) if args.capacity is not None else None
     if args.verify:
         result = coverage_check(args.n, table)
     else:
@@ -230,7 +230,10 @@ def cmd_convex_demo(args) -> int:
 
 def cmd_study(args) -> int:
     generators = [g.strip() for g in args.generators.split(",") if g.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        raise InputError(f"--sizes must be comma-separated integers: {exc}") from exc
     records = scaling_study(generators, sizes, args.trials, args.seed, args.limit)
     csv_text = study_csv(records)
     if args.out:

@@ -11,7 +11,7 @@ enclosure of ln n, never by a float.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, FalsificationError, InputError
 from .exactnum import DEFAULT_TABLE, PrimeTable
@@ -80,7 +80,7 @@ def exceeds_ln(p: int, n: int) -> bool:
 class ConstructionResult:
     """The cover set for a given n, with witness pairs for [1, M] once the
     coverage check has run.  methods records which splitting path produced
-    each witness."""
+    each witness.  Membership is a lookup in the set of elements."""
 
     n: int
     M: int
@@ -92,8 +92,12 @@ class ConstructionResult:
     def size(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.elements)
+
     def __contains__(self, x: int) -> bool:
-        return _in_cover(x, self.n, self.M, DEFAULT_TABLE)
+        return x in self._members
 
 
 def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
@@ -110,12 +114,6 @@ def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
             payload={"n": n, "M": M, "size": result.size},
         )
     return result
-
-
-def _in_cover(x: int, n: int, M: int, table: PrimeTable) -> bool:
-    if x < 1 or x > M:
-        return False
-    return x <= n or table.is_prime(x)
 
 
 def split_factor(
@@ -136,52 +134,35 @@ def split_factor(
         a, b = sorted((p_big, x // p_big))
         return (a, b, "large-prime")
     # transfer loop: start from the largest prime, migrate the smallest prime
-    # factor of the big part across until both parts are in the set
+    # factor of the big part across until both parts are in the set; x's
+    # factorization less one p_big lists the big part's primes in order
     d1, d2 = p_big, x // p_big
-    while True:
-        if _in_cover(d1, n, result.M, table) and _in_cover(d2, n, result.M, table):
-            a, b = sorted((d1, d2))
-            return (a, b, "transfer")
-        if d2 == 1:
+    moves = iter([p for p, e in factors for _ in range(e)][:-1])
+    while d1 not in result or d2 not in result:
+        p = next(moves, None)
+        if p is None:
             return None
-        p_small = table.factorize(d2)[0][0]
-        d1 *= p_small
-        d2 //= p_small
-
-
-def _exhaustive_witness(
-    x: int, n: int, result: ConstructionResult, table: PrimeTable
-) -> tuple[int, int, str] | None:
-    d = 1
-    while d * d <= x:
-        if x % d == 0 and _in_cover(d, n, result.M, table) and _in_cover(
-            x // d, n, result.M, table
-        ):
-            return (d, x // d, "exhaustive")
-        d += 1
-    return None
+        d1 *= p
+        d2 //= p
+    a, b = sorted((d1, d2))
+    return (a, b, "transfer")
 
 
 def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     """Certify that every x in [1, floor(n*ln n)] is a product of two cover-set
     elements, recording one witness per x.  A missing witness is a
-    falsification, not a crash; below n = 10 an exhaustive pair search backs
-    up the greedy splitter."""
+    falsification, not a crash."""
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
     for x in range(1, result.M + 1):
         found = split_factor(x, n, result, table)
-        if found is None and n < 10:
-            found = _exhaustive_witness(x, n, result, table)
         if found is None:
             raise FalsificationError(
                 f"no witness for {x} in the cover set of n={n}",
                 payload={"n": n, "M": result.M, "x": x},
             )
         d1, d2, method = found
-        if d1 * d2 != x or not (
-            _in_cover(d1, n, result.M, table) and _in_cover(d2, n, result.M, table)
-        ):
+        if d1 * d2 != x or d1 not in result or d2 not in result:
             raise FalsificationError(
                 f"invalid witness ({d1}, {d2}) for {x}",
                 payload={"n": n, "x": x, "d1": d1, "d2": d2},

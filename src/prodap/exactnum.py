@@ -160,16 +160,16 @@ class PrimeTable:
 DEFAULT_TABLE = PrimeTable()
 
 
-def primes_in(lo: int, hi: int, table: PrimeTable | None = None) -> list[int]:
-    return (table or DEFAULT_TABLE).primes_in(lo, hi)
+def primes_in(lo: int, hi: int) -> list[int]:
+    return DEFAULT_TABLE.primes_in(lo, hi)
 
 
-def is_prime(n: int, table: PrimeTable | None = None) -> bool:
-    return (table or DEFAULT_TABLE).is_prime(n)
+def is_prime(n: int) -> bool:
+    return DEFAULT_TABLE.is_prime(n)
 
 
-def factorize(n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
-    return (table or DEFAULT_TABLE).factorize(n)
+def factorize(n: int) -> list[tuple[int, int]]:
+    return DEFAULT_TABLE.factorize(n)
 
 
 def valuation(n: int, p: int) -> int:
@@ -187,11 +187,11 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-def ord_p(n: int, p: int, table: PrimeTable | None = None) -> int:
+def ord_p(n: int, p: int) -> int:
     """Largest e such that p**e divides n, for a prime p.  Undefined for n = 0."""
     if n == 0:
         raise DomainError("p-adic valuation of 0 is undefined")
-    if not (table or DEFAULT_TABLE).is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"ord_p requires a prime modulus, got {p}")
     return valuation(n, p)
 

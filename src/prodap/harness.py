@@ -77,7 +77,11 @@ def instance_to_json(inst: InstanceFile) -> dict:
 def instance_from_json(obj) -> InstanceFile:
     if not isinstance(obj, dict) or "field" not in obj or "elements" not in obj:
         raise InputError("instance file needs 'field' and 'elements'")
+    if not isinstance(obj["elements"], list):
+        raise InputError("instance 'elements' must be a list")
     tag = obj["field"]
+    if tag not in ("integer", "rational", "quadratic"):
+        raise InputError(f"unknown field tag {tag!r}")
     m = jsonio.dec_int(obj["m"]) if obj.get("m") is not None else None
     if tag == "quadratic" and m is None:
         raise InputError("quadratic instance without top-level m")
@@ -85,9 +89,7 @@ def instance_from_json(obj) -> InstanceFile:
         "integer": jsonio.dec_int,
         "rational": jsonio.dec_rat,
         "quadratic": lambda e: jsonio.dec_quad(e, m),
-    }.get(tag)
-    if decode is None:
-        raise InputError(f"unknown field tag {tag!r}")
+    }[tag]
     elements = [decode(e) for e in obj["elements"]]
     if len(set(elements)) != len(elements):
         raise InputError("instance elements must be distinct")
@@ -319,6 +321,8 @@ def scaling_study(
         if generator not in GENERATORS:
             raise InputError(f"unknown generator {generator!r}")
         for n in sizes:
+            if n < 1:
+                raise InputError(f"set sizes must be positive, got {n}")
             for trial in range(trials):
                 records.append(run_trial(generator, n, seed, trial, ap_limit))
     records.sort(key=lambda r: (r.generator, r.n, r.trial))

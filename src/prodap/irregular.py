@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .apcore import APDescriptor
 from .errors import InputError
-from .exactnum import DEFAULT_TABLE, PrimeTable, valuation
+from .exactnum import is_prime, primes_in, valuation
 from .prodset import Edge, RepGraph
 
 
@@ -29,28 +29,26 @@ class PrimeWindow:
         return p in self.primes
 
 
-def prime_window(desc: APDescriptor, table: PrimeTable | None = None) -> PrimeWindow:
+def prime_window(desc: APDescriptor) -> PrimeWindow:
     """The window primes of a reduced descriptor; empty windows are normal
     for short progressions."""
     if not desc.is_reduced:
         raise InputError("descriptor must be reduced")
-    table = table or DEFAULT_TABLE
     L = desc.L
     lo = L // 3 + 1  # smallest integer > L/3
     hi = (L - 1) // 2  # largest integer < L/2
     if lo > hi:
         return PrimeWindow(L, ())
     primes = tuple(
-        p for p in table.primes_in(lo, hi) if 3 * p > L and 2 * p < L and desc.d % p != 0
+        p for p in primes_in(lo, hi) if 3 * p > L and 2 * p < L and desc.d % p != 0
     )
     return PrimeWindow(L, primes)
 
 
-def hit_count(p: int, desc: APDescriptor, table: PrimeTable | None = None) -> int:
+def hit_count(p: int, desc: APDescriptor) -> int:
     """Number of i in [0, L-1] with p dividing r + d*i."""
-    table = table or DEFAULT_TABLE
     L = desc.L
-    if not (3 * p > L and 2 * p < L and desc.d % p != 0 and table.is_prime(p)):
+    if not (3 * p > L and 2 * p < L and desc.d % p != 0 and is_prime(p)):
         raise InputError(f"{p} is not a window prime for L={L}, d={desc.d}")
     i0 = (-desc.r * pow(desc.d, -1, p)) % p
     if i0 >= L:
@@ -152,11 +150,9 @@ def forest_check(graph: RepGraph, edges) -> bool:
     return True
 
 
-def irregularity_report(
-    graph: RepGraph, desc: APDescriptor, table: PrimeTable | None = None
-) -> IrregularityReport:
+def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityReport:
     """Full pass: window, classification, greedy selection, forest check."""
-    report = classify_edges(graph, desc, prime_window(desc, table))
+    report = classify_edges(graph, desc, prime_window(desc))
     select_independent_irregulars(report)
     report.forest = forest_check(graph, report.selected)
     return report

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .apcore import APDescriptor
-from .errors import CapacityError, InputError, RepresentationError
+from .apcore import APDescriptor, factor_pairs
+from .errors import CapacityError, InputError
 from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
@@ -149,38 +149,17 @@ class RepGraph:
         return self.vertex_rank[vertex]
 
 
-def _first_rep(a, base, index_of):
-    """Lexicographically first factor pair of a over the base, or None."""
-    for i, x in enumerate(base):
-        if isinstance(a, int) and isinstance(x, int):
-            if a % x != 0:
-                continue
-            q = a // x
-        else:
-            if isinstance(x, QuadElem):
-                q = QuadElem.from_rational(a, x.m) / x if not isinstance(a, QuadElem) else a / x
-            else:
-                q = Fraction(a) / Fraction(x)
-        j = index_of.get(q)
-        if j is not None:
-            return (i, j) if i <= j else (j, i)
-    return None
-
-
 def build_rep_graph(B, A) -> RepGraph:
-    """One edge per term of A, using the first representation in pair order."""
+    """One edge per term of A, on the term's first factor pair in the
+    element order."""
     _check_elements(B)
     base = tuple(sorted(B, key=sort_key))
     index_of = {b: i for i, b in enumerate(base)}
-    edges = []
-    for idx, a in enumerate(A):
-        pair = _first_rep(a, base, index_of)
-        if pair is None:
-            raise RepresentationError(
-                f"term {a} is not a product of two set elements", term=a
-            )
-        edges.append(Edge(pair[0], pair[1], idx, a))
-    return RepGraph(base, tuple(edges))
+    edges = tuple(
+        Edge(index_of[x], index_of[y], idx, a)
+        for idx, (a, (x, y)) in enumerate(zip(A, factor_pairs(A, base)))
+    )
+    return RepGraph(base, edges)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .apcore import first_pairs
 from .cyclelab import EvenCycle, find_even_cycle
 from .errors import (
     DomainError,
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedExtensionError,
 )
 from .exactnum import QuadElem, sqrt_decompose
-from .prodset import RepGraph, build_rep_graph, product_set, sort_key
+from .prodset import RepGraph, build_rep_graph, sort_key
 
 
 @dataclass
@@ -227,9 +228,8 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
                 payload={"index": e.index, "expected": str(target), "got": str(got)},
             )
     rational_set = sorted(set(new_value.values()))
-    ps = product_set(rational_set)
-    for t in inst.targets:
-        if t not in ps:
+    for t, pair in zip(inst.targets, first_pairs(inst.targets, rational_set)):
+        if pair is None:
             raise FalsificationError(
                 "a target lost all representations after rescaling",
                 payload={"target": str(t), "set": [str(x) for x in rational_set]},

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -15,13 +16,15 @@ from prodap import apcore
 from prodap.apcore import (
     APDescriptor,
     ap_terms,
+    first_pairs,
     gcd_bound_audit,
     reduce_ap,
     validate_ap,
     verify_coverage,
 )
 from prodap.errors import FalsificationError, InputError, RepresentationError, ShapeError
-from prodap.exactnum import factorize
+from prodap.exactnum import QuadElem, factorize
+from prodap.prodset import sort_key
 
 
 def pairwise_worst(desc):
@@ -241,6 +244,56 @@ class TestGcdBound:
             gcd_bound_audit(APDescriptor(1, 1, 1, 10))
         assert exc.value.payload["pair"] == [9, 0]
         assert exc.value.payload["closed_form"] == "9"
+
+
+def first_pair_oracle(a, base):
+    """(base[i], base[j]) for the lexicographically least index pair (i, j),
+    i <= j, with base[i] * base[j] == a, or None: every pair, in order."""
+    for i in range(len(base)):
+        for j in range(i, len(base)):
+            if base[i] * base[j] == a:
+                return base[i], base[j]
+    return None
+
+
+nonzero_ints = st.integers(-40, 40).filter(bool)
+fractions = st.builds(Fraction, nonzero_ints, st.integers(1, 6))
+quads = st.builds(
+    lambda a, b: QuadElem(a, b, 2), st.integers(-3, 3), st.integers(-3, 3)
+).filter(lambda q: not q.is_zero)
+bases = st.one_of(
+    st.sets(st.integers(1, 60), min_size=1, max_size=12),
+    st.sets(nonzero_ints, min_size=1, max_size=12),
+    st.sets(fractions, min_size=1, max_size=10),
+    st.sets(quads, min_size=1, max_size=8),
+)
+
+
+class TestFirstPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(bases, st.data())
+    def test_matches_all_pairs_oracle(self, B, data):
+        base = sorted(B, key=sort_key)
+        products = [x * y for x in base for y in base]
+        # products of the base, and values that mostly have no pair
+        strays = fractions | nonzero_ints
+        strays |= quads if isinstance(base[0], QuadElem) else st.integers(-3600, 3600)
+        A = data.draw(st.lists(st.sampled_from(products) | strays, max_size=12))
+        assert first_pairs(A, base) == [first_pair_oracle(a, base) for a in A]
+
+    def test_negative_base_takes_no_early_exit(self):
+        # 6 = (-3)*(-2) although (-3)**2 > 6
+        base = [-3, -2, 1, 5]
+        assert first_pairs([6, 4, 5, 7], base) == [(-3, -2), (-2, -2), (1, 5), None]
+
+    def test_positive_base_pair_order(self):
+        # 1*4 comes before 2*2; 12 = 3*4 is found with 3 <= sqrt(12)
+        assert first_pairs([4, 12, 13], [1, 2, 3, 4]) == [(1, 4), (3, 4), None]
+
+    def test_quadratic_base(self):
+        r = QuadElem(0, 1, 2)  # sqrt(2)
+        base = sorted([r, 2 * r, 3 * r], key=sort_key)
+        assert first_pairs([QuadElem(4, 0, 2), QuadElem(5, 0, 2)], base) == [(r, 2 * r), None]
 
 
 def test_import_leaves_numpy_out():

@@ -2,13 +2,19 @@
 falsification)."""
 
 import json
+import tempfile
+from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prodap.cli import main
+from prodap.exactnum import DEFAULT_TABLE, QuadElem
 from prodap.harness import demo_instance_file, save_instance
-from prodap.jsonio import dumps_canonical, load_json
+from prodap.jsonio import dumps_canonical, enc_quad, load_json
 
 
 @pytest.fixture
@@ -39,6 +45,10 @@ class TestConstruct:
 
     def test_capacity_exit_code(self, tmp_path):
         assert run(["construct", "--n", 50, "--capacity", 60]) == 3
+
+    def test_zero_capacity_is_input_error(self):
+        # 0 is a capacity, not "no override": PrimeTable rejects it
+        assert run(["construct", "--n", 50, "--capacity", 0]) == 2
 
 
 class TestFindApAndGraph:
@@ -185,6 +195,13 @@ class TestStudyCmd:
         assert len(lines) == 5
         assert lines[0].startswith("generator,n,set_size")
 
+    def test_sizes_not_integers(self, capsys):
+        assert run(["study", "--sizes", "abc"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_size(self):
+        assert run(["study", "--generators", "random", "--sizes", -5]) == 2
+
 
 class TestPipelineCmd:
     def test_demo_quad(self, tmp_path):
@@ -216,6 +233,11 @@ class TestExitCodes:
         bad.write_text(json.dumps({"field": "integer"}))
         assert run(["find-ap", "--in", bad]) == 2
 
+    def test_elements_not_a_list(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"field": "integer", "elements": 5}))
+        assert run(["pipeline", "--in", bad]) == 2
+
     def test_corrupted_graph_falsifies(self, tmp_path, capsys):
         # hand-crafted 4-cycle whose values cannot satisfy the alternating
         # product identity: the audit must exit 4 with a report
@@ -243,3 +265,181 @@ class TestExitCodes:
             "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
             "indices": [0, 1, 2, 3],
         }
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed and extreme instance, graph and descriptor files
+# ---------------------------------------------------------------------------
+
+# Python cannot print an int past its 4300-digit conversion limit, so "@BIG@"
+# stands in for a bare 5001-digit JSON number and is spliced in as text
+BIG = "1" + "0" * 5000
+
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# magnitudes up to 10**12 keep factorizations cheap; longer ones reach the
+# digit limit or the sieve capacity
+ints = st.one_of(
+    st.integers(-20, 60),
+    st.integers(-(10**12), 10**12),
+    st.sampled_from([10**100 + 1, 10**3000 + 7]),
+)
+int_literals = ints | ints.map(str) | st.sampled_from([BIG, "@BIG@"])
+rat_literals = st.builds("{}/{}".format, st.integers(-30, 30), st.integers(-5, 9))
+quad_elems = st.fixed_dictionaries(
+    {"a": int_literals | rat_literals, "b": int_literals | rat_literals}
+)
+values = int_literals | rat_literals | quad_elems | junk
+fields = st.sampled_from(["integer", "rational", "quadratic"]) | junk
+m_values = st.sampled_from([None, "2", "-1", "3", "4", "1", "0", "15"]) | int_literals | junk
+# L stays small: a descriptor's length has no cap yet, and every subcommand
+# materializes its L terms
+descriptors = junk | st.fixed_dictionaries(
+    {
+        "D": int_literals,
+        "r": int_literals,
+        "d": int_literals,
+        "L": st.integers(-3, 40) | st.sampled_from(["7", "x", "@BIG@"]),
+    }
+)
+small_descriptors = st.fixed_dictionaries(
+    {
+        "D": st.integers(1, 6).map(str),
+        "r": st.integers(1, 12).map(str),
+        "d": st.integers(1, 6).map(str),
+        "L": st.integers(3, 8),
+    }
+)
+descriptors |= small_descriptors
+
+
+@st.composite
+def covered_instances(draw):
+    """Well-formed integer instances whose claimed progression is covered
+    (every term is 1 times an element), so the pipeline runs every stage."""
+    ap = draw(small_descriptors)
+    D, r, d, L = (int(ap[k]) for k in "DrdL")
+    elements = draw(st.sets(st.integers(-30, 60).filter(bool), max_size=8))
+    elements |= {1} | {D * (r + d * i) for i in range(L)}
+    return {"field": "integer", "elements": [str(b) for b in sorted(elements)], "ap": ap}
+
+
+@st.composite
+def quad_cycle_instances(draw):
+    """The quadratic demo shape, g*sqrt(m) and 2, 3, 5 over it, which
+    carries [2..6] through a 4-cycle for most g."""
+    m = draw(st.sampled_from([2, 3, -1]))
+    b1 = QuadElem(Fraction(0), Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))), m)
+    elements = {b1, 2 / b1, 2 * b1, 3 / b1, 5 / b1}
+    return {
+        "field": "quadratic",
+        "m": str(m),
+        "elements": [enc_quad(x, with_m=False) for x in elements],
+        "ap": {"D": "1", "r": "2", "d": "1", "L": 5},
+    }
+
+
+small_quads = st.fixed_dictionaries(
+    {
+        "a": st.integers(-4, 4).map(str),
+        "b": st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 3)),
+    }
+)
+small_instances = st.one_of(
+    covered_instances(),
+    quad_cycle_instances(),
+    st.fixed_dictionaries(
+        {
+            "field": st.sampled_from(["integer", "rational"]),
+            "elements": st.lists(st.integers(-12, 40).map(str) | rat_literals, min_size=1,
+                                 max_size=10, unique=True),
+        },
+        optional={"ap": small_descriptors},
+    ),
+    st.fixed_dictionaries(
+        {
+            "field": st.just("quadratic"),
+            "m": st.sampled_from(["2", "3", "-1"]),
+            "elements": st.lists(small_quads, min_size=1, max_size=6),
+            "ap": small_descriptors | st.just({"D": "1", "r": "2", "d": "1", "L": 5}),
+        }
+    ),
+)
+instances = junk | small_instances | st.fixed_dictionaries(
+    {"field": fields, "m": m_values, "elements": st.lists(values, max_size=8) | junk},
+    optional={"ap": descriptors, "provenance": junk},
+)
+edges = st.fixed_dictionaries(
+    {"u": int_literals, "v": int_literals, "index": int_literals, "value": values}
+)
+small_edges = st.fixed_dictionaries(
+    {
+        "u": st.integers(0, 4),
+        "v": st.integers(0, 4),
+        "index": st.integers(-1, 8),
+        "value": st.integers(1, 40).map(str),
+    }
+)
+graphs = junk | st.fixed_dictionaries(
+    {
+        "field": fields,
+        "m": m_values,
+        "elements": st.lists(values, max_size=6) | junk,
+        "edges": st.lists(edges, max_size=6) | junk,
+    }
+) | st.fixed_dictionaries(
+    {
+        "field": st.just("integer"),
+        "elements": st.lists(st.integers(1, 12).map(str), min_size=5, max_size=5, unique=True),
+        "edges": st.lists(small_edges, max_size=8),
+    }
+)
+
+
+def documents(objects):
+    """JSON text of the drawn objects, and a few files that are not JSON or
+    not UTF-8 at all."""
+    text = objects.map(lambda obj: json.dumps(obj).replace('"@BIG@"', BIG))
+    return text | st.sampled_from(["", "{", '{"D": 1', "\udcff\udcfe", "[1, 2"])
+
+
+# (argv with {0}, {1} for the input files, file texts)
+commands = st.one_of(
+    st.tuples(st.sampled_from(["pipeline", "find-ap", "reduce", "rationalize"]),
+              documents(instances)).map(lambda t: ([t[0], "--in", "{0}"], [t[1]])),
+    st.tuples(documents(instances), documents(descriptors)).map(
+        lambda t: (["graph", "--set", "{0}", "--ap", "{1}"], list(t))),
+    (covered_instances() | quad_cycle_instances()).map(
+        lambda inst: (["graph", "--set", "{0}", "--ap", "{1}"],
+                      [json.dumps(inst), json.dumps(inst["ap"])])),
+    st.tuples(documents(graphs), documents(descriptors), st.integers(-2, 6), st.booleans()).map(
+        lambda t: (["cycles", "--graph", "{0}", "--ap", "{1}", "--k", str(t[2])]
+                   + ["--audit"] * t[3], [t[0], t[1]])),
+    st.tuples(documents(graphs), documents(descriptors)).map(
+        lambda t: (["irregular", "--graph", "{0}", "--ap", "{1}"], list(t))),
+    documents(descriptors).map(lambda d: (["convex-demo", "--ap", "{0}"], [d])),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(commands)
+def test_fuzz_files_exit_cleanly(command):
+    """Every file-driven subcommand ends in exit 0, 2, 3 or 4 on any input.
+
+    The shared sieve's capacity is lowered to 10**6 for the run, so a large
+    factorization the fuzz reaches ends in a capacity error (exit 3, one of
+    the allowed codes) instead of a sieve of 10**8."""
+    argv, docs = command
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DEFAULT_TABLE, "capacity", 10**6)
+        paths = []
+        for t, text in enumerate(docs):
+            path = Path(tmp) / f"in{t}.json"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            paths.append(str(path))
+        argv = [a.format(*paths) for a in argv] + ["--out", str(Path(tmp) / "out")]
+        assert main(argv) in (0, 2, 3, 4)

@@ -1,5 +1,6 @@
 """The dense cover construction and its witness verifier."""
 
+import re
 import subprocess
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodap
+from prodap import construct
 from prodap.construct import (
     ConstructionResult,
     cover_set,
@@ -19,7 +21,7 @@ from prodap.construct import (
     floor_n_log_n,
     split_factor,
 )
-from prodap.errors import CapacityError, DomainError, InputError
+from prodap.errors import CapacityError, DomainError, FalsificationError, InputError
 from prodap.exactnum import PrimeTable
 
 
@@ -104,6 +106,12 @@ class TestCoverSet:
         assert 7 in res and 23 in res
         assert 12 not in res and 24 not in res and 0 not in res
 
+    def test_membership_matches_elements_with_own_table(self):
+        res = cover_set(30, PrimeTable(capacity=200))
+        assert res.M == 102
+        for x in range(-2, res.M + 3):
+            assert (x in res) == (x in res.elements)
+
     def test_rejects_small_n(self):
         with pytest.raises(InputError):
             cover_set(2)
@@ -127,6 +135,11 @@ class TestSplitFactor:
         assert split_factor(22, 10, res) == (2, 11, "large-prime")
         assert split_factor(16, 10, res) == (2, 8, "transfer")
         assert split_factor(1, 10, res) == (1, 1, "unit")
+
+    def test_transfer_moves_smallest_prime_first(self):
+        # 432 = 3 * 144 with 3 < ln 100: a 2 moves before a 3 does, giving
+        # 6 * 72 rather than 9 * 48
+        assert split_factor(432, 100, cover_set(100)) == (6, 72, "transfer")
 
     def test_prime_term(self):
         res = cover_set(10)
@@ -161,17 +174,33 @@ class TestCoverage:
         assert len(res.witnesses) == 460
         assert all(d1 * d2 == x for x, (d1, d2) in res.witnesses.items())
 
-    def test_small_n_may_use_fallback(self):
-        for n in (3, 4, 5, 7, 9):
+    def test_small_n_needs_no_fallback(self):
+        # the greedy splitter alone covers every x below n = 10, where an
+        # exhaustive pair search once backed it up
+        for n in range(3, 10):
             res = coverage_check(n)
             assert set(res.witnesses) == set(range(1, res.M + 1))
-            assert set(res.methods.values()) <= {"unit", "large-prime", "transfer", "exhaustive"}
+            assert set(res.methods.values()) <= {"unit", "large-prime", "transfer"}
 
     def test_methods_recorded_for_every_witness(self):
         res = coverage_check(30)
         assert set(res.methods) == set(res.witnesses)
         assert "transfer" in res.methods.values()
         assert "large-prime" in res.methods.values()
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [(None, "no witness for 12"), ((1, 12, "transfer"), "invalid witness (1, 12)")],
+    )
+    def test_witnesses_are_rechecked(self, monkeypatch, witness, message):
+        # 12 is not in the n=10 cover set, so 1 * 12 must be rejected
+        real = construct.split_factor
+        monkeypatch.setattr(
+            construct, "split_factor",
+            lambda x, *args: witness if x == 12 else real(x, *args),
+        )
+        with pytest.raises(FalsificationError, match=re.escape(message)):
+            coverage_check(10)
 
 
 def test_import_leaves_mpmath_out():

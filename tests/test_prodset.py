@@ -76,6 +76,12 @@ class TestRepGraph:
             build_rep_graph([2, 3], [7])
         assert exc.value.term == 7
 
+    def test_negative_elements(self):
+        # 6 = (-3)*(-2) is the first pair although (-3)**2 > 6
+        g = build_rep_graph([-3, -2, 1, 5], [4, 5, 6])
+        pairs = [(g.elements[e.u], g.elements[e.v]) for e in g.edges]
+        assert pairs == [(-2, -2), (1, 5), (-3, -2)]
+
     def test_rational_elements(self):
         g = build_rep_graph([Fraction(1, 2), Fraction(3, 2)], [Fraction(3, 4)])
         e = g.edges[0]
