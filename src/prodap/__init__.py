@@ -59,7 +59,6 @@ from .prodset import (
     ProductSet,
     RepGraph,
     build_rep_graph,
-    contains_ap,
     longest_ap,
     product_set,
 )

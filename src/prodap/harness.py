@@ -316,6 +316,8 @@ def run_trial(generator: str, n: int, seed: int, trial: int, ap_limit=None) -> E
 def scaling_study(
     generators, sizes, trials: int, seed: int, ap_limit=None
 ) -> list[ExperimentRecord]:
+    if trials < 1:
+        raise InputError(f"the trial count must be positive, got {trials}")
     records = []
     for generator in generators:
         if generator not in GENERATORS:

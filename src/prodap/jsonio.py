@@ -23,6 +23,9 @@ from .errors import CapacityError, InputError
 from .exactnum import QuadElem
 from .prodset import Edge, RepGraph
 
+# every subcommand that reads a descriptor materializes its L terms
+MAX_DESCRIPTOR_TERMS = 10**6
+
 
 def _digit_cap() -> int:
     """Python's int <-> str digit limit; 0 means none (Python < 3.10.7)."""
@@ -102,14 +105,22 @@ def descriptor_to_json(desc: APDescriptor) -> dict:
 
 
 def descriptor_from_json(obj) -> APDescriptor:
+    """Decode a descriptor; a length past MAX_DESCRIPTOR_TERMS is a
+    CapacityError, raised before any term exists."""
     if not isinstance(obj, dict):
         raise InputError(f"bad descriptor {obj!r}")
     try:
-        return APDescriptor(
+        desc = APDescriptor(
             dec_int(obj["D"]), dec_int(obj["r"]), dec_int(obj["d"]), dec_int(obj["L"])
         )
     except KeyError as exc:
         raise InputError(f"descriptor missing field {exc}") from exc
+    if desc.L > MAX_DESCRIPTOR_TERMS:
+        raise CapacityError(
+            f"descriptor length {desc.L} exceeds the limit of {MAX_DESCRIPTOR_TERMS} terms",
+            limit=MAX_DESCRIPTOR_TERMS,
+        )
+    return desc
 
 
 def graph_to_json(graph: RepGraph, field: str = "integer", m: int | None = None) -> dict:

@@ -1,18 +1,25 @@
-"""Product sets with representation tracking, the doubled bipartite
+"""Product sets (the sorted distinct products), the doubled bipartite
 representation graph, and longest-AP search with a brute-force oracle.
 
 The representation graph takes two copies of the base set as color classes
 and places one edge per progression term, joining the lexicographically first
-factor pair.  Doubling keeps the graph simple and bipartite even for square
-terms, at the cost of a constant factor in the vertex count.
+factor pair (``apcore.first_pairs``).  Doubling keeps the graph simple and
+bipartite even for square terms, at the cost of a constant factor in the
+vertex count.
+
+Exact longest-AP search runs one of two exact kernels, chosen from the input
+alone: a big-int bitset kernel for dense int sets and a filtered pair kernel
+for the rest (see ``_longest_ap_exact``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
+from operator import sub
 
 from .apcore import APDescriptor, factor_pairs
 from .errors import CapacityError, InputError
@@ -20,6 +27,9 @@ from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_ORACLE_LIMIT = 10_000
+# The bitset kernel takes int sets whose span is at most BITSET_SPAN_RATIO
+# bits per element; sparser sets go to the pair kernel.
+BITSET_SPAN_RATIO = 64
 
 
 def sort_key(x):
@@ -47,31 +57,31 @@ def _check_elements(B):
 
 @dataclass(frozen=True)
 class ProductSet:
-    """All pairwise products of a base set, with every representing index pair."""
+    """All pairwise products of a base set, sorted and distinct."""
 
     base: tuple
     products: tuple
-    reps: dict  # product -> tuple of (i, j) index pairs, i <= j, lex order
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.products)
 
     def __contains__(self, x):
-        return x in self.reps
+        return x in self.members
 
     def __len__(self):
         return len(self.products)
 
 
 def product_set(B) -> ProductSet:
-    """Enumerate {b*b' : b, b' in B} with all unordered representing pairs."""
+    """Enumerate {b*b' : b, b' in B}, ordered by ``sort_key``; rationals
+    already sort by value, so only quadratic bases sort through the key."""
     _check_elements(B)
     base = tuple(sorted(B, key=sort_key))
-    reps: dict = {}
-    for i, x in enumerate(base):
-        for j in range(i, len(base)):
-            p = x * base[j]
-            reps.setdefault(p, []).append((i, j))
-    products = tuple(sorted(reps, key=sort_key))
-    reps = {p: tuple(pairs) for p, pairs in reps.items()}
-    return ProductSet(base, products, reps)
+    products = {x * y for i, x in enumerate(base) for y in base[i:]}
+    if any(isinstance(b, QuadElem) for b in base):
+        return ProductSet(base, tuple(sorted(products, key=sort_key)))
+    return ProductSet(base, tuple(sorted(products)))
 
 
 @dataclass(frozen=True)
@@ -227,35 +237,93 @@ def _best_pair_result(S):
     return best
 
 
-def _longest_ap_exact(S):
-    n = len(S)
-    if n <= 2:
-        length, diff, start = _best_pair_result(S)
-        return APSearchResult(start, diff, length, tuple(range(length)))
+def _bitset_kernel(S, best):
+    """Longest run of an int set held as one Python int, bit x - S[0] set for
+    each x, over every difference d = 1, 2, ..., seeded with ``best``.
+
+    A run of length t with difference d starts at every set bit of the AND of
+    t copies shifted by 0, d, ..., (t-1)d, built by doubling in about
+    2*bit_length(t) big-int operations.  Each d tests t = best + 1 and extends
+    only on a hit; the lowest set bit is the smallest start, so ascending d
+    keeps the (longest, smallest d, smallest start) order.  Past d = span //
+    best no run can be longer, and the pass ends."""
+    lo, span = S[0], S[-1] - S[0]
+    buf = bytearray(span // 8 + 1)
+    for x in S:
+        i = x - lo
+        buf[i >> 3] |= 1 << (i & 7)
+    bits = int.from_bytes(buf, "little")
+    best_len, best_diff, best_start = best
+    d = 0
+    while d < span // best_len:
+        d += 1
+        t = best_len + 1
+        run, have = bits, 1
+        while run and 2 * have <= t:
+            run &= run >> (have * d)
+            have *= 2
+        if run and have < t:
+            run &= run >> ((t - have) * d)
+        if run:
+            while (nxt := run & (bits >> (t * d))):
+                run, t = nxt, t + 1
+            best_len, best_diff, best_start = t, d, lo + (run & -run).bit_length() - 1
+    return best_len, best_diff, best_start
+
+
+def _pair_kernel(S, best, ints):
+    """Every start x against every larger y, seeded with ``best``; ``ints``
+    says whether S is all int.
+
+    Only y with 2y - x in S can start a run longer than two, and a pair run
+    never beats the length-2 baseline, so each start's slice, cut by bisect at
+    the reach limit, is filtered at C speed before the reach break, the prefix
+    skip and the extension run in Python.  The cut is exact: (top - x) / (best
+    - 1) in rationals, since a floored quotient would drop a fractional d."""
+    best_len, best_diff, best_start = best
     member = set(S)
     top = S[-1]
-    best_len, best_diff, best_start = _best_pair_result(S)
-    for i in range(n - 1):
+    doubled = [y + y for y in S]
+    for i in range(len(S) - 1):
         x = S[i]
-        for j in range(i + 1, n):
-            d = S[j] - x
+        if ints:
+            hi = bisect_right(S, x + (top - x) // (best_len - 1), i + 1)
+            thirds = map((-x).__add__, doubled[i + 1 : hi])
+        else:
+            hi = bisect_right(S, x + Fraction(top - x) / (best_len - 1), i + 1)
+            thirds = map(sub, doubled[i + 1 : hi], repeat(x))
+        for j in compress(range(i + 1, hi), map(member.__contains__, thirds)):
+            y = S[j]
+            d = y - x
             # longest run from x with this difference cannot beat the record
             reach = (top - x) // d + 1
             if reach < best_len or (reach == best_len and d >= best_diff):
                 break
             if x - d in member:
                 continue  # suffix of a progression that starts earlier
-            count = 2
-            nxt = S[j] + d
+            count = 3
+            nxt = y + d + d
             while nxt in member:
                 count += 1
                 nxt += d
-            cand = (-count, d, x)
-            if cand < (-best_len, best_diff, best_start):
+            if (-count, d, x) < (-best_len, best_diff, best_start):
                 best_len, best_diff, best_start = count, d, x
-    return APSearchResult(
-        best_start, best_diff, best_len, _indices_of_run(S, best_start, best_diff, best_len)
-    )
+    return best_len, best_diff, best_start
+
+
+def _longest_ap_exact(S):
+    """The bitset kernel for int sets whose span is at most BITSET_SPAN_RATIO
+    bits per element, the pair kernel for every other set (Fractions, huge
+    elements, spread-out ints).  Both are exact over all differences."""
+    best = _best_pair_result(S)
+    if len(S) > 2:
+        ints = set(map(type, S)) == {int}
+        if ints and S[-1] - S[0] <= BITSET_SPAN_RATIO * len(S):
+            best = _bitset_kernel(S, best)
+        else:
+            best = _pair_kernel(S, best, ints)
+    length, diff, start = best
+    return APSearchResult(start, diff, length, _indices_of_run(S, start, diff, length))
 
 
 def _longest_ap_oracle(S):
@@ -294,12 +362,3 @@ def longest_ap(S, mode: str = "exact", limit: int | None = None) -> APSearchResu
         S = _validate_search_input(S, limit, DEFAULT_ORACLE_LIMIT, "use exact mode")
         return _longest_ap_oracle(S)
     raise InputError(f"unknown mode {mode!r}; expected 'exact' or 'oracle'")
-
-
-def contains_ap(S, desc: APDescriptor) -> bool:
-    """True iff every term of the descriptor is in the sorted sequence S."""
-    for t in desc.terms():
-        i = bisect_left(S, t)
-        if i >= len(S) or S[i] != t:
-            return False
-    return True

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from prodap.apcore import APDescriptor
 from prodap.cli import main
 from prodap.exactnum import DEFAULT_TABLE, QuadElem
 from prodap.harness import demo_instance_file, save_instance
-from prodap.jsonio import dumps_canonical, enc_quad, load_json
+from prodap.jsonio import MAX_DESCRIPTOR_TERMS, dumps_canonical, enc_quad, load_json
 
 
 @pytest.fixture
 def cover10_instance(tmp_path):
-    from prodap.apcore import APDescriptor
     from prodap.construct import cover_set
     from prodap.harness import InstanceFile
 
@@ -150,6 +150,20 @@ class TestConvexDemo:
         data = load_json(out)
         assert data["concave"] is True and data["margins"] == ["16"]
 
+    def test_length_past_cap(self, tmp_path, capsys, monkeypatch):
+        # the cap is checked on the decoded length, before any term exists
+        monkeypatch.setattr(APDescriptor, "terms", None)
+        ap = tmp_path / "ap.json"
+        for L in (MAX_DESCRIPTOR_TERMS + 1, 10**9):
+            ap.write_text(json.dumps({"D": "1", "r": "1", "d": "1", "L": L}))
+            assert run(["convex-demo", "--ap", ap]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("capacity error:") and str(MAX_DESCRIPTOR_TERMS) in err
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"field": "integer", "elements": ["1", "2"],
+                                    "ap": {"D": "1", "r": "1", "d": "1", "L": 10**9}}))
+        assert run(["pipeline", "--in", inst]) == 3
+
 
 class TestBigIntegers:
     """Integers past Python's int <-> str digit limit (4300 by default) are
@@ -201,6 +215,13 @@ class TestStudyCmd:
 
     def test_negative_size(self):
         assert run(["study", "--generators", "random", "--sizes", -5]) == 2
+
+    def test_trials_below_one(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        for trials in (0, -3):
+            assert run(["study", "--sizes", "8", "--trials", trials, "--out", out]) == 2
+            assert "trial count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPipelineCmd:
@@ -296,14 +317,15 @@ quad_elems = st.fixed_dictionaries(
 values = int_literals | rat_literals | quad_elems | junk
 fields = st.sampled_from(["integer", "rational", "quadratic"]) | junk
 m_values = st.sampled_from([None, "2", "-1", "3", "4", "1", "0", "15"]) | int_literals | junk
-# L stays small: a descriptor's length has no cap yet, and every subcommand
-# materializes its L terms
+# lengths are small or past the cap: every subcommand materializes L terms
 descriptors = junk | st.fixed_dictionaries(
     {
         "D": int_literals,
         "r": int_literals,
         "d": int_literals,
-        "L": st.integers(-3, 40) | st.sampled_from(["7", "x", "@BIG@"]),
+        "L": st.integers(-3, 40)
+        | st.integers(MAX_DESCRIPTOR_TERMS + 1, 10**30)
+        | st.sampled_from(["7", "x", "@BIG@", str(MAX_DESCRIPTOR_TERMS + 1)]),
     }
 )
 small_descriptors = st.fixed_dictionaries(

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap.apcore import APDescriptor
+from prodap import prodset
+from prodap.apcore import APDescriptor, first_pairs
 from prodap.errors import CapacityError, InputError, RepresentationError
 from prodap.exactnum import QuadElem
+from prodap.harness import _trial_rng, gen_cover, gen_random
 from prodap.prodset import (
+    _best_pair_result,
+    _indices_of_run,
+    _longest_ap_exact,
+    _longest_ap_oracle,
     build_rep_graph,
-    contains_ap,
     longest_ap,
     product_set,
 )
@@ -29,9 +34,16 @@ class TestProductSet:
             product_set([2, 2, 3])
 
     def test_rep_pairs_lex_order(self):
-        ps = product_set([1, 2, 3, 4])
-        assert ps.reps[4] == ((0, 3), (1, 1))  # 1*4 before 2*2
-        assert ps.reps[12] == ((2, 3),)
+        base = (1, 2, 3, 4)
+        assert {4, 12} <= set(product_set(base).products)
+        assert first_pairs([4, 12], base) == [(1, 4), (3, 4)]  # 1*4 before 2*2
+        assert first_pairs([4], base[1:]) == [(2, 2)]  # then 2*2
+        assert first_pairs([12], base[:2] + base[3:]) == [None]  # 3*4 only
+
+    def test_membership(self):
+        ps = product_set([Fraction(1, 2), 3])
+        assert Fraction(1, 4) in ps and 9 in ps and Fraction(3, 2) in ps
+        assert 3 not in ps and len(ps) == 3
 
     @given(st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=15))
     def test_size_bounds(self, B):
@@ -167,9 +179,119 @@ class TestLongestAP:
         oracle_lengths_match(sorted(B))
 
 
-class TestContainsAP:
-    def test_examples(self):
-        ps = product_set(list(range(1, 11)))
-        assert contains_ap(list(ps.products), APDescriptor(1, 1, 1, 10))
-        assert contains_ap([3, 5, 7], APDescriptor(1, 3, 2, 3))
-        assert not contains_ap([3, 5, 7], APDescriptor(1, 3, 2, 4))
+def _pair_loop_oracle(S):
+    """The single pair loop that preceded the two kernels, kept verbatim as a
+    second oracle: every start against every larger element, with the reach
+    break and the prefix skip but no filter."""
+    n = len(S)
+    if n <= 2:
+        length, diff, start = _best_pair_result(S)
+        return prodset.APSearchResult(start, diff, length, tuple(range(length)))
+    member = set(S)
+    top = S[-1]
+    best_len, best_diff, best_start = _best_pair_result(S)
+    for i in range(n - 1):
+        x = S[i]
+        for j in range(i + 1, n):
+            d = S[j] - x
+            # longest run from x with this difference cannot beat the record
+            reach = (top - x) // d + 1
+            if reach < best_len or (reach == best_len and d >= best_diff):
+                break
+            if x - d in member:
+                continue  # suffix of a progression that starts earlier
+            count = 2
+            nxt = S[j] + d
+            while nxt in member:
+                count += 1
+                nxt += d
+            cand = (-count, d, x)
+            if cand < (-best_len, best_diff, best_start):
+                best_len, best_diff, best_start = count, d, x
+    return prodset.APSearchResult(
+        best_start, best_diff, best_len, _indices_of_run(S, best_start, best_diff, best_len)
+    )
+
+
+def _run(start, diff, length):
+    return [start + i * diff for i in range(length)]
+
+
+dense_sets = st.builds(
+    lambda lo, width, holes: set(range(lo, lo + width)) - holes,
+    st.integers(-20, 20),
+    st.integers(3, 40),
+    st.sets(st.integers(-20, 60), max_size=6),
+)
+sparse_sets = st.sets(st.integers(1, 3000), min_size=1, max_size=14)
+negative_sets = st.sets(st.integers(-80, 30), min_size=1, max_size=16)
+fraction_sets = st.sets(
+    st.builds(Fraction, st.integers(-15, 15), st.sampled_from([1, 2, 3, 4, 6])),
+    min_size=1,
+    max_size=12,
+)
+# two progressions of one length: the tie breaks on difference, then start
+tie_sets = st.builds(
+    lambda length, a, d1, b, d2, extra: set(_run(a, d1, length)) | set(_run(b, d2, length)) | extra,
+    st.integers(3, 6),
+    st.integers(-10, 10),
+    st.integers(1, 7),
+    st.integers(-10, 30),
+    st.integers(1, 7),
+    st.sets(st.integers(-10, 60), max_size=4),
+)
+
+
+class TestKernels:
+    """The bitset kernel and the filtered pair kernel, each run directly
+    against both oracles."""
+
+    @staticmethod
+    def check(values):
+        S = sorted(values)
+        expected = _longest_ap_oracle(S)
+        assert _pair_loop_oracle(S) == expected
+        assert _longest_ap_exact(S) == expected
+        triple = (expected.length, expected.diff, expected.start)
+        ints = all(type(x) is int for x in S)
+        assert prodset._pair_kernel(S, _best_pair_result(S), ints) == triple
+        if ints:
+            assert prodset._bitset_kernel(S, _best_pair_result(S)) == triple
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dense_sets, sparse_sets, negative_sets, fraction_sets, tie_sets))
+    def test_kernels_match_oracles(self, values):
+        if values:
+            self.check(values)
+
+    def test_fractional_difference_past_a_floor_cut(self):
+        # after 0, 2, 4 sets the record at length 3, the start 5/2 reaches
+        # (11/2 - 5/2) / 2 = 3/2: a floored cut at 1 would miss 5/2, 4, 11/2,
+        # which wins the tie on its smaller difference
+        S = [0, 2, Fraction(5, 2), 4, Fraction(11, 2)]
+        r = _longest_ap_exact(S)
+        assert (r.start, r.diff, r.length) == (Fraction(5, 2), Fraction(3, 2), 3)
+        self.check(S)
+        self.check([Fraction(1, 3), Fraction(2, 3), 1])
+
+    def test_ties(self):
+        # [0, 3, 6, 9] and [1, 2, 3, 4]: equal length, smaller difference wins
+        self.check({0, 3, 6, 9, 1, 2, 4})
+        r = _longest_ap_exact([0, 1, 2, 3, 4, 6, 9])
+        assert (r.start, r.diff, r.length) == (0, 1, 5)
+        # equal length and difference: smaller start wins
+        r = _longest_ap_exact([-7, -5, -3, 10, 12, 14])
+        assert (r.start, r.diff, r.length) == (-7, 2, 3)
+
+    def test_cover_search_stays_in_bitset(self, monkeypatch):
+        S = list(product_set(gen_cover(40)).products)
+        monkeypatch.setattr(prodset, "_pair_kernel", None)  # never called
+        r = longest_ap(S)
+        assert (r.start, r.diff, r.length) == (1, 1, 148)
+
+    def test_random_study_set_goes_to_pairs(self, monkeypatch):
+        S = list(product_set(gen_random(58, _trial_rng(2013, "random", 58, 0))).products)
+        assert S[-1] - S[0] > prodset.BITSET_SPAN_RATIO * len(S)
+        monkeypatch.setattr(prodset, "_bitset_kernel", None)  # never built
+        r = longest_ap(S)
+        assert (r.length, r.diff, r.start) == (9, 1533, 22484)

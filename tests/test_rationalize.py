@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from prodap.apcore import first_pairs
 from prodap.cyclelab import find_even_cycle
 from prodap.errors import (
     DomainError,
@@ -159,9 +160,7 @@ class TestRationalize:
         ps = product_set(out)
         for t in (3, 4, 6):
             assert Fraction(t) in ps
-        assert (Fraction(1), Fraction(4)) in [
-            (out[p[0]], out[p[1]]) for p in ps.reps[Fraction(4)]
-        ]
+        assert first_pairs([Fraction(4)], out) == [(Fraction(1), Fraction(4))]
 
     def test_all_rational_passthrough(self):
         inst = make_quad_instance(
