@@ -13,9 +13,7 @@ from .construct import ConstructionResult, cover_set, coverage_check, floor_n_lo
 from .cyclelab import (
     CyclePoly,
     EvenCycle,
-    bondy_simonovits_bound,
     cycle_audit,
-    cycle_bound_audit,
     cycle_identity_check,
     cycle_poly,
     divisibility_audit,
@@ -67,9 +65,7 @@ from .rationalize import (
     four_cycle_exists_audit,
     four_cycle_r,
     make_quad_instance,
-    path_parity_value,
     rationalize_components,
-    scale_by_sqrt_d,
 )
 
 __version__ = "0.1.0"

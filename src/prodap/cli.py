@@ -81,7 +81,7 @@ def cmd_find_ap(args) -> int:
     if inst.field_tag == "quadratic":
         raise InputError("longest-AP search needs ordered values; use a claim instead")
     ps = product_set(inst.elements)
-    result = longest_ap(list(ps.products), mode=args.mode, limit=args.limit)
+    result = longest_ap(ps, mode=args.mode, limit=args.limit)
     desc = result.descriptor()
     out = {
         "start": jsonio.enc_rat(Fraction(result.start)),

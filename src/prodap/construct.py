@@ -1,11 +1,16 @@
 """Dense product-set cover: the first n integers together with all primes up
 to floor(n*ln n), whose product set covers the whole interval [1, floor(n*ln n)].
 
-Witnesses are produced by a greedy splitter: a term with a large prime factor
-splits off that prime directly; otherwise factors migrate one smallest prime
-at a time from the big part to the small part until both parts land in the
-set.  Threshold comparisons against ln n are decided by an integer
-enclosure of ln n, never by a float.
+Witnesses are produced by a greedy splitter: a term x with largest prime
+factor p > ln n and x/p <= n splits off that prime directly; otherwise
+factors migrate one smallest prime at a time from the big part to the small
+part until both parts land in the set.  Threshold comparisons against ln n
+are decided by an integer enclosure of ln n, never by a float.
+
+``coverage_check`` certifies all of [1, floor(n*ln n)] from one
+largest-prime-factor sieve over that range, so no x is factorized on its
+own; ``split_factor`` splits a single x by trial division and shares the
+transfer loop with it.
 """
 
 from __future__ import annotations
@@ -116,6 +121,21 @@ def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     return result
 
 
+def _transfer(d1: int, d2: int, moves, members: frozenset) -> tuple[int, int, str] | None:
+    """Greedy transfer from d1 = the largest prime of x and d2 = x / d1: move
+    the primes of d2, in the ascending order ``moves`` gives them, across to
+    d1 until both parts are in ``members``.  None if the moves run out."""
+    moves = iter(moves)
+    while d1 not in members or d2 not in members:
+        p = next(moves, None)
+        if p is None:
+            return None
+        d1 *= p
+        d2 //= p
+    a, b = sorted((d1, d2))
+    return (a, b, "transfer")
+
+
 def split_factor(
     x: int, n: int, result: ConstructionResult, table: PrimeTable | None = None
 ) -> tuple[int, int, str] | None:
@@ -133,40 +153,63 @@ def split_factor(
     if exceeds_ln(p_big, n) and x // p_big <= n:
         a, b = sorted((p_big, x // p_big))
         return (a, b, "large-prime")
-    # transfer loop: start from the largest prime, migrate the smallest prime
-    # factor of the big part across until both parts are in the set; x's
-    # factorization less one p_big lists the big part's primes in order
-    d1, d2 = p_big, x // p_big
-    moves = iter([p for p, e in factors for _ in range(e)][:-1])
-    while d1 not in result or d2 not in result:
-        p = next(moves, None)
-        if p is None:
-            return None
-        d1 *= p
-        d2 //= p
-    a, b = sorted((d1, d2))
-    return (a, b, "transfer")
+    # x's factorization less one p_big lists the big part's primes in order
+    moves = [p for p, e in factors for _ in range(e)][:-1]
+    return _transfer(p_big, x // p_big, moves, result._members)
+
+
+def _largest_prime_factors(result: ConstructionResult, table: PrimeTable) -> list[int]:
+    """lpf with lpf[x] the largest prime factor of x for 2 <= x <= M (and
+    lpf[0] = lpf[1] = 1): each prime writes its multiples in ascending order,
+    so the largest prime is written last.  The primes up to n come from the
+    table, those above n are the cover set's own, so the table never grows
+    past n here."""
+    M = result.M
+    lpf = [1] * (M + 1)
+    for p in table.primes_upto(result.n) + list(result.elements[result.n :]):
+        lpf[p::p] = [p] * (M // p)
+    return lpf
 
 
 def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     """Certify that every x in [1, floor(n*ln n)] is a product of two cover-set
     elements, recording one witness per x.  A missing witness is a
-    falsification, not a crash."""
+    falsification, not a crash.
+
+    Each x splits from one largest-prime-factor sieve: with p = lpf[x], the
+    pair (p, x/p) is the witness when p > floor(ln n) (exact, since ln n is
+    irrational) and x/p <= n; otherwise the lpf chain of x/p gives its primes
+    for the transfer loop.  Every witness is re-checked on its own."""
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
+    lpf = _largest_prime_factors(result, table)
+    floor_ln = _floor_ln(n)
+    members = result._members
+    witnesses, methods = result.witnesses, result.methods
     for x in range(1, result.M + 1):
-        found = split_factor(x, n, result, table)
+        p = lpf[x]
+        q = x // p
+        if p > floor_ln and q <= n:
+            found = (q, p, "large-prime") if q <= p else (p, q, "large-prime")
+        elif x == 1:
+            found = (1, 1, "unit")
+        else:
+            chain = []
+            while q > 1:
+                chain.append(lpf[q])
+                q //= lpf[q]
+            found = _transfer(p, x // p, reversed(chain), members)
         if found is None:
             raise FalsificationError(
                 f"no witness for {x} in the cover set of n={n}",
                 payload={"n": n, "M": result.M, "x": x},
             )
         d1, d2, method = found
-        if d1 * d2 != x or d1 not in result or d2 not in result:
+        if d1 * d2 != x or d1 not in members or d2 not in members:
             raise FalsificationError(
                 f"invalid witness ({d1}, {d2}) for {x}",
                 payload={"n": n, "x": x, "d1": d1, "d2": d2},
             )
-        result.witnesses[x] = (d1, d2)
-        result.methods[x] = method
+        witnesses[x] = (d1, d2)
+        methods[x] = method
     return result

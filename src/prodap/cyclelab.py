@@ -6,8 +6,7 @@ product of odd-position edge values equals the product of even-position
 values.  Writing each value as r + j*d and expanding turns the identity into
 a polynomial relation whose coefficients are differences of elementary
 symmetric functions of the edge indices; those coefficients drive exact
-divisibility audits.  The module also provides the even-cycle extremal edge
-bound ex(n, C_2k) < 100*k*n^(1+1/k), computed with exact integer k-th roots.
+divisibility audits.
 """
 
 from __future__ import annotations
@@ -325,58 +324,3 @@ def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
     poly = cycle_poly(cycle, desc)
     divisibility_audit(poly, desc)
     return poly
-
-
-def integer_kth_root(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, k >= 1, exact.
-
-    Integer Newton iteration from 2**ceil(bits/k), which is at least the
-    root; the iterates fall strictly until they reach it."""
-    if x < 0 or k < 1:
-        raise InputError("integer_kth_root requires x >= 0 and k >= 1")
-    if x in (0, 1) or k == 1:
-        return x
-    root = 1 << -(-x.bit_length() // k)
-    while True:
-        nxt = ((k - 1) * root + x // root ** (k - 1)) // k
-        if nxt >= root:
-            return root
-        root = nxt
-
-
-def bondy_simonovits_bound(n: int, k: int) -> int:
-    """ceil(100 * k * n^(1+1/k)): the even-cycle extremal edge bound, via
-    integer k-th-root bracketing (no floating point)."""
-    if n < 2 or k < 2:
-        raise InputError("need n >= 2 and k >= 2")
-    target = (100 * k) ** k * n ** (k + 1)
-    root = integer_kth_root(target, k)
-    return root if root**k == target else root + 1
-
-
-@dataclass(frozen=True)
-class CycleBoundReport:
-    n: int
-    k: int
-    edges: int
-    bound: int
-    exceeded: bool
-    cycle: EvenCycle | None
-
-
-def cycle_bound_audit(graph: RepGraph, k: int) -> CycleBoundReport:
-    """If the graph has more edges than the extremal bound allows, a cycle of
-    length <= 2k must exist; its absence is a falsifying instance.  Only
-    vertices incident to an edge count toward n."""
-    touched = {(0, e.u) for e in graph.edges} | {(1, e.v) for e in graph.edges}
-    n = max(len(touched), 2)
-    bound = bondy_simonovits_bound(n, k)
-    edges = len(graph.edges)
-    exceeded = edges > bound
-    cycle = find_even_cycle(graph, k)
-    if exceeded and cycle is None:
-        raise FalsificationError(
-            "edge count exceeds the even-cycle extremal bound yet no cycle found",
-            payload={"n": n, "k": k, "edges": edges, "bound": enc_int(bound)},
-        )
-    return CycleBoundReport(n, k, edges, bound, exceeded, cycle)

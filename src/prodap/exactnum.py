@@ -13,6 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import (
@@ -63,7 +64,7 @@ class PrimeTable:
             if sieve[p]:
                 step = len(range(p * p, limit + 1, p))
                 sieve[p * p :: p] = bytearray(step)
-        self._primes = [i for i, flag in enumerate(sieve) if flag]
+        self._primes = list(compress(range(limit + 1), sieve))
         self._limit = limit
 
     def primes_upto(self, n: int) -> list[int]:
@@ -93,7 +94,7 @@ class PrimeTable:
             if start > hi:
                 continue
             segment[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        return [lo + i for i, flag in enumerate(segment) if flag and lo + i >= 2]
+        return list(compress(range(lo, hi + 1), segment))
 
     def is_prime(self, n: int) -> bool:
         """Exact primality for n <= capacity**2; beyond that, CapacityError."""

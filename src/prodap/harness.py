@@ -300,7 +300,7 @@ def run_trial(generator: str, n: int, seed: int, trial: int, ap_limit=None) -> E
     B = build_set(generator, n, rng)
     ps = product_set(B)
     try:
-        result = longest_ap(list(ps.products), mode="exact", limit=ap_limit)
+        result = longest_ap(ps, mode="exact", limit=ap_limit)
         length = result.length
         skipped = None
     except CapacityError as exc:
@@ -494,7 +494,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
                 }
             else:
                 ps = product_set(B)
-                found = longest_ap(list(ps.products), mode="exact")
+                found = longest_ap(ps, mode="exact")
                 desc = found.descriptor()
                 if desc is None:
                     raise InputError(

@@ -198,15 +198,22 @@ class APSearchResult:
 
 
 def _validate_search_input(S, limit, default_limit, other_mode_hint):
+    """S as a sorted sequence of distinct ordered values within the size
+    limit.  A ProductSet's products are sorted and distinct by construction,
+    so only other input is sorted and scanned for duplicates."""
+    presorted = isinstance(S, ProductSet)
+    if presorted:
+        S = S.products
     if not S:
         raise InputError("cannot search an empty set")
     for x in S:
         if isinstance(x, QuadElem):
             raise InputError("longest-AP search needs ordered values; got a quadratic element")
-    S = sorted(S)
-    for i in range(1, len(S)):
-        if S[i] == S[i - 1]:
-            raise InputError(f"duplicate element {S[i]}")
+    if not presorted:
+        S = sorted(S)
+        for i in range(1, len(S)):
+            if S[i] == S[i - 1]:
+                raise InputError(f"duplicate element {S[i]}")
     cap = limit if limit is not None else default_limit
     if len(S) > cap:
         raise CapacityError(
@@ -350,7 +357,8 @@ def _longest_ap_oracle(S):
 
 
 def longest_ap(S, mode: str = "exact", limit: int | None = None) -> APSearchResult:
-    """Maximum-length arithmetic progression inside a set of exact values.
+    """Maximum-length arithmetic progression inside a set of exact values, or
+    inside the products of a ``ProductSet``.
 
     Ties break by smallest difference, then smallest start.  Both modes agree;
     the oracle is a deliberately unoptimized cross-check.

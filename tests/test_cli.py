@@ -46,6 +46,11 @@ class TestConstruct:
     def test_capacity_exit_code(self, tmp_path):
         assert run(["construct", "--n", 50, "--capacity", 60]) == 3
 
+    def test_capacity_exit_code_with_verify(self):
+        # the certificate's sieve takes its primes above n from the cover
+        # set, which a capacity below M = 195 already refuses
+        assert run(["construct", "--n", 50, "--capacity", 60, "--verify"]) == 3
+
     def test_zero_capacity_is_input_error(self):
         # 0 is a capacity, not "no override": PrimeTable rejects it
         assert run(["construct", "--n", 50, "--capacity", 0]) == 2

@@ -1,5 +1,6 @@
 """The dense cover construction and its witness verifier."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from prodap.construct import (
     split_factor,
 )
 from prodap.errors import CapacityError, DomainError, FalsificationError, InputError
-from prodap.exactnum import PrimeTable
+from prodap.exactnum import DEFAULT_TABLE, PrimeTable
 
 
 def decimal_floor_mul_ln(c: int, n: int, digits: int) -> int:
@@ -30,6 +31,34 @@ def decimal_floor_mul_ln(c: int, n: int, digits: int) -> int:
     with localcontext() as ctx:
         ctx.prec = digits
         return int((Decimal(c) * Decimal(n).ln()).to_integral_value(ROUND_FLOOR))
+
+
+def split_factor_oracle(x, n, result, table=None):
+    """The per-x splitter that certified the cover before the lpf sieve:
+    trial-division factorization of x and one exceeds_ln call per x."""
+    table = table or DEFAULT_TABLE
+    if not 1 <= x <= result.M:
+        raise InputError(f"x={x} outside [1, {result.M}]")
+    if x == 1:
+        return (1, 1, "unit")
+    factors = table.factorize(x)
+    p_big = factors[-1][0]
+    if exceeds_ln(p_big, n) and x // p_big <= n:
+        a, b = sorted((p_big, x // p_big))
+        return (a, b, "large-prime")
+    # transfer loop: start from the largest prime, migrate the smallest prime
+    # factor of the big part across until both parts are in the set; x's
+    # factorization less one p_big lists the big part's primes in order
+    d1, d2 = p_big, x // p_big
+    moves = iter([p for p, e in factors for _ in range(e)][:-1])
+    while d1 not in result or d2 not in result:
+        p = next(moves, None)
+        if p is None:
+            return None
+        d1 *= p
+        d2 //= p
+    a, b = sorted((d1, d2))
+    return (a, b, "transfer")
 
 
 class TestThresholds:
@@ -190,17 +219,59 @@ class TestCoverage:
 
     @pytest.mark.parametrize(
         "witness, message",
-        [(None, "no witness for 12"), ((1, 12, "transfer"), "invalid witness (1, 12)")],
+        [
+            (None, "no witness for 16"),
+            ((1, 16, "transfer"), "invalid witness (1, 16)"),
+            ((2, 9, "transfer"), "invalid witness (2, 9)"),
+        ],
     )
     def test_witnesses_are_rechecked(self, monkeypatch, witness, message):
-        # 12 is not in the n=10 cover set, so 1 * 12 must be rejected
-        real = construct.split_factor
+        # 16 = 2 * 8 with 2 < ln 10 takes the transfer path at n=10; 16 is
+        # not in the cover set, so 1 * 16 must be rejected, and 2 * 9 is a
+        # pair of members whose product is not 16
+        real = construct._transfer
         monkeypatch.setattr(
-            construct, "split_factor",
-            lambda x, *args: witness if x == 12 else real(x, *args),
+            construct, "_transfer",
+            lambda d1, d2, *args: witness if d1 * d2 == 16 else real(d1, d2, *args),
         )
         with pytest.raises(FalsificationError, match=re.escape(message)):
             coverage_check(10)
+
+    def test_matches_per_x_oracle(self):
+        for n in [*range(3, 301), 1000]:
+            res = coverage_check(n)
+            for x in range(1, res.M + 1):
+                found = (*res.witnesses[x], res.methods[x])
+                assert found == split_factor_oracle(x, n, res), (n, x)
+
+    def test_digest_pins_witnesses(self):
+        # sha256 of every witness and method for n = 3..599, computed with
+        # the per-x splitter before the lpf sieve replaced it
+        h = hashlib.sha256()
+        for n in range(3, 600):
+            res = coverage_check(n)
+            w, m = res.witnesses, res.methods
+            h.update("".join(
+                f"{n},{x},{w[x][0]},{w[x][1]},{m[x]};" for x in range(1, res.M + 1)
+            ).encode())
+        assert h.hexdigest() == (
+            "c0c816faf649badfb8ccb1ac8f2f9d332549e5e1d20e7e7eea99219bd88cf48f"
+        )
+
+    def test_lpf_is_largest_prime_factor(self):
+        table = PrimeTable()
+        res = cover_set(1000, table)
+        lpf = construct._largest_prime_factors(res, table)
+        assert len(lpf) == res.M + 1 and lpf[1] == 1
+        for x in range(2, res.M + 1):
+            assert lpf[x] == table.factorize(x)[-1][0]
+
+    def test_sieve_does_not_grow_table_to_m(self):
+        # the primes above n are the cover set's own, so the table is sieved
+        # to n, not to M
+        table = PrimeTable()
+        res = coverage_check(3000, table)
+        assert table.limit < res.M == 24019
 
 
 def test_import_leaves_mpmath_out():

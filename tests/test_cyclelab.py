@@ -1,5 +1,4 @@
-"""Cycle detection, the alternating product identity, coefficient audits,
-and the even-cycle extremal bound."""
+"""Cycle detection, the alternating product identity and coefficient audits."""
 
 from collections import deque
 from fractions import Fraction
@@ -13,15 +12,12 @@ from prodap.apcore import APDescriptor
 from prodap.cyclelab import (
     CyclePoly,
     EvenCycle,
-    bondy_simonovits_bound,
-    cycle_bound_audit,
     cycle_identity_check,
     cycle_poly,
     divisibility_audit,
     elementary_symmetric,
     enumerate_even_cycles,
     find_even_cycle,
-    integer_kth_root,
     symmetric_coefficients,
 )
 from prodap.errors import FalsificationError, InputError, ShapeError
@@ -212,49 +208,6 @@ class TestDivisibility:
         poly = CyclePoly(k=2, coeffs=(0, 3, -2), l=1, m=2, max_index=3)
         with pytest.raises(FalsificationError):
             divisibility_audit(poly, APDescriptor(1, 1, 2, 5))  # d=2 does not divide 3
-
-
-class TestBound:
-    def test_examples(self):
-        assert bondy_simonovits_bound(16, 4) == 12800
-        assert bondy_simonovits_bound(2, 2) == 566
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(InputError):
-            bondy_simonovits_bound(1, 2)
-        with pytest.raises(InputError):
-            bondy_simonovits_bound(4, 1)
-
-    def test_integer_kth_root(self):
-        assert integer_kth_root(0, 3) == 0
-        assert integer_kth_root(26, 3) == 2
-        assert integer_kth_root(27, 3) == 3
-        assert integer_kth_root(10**18, 2) == 10**9
-        big = 7**40
-        assert integer_kth_root(big, 40) == 7
-        assert integer_kth_root(big - 1, 40) == 6
-
-    # x reaches far past the largest float
-    @given(st.integers(min_value=0, max_value=10**1200), st.integers(min_value=1, max_value=200))
-    def test_root_brackets(self, x, k):
-        r = integer_kth_root(x, k)
-        assert r**k <= x < (r + 1) ** k
-
-    def test_huge_inputs(self):
-        for x, k in [(10**400, 2), (10**400 - 1, 3), (2**5000 + 1, 7), (3**999, 999)]:
-            r = integer_kth_root(x, k)
-            assert r**k <= x < (r + 1) ** k
-        # the target here is ~10**593, past the largest float
-        bound = bondy_simonovits_bound(10**6, 60)
-        target = 6000**60 * (10**6) ** 61
-        assert (bound - 1) ** 60 < target <= bound**60
-
-    def test_audit_below_bound(self):
-        _, _, g = cover_instance(10)
-        report = cycle_bound_audit(g, 2)
-        assert not report.exceeded  # desk-scale graphs sit far below the bound
-        assert report.cycle is not None
-        assert report.edges <= report.bound
 
 
 class TestForestAgreement:

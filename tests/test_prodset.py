@@ -173,6 +173,25 @@ class TestLongestAP:
         with pytest.raises(InputError):
             longest_ap([1, 2, 3], mode="fast")
 
+    @pytest.mark.parametrize("B", [
+        [1, 2, 3, 4],
+        [-3, -2, 1, 5],
+        [Fraction(1, 2), Fraction(2, 3), 3, 5, 7],
+        list(range(1, 41)) + [41, 43, 47],
+        sorted(random.Random(7).sample(range(1, 2000), 30)),
+    ])
+    def test_product_set_input_matches_sorted_products(self, B):
+        # a ProductSet skips the sort and the duplicate scan, nothing else
+        ps = product_set(B)
+        for mode in ("exact", "oracle"):
+            assert longest_ap(ps, mode=mode) == longest_ap(sorted(ps.products), mode=mode)
+
+    def test_product_set_input_keeps_checks(self):
+        with pytest.raises(InputError):
+            longest_ap(product_set([QuadElem(0, 1, 2), 1]))
+        with pytest.raises(CapacityError):
+            longest_ap(product_set(range(1, 20)), limit=50)
+
     @settings(max_examples=50)
     @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=9))
     def test_modes_agree_property(self, B):
