@@ -65,7 +65,9 @@ from .rationalize import (
     four_cycle_exists_audit,
     four_cycle_r,
     make_quad_instance,
+    path_parity_value,
     rationalize_components,
+    scale_by_sqrt_d,
 )
 
 __version__ = "0.1.0"

@@ -18,8 +18,13 @@ from math import isqrt
 
 from .apcore import first_pairs
 from .cyclelab import EvenCycle, find_even_cycle
-from .errors import DomainError, FalsificationError, InputError
-from .exactnum import QuadElem
+from .errors import (
+    DomainError,
+    FalsificationError,
+    InputError,
+    UnsupportedExtensionError,
+)
+from .exactnum import QuadElem, sqrt_decompose
 from .prodset import RepGraph, build_rep_graph, sort_key
 
 
@@ -54,6 +59,36 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
         targs.append(Fraction(t))
     graph = build_rep_graph(elems, [QuadElem.from_rational(t, m) for t in targs])
     return QuadInstance(m, sorted(elems, key=sort_key), targs, graph)
+
+
+def scale_by_sqrt_d(B, d):
+    """Divide every element by sqrt(d), d a positive rational.
+
+    Rational sqrt(d): stays in the current field.  Otherwise the squarefree
+    part of d becomes (or must match) the instance field; anything that would
+    need a second independent surd is rejected.
+    """
+    d = Fraction(d)
+    if d <= 0:
+        raise DomainError(f"need d > 0, got {d}")
+    if not B:
+        raise InputError("empty set")
+    s, m0 = sqrt_decompose(d)
+    quad_ms = {x.m for x in B if isinstance(x, QuadElem)}
+    if len(quad_ms) > 1:
+        raise InputError("mixed fields in input set")
+    if m0 == 1:
+        return [x / s for x in B]
+    existing = quad_ms.pop() if quad_ms else None
+    if existing is None:
+        # rational set moves into Q(sqrt(m0)): b / (s*sqrt(m0)) = (b/(s*m0))*sqrt(m0)
+        return [QuadElem(Fraction(0), Fraction(x) / (s * m0), m0) for x in B]
+    if existing == m0:
+        inv_sqrt = QuadElem(Fraction(0), Fraction(1, 1) / (s * m0), m0)
+        return [x * inv_sqrt for x in B]
+    raise UnsupportedExtensionError(
+        f"dividing a Q(sqrt({existing})) set by sqrt({d}) would need a second surd"
+    )
 
 
 def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:
@@ -92,6 +127,39 @@ def four_cycle_r_rotations(cycle: EvenCycle) -> list[Fraction]:
         i2 = cycle.indices[(t + 1) % 4]
         out.append(four_cycle_r(cycle, i1, i2))
     return out
+
+
+def path_parity_value(graph: RepGraph, path: list) -> Fraction:
+    """Alternating product along a simple path with rational edge values.
+
+    An even number of edges yields first/last; an odd number yields
+    first*last.
+    """
+    if len(path) < 2:
+        raise InputError("path needs at least one edge")
+    if len(set(path)) != len(path):
+        raise InputError("path revisits a vertex")
+    adj = graph.adjacency
+    value = None
+    for t in range(len(path) - 1):
+        edge = None
+        for w, e in adj.get(path[t], ()):
+            if w == path[t + 1]:
+                edge = e
+                break
+        if edge is None:
+            raise InputError(f"no edge between {path[t]} and {path[t + 1]}")
+        v = edge.value
+        v = v.as_rational() if isinstance(v, QuadElem) else Fraction(v)
+        if v == 0:
+            raise DomainError("zero edge value")
+        if value is None:
+            value = v
+        elif t % 2 == 1:
+            value = value / v
+        else:
+            value = value * v
+    return value
 
 
 def _components(graph: RepGraph) -> list[list]:

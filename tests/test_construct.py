@@ -220,19 +220,22 @@ class TestCoverage:
     @pytest.mark.parametrize(
         "witness, message",
         [
-            (None, "no witness for 16"),
-            ((1, 16, "transfer"), "invalid witness (1, 16)"),
+            (None, "no witness for 12"),
+            ((1, 12, "transfer"), "invalid witness (1, 12)"),
             ((2, 9, "transfer"), "invalid witness (2, 9)"),
         ],
     )
     def test_witnesses_are_rechecked(self, monkeypatch, witness, message):
-        # 16 = 2 * 8 with 2 < ln 10 takes the transfer path at n=10; 16 is
-        # not in the cover set, so 1 * 16 must be rejected, and 2 * 9 is a
-        # pair of members whose product is not 16
+        # 12 = 3 * 4 meets the large-prime rule at n=10 (3 > ln 10); with
+        # floor(ln n) held at 3 it takes the transfer path, which hands back
+        # the witness under test.  12 is not in the n=10 cover set, so 1 * 12
+        # must be rejected, and 2 * 9 is a pair of members whose product is
+        # not 12
         real = construct._transfer
+        monkeypatch.setattr(construct, "_floor_ln", lambda n: 3)
         monkeypatch.setattr(
             construct, "_transfer",
-            lambda d1, d2, *args: witness if d1 * d2 == 16 else real(d1, d2, *args),
+            lambda d1, d2, *args: witness if d1 * d2 == 12 else real(d1, d2, *args),
         )
         with pytest.raises(FalsificationError, match=re.escape(message)):
             coverage_check(10)
