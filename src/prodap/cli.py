@@ -26,12 +26,10 @@ from .errors import (
 )
 from .exactnum import PrimeTable
 from .harness import (
-    InstanceFile,
     concavity_demo,
     demo_instance_file,
     load_instance,
     pipeline,
-    save_instance,
     scaling_study,
     study_csv,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .errors import (
     CapacityError,
@@ -25,6 +25,9 @@ from .errors import (
 
 DEFAULT_SIEVE_CAPACITY = 10**8
 
+# trial division tests this many consecutive primes with one gcd
+BLOCK = 64
+
 
 class PrimeTable:
     """Growable prime sieve with a hard capacity.
@@ -32,6 +35,11 @@ class PrimeTable:
     Primality is decided only by trial division against sieved primes; any
     request that would need a prime beyond ``capacity`` raises CapacityError
     instead of falling back to a probabilistic test.
+
+    Trial division takes the primes in blocks of ``BLOCK`` and makes one gcd
+    of the number with each block's product; only a block sharing a factor
+    is scanned prime by prime.  The sieve doubles only when the division has
+    reached its last full block and the square root is still above the limit.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -40,6 +48,9 @@ class PrimeTable:
         self.capacity = capacity
         self._limit = 0
         self._primes: list[int] = []
+        # products of the full blocks of _primes; a partial last block is not
+        # cached, since growing the sieve adds primes to it
+        self._products: list[int] = []
 
     @property
     def limit(self) -> int:
@@ -100,20 +111,48 @@ class PrimeTable:
         """Exact primality for n <= capacity**2; beyond that, CapacityError."""
         if n < 2:
             return False
-        if n <= self._limit:
-            i = bisect_left(self._primes, n)
-            return i < len(self._primes) and self._primes[i] == n
-        root = isqrt(n)
-        if root > self.capacity:
-            raise CapacityError(
-                f"cannot certify primality of {n}: needs primes beyond "
-                f"capacity {self.capacity}",
-                limit=self.capacity,
-            )
-        for p in self.primes_upto(root):
-            if n % p == 0:
-                return False
-        return True
+        if n > self._limit:
+            if isqrt(n) > self.capacity:
+                raise CapacityError(
+                    f"cannot certify primality of {n}: needs primes beyond "
+                    f"capacity {self.capacity}",
+                    limit=self.capacity,
+                )
+            g = self._probe(n, 0)[1]
+            if n > self._limit:  # else the probe grew the sieve past n
+                return g == 1
+        i = bisect_left(self._primes, n)
+        return i < len(self._primes) and self._primes[i] == n
+
+    def _probe(self, rem: int, b: int) -> tuple[int, int]:
+        """Trial division of rem by the prime blocks from block b on.
+
+        Returns (b', g) for the first block b' whose product shares the
+        factor g > 1 with rem, or (b', 1) when the walk stops at b' first: b'
+        starts past isqrt(rem), or past the capacity.
+        """
+        root = isqrt(rem)
+        primes = self._primes
+        products = self._products
+        while True:
+            lo = b * BLOCK
+            if lo + BLOCK > len(primes) and self._limit < min(root, self.capacity):
+                self._ensure(self._limit + 1)
+                primes = self._primes
+                continue
+            if lo >= len(primes) or primes[lo] > root:
+                return b, 1
+            if b < len(products):
+                block_product = products[b]
+            else:
+                block = primes[lo : lo + BLOCK]
+                block_product = prod(block)
+                if len(block) == BLOCK:
+                    products.append(block_product)
+            g = gcd(rem, block_product)
+            if g > 1:
+                return b, g
+            b += 1
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with ascending p, exact or error.
@@ -125,27 +164,22 @@ class PrimeTable:
             raise DomainError(f"factorize requires n >= 2, got {n}")
         out: list[tuple[int, int]] = []
         rem = n
-        root = isqrt(rem)
-        self._ensure(min(max(root, 2), self.capacity))
-        idx = 0
+        b = 0
         while rem > 1:
-            if idx >= len(self._primes):
-                if self._limit >= self.capacity:
-                    break
-                self._ensure(min(max(root, 2 * self._limit), self.capacity))
-                if idx >= len(self._primes):
-                    break
-            p = self._primes[idx]
-            if p > root:
+            b, g = self._probe(rem, b)
+            if g == 1:
                 break
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                out.append((p, e))
-                root = isqrt(rem)
-            idx += 1
+            for p in self._primes[b * BLOCK : (b + 1) * BLOCK]:
+                if g % p == 0:
+                    e = 0
+                    while rem % p == 0:
+                        rem //= p
+                        e += 1
+                    out.append((p, e))
+                    g //= p
+                    if g == 1:
+                        break
+            b += 1
         if rem > 1:
             # cofactor has no prime factor <= min(sqrt(rem), capacity)
             if isqrt(rem) > self.capacity:

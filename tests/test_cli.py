@@ -2,6 +2,8 @@
 falsification)."""
 
 import json
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from math import gcd
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import prodap
 from prodap.apcore import APDescriptor
 from prodap.cli import main
 from prodap.exactnum import DEFAULT_TABLE, QuadElem
@@ -132,6 +135,31 @@ class TestReduce:
         j0 = (-r * pow(2, -1, g)) % g
         assert data["gcd_bound"] == {"ok": True, "worst": [j0 + g, j0, str(D * g)]}
         assert gcd(D * (r + 2 * (j0 + g)), D * (r + 2 * j0)) == D * g
+
+    def test_power_of_two_keeps_sieve_small(self, tmp_path):
+        # factorizing 2**60 needs no prime past the first block, so the
+        # shared table must not be sieved toward sqrt(2**60) (capped at
+        # 10**8); a subprocess has a DEFAULT_TABLE no other test has grown
+        from prodap.harness import InstanceFile
+
+        path = tmp_path / "inst.json"
+        out = tmp_path / "red.json"
+        save_instance(path, InstanceFile("integer", [2**60, 3, 5, 7], ap=APDescriptor(2**60, 3, 2, 3)))
+        code = (
+            "import sys; from prodap.cli import main; "
+            "from prodap.exactnum import DEFAULT_TABLE; "
+            f"code = main(['reduce', '--in', {str(path)!r}, '--out', {str(out)!r}]); "
+            "print(code, DEFAULT_TABLE.limit)"
+        )
+        src = Path(prodap.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        exit_code, limit = map(int, proc.stdout.split())
+        assert exit_code == 0
+        assert limit < 10**5
+        assert load_json(out)["descriptor"] == {"D": "1", "r": "3", "d": "2", "L": 3}
 
 
 class TestRationalizeCmd:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import prodap
 from prodap import construct
 from prodap.construct import (
-    ConstructionResult,
     cover_set,
     coverage_check,
     exceeds_ln,

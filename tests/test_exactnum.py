@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError
 from prodap.exactnum import (
+    BLOCK,
     PrimeTable,
     QuadElem,
     factorize,
@@ -30,6 +32,75 @@ def trial_division_is_prime(n):
             return False
         d += 1
     return True
+
+
+def factorize_oracle(self, n):
+    """The per-prime trial-division loop that ``PrimeTable.factorize`` ran
+    before the block gcd probe, verbatim, with ``self`` the table."""
+    if n < 2:
+        raise DomainError(f"factorize requires n >= 2, got {n}")
+    out: list[tuple[int, int]] = []
+    rem = n
+    root = isqrt(rem)
+    self._ensure(min(max(root, 2), self.capacity))
+    idx = 0
+    while rem > 1:
+        if idx >= len(self._primes):
+            if self._limit >= self.capacity:
+                break
+            self._ensure(min(max(root, 2 * self._limit), self.capacity))
+            if idx >= len(self._primes):
+                break
+        p = self._primes[idx]
+        if p > root:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            out.append((p, e))
+            root = isqrt(rem)
+        idx += 1
+    if rem > 1:
+        # cofactor has no prime factor <= min(sqrt(rem), capacity)
+        if isqrt(rem) > self.capacity:
+            raise CapacityError(
+                f"factor of {n} exceeds capacity {self.capacity}: "
+                f"cofactor {rem} not certifiable",
+                limit=self.capacity,
+            )
+        out.append((rem, 1))
+    return out
+
+
+def is_prime_oracle(table, n):
+    """Per-prime trial division by every sieved prime up to isqrt(n)."""
+    return n >= 2 and all(n % p for p in table.primes_upto(isqrt(n)))
+
+
+def outcome(factorize_fn, n):
+    try:
+        return factorize_fn(n)
+    except CapacityError:
+        return "capacity"
+
+
+_PRIMES = PrimeTable().primes_upto(3 * 10**5)
+_SMALL = _PRIMES[:200]  # up to 1223: three full blocks and 8 primes of a fourth
+_LARGE = _PRIMES[-2000:]  # about 2.8e5 to 3e5
+
+_smooth = st.lists(st.sampled_from(_SMALL), max_size=12).map(prod)
+_factorize_inputs = st.one_of(
+    # smooth part times up to two large primes
+    st.builds(lambda s, ps: max(2, s * prod(ps)), _smooth,
+              st.lists(st.sampled_from(_LARGE), max_size=2)),
+    # prime powers
+    st.builds(pow, st.sampled_from(_PRIMES[:2000]), st.integers(1, 12)),
+    # p * q with p and q near sqrt(n): consecutive primes
+    st.integers(0, len(_PRIMES) - 2).map(lambda i: _PRIMES[i] * _PRIMES[i + 1]),
+    st.integers(2, 10**12),
+)
 
 
 class TestOrdP:
@@ -115,6 +186,30 @@ class TestPrimes:
         with pytest.raises(CapacityError):
             table.is_prime(10**4 + 7_000_000)
 
+    def test_is_prime_on_fresh_table(self):
+        # the probe grows a fresh table past small n; the answer must still
+        # come from the sieve, not from n dividing a block product
+        for n in range(0, 1100):
+            assert PrimeTable().is_prime(n) == trial_division_is_prime(n), n
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        st.integers(0, 10**12),
+        st.builds(lambda p, q: p * q, st.sampled_from(_LARGE), st.sampled_from(_LARGE)),
+        st.sampled_from(_LARGE),
+    ))
+    def test_is_prime_matches_oracle(self, n):
+        assert is_prime(n) == is_prime_oracle(self.oracle_table, n)
+
+    def test_is_prime_fixed_cases(self):
+        edges = [_PRIMES[i] for i in (63, 64, 127, 128, 191, 192)]
+        cases = edges + [p * p for p in edges] + [p * q for p in edges for q in _LARGE[-3:]]
+        cases += [_LARGE[-1], _LARGE[-1] * _LARGE[-2], 999_999_999_989, 10**12]
+        for n in cases:
+            assert PrimeTable().is_prime(n) == is_prime_oracle(self.oracle_table, n), n
+
+    oracle_table = PrimeTable()
+
 
 class TestFactorize:
     def test_examples(self):
@@ -145,6 +240,62 @@ class TestFactorize:
             table.factorize(101 * 103)
         # small cofactor certified prime without exceeding capacity
         assert table.factorize(2 * 97) == [(2, 1), (97, 1)]
+
+
+class TestFactorizeBlocks:
+    """The block gcd probe against the per-prime loop it replaced."""
+
+    # the oracle sieves to min(sqrt(n), capacity) up front, so both tables
+    # stop at 10**6, past the square root of every input's cofactor
+    oracle_table = PrimeTable(capacity=10**6)
+    table = PrimeTable(capacity=10**6)  # grows across the examples
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factorize_inputs)
+    def test_matches_oracle(self, n):
+        want = outcome(lambda m: factorize_oracle(self.oracle_table, m), n)
+        assert want != "capacity"
+        assert self.table.factorize(n) == want
+
+    def test_block_edges(self):
+        edges = [_PRIMES[i] for i in (63, 64, 127, 128)]
+        assert edges == [311, 313, 719, 727]
+        cases = edges + [p * p for p in edges] + [prod(edges), 2**40 * edges[3]]
+        cases += [p * q for p in edges for q in (_LARGE[0], _LARGE[-1])]
+        for n in cases:
+            want = factorize_oracle(self.oracle_table, n)
+            assert PrimeTable().factorize(n) == want, n
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.integers(2, 2**100),
+        st.builds(lambda s, k: max(2, s * k), _smooth, st.integers(1, 2**60)),
+        st.integers(0, 1200).map(lambda i: _PRIMES[i] * _PRIMES[i + 1]),
+    ))
+    def test_capacity_errors_match(self, n):
+        # both refuse exactly the inputs with a cofactor past capacity**2
+        oracle, table = PrimeTable(capacity=10**4), PrimeTable(capacity=10**4)
+        assert outcome(table.factorize, n) == outcome(
+            lambda m: factorize_oracle(oracle, m), n
+        )
+        assert table.limit <= 10**4
+
+    def test_partial_block_is_not_cached(self):
+        # at limit 1024 the third block holds only 44 of its 64 primes
+        table = PrimeTable()
+        n = 727 * 1021  # division ends inside that partial block
+        assert table.factorize(n) == [(727, 1), (1021, 1)]
+        assert table.limit == 1024 and len(table.primes) < 3 * BLOCK
+        assert table.primes[2 * BLOCK] <= isqrt(n)
+        # 1031 and 1033 join the third block once the sieve grows past 1024
+        assert table.factorize(1031 * 1033) == [(1031, 1), (1033, 1)]
+        assert table.limit == 2048
+
+    def test_sieve_grows_only_as_far_as_the_division(self):
+        # sqrt(n) is near 2**63, but the cofactor is 1 after the first block
+        table = PrimeTable()
+        assert table.factorize(2**80 * 3**40) == [(2, 80), (3, 40)]
+        assert table.limit == 1024
 
 
 class TestSquarefree:
