@@ -8,7 +8,7 @@ coverage, and rationalization mechanics that govern how long the progression
 can be.
 """
 
-from .apcore import APDescriptor, ReductionStep, ReductionTrace, ap_terms, gcd_bound_audit, reduce_ap
+from .apcore import APDescriptor, ReductionStep, ReductionTrace, gcd_bound_audit, reduce_ap
 from .construct import ConstructionResult, cover_set, coverage_check, floor_n_log_n, split_factor
 from .cyclelab import (
     CyclePoly,
@@ -30,7 +30,6 @@ from .errors import (
     ProdapError,
     RepresentationError,
     ShapeError,
-    UnsupportedExtensionError,
 )
 from .exactnum import PrimeTable, QuadElem, factorize, is_prime, ord_p, primes_in
 from .harness import (
@@ -65,9 +64,7 @@ from .rationalize import (
     four_cycle_exists_audit,
     four_cycle_r,
     make_quad_instance,
-    path_parity_value,
     rationalize_components,
-    scale_by_sqrt_d,
 )
 
 __version__ = "0.1.0"

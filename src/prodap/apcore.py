@@ -61,11 +61,6 @@ class APDescriptor:
         return gcd(self.d, self.D * self.r) == 1
 
 
-def ap_terms(desc: APDescriptor) -> list[int]:
-    """The L terms of the progression, ascending."""
-    return desc.terms()
-
-
 def validate_ap(A: list[int]) -> tuple[int, int, int]:
     """Check A is an ascending AP of >= 3 positive integers; return (r, d, L)."""
     if len(A) < 3:

@@ -133,10 +133,7 @@ def cmd_graph(args) -> int:
     inst = load_instance(args.set)
     desc = _load_descriptor_arg(args.ap)
     if inst.field_tag == "quadratic":
-        qinst = make_quad_instance(
-            inst.elements, [Fraction(t) for t in desc.terms()], inst.m
-        )
-        graph = qinst.graph
+        graph = make_quad_instance(inst.elements, desc.terms(), inst.m).graph
     else:
         graph = build_rep_graph(inst.elements, desc.terms())
     _write_or_print(args.out, jsonio.graph_to_json(graph, inst.field_tag, inst.m))
@@ -202,13 +199,12 @@ def cmd_rationalize(args) -> int:
         raise InputError("rationalize expects a quadratic instance")
     if inst.ap is None:
         raise InputError("quadratic instances need a claimed progression")
-    targets = [Fraction(t) for t in inst.ap.terms()]
-    qinst = make_quad_instance(inst.elements, targets, inst.m)
+    qinst = make_quad_instance(inst.elements, inst.ap.terms(), inst.m)
     rational = rationalize_components(qinst)
     out = {
         "field": "rational",
         "elements": [jsonio.enc_rat(x) for x in rational],
-        "targets": [jsonio.enc_rat(t) for t in targets],
+        "targets": [jsonio.enc_rat(t) for t in qinst.targets],
     }
     _write_or_print(args.out, out)
     return EXIT_OK

@@ -12,7 +12,7 @@ divisibility audits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .apcore import APDescriptor
 from .errors import FalsificationError, InputError, ShapeError
@@ -190,13 +190,6 @@ def enumerate_even_cycles(
     return sorted(found.values(), key=lambda c: _cycle_sort_key(graph, c))
 
 
-def _prod(values):
-    out = values[0]
-    for v in values[1:]:
-        out = out * v
-    return out
-
-
 def cycle_identity_check(cycle: EvenCycle, A) -> bool:
     """Exact check that odd-position edge values multiply to the same result
     as even-position edge values."""
@@ -209,7 +202,7 @@ def cycle_identity_check(cycle: EvenCycle, A) -> bool:
                 f"edge {t} carries value {cycle.values[t]} but term {j} is {A[j]}"
             )
         vals.append(A[j])
-    return _prod(vals[0::2]) == _prod(vals[1::2])
+    return prod(vals[0::2]) == prod(vals[1::2])
 
 
 def elementary_symmetric(values: list[int]) -> list[int]:

@@ -30,10 +30,6 @@ class FieldMismatchError(InputError):
     """Operands live in different quadratic fields."""
 
 
-class UnsupportedExtensionError(InputError):
-    """Operation would require adjoining a second independent surd."""
-
-
 class DomainError(InputError):
     """Value outside an operation's mathematical domain."""
 

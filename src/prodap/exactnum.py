@@ -29,6 +29,25 @@ DEFAULT_SIEVE_CAPACITY = 10**8
 BLOCK = 64
 
 
+def _sieve(lo: int, hi: int, base: list[int] | None = None) -> list[int]:
+    """Primes p with lo <= p <= hi, ascending, for 2 <= lo <= hi.
+
+    Crosses out in [lo, hi] the multiples of ``base``, ascending primes that
+    include every prime up to isqrt(hi); without ``base`` they come from this
+    sieve over [2, isqrt(hi)].
+    """
+    if base is None:
+        root = isqrt(hi)
+        base = _sieve(2, root) if root >= 2 else []
+    segment = bytearray([1]) * (hi - lo + 1)
+    for p in base:
+        if p * p > hi:
+            break
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        segment[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), segment))
+
+
 class PrimeTable:
     """Growable prime sieve with a hard capacity.
 
@@ -69,13 +88,10 @@ class PrimeTable:
                 limit=self.capacity,
             )
         limit = min(max(limit, 2 * self._limit, 1 << 10), self.capacity)
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                step = len(range(p * p, limit + 1, p))
-                sieve[p * p :: p] = bytearray(step)
-        self._primes = list(compress(range(limit + 1), sieve))
+        # only (old limit, limit] is sieved; the table's own primes serve as
+        # the base once they reach isqrt(limit)
+        base = self._primes if isqrt(limit) <= self._limit else None
+        self._primes += _sieve(max(self._limit + 1, 2), limit, base)
         self._limit = limit
 
     def primes_upto(self, n: int) -> list[int]:
@@ -97,15 +113,7 @@ class PrimeTable:
         lo = max(lo, 2)
         if lo > hi:
             return []
-        base = self.primes_upto(isqrt(hi))
-        width = hi - lo + 1
-        segment = bytearray([1]) * width
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            segment[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        return list(compress(range(lo, hi + 1), segment))
+        return _sieve(lo, hi, self.primes_upto(isqrt(hi)))
 
     def is_prime(self, n: int) -> bool:
         """Exact primality for n <= capacity**2; beyond that, CapacityError."""
@@ -239,31 +247,6 @@ def _squarefree_ok(m: int) -> bool:
     if a == 1:
         return True  # m == -1
     return all(e == 1 for _, e in DEFAULT_TABLE.factorize(a))
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 1 as s**2 * m with m squarefree; returns (s, m)."""
-    if n < 1:
-        raise DomainError(f"squarefree_decompose requires n >= 1, got {n}")
-    if n == 1:
-        return 1, 1
-    s = 1
-    m = 1
-    for p, e in DEFAULT_TABLE.factorize(n):
-        s *= p ** (e // 2)
-        if e % 2:
-            m *= p
-    return s, m
-
-
-def sqrt_decompose(d: Fraction) -> tuple[Fraction, int]:
-    """Write a positive rational d as s**2 * m with s rational and m a
-    squarefree positive integer; returns (s, m).  m == 1 iff d is a square."""
-    d = Fraction(d)
-    if d <= 0:
-        raise DomainError(f"sqrt_decompose requires d > 0, got {d}")
-    t, m = squarefree_decompose(d.numerator * d.denominator)
-    return Fraction(t, d.denominator), m
 
 
 def _as_fraction(x) -> Fraction:

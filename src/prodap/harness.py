@@ -31,7 +31,6 @@ from .rationalize import (
     rationalize_components,
 )
 
-RNG_NAME = "mt19937-string-seeded"
 AP_SHRINK_FACTOR = 2  # taking absolute values can at worst halve a progression
 
 CSV_COLUMNS = (
@@ -85,12 +84,7 @@ def instance_from_json(obj) -> InstanceFile:
     m = jsonio.dec_int(obj["m"]) if obj.get("m") is not None else None
     if tag == "quadratic" and m is None:
         raise InputError("quadratic instance without top-level m")
-    decode = {
-        "integer": jsonio.dec_int,
-        "rational": jsonio.dec_rat,
-        "quadratic": lambda e: jsonio.dec_quad(e, m),
-    }[tag]
-    elements = [decode(e) for e in obj["elements"]]
+    elements = [jsonio.dec_element(e, tag, m) for e in obj["elements"]]
     if len(set(elements)) != len(elements):
         raise InputError("instance elements must be distinct")
     ap = jsonio.descriptor_from_json(obj["ap"]) if obj.get("ap") else None
@@ -207,8 +201,7 @@ def quadratic_demo_instance(m: int = 2, gamma=Fraction(1, 2)) -> QuadInstance:
         raise InputError("gamma must be nonzero")
     b1 = QuadElem(Fraction(0), g, m)
     elements = [b1, 2 / b1, 2 * b1, 3 / b1, 5 / b1]
-    targets = [Fraction(t) for t in range(2, 7)]
-    inst = make_quad_instance(elements, targets, m)
+    inst = make_quad_instance(elements, range(2, 7), m)
     cyc = find_even_cycle(inst.graph, 2)
     if cyc is None or len(cyc.vertices) != 4:
         raise InputError(f"gamma={g} degenerates the built-in 4-cycle; pick another")
@@ -318,6 +311,10 @@ def scaling_study(
 ) -> list[ExperimentRecord]:
     if trials < 1:
         raise InputError(f"the trial count must be positive, got {trials}")
+    if not generators:
+        raise InputError("the study needs at least one generator")
+    if not sizes:
+        raise InputError("the study needs at least one set size")
     records = []
     for generator in generators:
         if generator not in GENERATORS:
@@ -414,6 +411,8 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 2
 def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
     """Full audit chain for one instance; returns a canonical-JSON-ready
     report.  Falsifications are collected, not raised."""
+    if cycle_cap < 1:
+        raise InputError(f"the cycle cap must be positive, got {cycle_cap}")
     report: dict = {
         "instance": {
             "field": inst.field_tag,
@@ -433,11 +432,9 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
             desc = inst.ap
             if desc.D != 1 or desc.d != 1:
                 raise InputError(
-                    "quadratic pipeline expects a difference-1 claim; "
-                    "rescale by sqrt(d) first"
+                    "quadratic pipeline expects a claim with D = 1 and d = 1"
                 )
-            targets = [Fraction(t) for t in desc.terms()]
-            qinst = make_quad_instance(inst.elements, targets, inst.m)
+            qinst = make_quad_instance(inst.elements, desc.terms(), inst.m)
             c4 = four_cycle_exists_audit(qinst.graph)
             stages["c4_audit"] = {
                 "edges": c4.edges,
@@ -447,7 +444,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
             }
             if c4.cycle is not None:
                 starts = four_cycle_r_rotations(c4.cycle)
-                if any(s != targets[0] for s in starts):
+                if any(s != qinst.targets[0] for s in starts):
                     raise FalsificationError(
                         "4-cycle start extraction disagreed with the claim",
                         payload={"starts": [jsonio.enc_rat(s) for s in starts]},
@@ -464,7 +461,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
             ints, scale = integerize(rational)
             stages["integerize"] = {"scale": jsonio.enc_int(scale)}
             B = sorted(set(ints))
-            scaled = [t * scale * scale for t in targets]
+            scaled = [t * scale * scale for t in qinst.targets]
             if any(x.denominator != 1 for x in scaled):
                 raise FalsificationError(
                     "integerized targets are not integral",

@@ -135,7 +135,7 @@ def graph_to_json(graph: RepGraph, field: str = "integer", m: int | None = None)
     }
 
 
-def _dec_element(obj, field: str, m: int | None):
+def dec_element(obj, field: str, m: int | None):
     if field == "integer":
         return dec_int(obj)
     if field == "rational":
@@ -149,13 +149,13 @@ def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
     try:
         field = obj["field"]
         m = dec_int(obj["m"]) if obj.get("m") is not None else None
-        elements = tuple(_dec_element(e, field, m) for e in obj["elements"])
+        elements = tuple(dec_element(e, field, m) for e in obj["elements"])
         edges = tuple(
             Edge(
                 dec_int(e["u"]),
                 dec_int(e["v"]),
                 dec_int(e["index"]),
-                _dec_element(e["value"], field, m),
+                dec_element(e["value"], field, m),
             )
             for e in obj["edges"]
         )

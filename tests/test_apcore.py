@@ -15,7 +15,6 @@ import prodap
 from prodap import apcore
 from prodap.apcore import (
     APDescriptor,
-    ap_terms,
     first_pairs,
     gcd_bound_audit,
     reduce_ap,
@@ -68,9 +67,9 @@ def inflated_instance(rng):
 
 class TestDescriptor:
     def test_terms_examples(self):
-        assert ap_terms(APDescriptor(1, 1, 1, 4)) == [1, 2, 3, 4]
-        assert ap_terms(APDescriptor(2, 3, 2, 3)) == [6, 10, 14]
-        assert ap_terms(APDescriptor(4, 2, 1, 3)) == [8, 12, 16]
+        assert APDescriptor(1, 1, 1, 4).terms() == [1, 2, 3, 4]
+        assert APDescriptor(2, 3, 2, 3).terms() == [6, 10, 14]
+        assert APDescriptor(4, 2, 1, 3).terms() == [8, 12, 16]
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -104,7 +103,7 @@ class TestReduce:
         assert [s.case for s in trace.steps] == ["k1"]
         assert trace.steps[0].prime == 2
         assert trace.k0_primes == (2,)
-        assert ap_terms(desc) == [3, 5, 7]
+        assert desc.terms() == [3, 5, 7]
 
     def test_gcd_extraction_only(self):
         B2, desc, trace = reduce_ap([8, 12, 16], [2, 4, 6, 8])
@@ -125,10 +124,10 @@ class TestReduce:
         B2, desc, trace = reduce_ap(A, B)
         assert desc == APDescriptor(1, 1, 2, 4)
         assert B2 == [1, 3, 5, 7]
-        assert ap_terms(desc) == [desc.D * (desc.r + desc.d * i) for i in range(4)]
+        assert desc.terms() == [desc.D * (desc.r + desc.d * i) for i in range(4)]
         cases = [s.case for s in trace.steps]
         assert "partition-B1B2B3" in cases
-        verify_coverage(ap_terms(desc), B2)
+        verify_coverage(desc.terms(), B2)
 
     def test_length_preserved_and_measure_decreases(self):
         B2, desc, trace = reduce_ap([6, 10, 14], [2, 3, 5, 7])
@@ -143,7 +142,7 @@ class TestReduce:
             ([3, 5, 7], [1, 3, 5, 7]),
         ]:
             B1, d1, _ = reduce_ap(A, B)
-            B2, d2, _ = reduce_ap(ap_terms(d1), B1)
+            B2, d2, _ = reduce_ap(d1.terms(), B1)
             assert B1 == B2 and d1 == d2
 
     def test_unrepresentable_term_reported(self):
@@ -158,11 +157,11 @@ class TestReduce:
             B2, desc, trace = reduce_ap(A, B)
             assert desc.is_reduced
             assert len(B2) <= len(B)
-            verify_coverage(ap_terms(desc), B2)
+            verify_coverage(desc.terms(), B2)
             ok, _ = gcd_bound_audit(desc)
             assert ok
             # idempotence
-            B3, desc3, _ = reduce_ap(ap_terms(desc), B2)
+            B3, desc3, _ = reduce_ap(desc.terms(), B2)
             assert B3 == B2 and desc3 == desc
             # measure strictly decreases along the trace
             measures = [trace.initial_measure] + [s.measure for s in trace.steps]

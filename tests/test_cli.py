@@ -256,6 +256,19 @@ class TestStudyCmd:
             assert "trial count" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--generators", ",", "generator"),
+        ("--generators", " , ", "generator"),
+        ("--sizes", "", "set size"),
+        ("--sizes", " , ", "set size"),
+    ])
+    def test_empty_lists(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "study.csv"
+        assert run(["study", flag, value, "--trials", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPipelineCmd:
     def test_demo_quad(self, tmp_path):
@@ -279,6 +292,14 @@ class TestPipelineCmd:
 
     def test_needs_input(self):
         assert run(["pipeline"]) == 2
+
+    def test_cycle_cap_below_one(self, tmp_path, capsys):
+        # an audit capped at no cycles would report all_pass on nothing
+        out = tmp_path / "rep.json"
+        for cap in (0, -3):
+            assert run(["pipeline", "--demo", "quad", "--cycle-cap", cap, "--out", out]) == 2
+            assert "cycle cap" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, prod
 
 import pytest
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError
 from prodap.exactnum import (
     BLOCK,
+    DEFAULT_SIEVE_CAPACITY,
     PrimeTable,
     QuadElem,
     factorize,
     is_prime,
     ord_p,
     primes_in,
-    sqrt_decompose,
-    squarefree_decompose,
     valuation,
 )
 
@@ -77,6 +77,29 @@ def factorize_oracle(self, n):
 def is_prime_oracle(table, n):
     """Per-prime trial division by every sieved prime up to isqrt(n)."""
     return n >= 2 and all(n % p for p in table.primes_upto(isqrt(n)))
+
+
+class ResieveTable(PrimeTable):
+    """The table with the ``_ensure`` it had before the segmented extension,
+    verbatim: every growth sieves [0, limit] again from scratch."""
+
+    def _ensure(self, limit: int) -> None:
+        if limit <= self._limit:
+            return
+        if limit > self.capacity:
+            raise CapacityError(
+                f"sieve limit {limit} exceeds capacity {self.capacity}",
+                limit=self.capacity,
+            )
+        limit = min(max(limit, 2 * self._limit, 1 << 10), self.capacity)
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0:2] = b"\x00\x00"
+        for p in range(2, isqrt(limit) + 1):
+            if sieve[p]:
+                step = len(range(p * p, limit + 1, p))
+                sieve[p * p :: p] = bytearray(step)
+        self._primes = list(compress(range(limit + 1), sieve))
+        self._limit = limit
 
 
 def outcome(factorize_fn, n):
@@ -211,6 +234,50 @@ class TestPrimes:
     oracle_table = PrimeTable()
 
 
+# requested limits, in order, for one table; 1031 and 1033 are prime, so
+# growth from limit 1031 or 1032 must start just past the old limit, and
+# isqrt(2 * 10**6) is past 1024, so that growth cannot take its base primes
+# from the table
+_GROWTH = [
+    [1], [2], [3], [31], [32], [33], [1023], [1024], [1025], [10**6],
+    [1, 2, 3, 31, 32, 33, 1023, 1024, 1025, 10**6],
+    [33, 1025, 4097, 10**6],
+    [1031, 1033],
+    [1032, 1033],
+    [3, 2 * 10**6],
+]
+
+
+class TestSieveGrowth:
+    @pytest.mark.parametrize(
+        "capacity", [2, 3, 31, 32, 33, 1023, 1024, 1025, 10**6, DEFAULT_SIEVE_CAPACITY]
+    )
+    def test_growth_matches_resieve(self, capacity):
+        for requests in _GROWTH:
+            table, oracle = PrimeTable(capacity), ResieveTable(capacity)
+            for limit in requests:
+                if limit > capacity:
+                    for t in (table, oracle):
+                        with pytest.raises(CapacityError):
+                            t._ensure(limit)
+                    continue
+                table._ensure(limit)
+                oracle._ensure(limit)
+                assert table.limit == oracle.limit, requests
+                assert table.primes == oracle.primes, requests
+
+    def test_primes_in_straddles_the_limit(self):
+        table = PrimeTable()
+        for limit in (1024, 2048, 10**6):
+            table._ensure(limit)
+            assert table.limit == limit
+            for lo, hi in [(limit - 30, limit + 30), (limit // 2, 2 * limit), (2, limit + 1)]:
+                before = table.limit
+                got = table.primes_in(lo, hi)
+                assert got == [p for p in ResieveTable().primes_upto(hi) if p >= lo]
+                assert table.limit == before  # isqrt(hi) is inside the table
+
+
 class TestFactorize:
     def test_examples(self):
         assert factorize(12) == [(2, 2), (3, 1)]
@@ -296,16 +363,6 @@ class TestFactorizeBlocks:
         table = PrimeTable()
         assert table.factorize(2**80 * 3**40) == [(2, 80), (3, 40)]
         assert table.limit == 1024
-
-
-class TestSquarefree:
-    def test_decompose(self):
-        assert squarefree_decompose(1) == (1, 1)
-        assert squarefree_decompose(8) == (2, 2)
-        assert squarefree_decompose(36) == (6, 1)
-        assert sqrt_decompose(Fraction(4)) == (Fraction(2), 1)
-        assert sqrt_decompose(Fraction(2)) == (Fraction(1), 2)
-        assert sqrt_decompose(Fraction(1, 2)) == (Fraction(1, 2), 2)
 
 
 _rats = st.fractions(

@@ -1,5 +1,4 @@
-"""Surd rescaling, 4-cycle start extraction, path parity, and component
-rationalization."""
+"""4-cycle start extraction, component rationalization, and the C4 audit."""
 
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from prodap.errors import (
     DomainError,
     FalsificationError,
     InputError,
-    UnsupportedExtensionError,
 )
 from prodap.exactnum import QuadElem
 from prodap.harness import (
@@ -26,39 +24,12 @@ from prodap.rationalize import (
     four_cycle_r,
     four_cycle_r_rotations,
     make_quad_instance,
-    path_parity_value,
     rationalize_components,
-    scale_by_sqrt_d,
 )
 
 
 def rt2(b):
     return QuadElem(0, Fraction(b), 2)
-
-
-class TestScale:
-    def test_square_stays_rational(self):
-        assert scale_by_sqrt_d([2, 6], Fraction(4)) == [1, 3]
-
-    def test_rational_set_gains_surd(self):
-        out = scale_by_sqrt_d([1, 3], Fraction(2))
-        assert out == [rt2(Fraction(1, 2)), rt2(Fraction(3, 2))]
-        # scaled squares recover the division: (1/sqrt 2)^2 = 1/2
-        assert out[0] * out[0] == Fraction(1, 2)
-
-    def test_composite_extension_rejected(self):
-        B = [QuadElem(0, 1, 3)]
-        with pytest.raises(UnsupportedExtensionError):
-            scale_by_sqrt_d(B, Fraction(2))
-
-    def test_matching_surd_allowed(self):
-        B = [rt2(1), rt2(3)]  # sqrt2, 3*sqrt2
-        out = scale_by_sqrt_d(B, Fraction(2))
-        assert out == [QuadElem(1, 0, 2), QuadElem(3, 0, 2)]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            scale_by_sqrt_d([1, 2], Fraction(0))
 
 
 class TestFourCycleR:
@@ -106,44 +77,6 @@ def ReindexedCycle(cyc, f):
     from prodap.cyclelab import EvenCycle
 
     return EvenCycle(cyc.vertices, tuple(f(j) for j in cyc.indices), cyc.values)
-
-
-class TestPathParity:
-    def test_single_edge_is_product(self):
-        inst = quadratic_demo_instance(2)
-        e = inst.graph.edges[0]
-        val = path_parity_value(inst.graph, [(0, e.u), (1, e.v)])
-        assert val == Fraction(2)  # b_i * b_j = first target
-
-    def test_two_edges_quotient(self):
-        inst = quadratic_demo_instance(2)
-        # 2*sqrt2 -- (1/2)sqrt2 -- 3*sqrt2 with values 2 and 3
-        val = path_parity_value(inst.graph, [(1, 2), (0, 0), (1, 3)])
-        assert val == Fraction(2, 3)
-        ratio = inst.graph.vertex_value((1, 2)) / inst.graph.vertex_value((1, 3))
-        assert ratio == QuadElem(Fraction(2, 3), 0, 2)
-
-    def test_three_edges_telescope(self):
-        inst = quadratic_demo_instance(2)
-        # (1/2)sqrt2 --2-- 2sqrt2 --4-- sqrt2 --6-- 3sqrt2: product = 2*6/4 = 3
-        path = [(0, 0), (1, 2), (0, 1), (1, 3)]
-        val = path_parity_value(inst.graph, path)
-        assert val == Fraction(3)
-        prod = inst.graph.vertex_value((0, 0)) * inst.graph.vertex_value((1, 3))
-        assert prod == 3
-
-    def test_path_independence(self):
-        inst = quadratic_demo_instance(2)
-        a = path_parity_value(inst.graph, [(0, 0), (1, 2), (0, 1)])
-        b = path_parity_value(inst.graph, [(0, 0), (1, 3), (0, 1)])
-        assert a == b == Fraction(1, 2)
-
-    def test_rejects_non_path(self):
-        inst = quadratic_demo_instance(2)
-        with pytest.raises(InputError):
-            path_parity_value(inst.graph, [(0, 0), (1, 4), (0, 3)])
-        with pytest.raises(InputError):
-            path_parity_value(inst.graph, [(0, 0)])
 
 
 class TestRationalize:
