@@ -84,11 +84,16 @@ def instance_from_json(obj) -> InstanceFile:
     m = jsonio.dec_int(obj["m"]) if obj.get("m") is not None else None
     if tag == "quadratic" and m is None:
         raise InputError("quadratic instance without top-level m")
+    if tag != "quadratic" and m is not None:
+        raise InputError(f"{tag} instance with a top-level m")
     elements = [jsonio.dec_element(e, tag, m) for e in obj["elements"]]
     if len(set(elements)) != len(elements):
         raise InputError("instance elements must be distinct")
     ap = jsonio.descriptor_from_json(obj["ap"]) if obj.get("ap") else None
-    return InstanceFile(tag, elements, m, ap, obj.get("provenance") or {})
+    provenance = obj.get("provenance")
+    if not isinstance(provenance, (dict, type(None))):
+        raise InputError("instance 'provenance' must be an object")
+    return InstanceFile(tag, elements, m, ap, provenance or {})
 
 
 def load_instance(path) -> InstanceFile:
@@ -315,6 +320,8 @@ def scaling_study(
         raise InputError("the study needs at least one generator")
     if not sizes:
         raise InputError("the study needs at least one set size")
+    if ap_limit is not None and ap_limit < 1:
+        raise InputError(f"the longest-AP limit must be positive, got {ap_limit}")
     records = []
     for generator in generators:
         if generator not in GENERATORS:

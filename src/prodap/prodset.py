@@ -201,6 +201,8 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
     """S as a sorted sequence of distinct ordered values within the size
     limit.  A ProductSet's products are sorted and distinct by construction,
     so only other input is sorted and scanned for duplicates."""
+    if limit is not None and limit < 1:
+        raise InputError(f"the longest-AP limit must be positive, got {limit}")
     presorted = isinstance(S, ProductSet)
     if presorted:
         S = S.products
@@ -279,42 +281,52 @@ def _bitset_kernel(S, best):
 
 
 def _pair_kernel(S, best, ints):
-    """Every start x against every larger y, seeded with ``best``; ``ints``
-    says whether S is all int.
+    """Every run anchored at its top pair a < b, a taken in descending order,
+    seeded with ``best``; ``ints`` says whether S is all int.
 
-    Only y with 2y - x in S can start a run longer than two, and a pair run
-    never beats the length-2 baseline, so each start's slice, cut by bisect at
-    the reach limit, is filtered at C speed before the reach break, the prefix
-    skip and the extension run in Python.  The cut is exact: (top - x) / (best
-    - 1) in rationals, since a floored quotient would drop a fractional d."""
+    A run of at least best terms topped by a, b reaches down to a - (best -
+    2)d >= lo, so b lies within a + (a - lo) / (best - 2): a window that
+    narrows where S is dense, at its small values.  The cut is exact, since a
+    floored quotient would drop a fractional d; while the record has two
+    terms there is none.  Only b with 2a - b in S tops a run longer than two,
+    and a pair run never beats the length-2 baseline, so each anchor's slice
+    is filtered at C speed before the reach break, the top skip and the
+    downward extension run in Python."""
     best_len, best_diff, best_start = best
     member = set(S)
-    top = S[-1]
-    doubled = [y + y for y in S]
-    for i in range(len(S) - 1):
-        x = S[i]
-        if ints:
-            hi = bisect_right(S, x + (top - x) // (best_len - 1), i + 1)
-            thirds = map((-x).__add__, doubled[i + 1 : hi])
+    lo = S[0]
+    for i in range(len(S) - 2, 0, -1):
+        a = S[i]
+        if best_len == 2:
+            hi = len(S)
+        elif ints:
+            hi = bisect_right(S, a + (a - lo) // (best_len - 2), i + 1)
         else:
-            hi = bisect_right(S, x + Fraction(top - x) / (best_len - 1), i + 1)
-            thirds = map(sub, doubled[i + 1 : hi], repeat(x))
-        for j in compress(range(i + 1, hi), map(member.__contains__, thirds)):
-            y = S[j]
-            d = y - x
-            # longest run from x with this difference cannot beat the record
-            reach = (top - x) // d + 1
-            if reach < best_len or (reach == best_len and d >= best_diff):
+            hi = bisect_right(S, a + Fraction(a - lo) / (best_len - 2), i + 1)
+        above = S[i + 1 : hi]
+        # int.__sub__ returns NotImplemented for a Fraction, which matches
+        # nothing, so mixed input subtracts through operator.sub
+        if ints:
+            thirds = map((a + a).__sub__, above)
+        else:
+            thirds = map(sub, repeat(a + a), above)
+        for b in compress(above, map(member.__contains__, thirds)):
+            d = b - a
+            # longest run topped by a, b cannot beat the record; an equal
+            # (length, d) may still start lower, so the d test is strict
+            reach = (a - lo) // d + 2
+            if reach < best_len or (reach == best_len and d > best_diff):
                 break
-            if x - d in member:
-                continue  # suffix of a progression that starts earlier
+            if b + d in member:
+                continue  # top pair of a longer run, met at a higher anchor
             count = 3
-            nxt = y + d + d
+            nxt = a - d - d
             while nxt in member:
                 count += 1
-                nxt += d
-            if (-count, d, x) < (-best_len, best_diff, best_start):
-                best_len, best_diff, best_start = count, d, x
+                nxt -= d
+            start = nxt + d
+            if (-count, d, start) < (-best_len, best_diff, best_start):
+                best_len, best_diff, best_start = count, d, start
     return best_len, best_diff, best_start
 
 

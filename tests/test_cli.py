@@ -67,6 +67,15 @@ class TestFindApAndGraph:
         assert run(["find-ap", "--in", cover10_instance, "--mode", "oracle", "--out", out_o]) == 0
         assert load_json(out_e)["length"] == load_json(out_o)["length"] == 28
 
+    def test_limit_below_one(self, tmp_path, capsys, cover10_instance):
+        # malformed input (exit 2), not a capacity hit (exit 3)
+        out = tmp_path / "ap.json"
+        for limit in (0, -1):
+            assert run(["find-ap", "--in", cover10_instance, "--limit", limit, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert "limit must be positive" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_graph_then_cycles_audit(self, tmp_path, cover10_instance):
         ap = tmp_path / "ap.json"
         graph = tmp_path / "g.json"
@@ -256,6 +265,14 @@ class TestStudyCmd:
             assert "trial count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_limit_below_one(self, tmp_path, capsys):
+        # every trial would be written as a skipped ap_length=0 row
+        out = tmp_path / "study.csv"
+        for limit in (0, -1):
+            assert run(["study", "--sizes", "8", "--trials", 1, "--limit", limit, "--out", out]) == 2
+            assert "limit must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--generators", ",", "generator"),
         ("--generators", " , ", "generator"),
@@ -292,6 +309,19 @@ class TestPipelineCmd:
 
     def test_needs_input(self):
         assert run(["pipeline"]) == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"m": "5"}, "top-level m"),
+        ({"provenance": [1, 2]}, "provenance"),
+    ])
+    def test_instance_fields_checked(self, tmp_path, capsys, extra, message):
+        # both were echoed into the report
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"field": "integer", "elements": ["1", "2", "3"], **extra}))
+        out = tmp_path / "rep.json"
+        assert run(["pipeline", "--in", path, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cycle_cap_below_one(self, tmp_path, capsys):
         # an audit capped at no cycles would report all_pass on nothing

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodap import harness
 from prodap.apcore import APDescriptor
 from prodap.errors import InputError, RepresentationError
 from prodap.harness import (
@@ -126,6 +127,13 @@ class TestStudy:
         )
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one(self, limit, monkeypatch):
+        # rejected before the first trial, not reported as skipped rows
+        monkeypatch.setattr(harness, "run_trial", None)
+        with pytest.raises(InputError, match="limit must be positive"):
+            scaling_study(["random"], [10], 2, 0, ap_limit=limit)
+
     def test_cover_lengths_meet_floor(self):
         from prodap.construct import floor_n_log_n
 
@@ -153,6 +161,23 @@ class TestInstanceIO:
     def test_unknown_field(self):
         with pytest.raises(InputError):
             instance_from_json({"field": "octonion", "elements": []})
+
+    @pytest.mark.parametrize("tag", ["integer", "rational"])
+    def test_top_level_m_only_on_quadratic(self, tag):
+        with pytest.raises(InputError, match="top-level m"):
+            instance_from_json({"field": tag, "m": "5", "elements": ["2", "3"]})
+        assert instance_from_json({"field": tag, "m": None, "elements": ["2", "3"]}).m is None
+
+    @pytest.mark.parametrize("provenance", [[1, 2], "cover", 7, [], False])
+    def test_provenance_must_be_an_object(self, provenance):
+        obj = {"field": "integer", "elements": ["2", "3"], "provenance": provenance}
+        with pytest.raises(InputError, match="provenance"):
+            instance_from_json(obj)
+
+    def test_missing_or_null_provenance_is_empty(self):
+        for extra in ({}, {"provenance": None}):
+            inst = instance_from_json({"field": "integer", "elements": ["2"], **extra})
+            assert inst.provenance == {}
 
 
 class TestPipeline:

@@ -1,7 +1,11 @@
 """Product sets, representation graphs, and longest-AP search."""
 
+import hashlib
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +169,13 @@ class TestLongestAP:
         with pytest.raises(CapacityError):
             longest_ap(S, mode="exact", limit=100)
 
+    @pytest.mark.parametrize("mode", ["exact", "oracle"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one(self, mode, limit):
+        # a malformed limit, not a capacity hit
+        with pytest.raises(InputError, match="limit must be positive"):
+            longest_ap([1, 2, 3], mode=mode, limit=limit)
+
     def test_quadratic_rejected(self):
         with pytest.raises(InputError):
             longest_ap([QuadElem(0, 1, 2)])
@@ -232,6 +243,41 @@ def _pair_loop_oracle(S):
     )
 
 
+def _start_pair_kernel(S, best, ints):
+    """The pair kernel that preceded top-pair anchoring, kept verbatim as a
+    third oracle: every start x against every larger y, in a window cut at
+    x + (top - x) / (best - 1)."""
+    best_len, best_diff, best_start = best
+    member = set(S)
+    top = S[-1]
+    doubled = [y + y for y in S]
+    for i in range(len(S) - 1):
+        x = S[i]
+        if ints:
+            hi = bisect_right(S, x + (top - x) // (best_len - 1), i + 1)
+            thirds = map((-x).__add__, doubled[i + 1 : hi])
+        else:
+            hi = bisect_right(S, x + Fraction(top - x) / (best_len - 1), i + 1)
+            thirds = map(sub, doubled[i + 1 : hi], repeat(x))
+        for j in compress(range(i + 1, hi), map(member.__contains__, thirds)):
+            y = S[j]
+            d = y - x
+            # longest run from x with this difference cannot beat the record
+            reach = (top - x) // d + 1
+            if reach < best_len or (reach == best_len and d >= best_diff):
+                break
+            if x - d in member:
+                continue  # suffix of a progression that starts earlier
+            count = 3
+            nxt = y + d + d
+            while nxt in member:
+                count += 1
+                nxt += d
+            if (-count, d, x) < (-best_len, best_diff, best_start):
+                best_len, best_diff, best_start = count, d, x
+    return best_len, best_diff, best_start
+
+
 def _run(start, diff, length):
     return [start + i * diff for i in range(length)]
 
@@ -249,6 +295,13 @@ fraction_sets = st.sets(
     min_size=1,
     max_size=12,
 )
+# ints and Fractions in one set: int.__sub__(Fraction) is NotImplemented
+mixed_sets = st.sets(
+    st.integers(-12, 12)
+    | st.builds(Fraction, st.integers(-30, 30), st.sampled_from([2, 3, 4])),
+    min_size=1,
+    max_size=14,
+)
 # two progressions of one length: the tie breaks on difference, then start
 tie_sets = st.builds(
     lambda length, a, d1, b, d2, extra: set(_run(a, d1, length)) | set(_run(b, d2, length)) | extra,
@@ -263,7 +316,7 @@ tie_sets = st.builds(
 
 class TestKernels:
     """The bitset kernel and the filtered pair kernel, each run directly
-    against both oracles."""
+    against the oracles."""
 
     @staticmethod
     def check(values):
@@ -273,34 +326,47 @@ class TestKernels:
         assert _longest_ap_exact(S) == expected
         triple = (expected.length, expected.diff, expected.start)
         ints = all(type(x) is int for x in S)
+        assert _start_pair_kernel(S, _best_pair_result(S), ints) == triple
         assert prodset._pair_kernel(S, _best_pair_result(S), ints) == triple
         if ints:
             assert prodset._bitset_kernel(S, _best_pair_result(S)) == triple
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(dense_sets, sparse_sets, negative_sets, fraction_sets, tie_sets))
+    @given(st.one_of(dense_sets, sparse_sets, negative_sets, fraction_sets, mixed_sets, tie_sets))
     def test_kernels_match_oracles(self, values):
         if values:
             self.check(values)
 
     def test_fractional_difference_past_a_floor_cut(self):
-        # after 0, 2, 4 sets the record at length 3, the start 5/2 reaches
-        # (11/2 - 5/2) / 2 = 3/2: a floored cut at 1 would miss 5/2, 4, 11/2,
-        # which wins the tie on its smaller difference
+        # in the start-anchored window of _start_pair_kernel: after 0, 2, 4
+        # sets the record at length 3, the start 5/2 reaches (11/2 - 5/2) / 2
+        # = 3/2: a floored cut at 1 would miss 5/2, 4, 11/2, which wins the
+        # tie on its smaller difference
         S = [0, 2, Fraction(5, 2), 4, Fraction(11, 2)]
         r = _longest_ap_exact(S)
         assert (r.start, r.diff, r.length) == (Fraction(5, 2), Fraction(3, 2), 3)
         self.check(S)
         self.check([Fraction(1, 3), Fraction(2, 3), 1])
 
+    def test_fractional_difference_past_a_floor_window(self):
+        # after the anchor 3 sets the record 0, 3, 6, the anchor 3/2 reaches
+        # 3/2 + (3/2 - 0) / 1 = 3: a floored window would end at 5/2 and miss
+        # 0, 3/2, 3, which wins the tie on its smaller difference
+        S = [0, Fraction(3, 2), 3, 6]
+        r = _longest_ap_exact(S)
+        assert (r.start, r.diff, r.length) == (0, Fraction(3, 2), 3)
+        self.check(S)
+
     def test_ties(self):
         # [0, 3, 6, 9] and [1, 2, 3, 4]: equal length, smaller difference wins
         self.check({0, 3, 6, 9, 1, 2, 4})
         r = _longest_ap_exact([0, 1, 2, 3, 4, 6, 9])
         assert (r.start, r.diff, r.length) == (0, 1, 5)
-        # equal length and difference: smaller start wins
+        # equal length and difference: smaller start wins, also when the pair
+        # kernel meets the lower run at a later, smaller anchor
         r = _longest_ap_exact([-7, -5, -3, 10, 12, 14])
         assert (r.start, r.diff, r.length) == (-7, 2, 3)
+        self.check([-7, -5, -3, 10, 12, 14])
 
     def test_cover_search_stays_in_bitset(self, monkeypatch):
         S = list(product_set(gen_cover(40)).products)
@@ -314,3 +380,16 @@ class TestKernels:
         monkeypatch.setattr(prodset, "_bitset_kernel", None)  # never built
         r = longest_ap(S)
         assert (r.length, r.diff, r.start) == (9, 1533, 22484)
+
+
+class TestStudyPin:
+    def test_random_study_results(self):
+        # (length, diff, start) of the longest progression in twelve study
+        # trials, pinned across changes to the kernels
+        rows = []
+        for n in (36, 47, 58):
+            for t in range(4):
+                r = longest_ap(product_set(gen_random(n, _trial_rng(2013, "random", n, t))))
+                rows.append(f"{n},{t},{r.length},{r.diff},{r.start};")
+        digest = hashlib.sha256("".join(rows).encode()).hexdigest()
+        assert digest == "eb9ee0f8d061de6d98d0f3c67bc6b4262f2e9f80b7a0cd67077bd282228691db"
