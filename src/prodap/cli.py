@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--demo", choices=["cover100", "quad"], default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cycle-cap", type=int, default=200)
+    p.add_argument(
+        "--cycle-cap", type=int, default=harness.DEFAULT_CYCLE_CAP,
+        help="even cycles audited per length",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pipeline)
 

@@ -21,6 +21,10 @@ from .prodset import RepGraph
 
 Vertex = tuple[int, int]
 
+# Path extensions one length of enumerate_even_cycles may make before it
+# stops and reports the length cut short.
+STEP_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class EvenCycle:
@@ -65,21 +69,26 @@ class EvenCycle:
 
 def _canonical_cycle(graph: RepGraph, vertices: list[Vertex]) -> EvenCycle:
     """Rotate to the smallest vertex and orient toward its smaller neighbor."""
-    lookup = graph.edge_lookup
     rank = graph.vertex_rank
     n = len(vertices)
     ranks = [rank[v] for v in vertices]
     start = ranks.index(min(ranks))
     step = 1 if ranks[(start + 1) % n] <= ranks[(start - 1) % n] else -1
     ordered = [vertices[(start + step * t) % n] for t in range(n)]
+    return _cycle_through(graph.edge_lookup, ordered)
+
+
+def _cycle_through(lookup: dict, vertices: list[Vertex]) -> EvenCycle:
+    """The cycle visiting vertices in the order given, on the edges that the
+    edge lookup holds for consecutive pairs."""
     indices, values = [], []
-    for t in range(n):
-        e = lookup.get((ordered[t], ordered[(t + 1) % n]))
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        e = lookup.get((a, b))
         if e is None:
-            raise ShapeError(f"no edge between {ordered[t]} and {ordered[(t + 1) % n]}")
+            raise ShapeError(f"no edge between {a} and {b}")
         indices.append(e.index)
         values.append(e.value)
-    return EvenCycle(tuple(ordered), tuple(indices), tuple(values))
+    return EvenCycle(tuple(vertices), tuple(indices), tuple(values))
 
 
 def _cycle_sort_key(graph: RepGraph, cycle: EvenCycle):
@@ -154,40 +163,88 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
 
 
 def enumerate_even_cycles(
-    graph: RepGraph, k: int, max_count: int | None = None
+    graph: RepGraph, k: int, max_count: int | None = None, stops: dict | None = None
 ) -> list[EvenCycle]:
-    """All simple cycles of length <= 2k, canonicalized and deduplicated,
-    sorted by (length, vertex order).  max_count caps the search."""
+    """Simple cycles of length <= 2k, canonicalized, sorted by (length,
+    vertex order).
+
+    The walk runs one length at a time, 4, 6, ..., 2k.  Roots come in vertex
+    order; a path extends only to vertices after its root, through each
+    neighbour once however many parallel edges join them, in adjacency
+    order; and a cycle closes only when its second vertex comes before its
+    last.  So each cycle is found once, already in canonical form, and when
+    no two vertices share a rank (as in every graph ``build_rep_graph``
+    makes) each length's cycles come out in sorted order.  With tied ranks
+    a length is walked in full and then sorted.
+
+    max_count caps each length: the cycles kept of a length are an exact
+    prefix of all its cycles.  A length also stops after STEP_BUDGET path
+    extensions.  If stops is a dict, it receives length -> "cap" or "steps"
+    for each length cut short."""
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
     adj = graph.adjacency
-    order = {v: i for i, v in enumerate(sorted(adj, key=graph.vertex_order_key))}
-    found: dict = {}
+    order = sorted(adj, key=graph.vertex_order_key)
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [list(dict.fromkeys(pos[w] for w, _ in adj[v])) for v in order]
+    ranks = [graph.vertex_rank[v] for v in order]
+    tied = len(set(ranks)) < len(ranks)
+    cycles: list[EvenCycle] = []
+    for length in range(4, 2 * k + 1, 2):
+        walks, stop = _walk_length(nbrs, length, None if tied else max_count)
+        if tied:
+            walks.sort(key=lambda walk: [ranks[i] for i in walk])
+            if max_count is not None and len(walks) >= max_count:
+                del walks[max_count:]
+                stop = stop or "cap"
+        if stop is not None and stops is not None:
+            stops[length] = stop
+        # root first, second vertex before the last: each walk is already
+        # in canonical form
+        cycles.extend(_cycle_through(graph.edge_lookup, [order[i] for i in w]) for w in walks)
+    return cycles
 
-    def dfs(root, v, path, on_path):
-        if max_count is not None and len(found) >= max_count:
-            return
-        for w, _ in adj.get(v, ()):
-            if w == root and len(path) >= 4:
-                # avoid the mirror image of each cycle: first step below last
-                if order[path[1]] < order[path[-1]]:
-                    cycle = _canonical_cycle(graph, path)
-                    found.setdefault((cycle.vertices, cycle.indices), cycle)
-                continue
-            if w in on_path or order.get(w, -1) < order[root]:
-                continue
-            if len(path) < 2 * k:
-                on_path.add(w)
+
+def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
+    """The cycles of one length as vertex-id walks, in walk order, and why
+    the walk stopped early ("cap" or "steps"), or None if it finished."""
+    walks: list[list[int]] = []
+    if cap is not None and cap <= 0:
+        return walks, "cap"
+    steps = 0
+    on_path = [False] * len(nbrs)
+    path: list[int] = []
+    for root in range(len(nbrs)):
+        ends = set(nbrs[root])  # the last vertex must close back to the root
+        # the vertex before the last must reach the root in two edges
+        near = {x for y in ends for x in nbrs[y] if x > root}
+        path.append(root)
+        on_path[root] = True
+        stack = [iter(nbrs[root])]
+        while stack:
+            depth = len(path)
+            for w in stack[-1]:
+                if w <= root or on_path[w]:
+                    continue
+                if depth == length - 1:
+                    if w in ends and path[1] < w:
+                        walks.append(path + [w])
+                        if len(walks) == cap:
+                            return walks, "cap"
+                    continue
+                if depth == length - 2 and w not in near:
+                    continue
+                steps += 1
+                if steps >= STEP_BUDGET:
+                    return walks, "steps"
                 path.append(w)
-                dfs(root, w, path, on_path)
-                path.pop()
-                on_path.discard(w)
-
-    for root in sorted(adj, key=graph.vertex_order_key):
-        dfs(root, root, [root], {root})
-        if max_count is not None and len(found) >= max_count:
-            break
-    return sorted(found.values(), key=lambda c: _cycle_sort_key(graph, c))
+                on_path[w] = True
+                stack.append(iter(nbrs[w]))
+                break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+    return walks, None
 
 
 def cycle_identity_check(cycle: EvenCycle, A) -> bool:

@@ -14,10 +14,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, log
+from math import gcd
 
 from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
+from .construct import floor_mul_ln
 from .cyclelab import cycle_audit, enumerate_even_cycles, find_even_cycle
 from .errors import CapacityError, FalsificationError, InputError
 from .exactnum import QuadElem
@@ -32,6 +33,10 @@ from .rationalize import (
 )
 
 AP_SHRINK_FACTOR = 2  # taking absolute values can at worst halve a progression
+# the pipeline audits even cycles of length up to 2 * CYCLE_HALF_LENGTH, at
+# most DEFAULT_CYCLE_CAP of each length
+CYCLE_HALF_LENGTH = 5
+DEFAULT_CYCLE_CAP = 50
 
 CSV_COLUMNS = (
     "generator",
@@ -39,6 +44,7 @@ CSV_COLUMNS = (
     "set_size",
     "prodset_size",
     "ap_length",
+    "status",
     "ratio_len_over_nlogn",
     "seed",
     "trial",
@@ -285,11 +291,34 @@ class ExperimentRecord:
     set_size: int
     prodset_size: int
     ap_length: int
-    ratio: float
+    ratio_e9: int  # floor(10**9 * ap_length / (set_size * ln set_size))
     seed: int
     trial: int
     elapsed_ms: int
     skipped: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.skipped is None else "skipped"
+
+
+def ratio_e9(length: int, n: int) -> int:
+    """floor(10**9 * length / (n ln n)), exact; 0 for n < 2.
+
+    It is the largest R with R * n * ln n < 10**9 * length: the product is
+    irrational for R >= 1 and n >= 2, so it never equals the integer, and
+    R qualifies exactly when floor(R * n * ln n) < 10**9 * length."""
+    target = 10**9 * length
+    if n < 2 or target <= 0:
+        return 0
+    # n ln n lies in [g, g + 1) / 2**s, so r bounds the answer from above
+    # and exceeds it by at most target / (2**s * (n ln n)**2) + 1 < 2
+    s = target.bit_length()
+    g = floor_mul_ln(n << s, n)
+    r = (target << s) // g
+    while floor_mul_ln(r * n, n) >= target:
+        r -= 1
+    return r
 
 
 def run_trial(generator: str, n: int, seed: int, trial: int, ap_limit=None) -> ExperimentRecord:
@@ -305,9 +334,9 @@ def run_trial(generator: str, n: int, seed: int, trial: int, ap_limit=None) -> E
         length = 0
         skipped = str(exc)
     elapsed = int((time.perf_counter() - t0) * 1000)
-    ratio = length / (len(B) * log(len(B))) if len(B) > 1 else 0.0
     return ExperimentRecord(
-        generator, n, len(B), len(ps), length, ratio, seed, trial, elapsed, skipped
+        generator, n, len(B), len(ps), length, ratio_e9(length, len(B)), seed, trial,
+        elapsed, skipped,
     )
 
 
@@ -339,8 +368,8 @@ def study_csv(records) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
         lines.append(
-            f"{r.generator},{r.n},{r.set_size},{r.prodset_size},{r.ap_length},"
-            f"{r.ratio:.9f},{r.seed},{r.trial},{r.elapsed_ms}"
+            f"{r.generator},{r.n},{r.set_size},{r.prodset_size},{r.ap_length},{r.status},"
+            f"{r.ratio_e9 // 10**9}.{r.ratio_e9 % 10**9:09d},{r.seed},{r.trial},{r.elapsed_ms}"
         )
     return "\n".join(lines) + "\n"
 
@@ -350,7 +379,7 @@ def study_csv(records) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 200) -> None:
+def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) -> None:
     """Shared integer-side audits: reduction, gcd bound, graph, cycles,
     irregularity, concavity."""
     stages = report["stages"]
@@ -377,15 +406,29 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 2
     final_A = desc.terms()
     graph = build_rep_graph(B_red, final_A)
     stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.edges)}
-    shortest = find_even_cycle(graph, 5)
-    audited = []
-    for cyc in enumerate_even_cycles(graph, 5, max_count=cycle_cap):
-        cycle_audit(cyc, final_A, desc)
-        audited.append(len(cyc.vertices))
+    # one extra cycle per length tells a full length from a capped one
+    stops: dict = {}
+    cycles = enumerate_even_cycles(graph, CYCLE_HALF_LENGTH, cycle_cap + 1, stops)
+    lengths = range(4, 2 * CYCLE_HALF_LENGTH + 1, 2)
+    shortest = cycles[0] if cycles else None
+    shorter = lengths if shortest is None else range(4, len(shortest.vertices), 2)
+    if any(stops.get(length) == "steps" for length in shorter):
+        # a length cut short before its first cycle may hide a shorter one
+        shortest = find_even_cycle(graph, CYCLE_HALF_LENGTH)
+    by_length = []
+    for length in lengths:
+        batch = [c for c in cycles if len(c.vertices) == length][:cycle_cap]
+        for cyc in batch:
+            cycle_audit(cyc, final_A, desc)
+        stopped = stops.get(length)
+        by_length.append(
+            {"length": length, "audited": len(batch), "complete": stopped is None, "stopped": stopped}
+        )
     stages["cycles"] = {
         "shortest": shortest.as_json() if shortest else None,
-        "audited": len(audited),
-        "lengths": audited,
+        "cap": cycle_cap,
+        "audited": sum(row["audited"] for row in by_length),
+        "by_length": by_length,
         "all_pass": True,
     }
     irr = irregularity_report(graph, desc)
@@ -415,7 +458,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int = 2
     }
 
 
-def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
+def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
     """Full audit chain for one instance; returns a canonical-JSON-ready
     report.  Falsifications are collected, not raised."""
     if cycle_cap < 1:
@@ -516,5 +559,5 @@ def pipeline(inst: InstanceFile, cycle_cap: int = 200) -> dict:
     return report
 
 
-def pipeline_report_json(inst: InstanceFile, cycle_cap: int = 200) -> str:
+def pipeline_report_json(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> str:
     return jsonio.dumps_canonical(pipeline(inst, cycle_cap))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodap import cyclelab
 from prodap.apcore import APDescriptor
 from prodap.cyclelab import (
     CyclePoly,
@@ -91,8 +92,36 @@ class TestEnumerate:
 
     def test_max_count_caps(self):
         _, _, g = cover_instance(15)
-        capped = enumerate_even_cycles(g, 5, max_count=3)
-        assert len(capped) == 3
+        stops = {}
+        capped = enumerate_even_cycles(g, 5, max_count=3, stops=stops)
+        assert [len(c.vertices) for c in capped] == [4] * 3 + [6] * 3 + [8] * 3 + [10] * 3
+        assert capped == ref_prefixes(g, 5, 3)
+        assert stops == {4: "cap", 6: "cap", 8: "cap", 10: "cap"}
+
+    def test_uncapped_walk_reports_no_stop(self):
+        _, _, g = cover_instance(10)
+        stops = {}
+        enumerate_even_cycles(g, 5, stops=stops)
+        assert stops == {}
+
+    def test_step_budget_stops_walk_on_hub_tree(self, monkeypatch):
+        # hubs (0, 0) and (1, 0), joined by an edge, each with 40 neighbours
+        # that carry 5 leaves each: a tree, so no cycle at all, yet many
+        # paths for the walk to try
+        pairs = [(0, 0)]
+        for t in range(1, 41):
+            pairs += [(0, t), (t, 0)]
+            for s in range(1, 6):
+                pairs += [(40 * s + t, t), (t, 40 * s + t)]
+        elements = tuple(range(2, 243))
+        edges = (Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs))
+        g = RepGraph(elements, tuple(edges))
+        stops = {}
+        assert enumerate_even_cycles(g, 5, stops=stops) == []
+        assert stops == {}  # the default budget lets the whole tree be walked
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
+        assert enumerate_even_cycles(g, 5, stops=stops) == []
+        assert stops == {6: "steps", 8: "steps", 10: "steps"}
 
     def test_cycles_are_valid(self):
         _, A, g = cover_instance(12)
@@ -358,6 +387,22 @@ def ref_enumerate_even_cycles(graph, k, max_count=None):
     return sorted(found.values(), key=lambda c: _ref_cycle_sort_key(graph, c))
 
 
+def ref_prefixes(graph, k, cap):
+    """Per length, the first cap cycles of the full sorted reference
+    enumeration.  The walks come from a copy of the graph whose edges carry
+    distinct indices, so none is rejected there; each is then rebuilt on the
+    graph itself, in order, and a rejected one raises as it would there."""
+    distinct = RepGraph(
+        graph.elements, tuple(Edge(e.u, e.v, t, e.value) for t, e in enumerate(graph.edges))
+    )
+    full = ref_enumerate_even_cycles(distinct, k)
+    out = []
+    for length in range(4, 2 * k + 1, 2):
+        walks = [list(c.vertices) for c in full if len(c.vertices) == length][:cap]
+        out += [_ref_canonical_cycle(graph, w) for w in walks]
+    return out
+
+
 def _outcome(fn, *args):
     """The result, or the type and message of the error raised."""
     try:
@@ -410,15 +455,34 @@ class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(bipartite_graphs(), st.integers(2, 4), st.one_of(st.none(), st.integers(1, 6)))
     def test_enumerate_matches_reference(self, g, k, cap):
-        assert enumerate_even_cycles(g, k, cap) == ref_enumerate_even_cycles(g, k, cap)
+        if cap is None:
+            assert enumerate_even_cycles(g, k, cap) == ref_enumerate_even_cycles(g, k, cap)
+        else:
+            assert enumerate_even_cycles(g, k, cap) == ref_prefixes(g, k, cap)
 
     @settings(max_examples=150, deadline=None)
     @given(bipartite_graphs(allow_multi=True), st.integers(2, 4))
     def test_parallel_edges_and_repeated_indices_match_reference(self, g, k):
         assert _outcome(find_even_cycle, g, k) == _outcome(ref_find_even_cycle, g, k)
-        assert _outcome(enumerate_even_cycles, g, k, 5) == _outcome(
-            ref_enumerate_even_cycles, g, k, 5
-        )
+        assert _outcome(enumerate_even_cycles, g, k, 5) == _outcome(ref_prefixes, g, k, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(bipartite_graphs(), bipartite_graphs(allow_multi=True)), st.integers(2, 5)
+    )
+    def test_first_cycle_is_the_shortest(self, g, k):
+        # the BFS is the oracle for the first cycle the enumeration emits
+        first = _outcome(enumerate_even_cycles, g, k, 1)
+        bfs = _outcome(find_even_cycle, g, k)
+        if isinstance(first, tuple) or isinstance(bfs, tuple):
+            return  # a parallel edge or a reused index: rejected, not compared
+        first = first[0] if first else None
+        assert (first is None) == (bfs is None)
+        if len(set(g.vertex_rank.values())) == len(g.vertex_rank):
+            assert first == bfs
+        elif first is not None:
+            # tied ranks give a cycle more than one canonical form
+            assert len(first.vertices) == len(bfs.vertices)
 
     def test_unsorted_tied_elements(self):
         # the same square as SQUARE_B, listed out of order with a tied copy
@@ -432,6 +496,18 @@ class TestOracleEquivalence:
         cyc = find_even_cycle(g, 3)
         assert cyc is not None and cyc == ref_find_even_cycle(g, 3)
         assert enumerate_even_cycles(g, 3) == ref_enumerate_even_cycles(g, 3)
+
+    def test_tied_neighbours_met_out_of_sorted_order(self):
+        # (1, 0) and (1, 1) tie in rank, and the root (0, 0) meets (1, 1)
+        # first, yet the 4-cycle through (1, 0) and (1, 1) sorts first
+        elements = (3, 3, 5)
+        pairs = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (0, 0)]
+        edges = tuple(Edge(u, v, j, elements[u] * elements[v]) for j, (u, v) in enumerate(pairs))
+        g = RepGraph(elements, edges)
+        full = enumerate_even_cycles(g, 2)
+        assert full == ref_enumerate_even_cycles(g, 2)
+        assert full[0].vertices == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert enumerate_even_cycles(g, 2, 1) == ref_prefixes(g, 2, 1) == full[:1]
 
     @pytest.mark.parametrize(
         "pairs",
@@ -452,4 +528,4 @@ class TestOracleEquivalence:
     def test_cover_graph_matches_reference(self):
         _, _, g = cover_instance(12)
         assert find_even_cycle(g, 5) == ref_find_even_cycle(g, 5)
-        assert enumerate_even_cycles(g, 4, 40) == ref_enumerate_even_cycles(g, 4, 40)
+        assert enumerate_even_cycles(g, 4, 40) == ref_prefixes(g, 4, 40)

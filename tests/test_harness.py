@@ -3,13 +3,13 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import harness
+from prodap import cyclelab, harness, jsonio
 from prodap.apcore import APDescriptor
 from prodap.errors import InputError, RepresentationError
 from prodap.harness import (
@@ -23,11 +23,14 @@ from prodap.harness import (
     integerize,
     pipeline,
     pipeline_report_json,
+    ratio_e9,
     run_trial,
     scaling_study,
     study_csv,
 )
+from prodap.cyclelab import enumerate_even_cycles, find_even_cycle
 from prodap.jsonio import dumps_canonical
+from prodap.prodset import build_rep_graph
 
 
 class TestAbsolutize:
@@ -122,10 +125,31 @@ class TestStudy:
         text = study_csv(scaling_study(["smooth"], [10], 2, 0))
         lines = text.splitlines()
         assert lines[0] == (
-            "generator,n,set_size,prodset_size,ap_length,"
+            "generator,n,set_size,prodset_size,ap_length,status,"
             "ratio_len_over_nlogn,seed,trial,elapsed_ms"
         )
         assert len(lines) == 3
+        assert all(line.split(",")[5] == "ok" for line in lines[1:])
+
+    def test_skipped_trials_say_so(self):
+        records = scaling_study(["random"], [20], 2, 0, ap_limit=5)
+        assert all(r.skipped and r.status == "skipped" for r in records)
+        rows = study_csv(records).splitlines()[1:]
+        assert [row.split(",")[4:7] for row in rows] == [["0", "skipped", "0.000000000"]] * 2
+
+    def test_ratio_is_floored_exactly(self):
+        # 10**9 * 28 / (15 ln 15) = 689302829.6...: a float printed to 9
+        # decimals rounds it up
+        assert ratio_e9(28, 15) == 689_302_829
+        assert ratio_e9(0, 15) == ratio_e9(5, 1) == 0
+        for n in range(2, 200):
+            for length in (1, 3, 28, 10**6):
+                r = ratio_e9(length, n)
+                q = 10**9 * length / (n * log(n))
+                # the float is off by far less than 10**-4 here
+                assert q - 1 - 1e-4 < r <= q + 1e-4
+                if 1e-4 < q % 1 < 1 - 1e-4:
+                    assert r == int(q)
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_limit_below_one(self, limit, monkeypatch):
@@ -192,6 +216,57 @@ class TestPipeline:
         assert stages["irregular"]["forest"] is True
         assert stages["concavity"]["margin"] == "1"
 
+    def test_cycles_stage_reports_each_length(self):
+        cycles = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]
+        assert cycles["cap"] == harness.DEFAULT_CYCLE_CAP == 50
+        assert cycles["by_length"] == [
+            {"length": length, "audited": 50, "complete": False, "stopped": "cap"}
+            for length in (4, 6, 8, 10)
+        ]
+        assert cycles["audited"] == 200
+
+    def test_complete_lengths_audit_every_cycle(self):
+        from prodap.construct import cover_set
+
+        res = cover_set(10)
+        inst = InstanceFile("integer", list(res.elements), ap=APDescriptor(1, 1, 1, res.M))
+        graph = build_rep_graph(list(res.elements), list(range(1, res.M + 1)))
+        every = enumerate_even_cycles(graph, 5)
+        for cap in (16, 17, 100):
+            rows = pipeline(inst, cycle_cap=cap)["stages"]["cycles"]["by_length"]
+            for row in rows:
+                total = sum(len(c.vertices) == row["length"] for c in every)
+                assert row["audited"] == min(total, cap)
+                assert row["complete"] == (total <= cap)
+                assert row["stopped"] == (None if total <= cap else "cap")
+
+    @pytest.mark.parametrize("budget", [1, 20])
+    def test_step_budget_is_reported(self, budget, monkeypatch):
+        full = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", budget)
+        report = pipeline(demo_instance_file("cover100"))
+        cycles = report["stages"]["cycles"]
+        assert [row["stopped"] for row in cycles["by_length"]] == ["steps"] * 4
+        assert not any(row["complete"] for row in cycles["by_length"])
+        # with budget 1 no cycle is walked, and the BFS still finds the shortest
+        assert (cycles["audited"] == 0) == (budget == 1)
+        assert cycles["shortest"] == full["shortest"]
+        assert report["ok"] is True
+
+    @pytest.mark.parametrize("n", [10, 14, 21, 33])
+    @pytest.mark.parametrize("claim", [True, False])
+    def test_shortest_is_the_bfs_cycle(self, n, claim):
+        from prodap.construct import cover_set
+
+        res = cover_set(n)
+        inst = InstanceFile(
+            "integer", list(res.elements), ap=APDescriptor(1, 1, 1, res.M) if claim else None
+        )
+        report = pipeline(inst)
+        desc = jsonio.descriptor_from_json(report["stages"]["reduction"]["descriptor"])
+        graph = build_rep_graph(list(res.elements), desc.terms())
+        assert report["stages"]["cycles"]["shortest"] == find_even_cycle(graph, 5).as_json()
+
     def test_quad_demo_green(self):
         report = pipeline(demo_instance_file("quad", seed=1))
         assert report["ok"] is True
@@ -206,12 +281,12 @@ class TestPipeline:
     # sha256 of the canonical reports; a change that alters report bytes on
     # purpose updates these and records why
     GOLDEN = {
-        ("cover100", 0): "3614b6c9d57c79fd5cc5b18e3da6287f94c819feb47c8d148056405ac3048f29",
-        ("quad", 0): "20bf7f5be4bafe154ec0d620361050920ec654ca1adf1c5b808df2bded7f0bb5",
-        ("quad", 1): "754c89228f7cd5b6e8f112b421da8a3556c6991a28d00efab5c7ca4e385f63e4",
-        ("quad", 2): "8e1a20496df2e2fe50f384f721e40aab38f4afa43a2e880d1bcbdf8e3e134c0b",
-        ("quad", 3): "ed26e05ccb58662b8698eab9a5412f4236e255f3bb339f66fd9fe92cdfc0b366",
-        ("quad", 4): "bf6f674b594ba36f51fbcd9c6b126ed1b3fd7af6b6e9da5efcb82cfe9c7216db",
+        ("cover100", 0): "7641c347aed1e5889e55e2d8c6b405d0a37f9f6be6c2331f7b071ea719746241",
+        ("quad", 0): "4fcaf1076bd84e2c8001f5f49977353ae53543adc2a40b731cfbe702ee7c5b1b",
+        ("quad", 1): "39eab76192e27073b6d17bdab12a4069d625614e83143f43a04d2888c43ab5b1",
+        ("quad", 2): "1b0754a12112f0804d5a5fda611e36ecac9054a6dc8555e590dd12d175889b5c",
+        ("quad", 3): "5ef46fd07590f968c1bc3e68a3fe867f5c4f8f9e7844667b5fa890b4775df85f",
+        ("quad", 4): "a01b802eee9720dfaedbcd18f2c56d0edb73ba76304278d0a40822b9a660eb2e",
     }
 
     @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
