@@ -353,6 +353,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ValueError as exc:
+        # str() of an int past the digit limit, met while writing an error
+        # message about a computed value (a term D*(r + j*d), say)
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

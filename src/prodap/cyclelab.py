@@ -105,42 +105,38 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     canonical vertex order.
 
     The search runs on integer vertex ids and scans neighbours in adjacency
-    order.  It stops at the first vertex it reaches that has an edge other
-    than the avoided one to the far endpoint: level by level, that is the
-    vertex a full search would close the path through, so the last level
-    never needs expanding.
+    order.  It stops at the first vertex it reaches that is a neighbour of
+    the far endpoint: level by level, that is the vertex a full search would
+    close the path through, so the last level never needs expanding.  The
+    graph is simple, so the far endpoint is reached from the near one only
+    over the avoided edge, and is never entered.
     """
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
     adj = graph.adjacency
     vertices = list(adj)
     vid = {v: t for t, v in enumerate(vertices)}
-    nbrs = [[(vid[w], via.index) for w, via in adj[v]] for v in vertices]
-    links: list[dict] = [{} for _ in vertices]  # neighbour -> indices of joining edges
-    for v, row in enumerate(nbrs):
-        for w, idx in row:
-            links[v].setdefault(w, set()).add(idx)
+    nbrs = [[vid[w] for w, _ in adj[v]] for v in vertices]
+    near = [set(row) for row in nbrs]
     best = None
     best_key = None
     for e in sorted(graph.edges, key=lambda e: e.index):
-        src, dst, skip = vid[(0, e.u)], vid[(1, e.v)], e.index
+        src, dst = vid[(0, e.u)], vid[(1, e.v)]
         max_edges = (2 * k - 1) if best is None else min(2 * k, len(best.vertices)) - 1
         parent = [-1] * len(vertices)
-        parent[src] = src
-        idxs = links[src].get(dst)
-        last = src if idxs and (len(idxs) > 1 or skip not in idxs) else -1
+        parent[src], parent[dst] = src, dst
+        last = -1
         frontier = [src]
         for _ in range(max_edges - 1):
             if last >= 0 or not frontier:
                 break
             level = []
             for v in frontier:
-                for w, idx in nbrs[v]:
-                    if idx == skip or parent[w] >= 0:
+                for w in nbrs[v]:
+                    if parent[w] >= 0:
                         continue
                     parent[w] = v
-                    idxs = links[w].get(dst)
-                    if idxs and (len(idxs) > 1 or skip not in idxs):
+                    if dst in near[w]:
                         last = w
                         break
                     level.append(w)
@@ -169,13 +165,10 @@ def enumerate_even_cycles(
     vertex order).
 
     The walk runs one length at a time, 4, 6, ..., 2k.  Roots come in vertex
-    order; a path extends only to vertices after its root, through each
-    neighbour once however many parallel edges join them, in adjacency
+    order; a path extends only to vertices after its root, in adjacency
     order; and a cycle closes only when its second vertex comes before its
-    last.  So each cycle is found once, already in canonical form, and when
-    no two vertices share a rank (as in every graph ``build_rep_graph``
-    makes) each length's cycles come out in sorted order.  With tied ranks
-    a length is walked in full and then sorted.
+    last.  So each cycle is found once, already in canonical form, and each
+    length's cycles come out in sorted order.
 
     max_count caps each length: the cycles kept of a length are an exact
     prefix of all its cycles.  A length also stops after STEP_BUDGET path
@@ -186,17 +179,10 @@ def enumerate_even_cycles(
     adj = graph.adjacency
     order = sorted(adj, key=graph.vertex_order_key)
     pos = {v: i for i, v in enumerate(order)}
-    nbrs = [list(dict.fromkeys(pos[w] for w, _ in adj[v])) for v in order]
-    ranks = [graph.vertex_rank[v] for v in order]
-    tied = len(set(ranks)) < len(ranks)
+    nbrs = [[pos[w] for w, _ in adj[v]] for v in order]
     cycles: list[EvenCycle] = []
     for length in range(4, 2 * k + 1, 2):
-        walks, stop = _walk_length(nbrs, length, None if tied else max_count)
-        if tied:
-            walks.sort(key=lambda walk: [ranks[i] for i in walk])
-            if max_count is not None and len(walks) >= max_count:
-                del walks[max_count:]
-                stop = stop or "cap"
+        walks, stop = _walk_length(nbrs, length, max_count)
         if stop is not None and stops is not None:
             stops[length] = stop
         # root first, second vertex before the last: each walk is already

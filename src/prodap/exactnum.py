@@ -216,10 +216,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e such that p**e divides n, for n != 0 and p >= 2.
-
-    Unchecked beyond that: callers that need p prime use ``ord_p``.
-    """
+    """Largest e such that p**e divides n, for n != 0 and p >= 2 (p need
+    not be prime)."""
     if n == 0 or p < 2:
         raise DomainError(f"valuation needs n != 0 and p >= 2, got n={n}, p={p}")
     n = abs(n)
@@ -228,15 +226,6 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def ord_p(n: int, p: int) -> int:
-    """Largest e such that p**e divides n, for a prime p.  Undefined for n = 0."""
-    if n == 0:
-        raise DomainError("p-adic valuation of 0 is undefined")
-    if not is_prime(p):
-        raise DomainError(f"ord_p requires a prime modulus, got {p}")
-    return valuation(n, p)
 
 
 @lru_cache(maxsize=None)

@@ -40,19 +40,24 @@ def sort_key(x):
     return (Fraction(x), Fraction(0))
 
 
+def _repeat(items):
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def _check_elements(B):
     if not B:
         raise InputError("base set must be nonempty")
-    seen = set()
-    for b in B:
-        if b in seen:
-            raise InputError(f"duplicate element {b} in base set")
-        seen.add(b)
-        if isinstance(b, QuadElem):
-            if b.is_zero:
-                raise InputError("zero element makes products degenerate")
-        elif b == 0:
-            raise InputError("zero element makes products degenerate")
+    dup = _repeat(B)
+    if dup is not None:
+        raise InputError(f"duplicate element {dup} in base set")
+    if any(b.is_zero if isinstance(b, QuadElem) else b == 0 for b in B):
+        raise InputError("zero element makes products degenerate")
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,33 @@ class RepGraph:
     Vertices are (side, element index) with side 0 and 1 the two copies of
     the base set; each edge joins (0, u) to (1, v).
 
+    The graph is simple, as in the paper: construction raises InputError
+    for two equal elements, an edge endpoint out of range, a second edge on
+    one vertex pair, or an edge index used twice.
+
     Vertices are ordered by element value, then side: ``vertex_rank`` holds
-    the dense rank of (sort_key(value), side), so the order follows values,
-    not positions in ``elements``, and vertices with equal keys share a rank.
-    The rank, the adjacency and the edge lookup are computed once per graph;
-    caching them is sound only because the dataclass is frozen.
+    the rank of (sort_key(value), side), so the order follows values, not
+    positions in ``elements``.  The rank, the adjacency and the edge lookup
+    are computed once per graph; caching them is sound only because the
+    dataclass is frozen.
     """
 
     elements: tuple
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        n = len(self.elements)
+        if len(set(self.elements)) < n:
+            raise InputError(f"element {_repeat(self.elements)} appears twice")
+        for e in self.edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise InputError(f"edge endpoint out of range: {e}")
+        # sets first, the repeat itself only for the message
+        if len({(e.u, e.v) for e in self.edges}) < len(self.edges):
+            pair = _repeat((e.u, e.v) for e in self.edges)
+            raise InputError(f"second edge on the vertex pair (u, v) = {pair}")
+        if len({e.index for e in self.edges}) < len(self.edges):
+            raise InputError(f"edge index {_repeat(e.index for e in self.edges)} used twice")
 
     @property
     def n_vertices(self) -> int:
@@ -121,15 +144,12 @@ class RepGraph:
 
     @cached_property
     def vertex_rank(self) -> dict:
-        # every value sits on both sides, so the dense rank of (key, side)
-        # is twice the dense rank of the key, plus the side
+        # every value sits on both sides, so the rank of (key, side) is twice
+        # the rank of the key, plus the side
         keys = [sort_key(x) for x in self.elements]
         rank: dict = {}
-        dense, prev = -1, None
-        for i in sorted(range(len(keys)), key=keys.__getitem__):
-            if dense < 0 or keys[i] != prev:
-                dense, prev = dense + 1, keys[i]
-            rank[(0, i)], rank[(1, i)] = 2 * dense, 2 * dense + 1
+        for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            rank[(0, i)], rank[(1, i)] = 2 * r, 2 * r + 1
         return rank
 
     @cached_property
@@ -148,7 +168,7 @@ class RepGraph:
     @cached_property
     def edge_lookup(self) -> dict:
         """Edge joining two vertices, keyed by the endpoint pair in either
-        order; of several edges on one pair the last one wins."""
+        order."""
         table = {}
         for e in self.edges:
             a, b = (0, e.u), (1, e.v)

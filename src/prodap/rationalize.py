@@ -199,9 +199,7 @@ def four_cycle_exists_audit(graph: RepGraph) -> C4AuditReport:
     threshold = c4_extremal_threshold(n)
     edges = len(graph.edges)
     exceeded = edges > threshold
-    cycle = find_even_cycle(graph, 2) if graph.edges else None
-    if cycle is not None and len(cycle.vertices) != 4:
-        cycle = None
+    cycle = find_even_cycle(graph, 2)
     if exceeded and cycle is None:
         raise FalsificationError(
             "edge count exceeds the C4 extremal threshold yet no 4-cycle found",

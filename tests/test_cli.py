@@ -231,6 +231,25 @@ class TestBigIntegers:
         ap.write_text('{"D": 1, "r": 1' + "0" * 5000 + ', "d": 1, "L": 3}')
         assert run(["convex-demo", "--ap", ap]) == 3
 
+    @pytest.mark.parametrize("command", ["graph", "irregular"])
+    def test_message_about_a_term_past_digit_limit(self, tmp_path, capsys, command):
+        # the terms D*(r + j) have 6001 digits: neither fits {1, 2, 3} nor
+        # matches an edge value, and the message naming one cannot print it
+        big = "1" + "0" * 2999 + "7"
+        ap = tmp_path / "ap.json"
+        ap.write_text(json.dumps({"D": big, "r": big, "d": "1", "L": 3}))
+        inp = tmp_path / "in.json"
+        if command == "graph":
+            inp.write_text(json.dumps({"field": "integer", "elements": ["1", "2", "3"]}))
+            argv = ["graph", "--set", inp, "--ap", ap]
+        else:
+            edge = {"u": 0, "v": 0, "index": 0, "value": "1"}
+            inp.write_text(json.dumps({"field": "integer", "elements": ["1"], "edges": [edge]}))
+            argv = ["irregular", "--graph", inp, "--ap", ap]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "Traceback" not in err
+
     def test_malformed_literals_stay_input_errors(self, tmp_path):
         for text in ['{"D": "1", "r": "1x", "d": "1", "L": 3}',
                      '{"D": "1", "r": "1", "d": "1", "L": "three"}',
@@ -370,6 +389,36 @@ class TestExitCodes:
             "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]],
             "indices": [0, 1, 2, 3],
         }
+
+    # a representation graph is simple; each file breaks that in one way
+    SQUARE_EDGES = [{"u": u, "v": v, "index": j, "value": str(x)}
+                    for j, (u, v, x) in enumerate([(0, 2, 6), (0, 3, 7), (1, 2, 12), (1, 3, 14)])]
+
+    @pytest.mark.parametrize("command", ["cycles", "irregular"])
+    @pytest.mark.parametrize(
+        "field, elements, extra, message",
+        [
+            # a genuine 4-cycle plus a second edge on the pair (0, 2)
+            ("integer", ["1", "2", "6", "7"], {"u": 0, "v": 2, "index": 4, "value": "6"},
+             "second edge on the vertex pair (u, v) = (0, 2)"),
+            ("integer", ["1", "2", "6", "7"], {"u": 1, "v": 1, "index": 3, "value": "4"},
+             "edge index 3 used twice"),
+            ("rational", ["1", "3", "6/2", "7"], None, "element 3 appears twice"),
+        ],
+    )
+    def test_non_simple_graph_is_input_error(
+        self, tmp_path, capsys, command, field, elements, extra, message
+    ):
+        graph = tmp_path / "g.json"
+        ap = tmp_path / "ap.json"
+        edges = self.SQUARE_EDGES + ([extra] if extra else [])
+        graph.write_text(json.dumps({"field": field, "m": None, "elements": elements,
+                                     "edges": edges}))
+        ap.write_text(dumps_canonical({"D": "1", "r": "6", "d": "1", "L": 9}))
+        argv = [command, "--graph", graph, "--ap", ap] + (["--k", 2] if command == "cycles" else [])
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

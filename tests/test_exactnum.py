@@ -17,7 +17,6 @@ from prodap.exactnum import (
     QuadElem,
     factorize,
     is_prime,
-    ord_p,
     primes_in,
     valuation,
 )
@@ -126,36 +125,6 @@ _factorize_inputs = st.one_of(
 )
 
 
-class TestOrdP:
-    def test_examples(self):
-        assert ord_p(12, 2) == 2
-        assert ord_p(7, 5) == 0
-
-    def test_tower(self):
-        n = 2
-        for _ in range(17):
-            n *= 3
-        assert ord_p(n, 3) == 17
-        # confirm by repeated exact division
-        m, e = n, 0
-        while m % 3 == 0:
-            m //= 3
-            e += 1
-        assert e == 17 and m == 2
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            ord_p(0, 3)
-        with pytest.raises(DomainError):
-            ord_p(12, 4)
-
-    @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 5, 7, 11, 13]))
-    def test_cofactor_coprime(self, n, p):
-        e = ord_p(n, p)
-        assert n % p**e == 0
-        assert (n // p**e) % p != 0
-
-
 class TestValuation:
     def test_examples(self):
         assert valuation(12, 2) == 2
@@ -163,6 +132,18 @@ class TestValuation:
         assert valuation(7, 5) == 0
         # no primality check: the multiplicity of any base >= 2
         assert valuation(2**10, 4) == 5
+
+    def test_tower(self):
+        n = 2
+        for _ in range(17):
+            n *= 3
+        assert valuation(n, 3) == 17
+        # confirm by repeated exact division
+        m, e = n, 0
+        while m % 3 == 0:
+            m //= 3
+            e += 1
+        assert e == 17 and m == 2
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -175,8 +156,6 @@ class TestValuation:
         e = valuation(n, p)
         assert n % p**e == 0
         assert (n // p**e) % p != 0
-        if is_prime(p):
-            assert ord_p(n, p) == e
 
 
 class TestPrimes:

@@ -15,8 +15,12 @@ from prodap import prodset
 from prodap.apcore import APDescriptor, first_pairs
 from prodap.errors import CapacityError, InputError, RepresentationError
 from prodap.exactnum import QuadElem
-from prodap.harness import _trial_rng, gen_cover, gen_random
+from prodap.construct import cover_set
+from prodap.harness import _trial_rng, gen_cover, gen_random, random_quad_cycle_instance
+from prodap.jsonio import graph_from_json, graph_to_json
 from prodap.prodset import (
+    Edge,
+    RepGraph,
     _best_pair_result,
     _indices_of_run,
     _longest_ap_exact,
@@ -102,6 +106,31 @@ class TestRepGraph:
         g = build_rep_graph([Fraction(1, 2), Fraction(3, 2)], [Fraction(3, 4)])
         e = g.edges[0]
         assert g.elements[e.u] * g.elements[e.v] == Fraction(3, 4)
+
+    @pytest.mark.parametrize(
+        "elements, edges, message",
+        [
+            ((1, 2, Fraction(2)), [(0, 1, 0)], "element 2 appears twice"),
+            ((1, 2), [(0, 1, 0), (1, 2, 1)], "endpoint out of range"),
+            ((1, 2), [(0, 1, 0), (-1, 0, 1)], "endpoint out of range"),
+            ((1, 2), [(0, 1, 0), (1, 0, 1), (0, 1, 2)], "second edge on the vertex pair"),
+            ((1, 2), [(0, 1, 0), (1, 0, 0)], "edge index 0 used twice"),
+        ],
+    )
+    def test_rejects_non_simple_graphs(self, elements, edges, message):
+        with pytest.raises(InputError, match=message):
+            RepGraph(elements, tuple(Edge(u, v, j, 2) for u, v, j in edges))
+
+    @pytest.mark.parametrize("n", range(10, 31))
+    def test_cover_graph_file_round_trip(self, n):
+        res = cover_set(n)
+        g = build_rep_graph(list(res.elements), range(1, res.M + 1))
+        assert graph_from_json(graph_to_json(g)) == (g, "integer", None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_quad_graph_file_round_trip(self, seed):
+        g = random_quad_cycle_instance(seed, 2).graph
+        assert graph_from_json(graph_to_json(g, "quadratic", 2)) == (g, "quadratic", 2)
 
 
 def oracle_lengths_match(S):
