@@ -119,9 +119,10 @@ def factor_pairs(A, base) -> list[tuple]:
     """``first_pairs``; RepresentationError at the first term with none."""
     pairs = first_pairs(A, base)
     if None in pairs:
-        a = A[pairs.index(None)]
+        # named by index: a term may be too long to print
+        i = pairs.index(None)
         raise RepresentationError(
-            f"term {a} is not a product of two set elements", term=a
+            f"term {i} is not a product of two set elements", term=A[i]
         )
     return pairs
 

@@ -149,8 +149,7 @@ def cmd_cycles(args) -> int:
     out = {
         "k": args.k,
         "cycle": {
-            "vertices": [[s, i] for s, i in cycle.vertices],
-            "indices": list(cycle.indices),
+            **cycle.as_json(),
             "values": [jsonio.enc_value(v, with_m=False) for v in cycle.values],
         },
     }

@@ -67,33 +67,22 @@ class EvenCycle:
         }
 
 
-def _canonical_cycle(graph: RepGraph, vertices: list[Vertex]) -> EvenCycle:
-    """Rotate to the smallest vertex and orient toward its smaller neighbor."""
-    rank = graph.vertex_rank
-    n = len(vertices)
-    ranks = [rank[v] for v in vertices]
-    start = ranks.index(min(ranks))
-    step = 1 if ranks[(start + 1) % n] <= ranks[(start - 1) % n] else -1
-    ordered = [vertices[(start + step * t) % n] for t in range(n)]
-    return _cycle_through(graph.edge_lookup, ordered)
+def _canonical_cycle(ids: list[int]) -> list[int]:
+    """Rotate to the smallest id and orient toward its smaller neighbour."""
+    n = len(ids)
+    start = ids.index(min(ids))
+    step = 1 if ids[(start + 1) % n] < ids[(start - 1) % n] else -1
+    return [ids[(start + step * t) % n] for t in range(n)]
 
 
-def _cycle_through(lookup: dict, vertices: list[Vertex]) -> EvenCycle:
-    """The cycle visiting vertices in the order given, on the edges that the
-    edge lookup holds for consecutive pairs."""
-    indices, values = [], []
-    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-        e = lookup.get((a, b))
-        if e is None:
-            raise ShapeError(f"no edge between {a} and {b}")
-        indices.append(e.index)
-        values.append(e.value)
-    return EvenCycle(tuple(vertices), tuple(indices), tuple(values))
-
-
-def _cycle_sort_key(graph: RepGraph, cycle: EvenCycle):
-    rank = graph.vertex_rank
-    return (len(cycle.vertices), [rank[v] for v in cycle.vertices])
+def _cycle_through(graph: RepGraph, ids: list[int]) -> EvenCycle:
+    """The cycle visiting the vertex ids in the order given."""
+    edges = [graph.edge_lookup[pair] for pair in zip(ids, ids[1:] + ids[:1])]
+    return EvenCycle(
+        tuple(graph.vertices[t] for t in ids),
+        tuple(e.index for e in edges),
+        tuple(e.value for e in edges),
+    )
 
 
 def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
@@ -104,26 +93,24 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     through that edge; the minimum over edges is the girth.  Ties break by
     canonical vertex order.
 
-    The search runs on integer vertex ids and scans neighbours in adjacency
-    order.  It stops at the first vertex it reaches that is a neighbour of
-    the far endpoint: level by level, that is the vertex a full search would
-    close the path through, so the last level never needs expanding.  The
-    graph is simple, so the far endpoint is reached from the near one only
-    over the avoided edge, and is never entered.
+    The search scans each id's neighbours in ascending order.  It stops at
+    the first vertex it reaches that is a neighbour of the far endpoint:
+    level by level, that is the vertex a full search would close the path
+    through, so the last level never needs expanding.  The graph is simple,
+    so the far endpoint is reached from the near one only over the avoided
+    edge, and is never entered.  Cycles are compared as canonical id lists,
+    and only the shortest becomes an EvenCycle.
     """
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
-    adj = graph.adjacency
-    vertices = list(adj)
-    vid = {v: t for t, v in enumerate(vertices)}
-    nbrs = [[vid[w] for w, _ in adj[v]] for v in vertices]
+    nbrs = graph.neighbours
+    rank = graph.vertex_rank
     near = [set(row) for row in nbrs]
-    best = None
-    best_key = None
+    best: list[int] | None = None
     for e in sorted(graph.edges, key=lambda e: e.index):
-        src, dst = vid[(0, e.u)], vid[(1, e.v)]
-        max_edges = (2 * k - 1) if best is None else min(2 * k, len(best.vertices)) - 1
-        parent = [-1] * len(vertices)
+        src, dst = rank[(0, e.u)], rank[(1, e.v)]
+        max_edges = (2 * k - 1) if best is None else min(2 * k, len(best)) - 1
+        parent = [-1] * len(nbrs)
         parent[src], parent[dst] = src, dst
         last = -1
         frontier = [src]
@@ -145,28 +132,27 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
             frontier = level
         if last < 0:
             continue
-        path = [vertices[dst]]
+        path = [dst]
         v = last
         while v != src:
-            path.append(vertices[v])
+            path.append(v)
             v = parent[v]
-        path.append(vertices[src])
-        cycle = _canonical_cycle(graph, path)
-        ck = _cycle_sort_key(graph, cycle)
-        if best is None or ck < best_key:
-            best, best_key = cycle, ck
-    return best
+        path.append(src)
+        ids = _canonical_cycle(path)
+        if best is None or (len(ids), ids) < (len(best), best):
+            best = ids
+    return None if best is None else _cycle_through(graph, best)
 
 
 def enumerate_even_cycles(
     graph: RepGraph, k: int, max_count: int | None = None, stops: dict | None = None
 ) -> list[EvenCycle]:
     """Simple cycles of length <= 2k, canonicalized, sorted by (length,
-    vertex order).
+    vertex ids).
 
-    The walk runs one length at a time, 4, 6, ..., 2k.  Roots come in vertex
-    order; a path extends only to vertices after its root, in adjacency
-    order; and a cycle closes only when its second vertex comes before its
+    The walk runs one length at a time, 4, 6, ..., 2k.  Roots come in id
+    order; a path extends only to ids above its root, in ascending order;
+    and a cycle closes only when its second vertex has a smaller id than its
     last.  So each cycle is found once, already in canonical form, and each
     length's cycles come out in sorted order.
 
@@ -176,18 +162,14 @@ def enumerate_even_cycles(
     for each length cut short."""
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
-    adj = graph.adjacency
-    order = sorted(adj, key=graph.vertex_order_key)
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [[pos[w] for w, _ in adj[v]] for v in order]
     cycles: list[EvenCycle] = []
     for length in range(4, 2 * k + 1, 2):
-        walks, stop = _walk_length(nbrs, length, max_count)
+        walks, stop = _walk_length(graph.neighbours, length, max_count)
         if stop is not None and stops is not None:
             stops[length] = stop
         # root first, second vertex before the last: each walk is already
         # in canonical form
-        cycles.extend(_cycle_through(graph.edge_lookup, [order[i] for i in w]) for w in walks)
+        cycles.extend(_cycle_through(graph, w) for w in walks)
     return cycles
 
 
@@ -241,9 +223,8 @@ def cycle_identity_check(cycle: EvenCycle, A) -> bool:
         if j < 0 or j >= len(A):
             raise ShapeError(f"edge index {j} outside progression of length {len(A)}")
         if cycle.values[t] != A[j]:
-            raise ShapeError(
-                f"edge {t} carries value {cycle.values[t]} but term {j} is {A[j]}"
-            )
+            # named by position: a term may be too long to print
+            raise ShapeError(f"edge {t} of the cycle does not carry term {j}")
         vals.append(A[j])
     return prod(vals[0::2]) == prod(vals[1::2])
 

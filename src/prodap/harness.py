@@ -503,33 +503,18 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
                 "size": len(rational),
                 "elements": [jsonio.enc_rat(x) for x in rational],
             }
-            ints, scale = integerize(rational)
+            B, scale = integerize(rational)
             stages["integerize"] = {"scale": jsonio.enc_int(scale)}
-            B = sorted(set(ints))
-            scaled = [t * scale * scale for t in qinst.targets]
-            if any(x.denominator != 1 for x in scaled):
-                raise FalsificationError(
-                    "integerized targets are not integral",
-                    payload={"scale": jsonio.enc_int(scale)},
-                )
-            A = [x.numerator for x in scaled]
+            A = [t * scale * scale for t in desc.terms()]
         else:
-            elements = inst.elements
+            B, factor = absolutize(inst.elements)
+            stages["absolutize"] = {"size": len(B), "shrink_factor_bound": factor}
+            scale = 1
             if inst.field_tag == "rational":
-                fracs = [Fraction(x) for x in elements]
-                absed, factor = absolutize(fracs)
-                stages["absolutize"] = {"size": len(absed), "shrink_factor_bound": factor}
-                ints, scale = integerize(absed)
+                B, scale = integerize(B)
                 stages["integerize"] = {"scale": jsonio.enc_int(scale)}
-                B = sorted(set(ints))
-                scale_sq = scale * scale
-            else:
-                absed, factor = absolutize(elements)
-                stages["absolutize"] = {"size": len(absed), "shrink_factor_bound": factor}
-                B = absed
-                scale_sq = 1
             if inst.ap is not None:
-                A = [t * scale_sq for t in inst.ap.terms()]
+                A = [t * scale * scale for t in inst.ap.terms()]
                 stages["ap"] = {
                     "source": "claim",
                     "descriptor": jsonio.descriptor_to_json(inst.ap),

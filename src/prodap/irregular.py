@@ -78,9 +78,8 @@ def classify_edges(
         if not isinstance(e.value, int):
             raise InputError("irregularity analysis needs an integer instance")
         if e.value != desc.term(e.index):
-            raise InputError(
-                f"edge {e.index} has value {e.value}, expected {desc.term(e.index)}"
-            )
+            # named by index: a term may be too long to print
+            raise InputError(f"edge {e.index} does not carry term {e.index}")
     per_prime: dict[int, list[Edge]] = {p: [] for p in window.primes}
     edge_primes: dict[int, tuple[int, ...]] = {}
     d_ord = {p: valuation(desc.D, p) for p in window.primes}
@@ -120,33 +119,23 @@ def select_independent_irregulars(report: IrregularityReport) -> tuple[Edge, ...
     return report.selected
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        """Merge the classes of x and y; False if already joined."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def forest_check(graph: RepGraph, edges) -> bool:
-    """True iff the edge-induced subgraph is acyclic (union-find)."""
-    uf = UnionFind()
+    """True iff the edge-induced subgraph is acyclic (union-find over vertex
+    ids)."""
+    rank = graph.vertex_rank
+    parent = list(range(graph.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for e in edges:
-        if not uf.union((0, e.u), (1, e.v)):
+        a, b = find(rank[(0, e.u)]), find(rank[(1, e.v)])
+        if a == b:
             return False
+        parent[a] = b
     return True
 
 

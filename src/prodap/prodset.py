@@ -111,11 +111,13 @@ class RepGraph:
     for two equal elements, an edge endpoint out of range, a second edge on
     one vertex pair, or an edge index used twice.
 
-    Vertices are ordered by element value, then side: ``vertex_rank`` holds
-    the rank of (sort_key(value), side), so the order follows values, not
-    positions in ``elements``.  The rank, the adjacency and the edge lookup
-    are computed once per graph; caching them is sound only because the
-    dataclass is frozen.
+    Every graph walk runs on one integer vertex id: the rank of
+    (sort_key(value), side), so ids follow values, not positions in
+    ``elements``.  ``vertices`` maps an id to its vertex and ``vertex_rank``
+    back; ``neighbours`` holds each id's neighbour ids, ascending; and
+    ``edge_lookup`` finds the edge joining two ids.  All four are computed
+    once per graph; caching them is sound only because the dataclass is
+    frozen.
     """
 
     elements: tuple
@@ -143,40 +145,36 @@ class RepGraph:
         return self.elements[vertex[1]]
 
     @cached_property
-    def vertex_rank(self) -> dict:
-        # every value sits on both sides, so the rank of (key, side) is twice
-        # the rank of the key, plus the side
+    def vertices(self) -> tuple:
+        """The vertex (side, i) of each id: every value sits on both sides,
+        so value rank r gives ids 2r and 2r + 1."""
         keys = [sort_key(x) for x in self.elements]
-        rank: dict = {}
-        for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-            rank[(0, i)], rank[(1, i)] = 2 * r, 2 * r + 1
-        return rank
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return tuple((side, i) for i in order for side in (0, 1))
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj: dict = {}
-        for e in self.edges:
-            a, b = (0, e.u), (1, e.v)
-            adj.setdefault(a, []).append((b, e))
-            adj.setdefault(b, []).append((a, e))
-        rank = self.vertex_rank
-        return {
-            v: sorted(nbrs, key=lambda item: rank[item[0]])
-            for v, nbrs in sorted(adj.items())
-        }
+    def vertex_rank(self) -> dict:
+        """The id of each vertex."""
+        return {v: t for t, v in enumerate(self.vertices)}
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        """For each id, the ascending ids of its neighbours."""
+        rows: list = [[] for _ in self.vertices]
+        for a, b in self.edge_lookup:
+            rows[a].append(b)
+        return tuple(tuple(sorted(row)) for row in rows)
 
     @cached_property
     def edge_lookup(self) -> dict:
-        """Edge joining two vertices, keyed by the endpoint pair in either
+        """Edge joining two vertex ids, keyed by the id pair in either
         order."""
+        rank = self.vertex_rank
         table = {}
         for e in self.edges:
-            a, b = (0, e.u), (1, e.v)
+            a, b = rank[(0, e.u)], rank[(1, e.v)]
             table[(a, b)] = table[(b, a)] = e
         return table
-
-    def vertex_order_key(self, vertex) -> int:
-        return self.vertex_rank[vertex]
 
 
 def build_rep_graph(B, A) -> RepGraph:

@@ -95,23 +95,25 @@ def four_cycle_r_rotations(cycle: EvenCycle) -> list[Fraction]:
 
 
 def _components(graph: RepGraph) -> list[list]:
-    adj = graph.adjacency
-    seen = set()
+    """The connected components with an edge, each as its vertices in id
+    order, in order of their smallest id."""
+    nbrs = graph.neighbours
+    seen = [False] * len(nbrs)
     comps = []
-    for start in sorted(adj, key=graph.vertex_order_key):
-        if start in seen:
+    for start in range(len(nbrs)):
+        if seen[start] or not nbrs[start]:
             continue
         comp = []
         stack = [start]
-        seen.add(start)
+        seen[start] = True
         while stack:
             v = stack.pop()
             comp.append(v)
-            for w, _ in adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
+            for w in nbrs[v]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-        comps.append(sorted(comp, key=graph.vertex_order_key))
+        comps.append([graph.vertices[t] for t in sorted(comp)])
     return comps
 
 
@@ -124,11 +126,10 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
     multiply by it; isolated vertices carry no edge and become 1.
     """
     graph = inst.graph
-    new_value: dict = {}
+    new_value = dict.fromkeys(graph.vertices, Fraction(1))
     for comp in _components(graph):
-        whites = [v for v in comp if v[0] == 0]
-        pivot_vertex = min(whites, key=graph.vertex_order_key)
-        pivot = graph.vertex_value(pivot_vertex)
+        # the first side-0 vertex has the smallest id on its side
+        pivot = graph.vertex_value(next(v for v in comp if v[0] == 0))
         if pivot.is_zero:
             raise InputError("zero pivot")
         for v in comp:
@@ -145,11 +146,6 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
                     },
                 )
             new_value[v] = scaled.as_rational()
-    touched = set(new_value)
-    for side in (0, 1):
-        for i in range(len(graph.elements)):
-            if (side, i) not in touched:
-                new_value[(side, i)] = Fraction(1)  # isolated vertex
     # every edge product must be exactly preserved
     for e in graph.edges:
         target = inst.targets[e.index]
@@ -194,8 +190,7 @@ def four_cycle_exists_audit(graph: RepGraph) -> C4AuditReport:
 
     n counts only vertices incident to an edge: isolated copies would merely
     weaken the bound."""
-    touched = {(0, e.u) for e in graph.edges} | {(1, e.v) for e in graph.edges}
-    n = max(len(touched), 1)
+    n = max(sum(1 for row in graph.neighbours if row), 1)
     threshold = c4_extremal_threshold(n)
     edges = len(graph.edges)
     exceeded = edges > threshold

@@ -295,8 +295,19 @@ class TestFirstPairs:
         assert first_pairs([QuadElem(4, 0, 2), QuadElem(5, 0, 2)], base) == [(r, 2 * r), None]
 
 
-def test_import_leaves_numpy_out():
+def test_import_loads_only_stdlib():
+    # pyproject.toml declares no dependencies: every module that importing
+    # prodap loads is prodap's own or the standard library's
     src = Path(prodap.__file__).resolve().parents[1]
-    code = "import sys, prodap; sys.exit('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
-    assert proc.returncode == 0
+    code = (
+        "import sys; before = set(sys.modules); import prodap; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, timeout=60, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "prodap" in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - {"prodap"} <= sys.stdlib_module_names

@@ -234,7 +234,8 @@ class TestBigIntegers:
     @pytest.mark.parametrize("command", ["graph", "irregular"])
     def test_message_about_a_term_past_digit_limit(self, tmp_path, capsys, command):
         # the terms D*(r + j) have 6001 digits: neither fits {1, 2, 3} nor
-        # matches an edge value, and the message naming one cannot print it
+        # matches an edge value.  No integer needs printing, since the
+        # message names the term by its index, so this is an input error
         big = "1" + "0" * 2999 + "7"
         ap = tmp_path / "ap.json"
         ap.write_text(json.dumps({"D": big, "r": big, "d": "1", "L": 3}))
@@ -246,9 +247,10 @@ class TestBigIntegers:
             edge = {"u": 0, "v": 0, "index": 0, "value": "1"}
             inp.write_text(json.dumps({"field": "integer", "elements": ["1"], "edges": [edge]}))
             argv = ["irregular", "--graph", inp, "--ap", ap]
-        assert run(argv) == 3
+        assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("capacity error:") and "Traceback" not in err
+        named = "term 0 is not a product" if command == "graph" else "edge 0 does not carry term 0"
+        assert err.startswith(f"input error: {named}") and err.count("\n") == 1
 
     def test_malformed_literals_stay_input_errors(self, tmp_path):
         for text in ['{"D": "1", "r": "1x", "d": "1", "L": 3}',

@@ -23,6 +23,7 @@ from prodap.cyclelab import (
 )
 from prodap.errors import FalsificationError, InputError, ShapeError
 from prodap.exactnum import QuadElem
+from prodap.irregular import forest_check
 from prodap.prodset import Edge, RepGraph, build_rep_graph, sort_key
 
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
@@ -154,6 +155,16 @@ class TestIdentity:
         with pytest.raises(ShapeError):
             cycle_identity_check(cyc, [60, 70, 120, 140])
 
+    def test_mismatch_past_digit_limit(self):
+        # a 6001-digit term: the message names the edge and term by position
+        g = build_rep_graph(SQUARE_B, SQUARE_A)
+        cyc = find_even_cycle(g, 2)
+        A = list(SQUARE_A)
+        A[cyc.indices[1]] = 10**6000 + 7
+        message = f"^edge 1 of the cycle does not carry term {cyc.indices[1]}$"
+        with pytest.raises(ShapeError, match=message):
+            cycle_identity_check(cyc, A)
+
     def test_four_cycle_alternating_product(self):
         g = build_rep_graph(SQUARE_B, SQUARE_A)
         cyc = find_even_cycle(g, 2)
@@ -272,6 +283,7 @@ class TestForestAgreement:
             parent[ra] = rb
         found = find_even_cycle(g, len(edges) // 2 + 2) if edges else None
         assert (found is None) == acyclic
+        assert forest_check(g, edges) == acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +434,31 @@ def bipartite_graphs(draw):
         Edge(u, v, j, elements[u] * elements[v]) for (u, v), j in zip(pairs, indices)
     )
     return RepGraph(elements, edges)
+
+
+class TestVertexIds:
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs())
+    def test_one_numbering(self, g):
+        n = len(g.elements)
+        every = [(side, i) for side in (0, 1) for i in range(n)]
+        assert sorted(g.vertices) == every
+        for v in every:
+            assert g.vertices[g.vertex_rank[v]] == v
+        # ids follow (value, side), not positions in elements
+        keys = [(sort_key(g.vertex_value(v)), v[0]) for v in g.vertices]
+        assert keys == sorted(keys)
+        rank = g.vertex_rank
+        joined = [set() for _ in every]
+        for e in g.edges:
+            a, b = rank[(0, e.u)], rank[(1, e.v)]
+            assert g.edge_lookup[(a, b)] is e and g.edge_lookup[(b, a)] is e
+            joined[a].add(b)
+            joined[b].add(a)
+        assert len(g.edge_lookup) == 2 * len(g.edges)
+        assert len(g.neighbours) == 2 * n
+        for t, row in enumerate(g.neighbours):
+            assert list(row) == sorted(joined[t])
 
 
 class TestOracleEquivalence:

@@ -16,7 +16,7 @@ from prodap.irregular import (
     prime_window,
     select_independent_irregulars,
 )
-from prodap.prodset import build_rep_graph
+from prodap.prodset import Edge, RepGraph, build_rep_graph
 
 
 def cover_graph(n):
@@ -91,6 +91,12 @@ class TestClassify:
         wrong = APDescriptor(1, 2, 1, 23)
         with pytest.raises(InputError):
             classify_edges(graph, wrong, prime_window(wrong))
+
+    def test_mismatch_past_digit_limit(self):
+        # the expected term has 5001 digits; the message names it by index
+        graph = RepGraph((1, 2), (Edge(0, 1, 0, 2),))
+        with pytest.raises(InputError, match="^edge 0 does not carry term 0$"):
+            irregularity_report(graph, APDescriptor(10**5000, 1, 1, 3))
 
 
 class TestSelection:

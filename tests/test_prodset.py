@@ -96,6 +96,13 @@ class TestRepGraph:
             build_rep_graph([2, 3], [7])
         assert exc.value.term == 7
 
+    def test_unrepresentable_term_past_digit_limit(self):
+        # the message names the term by its index; the error carries the value
+        big = 10**5000 + 1
+        with pytest.raises(RepresentationError, match="^term 1 is not a product") as exc:
+            build_rep_graph([2, 3], [6, big])
+        assert exc.value.term == big
+
     def test_negative_elements(self):
         # 6 = (-3)*(-2) is the first pair although (-3)**2 > 6
         g = build_rep_graph([-3, -2, 1, 5], [4, 5, 6])
