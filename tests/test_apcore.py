@@ -295,6 +295,13 @@ class TestFirstPairs:
         assert first_pairs([QuadElem(4, 0, 2), QuadElem(5, 0, 2)], base) == [(r, 2 * r), None]
 
 
+def test_import_leaves_numpy_out():
+    src = Path(prodap.__file__).resolve().parents[1]
+    code = "import sys, prodap; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_import_loads_only_stdlib():
     # pyproject.toml declares no dependencies: every module that importing
     # prodap loads is prodap's own or the standard library's

@@ -2,12 +2,16 @@
 
 import hashlib
 import re
+import subprocess
+import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodap
 from prodap import construct
 from prodap.construct import (
     cover_set,
@@ -270,3 +274,10 @@ class TestCoverage:
         table = PrimeTable()
         res = coverage_check(3000, table)
         assert table.limit < res.M == 24019
+
+
+def test_import_leaves_mpmath_out():
+    src = Path(prodap.__file__).resolve().parents[1]
+    code = "import sys, prodap; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0
