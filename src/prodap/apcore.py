@@ -69,12 +69,12 @@ def validate_ap(A: list[int]) -> tuple[int, int, int]:
         raise InputError("AP terms must be positive integers")
     d = A[1] - A[0]
     if d < 1:
-        raise ShapeError(f"difference must be positive, got {d}")
+        raise ShapeError("difference must be positive: term 1 is not above term 0")
     for i in range(2, len(A)):
         if A[i] - A[i - 1] != d:
             raise ShapeError(
-                f"not an arithmetic progression: gap at position {i} "
-                f"is {A[i] - A[i - 1]}, expected {d}"
+                f"not an arithmetic progression: the gap at position {i} "
+                "differs from the first gap"
             )
     return A[0], d, len(A)
 
@@ -157,6 +157,16 @@ class ReductionTrace:
         return len(self.steps)
 
 
+def _payload_int(x: int) -> str:
+    """x in decimal, or its bit length where x is past the digit limit on
+    int-to-decimal conversion, so that building a falsification payload
+    cannot raise in place of the falsification."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
     """Rewrite A subset of B.B as D*(r + d*i) with gcd(d, D*r) = 1.
 
@@ -226,9 +236,9 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
                 payload={
                     "case": case,
                     "prime": p,
-                    "set": [str(b) for b in new_B],
-                    "ap": [str(a) for a in new_A],
-                    "missing_term": str(exc.term),
+                    "set": [_payload_int(b) for b in new_B],
+                    "ap": [_payload_int(a) for a in new_A],
+                    "missing_term": _payload_int(exc.term),
                 },
             ) from exc
         new_measure = sum(omega.values())
@@ -284,9 +294,7 @@ def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:
     recomputed from the terms themselves, and a mismatch is a falsification.
     """
     if not desc.is_reduced:
-        raise InputError(
-            f"descriptor not reduced: gcd(d={desc.d}, D*r={desc.D * desc.r}) != 1"
-        )
+        raise InputError("descriptor not reduced: gcd(d, D*r) != 1")
     D, r, d, L = desc.D, desc.r, desc.d, desc.L
     i, j, g = 1, 0, 1
     for h in range(L - 1, 1, -1):

@@ -53,17 +53,17 @@ def cmd_construct(args) -> int:
         result = coverage_check(args.n, table)
     else:
         result = cover_set(args.n, table)
+    M = jsonio.enc_int(result.M)
+    # every other integer written is in [1, M], so str cannot hit the digit
+    # limit on it; the keys are sorted when the report is dumped
     out = {
         "n": result.n,
-        "M": jsonio.enc_int(result.M),
+        "M": M,
         "log": "natural",
         "size": result.size,
-        "elements": [jsonio.enc_int(b) for b in result.elements],
-        "witnesses": {
-            jsonio.enc_int(x): [jsonio.enc_int(d1), jsonio.enc_int(d2)]
-            for x, (d1, d2) in sorted(result.witnesses.items())
-        },
-        "methods": {jsonio.enc_int(x): m for x, m in sorted(result.methods.items())},
+        "elements": list(map(str, result.elements)),
+        "witnesses": {str(x): [str(d1), str(d2)] for x, (d1, d2) in result.witnesses.items()},
+        "methods": {str(x): m for x, m in result.methods.items()},
     }
     _write_or_print(args.out, out)
     print(

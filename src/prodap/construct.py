@@ -8,20 +8,25 @@ part until both parts land in the set.  Threshold comparisons against ln n
 are decided by an integer enclosure of ln n, never by a float.
 
 ``coverage_check`` certifies all of [1, floor(n*ln n)] from one
-largest-prime-factor sieve over that range, so no x is factorized on its
-own; ``split_factor`` splits a single x by trial division and shares the
+largest-prime-factor sieve over that range, and that table is the
+certificate: the witnesses are read from it on demand, so no per-x object is
+kept.  ``split_factor`` splits a single x by trial division and shares the
 transfer loop with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
+from operator import floordiv, le, mod
 
 from .errors import DomainError, FalsificationError, InputError
 from .exactnum import DEFAULT_TABLE, PrimeTable
 
 SIZE_RATIO_CHECK_FROM = 10  # |B| <= 2n is asserted from this n on
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the 0/1 bytes of a selector
 
 
 def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
@@ -85,13 +90,15 @@ def exceeds_ln(p: int, n: int) -> bool:
 class ConstructionResult:
     """The cover set for a given n, with witness pairs for [1, M] once the
     coverage check has run.  methods records which splitting path produced
-    each witness.  Membership is a lookup in the set of elements."""
+    each witness.  Both are empty until then, and afterwards read-only views
+    of the coverage certificate.  Membership is a lookup in the set of
+    elements."""
 
     n: int
     M: int
     elements: tuple[int, ...]
-    witnesses: dict[int, tuple[int, int]] = field(default_factory=dict)
-    methods: dict[int, str] = field(default_factory=dict)
+    witnesses: Mapping[int, tuple[int, int]] = field(default_factory=dict)
+    methods: Mapping[int, str] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -111,8 +118,8 @@ def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
         raise InputError(f"need n >= 3, got {n}")
     table = table or DEFAULT_TABLE
     M = floor_n_log_n(n)
-    elements = sorted(set(range(1, n + 1)) | set(table.primes_in(n, M)))
-    result = ConstructionResult(n, M, tuple(elements))
+    above = table.primes_in(n + 1, M) if M > n else []  # M = n only at n = 3
+    result = ConstructionResult(n, M, (*range(1, n + 1), *above))
     if n >= SIZE_RATIO_CHECK_FROM and result.size > 2 * n:
         raise FalsificationError(
             f"cover set for n={n} has {result.size} > 2n elements",
@@ -171,45 +178,120 @@ def _largest_prime_factors(result: ConstructionResult, table: PrimeTable) -> lis
     return lpf
 
 
+class _CertificateView(Mapping):
+    """Read-only mapping over x = 1..M, ascending, read on demand from the
+    coverage certificate: the largest-prime-factor table, and ``transfers``
+    holding (d1, d2, method) for x = 1 and each x with lpf[x] <= floor(ln n).
+    Every other x splits as (lpf[x], x / lpf[x])."""
+
+    def __init__(self, M: int, lpf: list[int], transfers: dict) -> None:
+        self._M, self._lpf, self._transfers = M, lpf, transfers
+
+    def __iter__(self):
+        return iter(range(1, self._M + 1))
+
+    def __len__(self) -> int:
+        return self._M
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(M={self._M}, transfers={len(self._transfers)})"
+
+
+class _WitnessView(_CertificateView):
+    def __getitem__(self, x: int) -> tuple[int, int]:
+        if not (isinstance(x, int) and 1 <= x <= self._M):
+            raise KeyError(x)
+        found = self._transfers.get(x)
+        if found is not None:
+            return found[:2]
+        p = self._lpf[x]
+        q = x // p
+        return (q, p) if q <= p else (p, q)
+
+
+class _MethodView(_CertificateView):
+    def __getitem__(self, x: int) -> str:
+        if not (isinstance(x, int) and 1 <= x <= self._M):
+            raise KeyError(x)
+        found = self._transfers.get(x)
+        return "large-prime" if found is None else found[2]
+
+
+def _first_bad_large_prime(lpf: list[int], large: bytes, members: frozenset) -> int | None:
+    """The least x with large[x] set whose pair (lpf[x], x / lpf[x]) is not a
+    witness, or None.  Three passes check, for every x at once, that
+    x % p == 0 and p is a member, and for the large x that x // p is a member
+    too; each is a map over the table, with no per-x Python statement.  Only
+    when one fails is the offending x looked for one at a time."""
+    xs = range(len(lpf))
+    if (
+        not any(map(mod, xs, lpf))
+        and members.issuperset(lpf)
+        and members.issuperset(compress(map(floordiv, xs, lpf), large))
+    ):
+        return None
+    for x in compress(xs, large):
+        p = lpf[x]
+        if x % p or p not in members or x // p not in members:
+            return x
+    return None
+
+
+def _invalid_witness(n: int, x: int, d1: int, d2: int) -> FalsificationError:
+    return FalsificationError(
+        f"invalid witness ({d1}, {d2}) for {x}",
+        payload={"n": n, "x": x, "d1": d1, "d2": d2},
+    )
+
+
 def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     """Certify that every x in [1, floor(n*ln n)] is a product of two cover-set
-    elements, recording one witness per x.  A missing witness is a
-    falsification, not a crash.
+    elements, with one witness per x.  A missing witness is a falsification,
+    not a crash.
 
     Each x splits from one largest-prime-factor sieve: with p = lpf[x], the
     pair (p, x/p) is the witness when p > floor(ln n) (exact, since ln n is
-    irrational) and x/p <= n; otherwise the lpf chain of x/p gives its primes
-    for the transfer loop.  Every witness is re-checked on its own."""
+    irrational), which also gives x/p < n since p*n > n*ln n >= x; otherwise
+    the lpf chain of x/p gives its primes for the transfer loop.  Every
+    witness is re-checked: the few hundred transfer witnesses one at a time,
+    the large-prime ones by passes over the table.  The result's witnesses
+    and methods read the pairs from the table when looked up."""
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
     lpf = _largest_prime_factors(result, table)
     floor_ln = _floor_ln(n)
     members = result._members
-    witnesses, methods = result.witnesses, result.methods
-    for x in range(1, result.M + 1):
-        p = lpf[x]
-        q = x // p
-        if p > floor_ln and q <= n:
-            found = (q, p, "large-prime") if q <= p else (p, q, "large-prime")
-        elif x == 1:
+    # small[x] = 1 where lpf[x] <= floor(ln n): x = 0, x = 1 and the transfer x
+    small = bytes(map(le, lpf, repeat(floor_ln)))
+    bad = _first_bad_large_prime(lpf, small.translate(_FLIP), members)
+    transfers = {}
+    for x in compress(range(len(lpf)), small):
+        if bad is not None and x > bad:
+            break
+        if x == 0:
+            continue
+        if x == 1:
             found = (1, 1, "unit")
         else:
-            chain = []
+            p = lpf[x]
+            q = x // p
+            primes = []
             while q > 1:
-                chain.append(lpf[q])
+                primes.append(lpf[q])
                 q //= lpf[q]
-            found = _transfer(p, x // p, reversed(chain), members)
+            found = _transfer(p, x // p, reversed(primes), members)
         if found is None:
             raise FalsificationError(
                 f"no witness for {x} in the cover set of n={n}",
                 payload={"n": n, "M": result.M, "x": x},
             )
-        d1, d2, method = found
+        d1, d2, _ = found
         if d1 * d2 != x or d1 not in members or d2 not in members:
-            raise FalsificationError(
-                f"invalid witness ({d1}, {d2}) for {x}",
-                payload={"n": n, "x": x, "d1": d1, "d2": d2},
-            )
-        witnesses[x] = (d1, d2)
-        methods[x] = method
+            raise _invalid_witness(n, x, d1, d2)
+        transfers[x] = found
+    if bad is not None:
+        p = lpf[bad]
+        raise _invalid_witness(n, bad, *sorted((p, bad // p)))
+    result.witnesses = _WitnessView(result.M, lpf, transfers)
+    result.methods = _MethodView(result.M, lpf, transfers)
     return result

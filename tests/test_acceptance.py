@@ -19,7 +19,6 @@ from prodap.harness import (
     concavity_demo,
     demo_instance_file,
     pipeline_report_json,
-    quadratic_demo_instance,
     random_quad_chain_instance,
     random_quad_cycle_instance,
 )

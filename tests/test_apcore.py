@@ -94,6 +94,13 @@ class TestDescriptor:
         with pytest.raises(InputError):
             validate_ap([-1, 0, 1])
 
+    def test_validate_ap_past_digit_limit(self):
+        # the messages name positions, not the 5001-digit gap or difference
+        with pytest.raises(ShapeError, match="gap at position 2"):
+            validate_ap([1, 2, 10**5000])
+        with pytest.raises(ShapeError, match="difference must be positive"):
+            validate_ap([10**5000, 1, 2])
+
 
 class TestReduce:
     def test_single_strip(self):
@@ -110,6 +117,30 @@ class TestReduce:
         assert B2 == [2, 4, 6, 8]
         assert desc == APDescriptor(4, 2, 1, 3)
         assert [s.case for s in trace.steps] == ["extract-gcd"]
+
+    @pytest.mark.parametrize(
+        "term, shown", [(3, "3"), (10**5000, "<16610-bit integer>")], ids=["small", "long"]
+    )
+    def test_falsification_payload_encodes_terms(self, monkeypatch, term, shown):
+        # a step whose post-step coverage check fails reports the set, the
+        # progression and the missing term as decimal strings; a term too
+        # long to print in decimal is named by its bit length instead
+        real, calls = apcore.verify_coverage, []
+
+        def fail_after_first(A, B):
+            calls.append(A)
+            if len(calls) > 1:
+                raise RepresentationError("term 0 is not a product", term=term)
+            real(A, B)
+
+        monkeypatch.setattr(apcore, "verify_coverage", fail_after_first)
+        with pytest.raises(FalsificationError) as info:
+            reduce_ap([6, 10, 14], [2, 3, 5, 7])
+        payload = info.value.payload
+        assert payload["case"] == "k1" and payload["prime"] == 2
+        assert payload["set"] == ["1", "3", "5", "7"]
+        assert payload["ap"] == ["3", "5", "7"]
+        assert payload["missing_term"] == shown
 
     def test_already_reduced(self):
         B2, desc, trace = reduce_ap([3, 5, 7], [1, 3, 5, 7])
@@ -197,6 +228,11 @@ class TestGcdBound:
     def test_unreduced_rejected(self):
         with pytest.raises(InputError):
             gcd_bound_audit(APDescriptor(1, 2, 2, 3))
+
+    def test_unreduced_past_digit_limit(self):
+        # gcd(2, 10**6000) = 2; the message does not print D*r
+        with pytest.raises(InputError, match="not reduced"):
+            gcd_bound_audit(APDescriptor(10**3000, 10**3000, 2, 3))
 
     def test_big_terms_python_path(self):
         # terms far above the int64 range: the closed form is pure big-int

@@ -1,6 +1,7 @@
 """Subcommand round-trips and exit codes (0 ok, 2 input, 3 capacity, 4
 falsification)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,27 @@ class TestConstruct:
         assert data["M"] == "23" and data["log"] == "natural"
         assert len(data["witnesses"]) == 23
         assert data["witnesses"]["21"] == ["3", "7"]
+
+    @pytest.mark.parametrize(
+        "n, digest, summary",
+        [
+            (3, "c507821fa01c6652dd9dc39a4ba0a341e5d9afb0213e318606ce55e623072137",
+             "M=3, |B|=3, 3 witnesses"),
+            (10, "3b30b9d65ccf2f1f460b0600b66d40ae8aa243ee8786100465a5b0922a2d7cab",
+             "M=23, |B|=15, 23 witnesses"),
+            (100, "c5ae50b5f0dfec4556dd678945b2456e97bf00614e7c22ae149287f7304cd2d7",
+             "M=460, |B|=163, 460 witnesses"),
+            (1000, "8ef598469cb3756eddd24cd7d5be82e8c5bddff09cc32abd0ef12d70d87a3395",
+             "M=6907, |B|=1720, 6907 witnesses"),
+        ],
+    )
+    def test_verify_output_pinned(self, capsys, n, digest, summary):
+        # sha256 of the stdout report, taken when the witnesses were still
+        # stored one dict entry per x
+        assert run(["construct", "--n", n, "--verify"]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == f"cover set n={n}: {summary} verified\n"
 
     def test_capacity_exit_code(self, tmp_path):
         assert run(["construct", "--n", 50, "--capacity", 60]) == 3

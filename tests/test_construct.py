@@ -4,6 +4,8 @@ import hashlib
 import re
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Mapping
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
@@ -274,6 +276,86 @@ class TestCoverage:
         table = PrimeTable()
         res = coverage_check(3000, table)
         assert table.limit < res.M == 24019
+
+
+class TestCertificate:
+    """The lpf table is the certificate; witnesses and methods are views."""
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 1000])
+    def test_views_are_mappings(self, n):
+        res = coverage_check(n)
+        for view in (res.witnesses, res.methods):
+            assert isinstance(view, Mapping)
+            assert len(view) == res.M
+            assert list(view) == list(range(1, res.M + 1))
+            for key in (0, res.M + 1, "3"):
+                assert key not in view
+                with pytest.raises(KeyError):
+                    view[key]
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 1000])
+    def test_views_equal_oracle_dicts(self, n):
+        res = coverage_check(n)
+        oracle = {x: split_factor_oracle(x, n, res) for x in range(1, res.M + 1)}
+        witnesses = {x: (d1, d2) for x, (d1, d2, _) in oracle.items()}
+        methods = {x: method for x, (_, _, method) in oracle.items()}
+        assert res.witnesses == witnesses and witnesses == res.witnesses
+        assert res.methods == methods and methods == res.methods
+        assert list(res.methods.values()) == list(methods.values())
+
+    def test_repr_names_the_certificate(self):
+        res = coverage_check(10)
+        transfers = sum(m != "large-prime" for m in res.methods.values())
+        assert repr(res.witnesses) == f"_WitnessView(M=23, transfers={transfers})"
+        assert repr(res.methods) == f"_MethodView(M=23, transfers={transfers})"
+        assert repr(res) == repr(coverage_check(10))
+
+    def test_cover_set_has_empty_views(self):
+        res = cover_set(10)
+        assert len(res.witnesses) == 0 and len(res.methods) == 0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({458: 227}, "invalid witness (2, 227) for 458"),  # 227 does not divide 458
+            ({458: 458}, "invalid witness (1, 458) for 458"),  # 458 is not a member
+            ({432: 5}, "invalid witness (5, 86) for 432"),  # a transfer x made large
+            # the least bad x is reported, whichever pass finds it
+            ({7: 2, 458: 227}, "invalid witness (2, 3) for 7"),
+            ({458: 227, 460: 3}, "invalid witness (2, 227) for 458"),
+        ],
+    )
+    def test_corrupted_lpf_entry_is_caught(self, monkeypatch, changes, message):
+        real = construct._largest_prime_factors
+
+        def corrupted(result, table):
+            lpf = real(result, table)
+            for x, value in changes.items():
+                lpf[x] = value
+            return lpf
+
+        monkeypatch.setattr(construct, "_largest_prime_factors", corrupted)
+        with pytest.raises(FalsificationError, match=re.escape(message)):
+            coverage_check(100)
+
+    def test_cofactor_outside_set_is_caught(self, monkeypatch):
+        # with floor(ln n) held at 1, x = 256 = 2 * 128 counts as large-prime,
+        # and 128 is not in the n=100 cover set: the cofactor pass rejects it
+        monkeypatch.setattr(construct, "_floor_ln", lambda n: 1)
+        with pytest.raises(FalsificationError, match=re.escape("invalid witness (2, 128) for 256")):
+            coverage_check(100)
+
+    def test_retained_memory_per_x(self):
+        # the certificate keeps the lpf list and no per-x object: a dict of
+        # witness tuples and one of method names kept about 220 bytes per x
+        coverage_check(20000)  # grow the shared prime table beforehand
+        tracemalloc.start()
+        try:
+            res = coverage_check(20000)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * res.M
 
 
 def test_import_leaves_mpmath_out():

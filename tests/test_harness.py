@@ -1,9 +1,8 @@
 """Preprocessing, generators, the scaling study, and the audit pipeline."""
 
 import hashlib
-import random
 from fractions import Fraction
-from math import gcd, log
+from math import log
 
 import pytest
 from hypothesis import given, settings

@@ -8,7 +8,6 @@ from prodap.apcore import first_pairs
 from prodap.cyclelab import find_even_cycle
 from prodap.errors import (
     DomainError,
-    FalsificationError,
     InputError,
 )
 from prodap.exactnum import QuadElem
