@@ -8,8 +8,8 @@ difference than in the start, shrinking B alongside.  Every step is followed
 by an independent re-verification that A is still covered by products of the
 shrunken set; the case analysis is never trusted on its own.  The measure
 each step must decrease, the total prime multiplicity Omega of the set, is
-carried through the steps: each input element is factorized once, and an
-element divided by q in {1, p, p**2} loses Omega(q).
+carried through the steps: the Omega table comes from one batched walk, and
+an element divided by q in {1, p, p**2} loses Omega(q).
 
 ``gcd_bound_audit`` checks the paper's bound gcd(t_i, t_j) <= D*L on a
 reduced descriptor in O(L) exact integer steps.  Reducedness gives
@@ -30,7 +30,7 @@ from .errors import (
     RepresentationError,
     ShapeError,
 )
-from .exactnum import DEFAULT_TABLE, valuation
+from .exactnum import DEFAULT_TABLE, _payload_int, valuation
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,6 @@ def verify_coverage(A: list[int], B: list[int]) -> None:
     factor_pairs(A, sorted(B))
 
 
-def _omega(b: int) -> int:
-    """Prime multiplicity of b, counted with repetition (Omega(1) = 0)."""
-    return sum(e for _, e in DEFAULT_TABLE.factorize(b)) if b > 1 else 0
-
-
 @dataclass(frozen=True)
 class ReductionStep:
     prime: int | None  # None for the terminal gcd extraction
@@ -157,16 +152,6 @@ class ReductionTrace:
         return len(self.steps)
 
 
-def _payload_int(x: int) -> str:
-    """x in decimal, or its bit length where x is past the digit limit on
-    int-to-decimal conversion, so that building a falsification payload
-    cannot raise in place of the falsification."""
-    try:
-        return str(x)
-    except ValueError:
-        return f"<{x.bit_length()}-bit integer>"
-
-
 def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
     """Rewrite A subset of B.B as D*(r + d*i) with gcd(d, D*r) = 1.
 
@@ -183,9 +168,9 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     verify_coverage(A, cur_B)
 
     steps: list[ReductionStep] = []
-    # Omega of every current element, factorized once; a step dividing b by
-    # q in {1, p, p**2} maps it to Omega(b) - Omega(q), since q | b
-    omega = {b: _omega(b) for b in cur_B}
+    # Omega of every current element, from one batched walk; a step dividing
+    # b by q in {1, p, p**2} maps it to Omega(b) - Omega(q), since q | b
+    omega = dict(zip(cur_B, DEFAULT_TABLE.omega_many(cur_B)))
     initial_measure = sum(omega.values())
     measure = initial_measure
 

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -27,6 +27,16 @@ DEFAULT_SIEVE_CAPACITY = 10**8
 
 # trial division tests this many consecutive primes with one gcd
 BLOCK = 64
+
+
+def _payload_int(x: int) -> str:
+    """x in decimal, or its bit length where x is past the digit limit on
+    int-to-decimal conversion, so that building an error message or payload
+    cannot raise in place of the error."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
 
 
 def _sieve(lo: int, hi: int, base: list[int] | None = None) -> list[int]:
@@ -57,8 +67,9 @@ class PrimeTable:
 
     Trial division takes the primes in blocks of ``BLOCK`` and makes one gcd
     of the number with each block's product; only a block sharing a factor
-    is scanned prime by prime.  The sieve doubles only when the division has
-    reached its last full block and the square root is still above the limit.
+    is scanned prime by prime.  ``factorize`` and ``is_prime`` walk one number
+    at a time, ``omega_many`` walks many numbers at once; all take their
+    blocks from ``_block``, which grows the sieve and caches the products.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -122,8 +133,8 @@ class PrimeTable:
         if n > self._limit:
             if isqrt(n) > self.capacity:
                 raise CapacityError(
-                    f"cannot certify primality of {n}: needs primes beyond "
-                    f"capacity {self.capacity}",
+                    f"cannot certify primality of {_payload_int(n)}: needs primes "
+                    f"beyond capacity {self.capacity}",
                     limit=self.capacity,
                 )
             g = self._probe(n, 0)[1]
@@ -131,6 +142,31 @@ class PrimeTable:
                 return g == 1
         i = bisect_left(self._primes, n)
         return i < len(self._primes) and self._primes[i] == n
+
+    def _block(self, b: int, root: int) -> int:
+        """Product of the b-th block of ``BLOCK`` primes for a trial division
+        whose largest remaining square root is root, or 1 when the division
+        stops before block b: that block starts past root, or past the
+        capacity.
+
+        The sieve doubles only while block b is not full and root is still
+        above the limit.  Only full blocks' products are cached: growing the
+        sieve adds primes to a partial block.  A walk visits blocks 0, 1, ...
+        in order, so block b is cached once every block before it is.
+        """
+        lo = b * BLOCK
+        while lo + BLOCK > len(self._primes) and self._limit < min(root, self.capacity):
+            self._ensure(self._limit + 1)
+        primes = self._primes
+        if lo >= len(primes) or primes[lo] > root:
+            return 1
+        if b < len(self._products):
+            return self._products[b]
+        block = primes[lo : lo + BLOCK]
+        block_product = prod(block)
+        if len(block) == BLOCK:
+            self._products.append(block_product)
+        return block_product
 
     def _probe(self, rem: int, b: int) -> tuple[int, int]:
         """Trial division of rem by the prime blocks from block b on.
@@ -140,23 +176,10 @@ class PrimeTable:
         starts past isqrt(rem), or past the capacity.
         """
         root = isqrt(rem)
-        primes = self._primes
-        products = self._products
         while True:
-            lo = b * BLOCK
-            if lo + BLOCK > len(primes) and self._limit < min(root, self.capacity):
-                self._ensure(self._limit + 1)
-                primes = self._primes
-                continue
-            if lo >= len(primes) or primes[lo] > root:
+            block_product = self._block(b, root)
+            if block_product == 1:
                 return b, 1
-            if b < len(products):
-                block_product = products[b]
-            else:
-                block = primes[lo : lo + BLOCK]
-                block_product = prod(block)
-                if len(block) == BLOCK:
-                    products.append(block_product)
             g = gcd(rem, block_product)
             if g > 1:
                 return b, g
@@ -191,13 +214,78 @@ class PrimeTable:
         if rem > 1:
             # cofactor has no prime factor <= min(sqrt(rem), capacity)
             if isqrt(rem) > self.capacity:
-                raise CapacityError(
-                    f"factor of {n} exceeds capacity {self.capacity}: "
-                    f"cofactor {rem} not certifiable",
-                    limit=self.capacity,
-                )
+                raise self._uncertifiable(n, rem)
             out.append((rem, 1))
         return out
+
+    def omega_many(self, values) -> list[int]:
+        """Omega(v), the number of prime factors of v counted with
+        multiplicity, for each int v >= 1 (Omega(1) = 0), in input order.
+
+        One trial division runs over all the values at once.  Per block, every
+        cofactor still in the walk takes one gcd with the block's product at
+        C speed, and only those sharing a factor are divided in Python,
+        counting exponents.  A cofactor leaves the walk once it is below the
+        square of the block's first prime: it is then 1 or a prime, which
+        counts 1.  The sieve and the block products are those ``factorize``
+        would leave on the same values (``_block`` serves both), and a
+        cofactor past the capacity raises the CapacityError of ``factorize``
+        for the first such value in input order.
+        """
+        values = list(values)
+        if values and min(values) < 1:
+            raise DomainError("omega_many requires values >= 1")
+        omega = [0] * len(values)
+        cofactors = list(values)
+        # the values still in the walk, and their cofactors
+        index = [i for i, v in enumerate(values) if v > 1]
+        rems = [values[i] for i in index]
+        b = 0
+        while rems:
+            block_product = self._block(b, isqrt(max(rems)))
+            if block_product == 1:
+                break
+            lo = b * BLOCK
+            bound = self._primes[lo] ** 2
+            if min(rems) < bound:
+                # never the largest: the block starts at or below its root
+                keep = [rem >= bound for rem in rems]
+                index = list(compress(index, keep))
+                rems = list(compress(rems, keep))
+            gs = list(map(gcd, rems, repeat(block_product)))
+            block = self._primes[lo : lo + BLOCK]
+            for j in compress(range(len(gs)), map((1).__lt__, gs)):
+                # g is a product of distinct primes of the block: scan them
+                # up to its root, and what is left of g is one prime
+                g, rem, e = gs[j], rems[j], 0
+                for p in block:
+                    if p * p > g:
+                        break
+                    if g % p == 0:
+                        g //= p
+                        while rem % p == 0:
+                            rem //= p
+                            e += 1
+                if g > 1:
+                    while rem % g == 0:
+                        rem //= g
+                        e += 1
+                omega[index[j]] += e
+                rems[j] = cofactors[index[j]] = rem
+            b += 1
+        # the walk stopped: a cofactor still in it has no prime factor up to
+        # min(its root, capacity)
+        for i, rem in zip(index, rems):
+            if isqrt(rem) > self.capacity:
+                raise self._uncertifiable(values[i], rem)
+        return [w + (c > 1) for w, c in zip(omega, cofactors)]
+
+    def _uncertifiable(self, n: int, rem: int) -> CapacityError:
+        return CapacityError(
+            f"factor of {_payload_int(n)} exceeds capacity {self.capacity}: "
+            f"cofactor {_payload_int(rem)} not certifiable",
+            limit=self.capacity,
+        )
 
 
 DEFAULT_TABLE = PrimeTable()
