@@ -46,7 +46,9 @@ class APDescriptor:
         for name in ("D", "r", "d"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise InputError(f"APDescriptor.{name} must be a positive integer, got {v}")
+                raise InputError(
+                    f"APDescriptor.{name} must be a positive integer, got {_payload_int(v)}"
+                )
         if not isinstance(self.L, int) or self.L < 3:
             raise InputError(f"APDescriptor.L must be an integer >= 3, got {self.L}")
 

@@ -159,9 +159,12 @@ def enumerate_even_cycles(
     max_count caps each length: the cycles kept of a length are an exact
     prefix of all its cycles.  A length also stops after STEP_BUDGET path
     extensions.  If stops is a dict, it receives length -> "cap" or "steps"
-    for each length cut short."""
+    for each length cut short; "cap" means a cycle past max_count exists, so
+    a length with exactly max_count cycles is complete."""
     if k < 2:
         raise InputError(f"half-length bound must be >= 2, got {k}")
+    if max_count is not None and max_count < 0:
+        raise InputError(f"cycle cap must be >= 0, got {max_count}")
     cycles: list[EvenCycle] = []
     for length in range(4, 2 * k + 1, 2):
         walks, stop = _walk_length(graph.neighbours, length, max_count)
@@ -177,8 +180,6 @@ def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
     """The cycles of one length as vertex-id walks, in walk order, and why
     the walk stopped early ("cap" or "steps"), or None if it finished."""
     walks: list[list[int]] = []
-    if cap is not None and cap <= 0:
-        return walks, "cap"
     steps = 0
     on_path = [False] * len(nbrs)
     path: list[int] = []
@@ -196,9 +197,9 @@ def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
                     continue
                 if depth == length - 1:
                     if w in ends and path[1] < w:
-                        walks.append(path + [w])
                         if len(walks) == cap:
-                            return walks, "cap"
+                            return walks, "cap"  # a cycle past the cap
+                        walks.append(path + [w])
                     continue
                 if depth == length - 2 and w not in near:
                     continue

@@ -9,7 +9,7 @@ primality anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,13 +29,15 @@ DEFAULT_SIEVE_CAPACITY = 10**8
 BLOCK = 64
 
 
-def _payload_int(x: int) -> str:
-    """x in decimal, or its bit length where x is past the digit limit on
+def _payload_int(x) -> str:
+    """str(x), or its bit length where x is an int past the digit limit on
     int-to-decimal conversion, so that building an error message or payload
     cannot raise in place of the error."""
     try:
         return str(x)
     except ValueError:
+        if not isinstance(x, int):
+            raise
         return f"<{x.bit_length()}-bit integer>"
 
 
@@ -67,9 +69,11 @@ class PrimeTable:
 
     Trial division takes the primes in blocks of ``BLOCK`` and makes one gcd
     of the number with each block's product; only a block sharing a factor
-    is scanned prime by prime.  ``factorize`` and ``is_prime`` walk one number
-    at a time, ``omega_many`` walks many numbers at once; all take their
-    blocks from ``_block``, which grows the sieve and caches the products.
+    is scanned, prime by prime up to the root of the gcd, and what is left
+    of the gcd is one prime.  ``factorize`` walks one number, ``omega_many``
+    many numbers at once; both take their blocks from ``_block``, which
+    grows the sieve and caches the products.  ``is_prime`` is the verdict of
+    ``factorize``.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -127,21 +131,18 @@ class PrimeTable:
         return _sieve(lo, hi, self.primes_upto(isqrt(hi)))
 
     def is_prime(self, n: int) -> bool:
-        """Exact primality for n <= capacity**2; beyond that, CapacityError."""
+        """Exact primality for n <= capacity**2; beyond that, CapacityError.
+
+        The verdict of ``factorize``, which cannot raise below that bound."""
         if n < 2:
             return False
-        if n > self._limit:
-            if isqrt(n) > self.capacity:
-                raise CapacityError(
-                    f"cannot certify primality of {_payload_int(n)}: needs primes "
-                    f"beyond capacity {self.capacity}",
-                    limit=self.capacity,
-                )
-            g = self._probe(n, 0)[1]
-            if n > self._limit:  # else the probe grew the sieve past n
-                return g == 1
-        i = bisect_left(self._primes, n)
-        return i < len(self._primes) and self._primes[i] == n
+        if isqrt(n) > self.capacity:
+            raise CapacityError(
+                f"cannot certify primality of {_payload_int(n)}: needs primes "
+                f"beyond capacity {self.capacity}",
+                limit=self.capacity,
+            )
+        return self.factorize(n) == [(n, 1)]
 
     def _block(self, b: int, root: int) -> int:
         """Product of the b-th block of ``BLOCK`` primes for a trial division
@@ -168,23 +169,6 @@ class PrimeTable:
             self._products.append(block_product)
         return block_product
 
-    def _probe(self, rem: int, b: int) -> tuple[int, int]:
-        """Trial division of rem by the prime blocks from block b on.
-
-        Returns (b', g) for the first block b' whose product shares the
-        factor g > 1 with rem, or (b', 1) when the walk stops at b' first: b'
-        starts past isqrt(rem), or past the capacity.
-        """
-        root = isqrt(rem)
-        while True:
-            block_product = self._block(b, root)
-            if block_product == 1:
-                return b, 1
-            g = gcd(rem, block_product)
-            if g > 1:
-                return b, g
-            b += 1
-
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with ascending p, exact or error.
 
@@ -192,24 +176,35 @@ class PrimeTable:
         cannot be certified prime within capacity, raises CapacityError.
         """
         if n < 2:
-            raise DomainError(f"factorize requires n >= 2, got {n}")
+            raise DomainError(f"factorize requires n >= 2, got {_payload_int(n)}")
         out: list[tuple[int, int]] = []
-        rem = n
+        rem, root = n, isqrt(n)
         b = 0
         while rem > 1:
-            b, g = self._probe(rem, b)
-            if g == 1:
+            block_product = self._block(b, root)
+            if block_product == 1:
                 break
-            for p in self._primes[b * BLOCK : (b + 1) * BLOCK]:
-                if g % p == 0:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
-                        e += 1
-                    out.append((p, e))
-                    g //= p
-                    if g == 1:
+            g = gcd(rem, block_product)
+            if g > 1:
+                # g is a product of distinct primes of the block: scan them
+                # up to its root, and what is left of g is one prime
+                for p in self._primes[b * BLOCK : (b + 1) * BLOCK]:
+                    if p * p > g:
                         break
+                    if g % p == 0:
+                        g //= p
+                        e = 0
+                        while rem % p == 0:
+                            rem //= p
+                            e += 1
+                        out.append((p, e))
+                if g > 1:
+                    e = 0
+                    while rem % g == 0:
+                        rem //= g
+                        e += 1
+                    out.append((g, e))
+                root = isqrt(rem)
             b += 1
         if rem > 1:
             # cofactor has no prime factor <= min(sqrt(rem), capacity)
@@ -307,7 +302,9 @@ def valuation(n: int, p: int) -> int:
     """Largest e such that p**e divides n, for n != 0 and p >= 2 (p need
     not be prime)."""
     if n == 0 or p < 2:
-        raise DomainError(f"valuation needs n != 0 and p >= 2, got n={n}, p={p}")
+        raise DomainError(
+            f"valuation needs n != 0 and p >= 2, got n={_payload_int(n)}, p={_payload_int(p)}"
+        )
     n = abs(n)
     e = 0
     while n % p == 0:

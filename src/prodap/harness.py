@@ -401,9 +401,8 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
     final_A = desc.terms()
     graph = build_rep_graph(B_red, final_A)
     stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.edges)}
-    # one extra cycle per length tells a full length from a capped one
     stops: dict = {}
-    cycles = enumerate_even_cycles(graph, CYCLE_HALF_LENGTH, cycle_cap + 1, stops)
+    cycles = enumerate_even_cycles(graph, CYCLE_HALF_LENGTH, cycle_cap, stops)
     lengths = range(4, 2 * CYCLE_HALF_LENGTH + 1, 2)
     shortest = cycles[0] if cycles else None
     shorter = lengths if shortest is None else range(4, len(shortest.vertices), 2)
@@ -412,7 +411,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
         shortest = find_even_cycle(graph, CYCLE_HALF_LENGTH)
     by_length = []
     for length in lengths:
-        batch = [c for c in cycles if len(c.vertices) == length][:cycle_cap]
+        batch = [c for c in cycles if len(c.vertices) == length]
         for cyc in batch:
             cycle_audit(cyc, final_A, desc)
         stopped = stops.get(length)

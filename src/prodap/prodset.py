@@ -23,7 +23,7 @@ from operator import sub
 
 from .apcore import APDescriptor, factor_pairs
 from .errors import CapacityError, InputError
-from .exactnum import QuadElem
+from .exactnum import QuadElem, _payload_int
 
 DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_ORACLE_LIMIT = 10_000
@@ -55,7 +55,7 @@ def _check_elements(B):
         raise InputError("base set must be nonempty")
     dup = _repeat(B)
     if dup is not None:
-        raise InputError(f"duplicate element {dup} in base set")
+        raise InputError(f"duplicate element {_payload_int(dup)} in base set")
     if any(b.is_zero if isinstance(b, QuadElem) else b == 0 for b in B):
         raise InputError("zero element makes products degenerate")
 
@@ -126,7 +126,7 @@ class RepGraph:
     def __post_init__(self):
         n = len(self.elements)
         if len(set(self.elements)) < n:
-            raise InputError(f"element {_repeat(self.elements)} appears twice")
+            raise InputError(f"element {_payload_int(_repeat(self.elements))} appears twice")
         for e in self.edges:
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise InputError(f"edge endpoint out of range: {e}")
@@ -233,7 +233,7 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
         S = sorted(S)
         for i in range(1, len(S)):
             if S[i] == S[i - 1]:
-                raise InputError(f"duplicate element {S[i]}")
+                raise InputError(f"duplicate element {_payload_int(S[i])}")
     cap = limit if limit is not None else default_limit
     if len(S) > cap:
         raise CapacityError(
@@ -298,18 +298,19 @@ def _bitset_kernel(S, best):
     return best_len, best_diff, best_start
 
 
-def _pair_kernel(S, best, ints):
+def _pair_kernel(S, best):
     """Every run anchored at its top pair a < b, a taken in descending order,
-    seeded with ``best``; ``ints`` says whether S is all int.
+    seeded with ``best``.
 
     A run of at least best terms topped by a, b reaches down to a - (best -
     2)d >= lo, so b lies within a + (a - lo) / (best - 2): a window that
-    narrows where S is dense, at its small values.  The cut is exact, since a
-    floored quotient would drop a fractional d; while the record has two
-    terms there is none.  Only b with 2a - b in S tops a run longer than two,
-    and a pair run never beats the length-2 baseline, so each anchor's slice
-    is filtered at C speed before the reach break, the top skip and the
-    downward extension run in Python."""
+    narrows where S is dense, at its small values.  One cut serves ints and
+    Fractions: the quotient is rounded up, so the slice may hold a b past
+    the exact window, and such a b fails the reach test and ends the loop.
+    While the record has two terms there is no cut.  Only b with 2a - b in S
+    tops a run longer than two, and a pair run never beats the length-2
+    baseline, so each anchor's slice is filtered at C speed before the reach
+    break, the top skip and the downward extension run in Python."""
     best_len, best_diff, best_start = best
     member = set(S)
     lo = S[0]
@@ -317,17 +318,10 @@ def _pair_kernel(S, best, ints):
         a = S[i]
         if best_len == 2:
             hi = len(S)
-        elif ints:
-            hi = bisect_right(S, a + (a - lo) // (best_len - 2), i + 1)
         else:
-            hi = bisect_right(S, a + Fraction(a - lo) / (best_len - 2), i + 1)
+            hi = bisect_right(S, a - (lo - a) // (best_len - 2), i + 1)
         above = S[i + 1 : hi]
-        # int.__sub__ returns NotImplemented for a Fraction, which matches
-        # nothing, so mixed input subtracts through operator.sub
-        if ints:
-            thirds = map((a + a).__sub__, above)
-        else:
-            thirds = map(sub, repeat(a + a), above)
+        thirds = map(sub, repeat(a + a), above)
         for b in compress(above, map(member.__contains__, thirds)):
             d = b - a
             # longest run topped by a, b cannot beat the record; an equal
@@ -354,11 +348,10 @@ def _longest_ap_exact(S):
     elements, spread-out ints).  Both are exact over all differences."""
     best = _best_pair_result(S)
     if len(S) > 2:
-        ints = set(map(type, S)) == {int}
-        if ints and S[-1] - S[0] <= BITSET_SPAN_RATIO * len(S):
+        if set(map(type, S)) == {int} and S[-1] - S[0] <= BITSET_SPAN_RATIO * len(S):
             best = _bitset_kernel(S, best)
         else:
-            best = _pair_kernel(S, best, ints)
+            best = _pair_kernel(S, best)
     length, diff, start = best
     return APSearchResult(start, diff, length, _indices_of_run(S, start, diff, length))
 

@@ -101,6 +101,10 @@ class TestDescriptor:
         with pytest.raises(ShapeError, match="difference must be positive"):
             validate_ap([10**5000, 1, 2])
 
+    def test_descriptor_past_digit_limit(self):
+        with pytest.raises(InputError, match="APDescriptor.r .* got <16610-bit integer>"):
+            APDescriptor(1, -(10**5000), 1, 4)
+
 
 class TestReduce:
     def test_single_strip(self):

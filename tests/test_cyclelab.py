@@ -99,6 +99,27 @@ class TestEnumerate:
         assert capped == ref_prefixes(g, 5, 3)
         assert stops == {4: "cap", 6: "cap", 8: "cap", 10: "cap"}
 
+    def test_cap_reports_only_a_cut(self):
+        # cover n = 10 has 16 four-cycles and 5 six-cycles
+        _, _, g = cover_instance(10)
+        full = enumerate_even_cycles(g, 3)
+        fours = [c for c in full if len(c.vertices) == 4]
+        assert (len(fours), len(full)) == (16, 21)
+        stops = {}
+        assert enumerate_even_cycles(g, 3, max_count=16, stops=stops) == full
+        assert stops == {}  # exactly the cap: nothing was cut
+        assert enumerate_even_cycles(g, 3, max_count=15, stops=stops) == full[:15] + full[16:]
+        assert stops == {4: "cap"}  # one past the cap
+        stops = {}
+        assert enumerate_even_cycles(g, 3, max_count=0, stops=stops) == []
+        assert stops == {4: "cap", 6: "cap"}
+        tree = RepGraph((2, 3, 5), (Edge(0, 1, 0, 6), Edge(1, 2, 1, 15)))
+        stops = {}
+        assert enumerate_even_cycles(tree, 3, max_count=0, stops=stops) == []
+        assert stops == {}
+        with pytest.raises(InputError, match="cycle cap"):
+            enumerate_even_cycles(g, 3, max_count=-1)
+
     def test_uncapped_walk_reports_no_stop(self):
         _, _, g = cover_instance(10)
         stops = {}

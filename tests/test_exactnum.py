@@ -125,6 +125,11 @@ _factorize_inputs = st.one_of(
 )
 
 
+# a hit block's gcd is scanned only up to its root, and what is left of it
+# is one prime: 311 in block 0, 719 in block 1
+ROOT_STOP = [3 * 307 * 311, 307**2 * 311, 313 * 409 * 719]
+
+
 class TestValuation:
     def test_examples(self):
         assert valuation(12, 2) == 2
@@ -189,8 +194,8 @@ class TestPrimes:
             table.is_prime(10**4 + 7_000_000)
 
     def test_is_prime_on_fresh_table(self):
-        # the probe grows a fresh table past small n; the answer must still
-        # come from the sieve, not from n dividing a block product
+        # a small prime n divides the product of the first block: only the
+        # factorization [(n, 1)] tells it from a composite
         for n in range(0, 1100):
             assert PrimeTable().is_prime(n) == trial_division_is_prime(n), n
 
@@ -207,6 +212,7 @@ class TestPrimes:
         edges = [_PRIMES[i] for i in (63, 64, 127, 128, 191, 192)]
         cases = edges + [p * p for p in edges] + [p * q for p in edges for q in _LARGE[-3:]]
         cases += [_LARGE[-1], _LARGE[-1] * _LARGE[-2], 999_999_999_989, 10**12]
+        cases += ROOT_STOP + [307, 311]
         for n in cases:
             assert PrimeTable().is_prime(n) == is_prime_oracle(self.oracle_table, n), n
 
@@ -308,6 +314,7 @@ class TestFactorizeBlocks:
         assert edges == [311, 313, 719, 727]
         cases = edges + [p * p for p in edges] + [prod(edges), 2**40 * edges[3]]
         cases += [p * q for p in edges for q in (_LARGE[0], _LARGE[-1])]
+        cases += ROOT_STOP
         for n in cases:
             want = factorize_oracle(self.oracle_table, n)
             assert PrimeTable().factorize(n) == want, n
@@ -415,8 +422,8 @@ class TestOmegaMany:
 
 
 class TestDigitLimit:
-    """A capacity error about an integer past Python's int-to-decimal digit
-    limit (4300 by default) names it by its bit length."""
+    """An error about an integer past Python's int-to-decimal digit limit
+    (4300 by default) names it by its bit length."""
 
     big = 1009**1665  # 5002 digits, no prime factor below 1009
 
@@ -433,6 +440,10 @@ class TestDigitLimit:
         with pytest.raises(CapacityError, match=r"of <16616-bit integer> .* "
                            r"cofactor <16615-bit integer>"):
             PrimeTable(capacity=1000).omega_many([6, 2 * self.big])
+
+    def test_valuation(self):
+        with pytest.raises(DomainError, match=r"n=<16610-bit integer>, p=1$"):
+            valuation(10**5000, 1)
 
 
 _rats = st.fractions(

@@ -96,6 +96,20 @@ class TestRepGraph:
             build_rep_graph([2, 3], [7])
         assert exc.value.term == 7
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda big: product_set([big, big]),
+            lambda big: longest_ap([big, big, 3]),
+            lambda big: RepGraph((big, big), ()),
+        ],
+        ids=["product_set", "longest_ap", "RepGraph"],
+    )
+    def test_duplicate_past_digit_limit(self, call):
+        # the repeated 5001-digit element is named by its bit length
+        with pytest.raises(InputError, match="<16610-bit integer>"):
+            call(10**5000)
+
     def test_unrepresentable_term_past_digit_limit(self):
         # the message names the term by its index; the error carries the value
         big = 10**5000 + 1
@@ -363,7 +377,7 @@ class TestKernels:
         triple = (expected.length, expected.diff, expected.start)
         ints = all(type(x) is int for x in S)
         assert _start_pair_kernel(S, _best_pair_result(S), ints) == triple
-        assert prodset._pair_kernel(S, _best_pair_result(S), ints) == triple
+        assert prodset._pair_kernel(S, _best_pair_result(S)) == triple
         if ints:
             assert prodset._bitset_kernel(S, _best_pair_result(S)) == triple
 
@@ -391,6 +405,19 @@ class TestKernels:
         S = [0, Fraction(3, 2), 3, 6]
         r = _longest_ap_exact(S)
         assert (r.start, r.diff, r.length) == (0, Fraction(3, 2), 3)
+        self.check(S)
+
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 2)], ids=["int", "fraction"])
+    def test_rounded_up_cut_admits_one_past_the_window(self, scale):
+        # once 100, 110, 120, 130 sets the record at length 4, the anchor a =
+        # 7 has the exact window a + (a - 0) / 2 = 21/2; the cut rounds it up
+        # to 11, and 11 passes the filter (2a - 11 = 3 is in S) but reaches
+        # only 3 terms, so the loop breaks there
+        S = [x * scale for x in (0, 3, 7, 11, 100, 110, 120, 130)]
+        a, lo = S[2], S[0]
+        assert a - (lo - a) // 2 == S[3] > a + Fraction(a - lo) / 2
+        r = _longest_ap_exact(S)
+        assert (r.start, r.diff, r.length) == (100 * scale, 10 * scale, 4)
         self.check(S)
 
     def test_ties(self):
