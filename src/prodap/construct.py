@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import floordiv, le, mod
 
 from .errors import DomainError, FalsificationError, InputError
-from .exactnum import DEFAULT_TABLE, PrimeTable
+from .exactnum import DEFAULT_TABLE, PrimeTable, _payload_int
 
 SIZE_RATIO_CHECK_FROM = 10  # |B| <= 2n is asserted from this n on
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the 0/1 bytes of a selector
@@ -152,7 +152,7 @@ def split_factor(
     says cannot happen for x in range)."""
     table = table or DEFAULT_TABLE
     if not 1 <= x <= result.M:
-        raise InputError(f"x={x} outside [1, {result.M}]")
+        raise InputError(f"x={_payload_int(x)} outside [1, {result.M}]")
     if x == 1:
         return (1, 1, "unit")
     factors = table.factorize(x)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul
+from typing import NoReturn
 
 from .apcore import APDescriptor
 from .errors import FalsificationError, InputError, ShapeError
@@ -37,18 +39,12 @@ class EvenCycle:
     values: tuple
 
     def __post_init__(self):
+        _check_vertices(self.vertices)
         n = len(self.vertices)
-        if n < 4 or n % 2 != 0:
-            raise ShapeError(f"cycle length must be even and >= 4, got {n}")
         if len(self.indices) != n or len(self.values) != n:
             raise ShapeError("one index and one value per edge required")
-        if len(set(self.vertices)) != n:
-            raise ShapeError("cycle revisits a vertex")
         if len(set(self.indices)) != n:
             raise ShapeError("cycle reuses a progression index")
-        for t in range(n):
-            if self.vertices[t][0] == self.vertices[(t + 1) % n][0]:
-                raise ShapeError("consecutive cycle vertices must alternate sides")
 
     @property
     def k(self) -> int:
@@ -65,6 +61,19 @@ class EvenCycle:
             "vertices": [[side, idx] for side, idx in self.vertices],
             "indices": list(self.indices),
         }
+
+
+def _check_vertices(vertices) -> None:
+    """ShapeError unless the (side, i) vertices close a simple even cycle of
+    length >= 4 whose consecutive vertices lie on opposite sides."""
+    n = len(vertices)
+    if n < 4 or n % 2 != 0:
+        raise ShapeError(f"cycle length must be even and >= 4, got {n}")
+    if len(set(vertices)) != n:
+        raise ShapeError("cycle revisits a vertex")
+    for t in range(n):
+        if vertices[t][0] == vertices[(t + 1) % n][0]:
+            raise ShapeError("consecutive cycle vertices must alternate sides")
 
 
 def _canonical_cycle(ids: list[int]) -> list[int]:
@@ -342,3 +351,77 @@ def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
     poly = cycle_poly(cycle, desc)
     divisibility_audit(poly, desc)
     return poly
+
+
+def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
+    """cycle_audit on the cycle through each vertex-id walk of graph, with no
+    EvenCycle, CyclePoly or DivisibilityReport for a cycle that passes.
+
+    Each walk is checked from its edges, A and desc alone, as EvenCycle and
+    the three checks of cycle_audit would check it: shape, index range,
+    edge values against A, the product identity, exact vanishing at (r, d),
+    d | c_l, r | c_m and the |c_t| bounds.  The powers of r and d and the
+    2*C(k, t) factors are taken once per half-length k.  The first walk that
+    fails goes through EvenCycle and cycle_audit, so the error, its message
+    and its payload are theirs."""
+    if not walks:
+        return
+    if not desc.is_reduced:
+        _reaudit(graph, walks[0], A, desc)
+    lookup = graph.edge_lookup
+    side = [v[0] for v in graph.vertices]
+    n_terms = len(A)
+    r, d = desc.r, desc.d
+    scales: dict = {}  # k -> (r^(k-t) * d^t, 2*C(k, t)) for t = 0..k
+    for ids in walks:
+        n = len(ids)
+        k = n // 2
+        sides = [side[t] for t in ids]
+        if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
+            _reaudit(graph, ids, A, desc)
+        try:
+            edges = list(map(lookup.__getitem__, zip(ids, ids[1:] + ids[:1])))
+        except KeyError:
+            _reaudit(graph, ids, A, desc)
+        idx = [e.index for e in edges]
+        top = max(idx)
+        if len(set(idx)) != n or min(idx) < 0 or top >= n_terms:
+            _reaudit(graph, ids, A, desc)
+        vals = [A[j] for j in idx]
+        if [e.value for e in edges] != vals or prod(vals[0::2]) != prod(vals[1::2]):
+            _reaudit(graph, ids, A, desc)
+        if k not in scales:
+            scales[k] = (
+                [r ** (k - t) * d**t for t in range(k + 1)],
+                [2 * comb(k, t) for t in range(k + 1)],
+            )
+        weights, twice_comb = scales[k]
+        even = elementary_symmetric(idx[1::2])
+        odd = elementary_symmetric(idx[0::2])
+        coeffs = [x - y for x, y in zip(even, odd)]
+        nonzero = [c for c in coeffs if c]
+        if not nonzero or sum(map(mul, coeffs, weights)) != 0:
+            _reaudit(graph, ids, A, desc)
+        if nonzero[0] % d or nonzero[-1] % r:
+            _reaudit(graph, ids, A, desc)
+        power = 1
+        for c, b in zip(coeffs, twice_comb):
+            if abs(c) > b * power:
+                _reaudit(graph, ids, A, desc)
+            power *= top
+
+
+def _reaudit(graph: RepGraph, ids: list[int], A, desc: APDescriptor) -> NoReturn:
+    """Raise what EvenCycle and cycle_audit raise on the cycle through ids,
+    after audit_cycle_walks found it failing; if they pass it, the two audits
+    disagree, and that is raised instead."""
+    _check_vertices(tuple(graph.vertices[t] for t in ids))
+    try:
+        cycle = _cycle_through(graph, ids)
+    except KeyError:
+        raise ShapeError("the walk steps between two vertices with no edge") from None
+    cycle_audit(cycle, A, desc)
+    raise FalsificationError(
+        "the batched cycle audit failed a cycle that cycle_audit passes",
+        payload=cycle.as_json(),
+    )

@@ -30,15 +30,23 @@ BLOCK = 64
 
 
 def _payload_int(x) -> str:
-    """str(x), or its bit length where x is an int past the digit limit on
-    int-to-decimal conversion, so that building an error message or payload
-    cannot raise in place of the error."""
+    """str(x), with each int past the digit limit on int-to-decimal
+    conversion given by its bit length, also inside a Fraction or QuadElem,
+    so that building an error message or payload cannot raise in place of
+    the error."""
     try:
         return str(x)
     except ValueError:
-        if not isinstance(x, int):
-            raise
-        return f"<{x.bit_length()}-bit integer>"
+        if isinstance(x, int):
+            return f"<{x.bit_length()}-bit integer>"
+        if isinstance(x, Fraction):
+            num = _payload_int(x.numerator)
+            return num if x.denominator == 1 else f"{num}/{_payload_int(x.denominator)}"
+        if isinstance(x, QuadElem):
+            if x.is_rational:
+                return _payload_int(x.a)
+            return f"{_payload_int(x.a)} + {_payload_int(x.b)}*sqrt({_payload_int(x.m)})"
+        raise
 
 
 def _sieve(lo: int, hi: int, base: list[int] | None = None) -> list[int]:
@@ -376,7 +384,7 @@ class QuadElem:
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
-            raise DomainError(f"{self} is not rational")
+            raise DomainError(f"{_payload_int(self)} is not rational")
         return self.a
 
     def conjugate(self) -> "QuadElem":

@@ -19,7 +19,7 @@ from math import gcd
 from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
 from .construct import cover_set, floor_mul_ln
-from .cyclelab import cycle_audit, enumerate_even_cycles, find_even_cycle
+from .cyclelab import _cycle_through, _walk_length, audit_cycle_walks, find_even_cycle
 from .errors import CapacityError, FalsificationError, InputError
 from .exactnum import QuadElem
 from .irregular import irregularity_report
@@ -401,23 +401,23 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
     final_A = desc.terms()
     graph = build_rep_graph(B_red, final_A)
     stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.edges)}
-    stops: dict = {}
-    cycles = enumerate_even_cycles(graph, CYCLE_HALF_LENGTH, cycle_cap, stops)
-    lengths = range(4, 2 * CYCLE_HALF_LENGTH + 1, 2)
-    shortest = cycles[0] if cycles else None
-    shorter = lengths if shortest is None else range(4, len(shortest.vertices), 2)
-    if any(stops.get(length) == "steps" for length in shorter):
+    by_length = []
+    first = None  # the first walk of the shortest length that has one
+    for length in range(4, 2 * CYCLE_HALF_LENGTH + 1, 2):
+        walks, stopped = _walk_length(graph.neighbours, length, cycle_cap)
+        audit_cycle_walks(graph, walks, final_A, desc)
+        if first is None and walks:
+            first = walks[0]
+        by_length.append(
+            {"length": length, "audited": len(walks), "complete": stopped is None, "stopped": stopped}
+        )
+    shortest = None if first is None else _cycle_through(graph, first)
+    if any(
+        row["stopped"] == "steps" and (first is None or row["length"] < len(first))
+        for row in by_length
+    ):
         # a length cut short before its first cycle may hide a shorter one
         shortest = find_even_cycle(graph, CYCLE_HALF_LENGTH)
-    by_length = []
-    for length in lengths:
-        batch = [c for c in cycles if len(c.vertices) == length]
-        for cyc in batch:
-            cycle_audit(cyc, final_A, desc)
-        stopped = stops.get(length)
-        by_length.append(
-            {"length": length, "audited": len(batch), "complete": stopped is None, "stopped": stopped}
-        )
     stages["cycles"] = {
         "shortest": shortest.as_json() if shortest else None,
         "cap": cycle_cap,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .apcore import APDescriptor
 from .errors import InputError
-from .exactnum import is_prime, primes_in, valuation
+from .exactnum import _payload_int, is_prime, primes_in, valuation
 from .prodset import Edge, RepGraph
 
 
@@ -49,7 +49,9 @@ def hit_count(p: int, desc: APDescriptor) -> int:
     """Number of i in [0, L-1] with p dividing r + d*i."""
     L = desc.L
     if not (3 * p > L and 2 * p < L and desc.d % p != 0 and is_prime(p)):
-        raise InputError(f"{p} is not a window prime for L={L}, d={desc.d}")
+        raise InputError(
+            f"{_payload_int(p)} is not a window prime for L={L}, d={_payload_int(desc.d)}"
+        )
     i0 = (-desc.r * pow(desc.d, -1, p)) % p
     if i0 >= L:
         return 0

@@ -19,7 +19,7 @@ from math import isqrt
 from .apcore import first_pairs
 from .cyclelab import EvenCycle, find_even_cycle
 from .errors import DomainError, FalsificationError, InputError
-from .exactnum import QuadElem
+from .exactnum import QuadElem, _payload_int
 from .prodset import RepGraph, build_rep_graph, sort_key
 
 
@@ -41,7 +41,9 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
     for x in elements:
         q = x if isinstance(x, QuadElem) else QuadElem.from_rational(Fraction(x), m)
         if q.m != m:
-            raise InputError(f"element {q} lives in sqrt({q.m}), instance has sqrt({m})")
+            raise InputError(
+                f"element {_payload_int(q)} lives in sqrt({q.m}), instance has sqrt({m})"
+            )
         if q.is_zero:
             raise InputError("zero element makes products degenerate")
         elems.append(q)
@@ -49,7 +51,7 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
     for t in targets:
         if isinstance(t, QuadElem):
             if not t.is_rational:
-                raise DomainError(f"target {t} is not rational")
+                raise DomainError(f"target {_payload_int(t)} is not rational")
             t = t.as_rational()
         targs.append(Fraction(t))
     graph = build_rep_graph(elems, [QuadElem.from_rational(t, m) for t in targs])

@@ -180,6 +180,11 @@ class TestSplitFactor:
         with pytest.raises(InputError):
             split_factor(24, 10, res)
 
+    def test_out_of_range_past_digit_limit(self):
+        # the 5001-digit x is named by its bit length
+        with pytest.raises(InputError, match=r"^x=<16610-bit integer> outside \[1, 23\]$"):
+            split_factor(10**5000, 10, cover_set(10))
+
     def test_products_land_in_set(self):
         res = cover_set(50)
         for x in range(1, res.M + 1):

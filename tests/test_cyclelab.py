@@ -1,6 +1,8 @@
 """Cycle detection, the alternating product identity and coefficient audits."""
 
+import re
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import networkx as nx
@@ -8,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import cyclelab
-from prodap.apcore import APDescriptor
+from prodap import cyclelab, harness
+from prodap.apcore import APDescriptor, reduce_ap
 from prodap.cyclelab import (
     CyclePoly,
     EvenCycle,
+    _cycle_through,
+    _walk_length,
+    audit_cycle_walks,
+    cycle_audit,
     cycle_identity_check,
     cycle_poly,
     divisibility_audit,
@@ -21,10 +27,11 @@ from prodap.cyclelab import (
     find_even_cycle,
     symmetric_coefficients,
 )
-from prodap.errors import FalsificationError, InputError, ShapeError
+from prodap.errors import FalsificationError, InputError, ProdapError, ShapeError
 from prodap.exactnum import QuadElem
 from prodap.irregular import forest_check
 from prodap.prodset import Edge, RepGraph, build_rep_graph, sort_key
+from prodap.rationalize import rationalize_components
 
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
 # 6=1*6, 7=1*7, 12=2*6, 14=2*7
@@ -520,3 +527,178 @@ class TestOracleEquivalence:
         _, _, g = cover_instance(12)
         assert find_even_cycle(g, 5) == ref_find_even_cycle(g, 5)
         assert enumerate_even_cycles(g, 4, 40) == ref_prefixes(g, 4, 40)
+
+
+def _outcome(call):
+    """None if call returns, else the error's type, message and payload."""
+    try:
+        call()
+    except ProdapError as exc:
+        return type(exc), str(exc), getattr(exc, "payload", None)
+    return None
+
+
+def _pipeline_walks(graph):
+    """The walks the pipeline audits, shortest length first."""
+    return [
+        w
+        for length in range(4, 2 * harness.CYCLE_HALF_LENGTH + 1, 2)
+        for w in _walk_length(graph.neighbours, length, harness.DEFAULT_CYCLE_CAP)[0]
+    ]
+
+
+def _first_failure(graph, walks, A, desc):
+    """The outcome of cycle_audit on the first cycle it fails among the
+    cycles of enumerate_even_cycles, which must be the cycles of the walks."""
+    cycles = enumerate_even_cycles(graph, harness.CYCLE_HALF_LENGTH, harness.DEFAULT_CYCLE_CAP)
+    assert [_cycle_through(graph, w) for w in walks] == cycles
+    for cyc in cycles:
+        out = _outcome(lambda: cycle_audit(cyc, A, desc))
+        if out is not None:
+            return out
+    return None
+
+
+def _quad_audit_inputs(seed, m):
+    """The reduced graph, progression and descriptor that the pipeline
+    audits for a seeded quadratic 4-cycle instance."""
+    inst = harness.random_quad_cycle_instance(seed, m)
+    B, scale = harness.integerize(rationalize_components(inst))
+    claim = APDescriptor(1, 2, 1, 5)  # the progression 2..6 the demo carries
+    B_red, desc, _ = reduce_ap([t * scale * scale for t in claim.terms()], B)
+    A = desc.terms()
+    return build_rep_graph(B_red, A), A, desc
+
+
+class TestBatchedAudit:
+    """audit_cycle_walks against its oracle, cycle_audit on each EvenCycle."""
+
+    @pytest.mark.parametrize("n", range(12, 101))
+    def test_cover_graphs_agree(self, n):
+        _, A, g = cover_instance(n)
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _pipeline_walks(g)
+        assert _first_failure(g, walks, A, desc) is None
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) is None
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 7])
+    def test_quadratic_instances_agree(self, m):
+        for seed in range(64):
+            g, A, desc = _quad_audit_inputs(seed, m)
+            walks = _pipeline_walks(g)
+            assert walks
+            want = _first_failure(g, walks, A, desc)
+            assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+
+    @staticmethod
+    def tampered_cases():
+        B, A, g = cover_instance(20)
+        yield g, A, APDescriptor(1, 1, 1, len(A))
+        odd = APDescriptor(1, 1, 2, (len(A) + 1) // 2)  # the odd terms, d = 2
+        yield build_rep_graph(B, odd.terms()), odd.terms(), odd
+        g, A, desc = _quad_audit_inputs(5, 3)
+        assert (desc.r, desc.d) != (1, 1)
+        yield g, A, desc
+
+    @pytest.mark.parametrize(
+        "tamper", ["r", "d", "term", "pair", "relabel", "short", "unreduced"]
+    )
+    def test_tampered_inputs_fail_alike(self, tamper):
+        for g, A, desc in self.tampered_cases():
+            walks = _pipeline_walks(g)
+            first = _cycle_through(g, walks[0]).indices
+            D, r, d, L = desc.D, desc.r, desc.d, desc.L
+            A = list(A)
+            if tamper == "r":
+                desc = APDescriptor(D, r + d, d, L)  # still reduced
+            elif tamper == "d":
+                desc = APDescriptor(D, r, d + D * r, L)  # still reduced
+            elif tamper == "term":
+                A[_cycle_through(g, walks[-1]).indices[1]] += 1
+            elif tamper == "pair":
+                # one odd- and one even-position term doubled: the products
+                # still agree, the edge values no longer match A
+                A[first[0]] *= 2
+                A[first[1]] *= 2
+            elif tamper == "relabel":
+                # every term and edge value moved by one: the values match A
+                # and the indices still vanish at (r, d), the products differ
+                A = [a + 1 for a in A]
+                g = RepGraph(g.elements, tuple(replace(e, value=e.value + 1) for e in g.edges))
+            elif tamper == "short":
+                A = A[: max(first)]  # the first cycle's top index is past the end
+            elif d > 1:
+                desc = APDescriptor(D * d, r, d, L)  # r and d as before
+            else:
+                desc = APDescriptor(D, 2 * r, 2 * d, L)
+            want = _first_failure(g, walks, A, desc)
+            assert want is not None
+            assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+
+    def test_coefficient_bound_failures_match(self, monkeypatch):
+        # with every e_t past e_0 scaled up, the coefficients still vanish at
+        # r = d = 1, so only the |c_t| bound can fail
+        _, A, g = cover_instance(20)
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _pipeline_walks(g)
+        esym = cyclelab.elementary_symmetric
+        monkeypatch.setattr(
+            cyclelab, "elementary_symmetric", lambda xs: [1] + [10**40 * e for e in esym(xs)[1:]]
+        )
+        want = _first_failure(g, walks, A, desc)
+        assert want[1] == "cycle coefficient audit failed"
+        assert want[2]["coeff_bound_ok"] is False
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+
+    def test_divisibility_failures_match(self, monkeypatch):
+        # A descriptor wrongly taken as reduced: D*(r + d*j) with r = d = 2
+        # keeps every cycle's identity and vanishing, so only d | c_l and
+        # r | c_m can fail
+        B, _, _ = cover_instance(30)
+        desc = APDescriptor(1, 2, 2, 40)
+        A = desc.terms()
+        g = build_rep_graph(B, A)
+        walks = _pipeline_walks(g)
+        monkeypatch.setattr(APDescriptor, "is_reduced", property(lambda self: True))
+        want = _first_failure(g, walks, A, desc)
+        assert want is not None and want[1] == "cycle coefficient audit failed"
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+        # each cycle alone: the batched audit passes exactly the cycles
+        # cycle_audit passes
+        for w in walks:
+            cyc = _cycle_through(g, w)
+            want = _outcome(lambda: cycle_audit(cyc, A, desc))
+            assert _outcome(lambda: audit_cycle_walks(g, [w], A, desc)) == want
+
+    def test_malformed_walks(self):
+        _, A, g = cover_instance(12)
+        desc = APDescriptor(1, 1, 1, len(A))
+        fours = _walk_length(g.neighbours, 4, None)[0]
+        a, b, c, d = fours[0]
+        side = [v[0] for v in g.vertices]
+        off = next(
+            t for t in range(len(side))
+            if side[t] == side[a] and t not in (a, c) and (t, b) not in g.edge_lookup
+        )
+        # two 4-cycles through a and nothing else in common: a closed walk
+        # on eight distinct edges that visits a twice
+        eight = next(w for w in fours if w[0] == a and not {b, c, d} & set(w))
+        for walk, message in [
+            ([a, b, c], "cycle length must be even and >= 4, got 3"),
+            ([a, b, a, b], "cycle revisits a vertex"),
+            ([a, b, c, d] + eight, "cycle revisits a vertex"),
+            ([a, c, b, d], "consecutive cycle vertices must alternate sides"),
+            ([a, b, off, d], "the walk steps between two vertices with no edge"),
+        ]:
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                audit_cycle_walks(g, [[a, b, c, d], walk], A, desc)
+
+    def test_disagreement_is_a_falsification(self, monkeypatch):
+        _, A, g = cover_instance(12)
+        walk = _walk_length(g.neighbours, 4, 1)[0][0]
+        A = list(A)
+        A[_cycle_through(g, walk).indices[0]] += 1
+        monkeypatch.setattr(cyclelab, "cycle_audit", lambda cycle, A, desc: None)
+        with pytest.raises(FalsificationError, match="batched cycle audit failed") as exc:
+            audit_cycle_walks(g, [walk], A, APDescriptor(1, 1, 1, len(A)))
+        assert exc.value.payload == _cycle_through(g, walk).as_json()

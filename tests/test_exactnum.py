@@ -15,6 +15,7 @@ from prodap.exactnum import (
     DEFAULT_SIEVE_CAPACITY,
     PrimeTable,
     QuadElem,
+    _payload_int,
     factorize,
     is_prime,
     primes_in,
@@ -444,6 +445,21 @@ class TestDigitLimit:
     def test_valuation(self):
         with pytest.raises(DomainError, match=r"n=<16610-bit integer>, p=1$"):
             valuation(10**5000, 1)
+
+    def test_exact_values_name_their_ints(self):
+        big = 10**5000
+        assert _payload_int(Fraction(big, 3)) == "<16610-bit integer>/3"
+        assert _payload_int(Fraction(3, big + 1)) == "3/<16610-bit integer>"
+        assert _payload_int(Fraction(big)) == "<16610-bit integer>"
+        assert _payload_int(QuadElem(big, 0, 2)) == "<16610-bit integer>"
+        assert _payload_int(QuadElem(1, Fraction(big, 7), 2)) == "1 + <16610-bit integer>/7*sqrt(2)"
+        # below the limit the text is str(x)
+        for x in (Fraction(-5, 3), QuadElem(1, -2, 3), QuadElem(4, 0, 3)):
+            assert _payload_int(x) == str(x)
+
+    def test_as_rational(self):
+        with pytest.raises(DomainError, match=r"^<16610-bit integer> \+ 1\*sqrt\(2\) is not"):
+            QuadElem(10**5000, 1, 2).as_rational()
 
 
 _rats = st.fractions(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from prodap import cyclelab, harness, jsonio
 from prodap.apcore import APDescriptor
-from prodap.errors import InputError, RepresentationError
+from prodap.errors import FalsificationError, InputError, RepresentationError
 from prodap.harness import (
     InstanceFile,
     absolutize,
@@ -239,6 +239,24 @@ class TestPipeline:
                 assert row["complete"] == (total <= cap)
                 assert row["stopped"] == (None if total <= cap else "cap")
 
+    def test_cycle_audit_failure_is_reported(self, monkeypatch):
+        # every e_t past e_0 scaled up breaks only the |c_t| bound; the
+        # report carries cycle_audit's falsification for the first cycle
+        esym = cyclelab.elementary_symmetric
+        monkeypatch.setattr(
+            cyclelab, "elementary_symmetric", lambda xs: [1] + [10**40 * e for e in esym(xs)[1:]]
+        )
+        inst = demo_instance_file("cover100")
+        report = pipeline(inst, cycle_cap=2)
+        assert report["ok"] is False and "cycles" not in report["stages"]
+        A = inst.ap.terms()
+        first = enumerate_even_cycles(build_rep_graph(inst.elements, A), 2, 1)[0]
+        with pytest.raises(FalsificationError) as exc:
+            cyclelab.cycle_audit(first, A, inst.ap)
+        assert report["falsifications"] == [
+            {"message": str(exc.value), "payload": exc.value.payload}
+        ]
+
     @pytest.mark.parametrize("budget", [1, 20])
     def test_step_budget_is_reported(self, budget, monkeypatch):
         full = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]
@@ -286,12 +304,32 @@ class TestPipeline:
         ("quad", 2): "1b0754a12112f0804d5a5fda611e36ecac9054a6dc8555e590dd12d175889b5c",
         ("quad", 3): "5ef46fd07590f968c1bc3e68a3fe867f5c4f8f9e7844667b5fa890b4775df85f",
         ("quad", 4): "a01b802eee9720dfaedbcd18f2c56d0edb73ba76304278d0a40822b9a660eb2e",
+        # a cover set with no claim, n = 24: the progression comes from search
+        ("noclaim", 24): "a7f505ad1a68678a784473e233a12a427128397048598bfdd9a7c0578d0c601c",
+        # (kind, seed, cycle cap) for caps below the default
+        ("cover100", 0, 1): "9f7fe6f2db8eb515f3cc7e365972afcb85299d0d30d2c440cd6f5ad086ea5be3",
+        ("cover100", 0, 2): "6af9631619e3c96aa8d1e45c3d1cad06fdd495c18061bbedce020563f073d3f9",
+        ("cover100", 0, 3): "5e353516d1ae996bca0ed9103a85ef4bb3a63488a92a06c3b53838f15d9a2e9c",
     }
 
-    @pytest.mark.parametrize("kind,seed", sorted(GOLDEN))
+    @staticmethod
+    def golden_instance(kind, seed):
+        if kind == "noclaim":
+            from prodap.construct import cover_set
+
+            elements = list(cover_set(seed).elements)
+            return InstanceFile("integer", elements, provenance={"generator": "cover", "n": seed})
+        return demo_instance_file(kind, seed)
+
+    @pytest.mark.parametrize("kind,seed", sorted(k for k in GOLDEN if len(k) == 2))
     def test_golden_report_digest(self, kind, seed):
-        text = pipeline_report_json(demo_instance_file(kind, seed))
+        text = pipeline_report_json(self.golden_instance(kind, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed)]
+
+    @pytest.mark.parametrize("kind,seed,cap", sorted(k for k in GOLDEN if len(k) == 3))
+    def test_golden_report_digest_at_cap(self, kind, seed, cap):
+        text = pipeline_report_json(self.golden_instance(kind, seed), cap)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed, cap)]
 
     def test_fabricated_claim_fails_loudly(self):
         inst = InstanceFile("integer", [2, 3, 5], ap=APDescriptor(1, 5, 1, 3))

@@ -67,6 +67,14 @@ class TestHitCount:
         with pytest.raises(InputError):
             hit_count(11, APDescriptor(1, 1, 11, 31))  # divides d
 
+    def test_non_window_prime_past_digit_limit(self):
+        # the 5001-digit p and d are named by their bit lengths
+        with pytest.raises(
+            InputError,
+            match=r"^<16610-bit integer> is not a window prime for L=31, d=<16610-bit integer>$",
+        ):
+            hit_count(10**5000, APDescriptor(1, 1, 10**5000, 31))
+
 
 class TestClassify:
     def test_d_one_counts_equal_hits(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
@@ -65,6 +66,12 @@ class TestProductSet:
         assert len(ps) == 8 * 9 // 2
 
 
+# a Fraction and a QuadElem with a 5001-digit coordinate, and how messages
+# name them
+BIG_FRACTION, BIG_FRACTION_TEXT = Fraction(10**5000, 3), "<16610-bit integer>/3"
+BIG_QUAD, BIG_QUAD_TEXT = QuadElem(10**5000, 1, 2), "<16610-bit integer> + 1*sqrt(2)"
+
+
 class TestRepGraph:
     def test_unique_factorizations(self):
         g = build_rep_graph([2, 3, 5, 7], [6, 10, 14])
@@ -109,6 +116,25 @@ class TestRepGraph:
         # the repeated 5001-digit element is named by its bit length
         with pytest.raises(InputError, match="<16610-bit integer>"):
             call(10**5000)
+
+    @pytest.mark.parametrize(
+        "call,big,message",
+        [
+            (product_set, BIG_FRACTION, f"duplicate element {BIG_FRACTION_TEXT} in base set"),
+            (product_set, BIG_QUAD, f"duplicate element {BIG_QUAD_TEXT} in base set"),
+            (longest_ap, BIG_FRACTION, f"duplicate element {BIG_FRACTION_TEXT}"),
+            # a quadratic element is refused before any repeat is looked for
+            (longest_ap, BIG_QUAD, "needs ordered values"),
+            (lambda B: RepGraph(tuple(B), ()), BIG_FRACTION, f"{BIG_FRACTION_TEXT} appears twice"),
+            (lambda B: RepGraph(tuple(B), ()), BIG_QUAD, f"{BIG_QUAD_TEXT} appears twice"),
+        ],
+        ids=[f"{site}-{kind}" for site in ("product_set", "longest_ap", "RepGraph")
+             for kind in ("Fraction", "QuadElem")],
+    )
+    def test_exact_duplicate_past_digit_limit(self, call, big, message):
+        # the library's own error, not the ValueError of str(big)
+        with pytest.raises(InputError, match=re.escape(message)):
+            call([big, big])
 
     def test_unrepresentable_term_past_digit_limit(self):
         # the message names the term by its index; the error carries the value

@@ -131,6 +131,17 @@ class TestRationalize:
         with pytest.raises(DomainError):
             make_quad_instance([rt2(1), rt2(2)], [QuadElem(0, 1, 2)], 2)
 
+    def test_irrational_target_past_digit_limit(self):
+        # the target's 5001-digit coordinate is named by its bit length
+        big = QuadElem(10**5000, 1, 2)
+        with pytest.raises(DomainError, match=r"^target <16610-bit integer> \+ 1\*sqrt\(2\) "):
+            make_quad_instance([rt2(1), rt2(2)], [big], 2)
+
+    def test_foreign_element_past_digit_limit(self):
+        big = QuadElem(10**5000, 1, 3)
+        with pytest.raises(InputError, match=r"^element <16610-bit integer> \+ 1\*sqrt\(3\) "):
+            make_quad_instance([rt2(1), big], [Fraction(2)], 2)
+
 
 class TestC4Audit:
     def k33(self):
