@@ -62,6 +62,11 @@ class APDescriptor:
     def is_reduced(self) -> bool:
         return gcd(self.d, self.D * self.r) == 1
 
+    def first_divisible(self, m: int) -> int:
+        """The least i >= 0 with m | r + d*i, for m >= 1 coprime to d; every
+        other such i lies a multiple of m above it."""
+        return -self.r * pow(self.d, -1, m) % m
+
 
 def validate_ap(A: list[int]) -> tuple[int, int, int]:
     """Check A is an ascending AP of >= 3 positive integers; return (r, d, L)."""
@@ -274,33 +279,37 @@ def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:
 
     Reducedness gives gcd(r + d*j, d) = 1, so gcd(term_i, term_j) =
     D * gcd(r + d*j, i - j).  A value g is therefore reached iff gcd(g, d) = 1
-    and j0(g) = -r * d**-1 mod g, the first j with g | r + d*j, leaves room
-    for i = j0 + g <= L - 1.  The worst pair is (j0 + g, j0) for the largest
-    such g in 2..L-1, or (1, 0) with gcd D when there is none: the largest
-    gcd, then the smallest j, then the smallest i.  The gcd at that pair is
-    recomputed from the terms themselves, and a mismatch is a falsification.
+    and j0 = ``desc.first_divisible(g)``, the first j with g | r + d*j, leaves
+    room for i = j0 + g <= L - 1.  The worst pair is (j0 + g, j0) for the
+    largest such g in 2..L-1, or (1, 0) with gcd D when there is none: the
+    largest gcd, then the smallest j, then the smallest i.  The gcd at that
+    pair is recomputed from the terms themselves, and a mismatch is a
+    falsification.
     """
     if not desc.is_reduced:
         raise InputError("descriptor not reduced: gcd(d, D*r) != 1")
-    D, r, d, L = desc.D, desc.r, desc.d, desc.L
+    D, d, L = desc.D, desc.d, desc.L
     i, j, g = 1, 0, 1
     for h in range(L - 1, 1, -1):
         if gcd(h, d) == 1:
-            j0 = -r * pow(d, -1, h) % h
+            j0 = desc.first_divisible(h)
             if j0 + h <= L - 1:
                 i, j, g = j0 + h, j0, h
                 break
     worst = gcd(desc.term(i), desc.term(j))
     if worst != D * g:
-        from . import jsonio  # jsonio imports this module
-
         raise FalsificationError(
             "closed-form worst pair disagrees with its recomputed gcd",
             payload={
-                "descriptor": jsonio.descriptor_to_json(desc),
+                "descriptor": {
+                    "D": _payload_int(D),
+                    "r": _payload_int(desc.r),
+                    "d": _payload_int(d),
+                    "L": L,
+                },
                 "pair": [i, j],
-                "closed_form": jsonio.enc_int(D * g),
-                "gcd": jsonio.enc_int(worst),
+                "closed_form": _payload_int(D * g),
+                "gcd": _payload_int(worst),
             },
         )
     return worst <= D * L, (i, j, worst)

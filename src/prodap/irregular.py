@@ -1,11 +1,13 @@
 """Prime-window irregularity analysis.
 
-For a reduced progression of length L, the window holds the primes strictly
-between L/3 and L/2 that do not divide the difference.  Each such prime
-divides only two or three terms, an edge is p-irregular when its value
-carries more factors p than the common factor D does, and a greedy pass picks
-an independent set of irregular edges (at most one per prime) which is then
-checked to span a forest.
+For a reduced progression D*(r + d*i) of length L, the window holds the
+primes strictly between L/3 and L/2 that do not divide the difference.  An
+edge is p-irregular when its value carries more factors p than the common
+factor D does, that is when p | r + d*i.  Those i form one residue class mod
+p, so each window prime marks two or three terms, read off from
+``APDescriptor.first_divisible``.  A greedy pass picks an independent set of
+irregular edges (at most one per prime), which is then checked to span a
+forest.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .apcore import APDescriptor
-from .errors import InputError
-from .exactnum import _payload_int, is_prime, primes_in, valuation
+from .errors import InputError, ShapeError
+from .exactnum import _payload_int, is_prime, primes_in
 from .prodset import Edge, RepGraph
 
 
@@ -52,10 +54,7 @@ def hit_count(p: int, desc: APDescriptor) -> int:
         raise InputError(
             f"{_payload_int(p)} is not a window prime for L={L}, d={_payload_int(desc.d)}"
         )
-    i0 = (-desc.r * pow(desc.d, -1, p)) % p
-    if i0 >= L:
-        return 0
-    return (L - 1 - i0) // p + 1
+    return len(range(desc.first_divisible(p), L, p))
 
 
 @dataclass
@@ -75,27 +74,31 @@ def classify_edges(
     graph: RepGraph, desc: APDescriptor, window: PrimeWindow
 ) -> IrregularityReport:
     """Mark each edge p-irregular when its value carries a strictly larger
-    power of p than the common factor D does."""
+    power of p than the common factor D does.  Once the edge at index i in
+    [0, L) carries D*(r + d*i), that holds iff p | r + d*i, so p marks the
+    edges at first_divisible(p) + k*p below L."""
+    L = desc.L
+    by_index: dict[int, Edge] = {}
     for e in graph.edges:
         if not isinstance(e.value, int):
             raise InputError("irregularity analysis needs an integer instance")
+        if not 0 <= e.index < L:
+            raise ShapeError(
+                f"edge index {_payload_int(e.index)} outside progression of length {L}"
+            )
         if e.value != desc.term(e.index):
             # named by index: a term may be too long to print
             raise InputError(f"edge {e.index} does not carry term {e.index}")
-    per_prime: dict[int, list[Edge]] = {p: [] for p in window.primes}
-    edge_primes: dict[int, tuple[int, ...]] = {}
-    d_ord = {p: valuation(desc.D, p) for p in window.primes}
-    for e in sorted(graph.edges, key=lambda e: e.index):
-        mine = tuple(p for p in window.primes if valuation(e.value, p) > d_ord[p])
-        if mine:
-            edge_primes[e.index] = mine
-            for p in mine:
-                per_prime[p].append(e)
-    return IrregularityReport(
-        window,
-        {p: tuple(edges) for p, edges in per_prime.items()},
-        edge_primes,
-    )
+        by_index[e.index] = e
+    per_prime: dict[int, tuple[Edge, ...]] = {}
+    hits: dict[int, list[int]] = {}
+    for p in window.primes:
+        marked = [i for i in range(desc.first_divisible(p), L, p) if i in by_index]
+        per_prime[p] = tuple(by_index[i] for i in marked)
+        for i in marked:
+            hits.setdefault(i, []).append(p)
+    edge_primes = {i: tuple(hits[i]) for i in sorted(hits)}
+    return IrregularityReport(window, per_prime, edge_primes)
 
 
 def select_independent_irregulars(report: IrregularityReport) -> tuple[Edge, ...]:

@@ -45,17 +45,20 @@ def enc_int(x: int) -> str:
 
 
 def dec_int(s) -> int:
+    """A JSON int or a decimal string; a float or boolean is not an integer
+    literal, even when int() would truncate it."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise InputError(f"bad integer literal {s!r}")
     try:
         return int(s)
-    except (TypeError, ValueError) as exc:
-        if isinstance(s, str):
-            digits = s.strip().lstrip("+-").replace("_", "")
-            if digits.isascii() and digits.isdigit() and len(digits) > _digit_cap() > 0:
-                raise CapacityError(
-                    f"integer literal of {len(digits)} digits exceeds the "
-                    f"{_digit_cap()}-digit limit on decimal-to-int conversion",
-                    limit=_digit_cap(),
-                ) from exc
+    except ValueError as exc:  # only a str gets here
+        digits = s.strip().lstrip("+-").replace("_", "")
+        if digits.isascii() and digits.isdigit() and len(digits) > _digit_cap() > 0:
+            raise CapacityError(
+                f"integer literal of {len(digits)} digits exceeds the "
+                f"{_digit_cap()}-digit limit on decimal-to-int conversion",
+                limit=_digit_cap(),
+            ) from exc
         raise InputError(f"bad integer literal {s!r}") from exc
 
 

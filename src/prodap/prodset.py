@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import combinations_with_replacement, compress, repeat
 from operator import sub
 
 from .apcore import APDescriptor, factor_pairs
@@ -34,10 +34,11 @@ BITSET_SPAN_RATIO = 64
 
 def sort_key(x):
     """Deterministic total order: rationals by value, quadratic elements by
-    coordinates (a, b)."""
+    coordinates (a, b).  Python compares ints and Fractions exactly, so a
+    rational keys as (x, 0) without conversion."""
     if isinstance(x, QuadElem):
         return x.sort_key
-    return (Fraction(x), Fraction(0))
+    return (x, 0)
 
 
 def _repeat(items):
@@ -64,7 +65,6 @@ def _check_elements(B):
 class ProductSet:
     """All pairwise products of a base set, sorted and distinct."""
 
-    base: tuple
     products: tuple
 
     @cached_property
@@ -82,11 +82,10 @@ def product_set(B) -> ProductSet:
     """Enumerate {b*b' : b, b' in B}, ordered by ``sort_key``; rationals
     already sort by value, so only quadratic bases sort through the key."""
     _check_elements(B)
-    base = tuple(sorted(B, key=sort_key))
-    products = {x * y for i, x in enumerate(base) for y in base[i:]}
-    if any(isinstance(b, QuadElem) for b in base):
-        return ProductSet(base, tuple(sorted(products, key=sort_key)))
-    return ProductSet(base, tuple(sorted(products)))
+    products = {x * y for x, y in combinations_with_replacement(B, 2)}
+    if any(isinstance(b, QuadElem) for b in B):
+        return ProductSet(tuple(sorted(products, key=sort_key)))
+    return ProductSet(tuple(sorted(products)))
 
 
 @dataclass(frozen=True)

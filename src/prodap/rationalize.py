@@ -20,7 +20,7 @@ from .apcore import first_pairs
 from .cyclelab import EvenCycle, find_even_cycle
 from .errors import DomainError, FalsificationError, InputError
 from .exactnum import QuadElem, _payload_int
-from .prodset import RepGraph, build_rep_graph, sort_key
+from .prodset import RepGraph, build_rep_graph
 
 
 @dataclass
@@ -55,7 +55,7 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
             t = t.as_rational()
         targs.append(Fraction(t))
     graph = build_rep_graph(elems, [QuadElem.from_rational(t, m) for t in targs])
-    return QuadInstance(m, sorted(elems, key=sort_key), targs, graph)
+    return QuadInstance(m, list(graph.elements), targs, graph)
 
 
 def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:

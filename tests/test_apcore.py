@@ -105,6 +105,14 @@ class TestDescriptor:
         with pytest.raises(InputError, match="APDescriptor.r .* got <16610-bit integer>"):
             APDescriptor(1, -(10**5000), 1, 4)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 300))
+    def test_first_divisible_is_least(self, r, d, m):
+        assume(gcd(m, d) == 1)
+        i = APDescriptor(1, r, d, 3).first_divisible(m)
+        assert 0 <= i < m and (r + d * i) % m == 0
+        assert all((r + d * j) % m for j in range(i))
+
 
 class TestReduce:
     def test_single_strip(self):
@@ -283,6 +291,19 @@ class TestGcdBound:
             gcd_bound_audit(APDescriptor(1, 1, 1, 10))
         assert exc.value.payload["pair"] == [9, 0]
         assert exc.value.payload["closed_form"] == "9"
+        assert exc.value.payload["descriptor"] == {"D": "1", "r": "1", "d": "1", "L": 10}
+
+    def test_falsification_past_digit_limit(self, monkeypatch):
+        # the 5001-digit D is named by its bit length, so the falsification
+        # is reported rather than lost to an int-to-str failure
+        monkeypatch.setattr(apcore, "pow", lambda *args: 0, raising=False)
+        with pytest.raises(FalsificationError) as exc:
+            gcd_bound_audit(APDescriptor(10**5000, 1, 1, 10))
+        payload = exc.value.payload
+        assert payload["descriptor"] == {"D": "<16610-bit integer>", "r": "1", "d": "1", "L": 10}
+        assert payload["pair"] == [9, 0]
+        assert payload["closed_form"] == "<16613-bit integer>"
+        assert payload["gcd"] == "<16610-bit integer>"
 
 
 def first_pair_oracle(a, base):

@@ -386,6 +386,56 @@ class TestExitCodes:
         bad.write_text(json.dumps({"field": "integer", "elements": 5}))
         assert run(["pipeline", "--in", bad]) == 2
 
+    # one file per site that decodes an integer, "@" marking the site; a JSON
+    # float, boolean, overflowing number or NaN there is not an integer
+    INTEGER_SITES = {
+        "element": (
+            ["pipeline", "--in", "{0}"], ['{"field": "integer", "elements": [1, 2, 3, @]}']
+        ),
+        "descriptor": (["convex-demo", "--ap", "{0}"], ['{"D": 1, "r": @, "d": 1, "L": 3}']),
+        "edge": (
+            ["irregular", "--graph", "{0}", "--ap", "{1}"],
+            ['{"field": "integer", "m": null, "elements": ["1", "3"],'
+             ' "edges": [{"u": 0, "v": 1, "index": @, "value": "3"}]}',
+             '{"D": "1", "r": "3", "d": "1", "L": 3}'],
+        ),
+        "quadratic coordinate": (
+            ["pipeline", "--in", "{0}"],
+            ['{"field": "quadratic", "m": "2", "elements": [{"a": @, "b": "1"}]}'],
+        ),
+        "m": (
+            ["pipeline", "--in", "{0}"],
+            ['{"field": "quadratic", "m": @, "elements": [{"a": "1", "b": "1"}]}'],
+        ),
+    }
+
+    @pytest.mark.parametrize("literal", ["1.5", "true", "1e400", "NaN"])
+    @pytest.mark.parametrize("site", list(INTEGER_SITES))
+    def test_json_non_integer_is_input_error(self, tmp_path, capsys, site, literal):
+        argv, texts = self.INTEGER_SITES[site]
+        paths = []
+        for t, text in enumerate(texts):
+            path = tmp_path / f"in{t}.json"
+            path.write_text(text.replace("@", literal))
+            paths.append(str(path))
+        assert run([a.format(*paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: bad integer literal ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("index, r", [(8, 1), (7, 1), (-1, 4)])
+    def test_edge_index_outside_progression(self, tmp_path, capsys, index, r):
+        # both edges carry their terms r + i, but index is not in [0, 7)
+        graph = tmp_path / "g.json"
+        ap = tmp_path / "ap.json"
+        edges = [{"u": 0, "v": 1, "index": 2, "value": str(r + 2)},
+                 {"u": 1, "v": 1, "index": index, "value": str(r + index)}]
+        graph.write_text(json.dumps({"field": "integer", "m": None,
+                                     "elements": ["1", "3", "9"], "edges": edges}))
+        ap.write_text(json.dumps({"D": "1", "r": str(r), "d": "1", "L": 7}))
+        assert run(["irregular", "--graph", graph, "--ap", ap]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: edge index {index} outside progression of length 7\n"
+
     def test_corrupted_graph_falsifies(self, tmp_path, capsys):
         # hand-crafted 4-cycle whose values cannot satisfy the alternating
         # product identity: the audit must exit 4 with a report

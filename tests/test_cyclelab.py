@@ -30,7 +30,7 @@ from prodap.cyclelab import (
 from prodap.errors import FalsificationError, InputError, ProdapError, ShapeError
 from prodap.exactnum import QuadElem
 from prodap.irregular import forest_check
-from prodap.prodset import Edge, RepGraph, build_rep_graph, sort_key
+from prodap.prodset import Edge, RepGraph, build_rep_graph
 from prodap.rationalize import rationalize_components
 
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
@@ -321,7 +321,9 @@ class TestForestAgreement:
 
 
 def _ref_order_key(graph, vertex):
-    return (sort_key(graph.vertex_value(vertex)), vertex[0])
+    x = graph.vertex_value(vertex)
+    key = x.sort_key if isinstance(x, QuadElem) else (Fraction(x), Fraction(0))
+    return (key, vertex[0])
 
 
 def _ref_adjacency(graph):
@@ -474,7 +476,7 @@ class TestVertexIds:
         for v in every:
             assert g.vertices[g.vertex_rank[v]] == v
         # ids follow (value, side), not positions in elements
-        keys = [(sort_key(g.vertex_value(v)), v[0]) for v in g.vertices]
+        keys = [_ref_order_key(g, v) for v in g.vertices]
         assert keys == sorted(keys)
         rank = g.vertex_rank
         joined = [set() for _ in every]

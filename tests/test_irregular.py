@@ -4,11 +4,16 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodap.apcore import APDescriptor
+from prodap import harness
+from prodap.apcore import APDescriptor, reduce_ap
 from prodap.construct import cover_set
 from prodap.errors import InputError
+from prodap.exactnum import valuation
 from prodap.irregular import (
+    IrregularityReport,
     classify_edges,
     forest_check,
     hit_count,
@@ -17,6 +22,7 @@ from prodap.irregular import (
     select_independent_irregulars,
 )
 from prodap.prodset import Edge, RepGraph, build_rep_graph
+from prodap.rationalize import rationalize_components
 
 
 def cover_graph(n):
@@ -161,3 +167,107 @@ class TestForest:
             # every selected edge is irregular for at least one window prime
             for idx in (e.index for e in report.selected):
                 assert report.edge_primes[idx]
+
+
+# ---------------------------------------------------------------------------
+# slow oracle: the classification as first written, comparing the valuation
+# of every edge value with D's for every window prime
+# ---------------------------------------------------------------------------
+
+
+def _valuation_classify(graph, desc, window):
+    per_prime = {p: [] for p in window.primes}
+    edge_primes = {}
+    d_ord = {p: valuation(desc.D, p) for p in window.primes}
+    for e in sorted(graph.edges, key=lambda e: e.index):
+        mine = tuple(p for p in window.primes if valuation(e.value, p) > d_ord[p])
+        if mine:
+            edge_primes[e.index] = mine
+            for p in mine:
+                per_prime[p].append(e)
+    return IrregularityReport(
+        window, {p: tuple(edges) for p, edges in per_prime.items()}, edge_primes
+    )
+
+
+def _fields(report):
+    return (
+        report.per_prime,
+        report.edge_primes,
+        report.selected,
+        report.selected_primes,
+        report.forest,
+    )
+
+
+def assert_matches_oracle(graph, desc):
+    """classify_edges and irregularity_report against the valuation scan;
+    returns the number of irregular edges."""
+    window = prime_window(desc)
+    want = _valuation_classify(graph, desc, window)
+    assert _fields(classify_edges(graph, desc, window)) == _fields(want)
+    select_independent_irregulars(want)
+    want.forest = forest_check(graph, want.selected)
+    assert _fields(irregularity_report(graph, desc)) == _fields(want)
+    return len(want.edge_primes)
+
+
+def _quad_reduced_graph(seed, m):
+    """The reduced graph and descriptor the pipeline classifies for a
+    seeded quadratic 4-cycle instance."""
+    inst = harness.random_quad_cycle_instance(seed, m)
+    B, scale = harness.integerize(rationalize_components(inst))
+    claim = APDescriptor(1, 2, 1, 5)
+    B_red, desc, _ = reduce_ap([t * scale * scale for t in claim.terms()], B)
+    return build_rep_graph(B_red, desc.terms()), desc
+
+
+@st.composite
+def graphs_in_range(draw):
+    """A graph whose edge at index i in [0, L) carries term i of a reduced
+    descriptor; vertex pairs and indices drawn at random."""
+    D = draw(st.sampled_from([1, 2, 11, 13, 121, 11 * 13, 17 * 19]) | st.integers(1, 10**6))
+    r = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 60))
+    while gcd(d, D * r) > 1:
+        d //= gcd(d, D * r)
+    desc = APDescriptor(D, r, d, draw(st.integers(3, 80)))
+    n = draw(st.integers(1, 10))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 unique=True, max_size=desc.L)
+    )
+    indices = draw(st.permutations(range(desc.L)))
+    edges = tuple(Edge(u, v, i, desc.term(i)) for (u, v), i in zip(pairs, indices))
+    return RepGraph(tuple(range(1, n + 1)), edges), desc
+
+
+class TestResidueRuleOracle:
+    def test_cover_graphs(self):
+        irregular = sum(assert_matches_oracle(*cover_graph(n)) for n in range(10, 61))
+        assert irregular > 0
+
+    def test_common_factor_carries_window_primes(self):
+        irregular = 0
+        for D in (11, 121, 11 * 13):
+            for r in range(1, 7):
+                for d in range(1, 5):
+                    for L in (27, 31, 47, 60):
+                        desc = APDescriptor(D, r, d, L)
+                        if not desc.is_reduced:
+                            continue
+                        B = sorted({D} | {r + d * i for i in range(L)})
+                        irregular += assert_matches_oracle(
+                            build_rep_graph(B, desc.terms()), desc
+                        )
+        assert irregular > 0
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 7])
+    def test_reduced_quadratic_graphs(self, m):
+        for seed in range(64):
+            assert_matches_oracle(*_quad_reduced_graph(seed, m))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_in_range())
+    def test_drawn_graphs(self, case):
+        assert_matches_oracle(*case)

@@ -66,6 +66,31 @@ class TestProductSet:
         assert len(ps) == 8 * 9 // 2
 
 
+mixed_values = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)),
+    st.builds(
+        lambda a, b: QuadElem(Fraction(a), Fraction(b), 2), st.integers(-5, 5), st.integers(-5, 5)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_values, max_size=20))
+def test_sort_key_keeps_the_fraction_order(xs):
+    """sort_key orders mixed lists as a key that turns every rational into a
+    pair of Fractions does; positions are compared, so equal values keep
+    their places too."""
+
+    def fraction_key(x):
+        return x.sort_key if isinstance(x, QuadElem) else (Fraction(x), Fraction(0))
+
+    def order(key):
+        return sorted(range(len(xs)), key=lambda i: key(xs[i]))
+
+    assert order(prodset.sort_key) == order(fraction_key)
+
+
 # a Fraction and a QuadElem with a 5001-digit coordinate, and how messages
 # name them
 BIG_FRACTION, BIG_FRACTION_TEXT = Fraction(10**5000, 3), "<16610-bit integer>/3"
