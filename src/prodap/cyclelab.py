@@ -18,7 +18,7 @@ from typing import NoReturn
 
 from .apcore import APDescriptor
 from .errors import FalsificationError, InputError, ShapeError
-from .jsonio import enc_int
+from .exactnum import _payload_int
 from .prodset import RepGraph
 
 Vertex = tuple[int, int]
@@ -292,10 +292,10 @@ def cycle_poly(cycle: EvenCycle, desc: APDescriptor) -> CyclePoly:
             "cycle polynomial does not vanish at (r, d)",
             payload={
                 "indices": list(cycle.indices),
-                "coeffs": [enc_int(c) for c in coeffs],
-                "r": enc_int(desc.r),
-                "d": enc_int(desc.d),
-                "value": enc_int(value),
+                "coeffs": [_payload_int(c) for c in coeffs],
+                "r": _payload_int(desc.r),
+                "d": _payload_int(desc.d),
+                "value": _payload_int(value),
             },
         )
     nonzero = [t for t, c in enumerate(coeffs) if c != 0]
@@ -328,13 +328,18 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
         raise FalsificationError(
             "cycle coefficient audit failed",
             payload={
-                "coeffs": [enc_int(c) for c in poly.coeffs],
+                "coeffs": [_payload_int(c) for c in poly.coeffs],
                 "l": poly.l,
                 "m": poly.m,
                 "d_divides_cl": d_ok,
                 "r_divides_cm": r_ok,
                 "coeff_bound_ok": bound_ok,
-                "descriptor": {"D": desc.D, "r": desc.r, "d": desc.d, "L": desc.L},
+                "descriptor": {
+                    "D": _payload_int(desc.D),
+                    "r": _payload_int(desc.r),
+                    "d": _payload_int(desc.d),
+                    "L": desc.L,
+                },
             },
         )
     return report
@@ -361,9 +366,19 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     the three checks of cycle_audit would check it: shape, index range,
     edge values against A, the product identity, exact vanishing at (r, d),
     d | c_l, r | c_m and the |c_t| bounds.  The powers of r and d and the
-    2*C(k, t) factors are taken once per half-length k.  The first walk that
-    fails goes through EvenCycle and cycle_audit, so the error, its message
-    and its payload are theirs."""
+    2*C(k, t) factors are taken once per half-length k.
+
+    A walk's head, its first n - 1 vertices, is checked once for each run of
+    walks that share it, as the walk order of _walk_length gives them: its
+    shape, its n - 2 edges, the products of their values at odd and at even
+    positions, and the elementary symmetric functions E of its indices at
+    positions 1, 3, ... and O of those at 0, 2, ....  The last vertex w then
+    adds the edges (head[-1], w) at position n - 2, index x, and (w, root),
+    index y, so the products become P_odd*A[x] and P_even*A[y] and each
+    coefficient is c_t = (E_t - O_t) + y*E_(t-1) - x*O_(t-1), with E_(k-1)
+    and O_(k-1) the top ones: O(k) work per walk.  The first walk that fails
+    goes through EvenCycle and cycle_audit, so the error, its message and
+    its payload are theirs."""
     if not walks:
         return
     if not desc.is_reduced:
@@ -373,37 +388,60 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     n_terms = len(A)
     r, d = desc.r, desc.d
     scales: dict = {}  # k -> (r^(k-t) * d^t, 2*C(k, t)) for t = 0..k
+    head = None
     for ids in walks:
-        n = len(ids)
-        k = n // 2
-        sides = [side[t] for t in ids]
-        if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
+        if ids[:-1] != head:
+            head = ids[:-1]
+            n = len(ids)
+            k = n // 2
+            sides = [side[t] for t in ids]
+            if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
+                _reaudit(graph, ids, A, desc)
+            try:
+                edges = list(map(lookup.__getitem__, zip(head, head[1:])))
+            except KeyError:
+                _reaudit(graph, ids, A, desc)
+            idx = [e.index for e in edges]
+            top0 = max(idx)
+            seen = set(idx)
+            if len(seen) != n - 2 or min(idx) < 0 or top0 >= n_terms:
+                _reaudit(graph, ids, A, desc)
+            vals = [A[j] for j in idx]
+            if [e.value for e in edges] != vals:
+                _reaudit(graph, ids, A, desc)
+            p_odd, p_even = prod(vals[0::2]), prod(vals[1::2])
+            if k not in scales:
+                scales[k] = (
+                    [r ** (k - t) * d**t for t in range(k + 1)],
+                    [2 * comb(k, t) for t in range(k + 1)],
+                )
+            weights, twice_comb = scales[k]
+            even = elementary_symmetric(idx[1::2])
+            odd = elementary_symmetric(idx[0::2])
+            delta = [e - o for e, o in zip(even, odd)] + [0]
+            steps = list(zip(delta[1:], even, odd))
+            on_head = set(head)
+            root, last, root_side = head[0], head[-1], sides[0]
+        w = ids[-1]
+        if side[w] == root_side or w in on_head:
             _reaudit(graph, ids, A, desc)
         try:
-            edges = list(map(lookup.__getitem__, zip(ids, ids[1:] + ids[:1])))
+            edge_x, edge_y = lookup[last, w], lookup[w, root]
         except KeyError:
             _reaudit(graph, ids, A, desc)
-        idx = [e.index for e in edges]
-        top = max(idx)
-        if len(set(idx)) != n or min(idx) < 0 or top >= n_terms:
+        x, y = edge_x.index, edge_y.index
+        if x == y or x in seen or y in seen or min(x, y) < 0 or max(x, y) >= n_terms:
             _reaudit(graph, ids, A, desc)
-        vals = [A[j] for j in idx]
-        if [e.value for e in edges] != vals or prod(vals[0::2]) != prod(vals[1::2]):
+        a_x, a_y = A[x], A[y]
+        if edge_x.value != a_x or edge_y.value != a_y or p_odd * a_x != p_even * a_y:
             _reaudit(graph, ids, A, desc)
-        if k not in scales:
-            scales[k] = (
-                [r ** (k - t) * d**t for t in range(k + 1)],
-                [2 * comb(k, t) for t in range(k + 1)],
-            )
-        weights, twice_comb = scales[k]
-        even = elementary_symmetric(idx[1::2])
-        odd = elementary_symmetric(idx[0::2])
-        coeffs = [x - y for x, y in zip(even, odd)]
+        coeffs = delta[:1] + [c + y * e - x * o for c, e, o in steps]
         nonzero = [c for c in coeffs if c]
         if not nonzero or sum(map(mul, coeffs, weights)) != 0:
             _reaudit(graph, ids, A, desc)
         if nonzero[0] % d or nonzero[-1] % r:
             _reaudit(graph, ids, A, desc)
+        top = max(top0, x, y)
         power = 1
         for c, b in zip(coeffs, twice_comb):
             if abs(c) > b * power:

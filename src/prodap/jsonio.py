@@ -45,21 +45,25 @@ def enc_int(x: int) -> str:
 
 
 def dec_int(s) -> int:
-    """A JSON int or a decimal string; a float or boolean is not an integer
-    literal, even when int() would truncate it."""
+    """A JSON int or a decimal string: ASCII digits after an optional leading
+    "-", nothing else.  A float or boolean is not an integer literal, even
+    when int() would truncate it, and neither is a string int() would also
+    read, such as "1_000", " +12 " or non-ASCII digits."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise InputError(f"bad integer literal {s!r}")
+    if isinstance(s, int):
+        return int(s)
+    digits = s[1:] if s.startswith("-") else s
+    if not (digits.isascii() and digits.isdigit()):
         raise InputError(f"bad integer literal {s!r}")
     try:
         return int(s)
-    except ValueError as exc:  # only a str gets here
-        digits = s.strip().lstrip("+-").replace("_", "")
-        if digits.isascii() and digits.isdigit() and len(digits) > _digit_cap() > 0:
-            raise CapacityError(
-                f"integer literal of {len(digits)} digits exceeds the "
-                f"{_digit_cap()}-digit limit on decimal-to-int conversion",
-                limit=_digit_cap(),
-            ) from exc
-        raise InputError(f"bad integer literal {s!r}") from exc
+    except ValueError as exc:  # a well-formed literal past the digit cap
+        raise CapacityError(
+            f"integer literal of {len(digits)} digits exceeds the "
+            f"{_digit_cap()}-digit limit on decimal-to-int conversion",
+            limit=_digit_cap(),
+        ) from exc
 
 
 def enc_rat(x) -> str:

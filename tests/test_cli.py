@@ -422,6 +422,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: bad integer literal ") and err.count("\n") == 1
 
+    # strings int() reads but the wire format does not: an underscore,
+    # blanks, a plus sign, a non-ASCII digit, nothing at all
+    @pytest.mark.parametrize("spelling", ["1_000", " +12 ", "+12", "٣", ""])
+    @pytest.mark.parametrize("site", ["element", "descriptor"])
+    def test_integer_string_outside_wire_format(self, tmp_path, capsys, site, spelling):
+        path = tmp_path / "in.json"
+        if site == "element":
+            path.write_text(json.dumps({"field": "integer", "elements": ["1", "2", spelling]}))
+            argv = ["pipeline", "--in", path]
+        else:
+            path.write_text(json.dumps({"D": "1", "r": spelling, "d": "1", "L": 3}))
+            argv = ["convex-demo", "--ap", path]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: bad integer literal {spelling!r}\n"
+
     @pytest.mark.parametrize("index, r", [(8, 1), (7, 1), (-1, 4)])
     def test_edge_index_outside_progression(self, tmp_path, capsys, index, r):
         # both edges carry their terms r + i, but index is not in [0, 7)

@@ -4,6 +4,7 @@ import re
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -237,6 +238,24 @@ class TestCoefficients:
         with pytest.raises(FalsificationError):
             cycle_poly(fake, APDescriptor(1, 1, 2, 5))
 
+    @pytest.mark.parametrize("r", [7, 10**5000 + 1], ids=["r=7", "huge r"])
+    def test_falsification_payload(self, r):
+        # indices {1, 3} against {0, 2}: c = (0, 2, 3), value 2*r*d + 3*d^2;
+        # past the digit limit r and the value are named by bit length
+        g = build_rep_graph(SQUARE_B, SQUARE_A)
+        cyc = find_even_cycle(g, 2)
+        fake = EvenCycle(cyc.vertices, (0, 1, 2, 3), cyc.values)
+        with pytest.raises(FalsificationError, match="does not vanish") as exc:
+            cycle_poly(fake, APDescriptor(1, r, 1, 5))
+        big = r > 10**4300
+        assert exc.value.payload == {
+            "indices": [0, 1, 2, 3],
+            "coeffs": ["0", "2", "3"],
+            "r": "<16610-bit integer>" if big else "7",
+            "d": "1",
+            "value": "<16611-bit integer>" if big else "17",
+        }
+
     def test_all_zero_guard(self):
         g = build_rep_graph(SQUARE_B, SQUARE_A)
         cyc = find_even_cycle(g, 2)
@@ -276,6 +295,28 @@ class TestDivisibility:
         poly = CyclePoly(k=2, coeffs=(0, 3, -2), l=1, m=2, max_index=3)
         with pytest.raises(FalsificationError):
             divisibility_audit(poly, APDescriptor(1, 1, 2, 5))  # d=2 does not divide 3
+
+    @pytest.mark.parametrize("D", [1, 3**10000], ids=["D=1", "huge D"])
+    def test_violation_payload(self, D):
+        # the descriptor's D, r and d are decimal strings, or named by bit
+        # length past the digit limit; L stays an int
+        poly = CyclePoly(k=2, coeffs=(0, 3, -2), l=1, m=2, max_index=3)
+        with pytest.raises(FalsificationError, match="coefficient audit failed") as exc:
+            divisibility_audit(poly, APDescriptor(D, 1, 2, 5))
+        assert exc.value.payload == {
+            "coeffs": ["0", "3", "-2"],
+            "l": 1,
+            "m": 2,
+            "d_divides_cl": False,
+            "r_divides_cm": True,
+            "coeff_bound_ok": True,
+            "descriptor": {
+                "D": "1" if D == 1 else "<15850-bit integer>",
+                "r": "1",
+                "d": "2",
+                "L": 5,
+            },
+        }
 
 
 class TestForestAgreement:
@@ -554,8 +595,23 @@ def _first_failure(graph, walks, A, desc):
     cycles of enumerate_even_cycles, which must be the cycles of the walks."""
     cycles = enumerate_even_cycles(graph, harness.CYCLE_HALF_LENGTH, harness.DEFAULT_CYCLE_CAP)
     assert [_cycle_through(graph, w) for w in walks] == cycles
-    for cyc in cycles:
-        out = _outcome(lambda: cycle_audit(cyc, A, desc))
+    return _walk_oracle(graph, walks, A, desc)
+
+
+def _walk_oracle(graph, walks, A, desc):
+    """The outcome of EvenCycle and cycle_audit on the first of any walks
+    they reject.  A walk's vertices are checked before its edges, and a step
+    with no edge is the ShapeError that audit_cycle_walks names it by."""
+
+    def audit(ids):
+        cyclelab._check_vertices(tuple(graph.vertices[t] for t in ids))
+        pairs = list(zip(ids, ids[1:] + ids[:1]))
+        if not all(p in graph.edge_lookup for p in pairs):
+            raise ShapeError("the walk steps between two vertices with no edge")
+        cycle_audit(_cycle_through(graph, ids), A, desc)
+
+    for ids in walks:
+        out = _outcome(lambda: audit(ids))
         if out is not None:
             return out
     return None
@@ -570,6 +626,22 @@ def _quad_audit_inputs(seed, m):
     B_red, desc, _ = reduce_ap([t * scale * scale for t in claim.terms()], B)
     A = desc.terms()
     return build_rep_graph(B_red, A), A, desc
+
+
+@lru_cache(maxsize=None)
+def _audit_pool():
+    """(graph, A, descriptor, pipeline walks) to perturb: cover graphs with
+    r = d = 1, the odd terms of a cover graph with d = 2, and quadratic
+    instances with (r, d) != (1, 1)."""
+    cases = []
+    for n in (12, 20, 30):
+        _, A, g = cover_instance(n)
+        cases.append((g, A, APDescriptor(1, 1, 1, len(A))))
+    B, A, _ = cover_instance(20)
+    odd = APDescriptor(1, 1, 2, (len(A) + 1) // 2)
+    cases.append((build_rep_graph(B, odd.terms()), odd.terms(), odd))
+    cases += [_quad_audit_inputs(seed, m) for seed, m in [(5, 3), (0, 2), (9, 7)]]
+    return [(g, A, desc, _pipeline_walks(g)) for g, A, desc in cases]
 
 
 class TestBatchedAudit:
@@ -694,6 +766,114 @@ class TestBatchedAudit:
         ]:
             with pytest.raises(ShapeError, match=re.escape(message)):
                 audit_cycle_walks(g, [[a, b, c, d], walk], A, desc)
+
+    @staticmethod
+    def runs(walks):
+        """Each walk that follows another with the same head, with it."""
+        return [(prev, walk) for prev, walk in zip(walks, walks[1:]) if prev[:-1] == walk[:-1]]
+
+    @pytest.mark.parametrize("n", [16, 20, 30])
+    def test_later_walk_in_a_run_fails_alike(self, n):
+        # each bad walk shares its head with the good walk before it, so
+        # only the per-walk step of the batched audit can reject it.  The
+        # pipeline's capped walks all start at id 0, which here is adjacent
+        # to every id on the other side; the uncapped 6-walks start at
+        # every root, some with a missing edge back to it
+        _, A, g = cover_instance(n)
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _pipeline_walks(g) + _walk_length(g.neighbours, 6, None)[0]
+        lookup = g.edge_lookup
+        side = [v[0] for v in g.vertices]
+
+        def figure_eight(head, w):
+            # back to a head vertex at odd position >= 3 over two chords,
+            # so the last two indices are new to the walk
+            return w in head[3:-3:2] and (head[-1], w) in lookup and (w, head[0]) in lookup
+
+        def open_end(head, w):
+            # a new vertex on the right side, with no edge back to the root
+            return (
+                w not in head
+                and side[w] != side[head[0]]
+                and (head[-1], w) in lookup
+                and (w, head[0]) not in lookup
+            )
+
+        def retrace(head, w):
+            # the last edge is the head's last edge again, its index reused
+            return w == head[-2]
+
+        for fits, message in [
+            (figure_eight, "cycle revisits a vertex"),
+            (open_end, "the walk steps between two vertices with no edge"),
+            (retrace, "cycle revisits a vertex"),
+        ]:
+            prev, bad = next(
+                (prev, walk[:-1] + [w])
+                for prev, walk in self.runs(walks)
+                for w in range(g.n_vertices)
+                if fits(walk[:-1], w)
+            )
+            want = _walk_oracle(g, [prev, bad], A, desc)
+            assert want == (ShapeError, message, None)
+            assert _outcome(lambda: audit_cycle_walks(g, [prev, bad], A, desc)) == want
+
+    @pytest.mark.parametrize("n", [16, 20, 30])
+    def test_later_walk_with_doubled_last_terms(self, n):
+        # A doubled at the last two indices of a later walk in a run: its
+        # products still agree, only its last two edge values are wrong
+        _, A, g = cover_instance(n)
+        desc = APDescriptor(1, 1, 1, len(A))
+        prev, walk = self.runs(_pipeline_walks(g))[0]
+        head, w = walk[:-1], walk[-1]
+        A = list(A)
+        for pair in [(head[-1], w), (w, head[0])]:
+            A[g.edge_lookup[pair].index] *= 2
+        want = _walk_oracle(g, [prev, walk], A, desc)
+        assert want[0] is ShapeError and "does not carry term" in want[1]
+        assert _outcome(lambda: audit_cycle_walks(g, [prev, walk], A, desc)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_walk_lists_agree(self, data):
+        g, A, desc, walks = data.draw(st.sampled_from(_audit_pool()))
+        n = len(walks)
+        start = data.draw(st.integers(0, n - 1))
+        picks = data.draw(
+            st.one_of(
+                # a stretch of the walk order: runs of a head stay together
+                st.integers(1, 30).map(lambda size: list(range(start, min(n, start + size)))),
+                # sorted picks keep some runs; unsorted ones reorder the
+                # walks and mix their lengths
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=30).map(sorted),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=30),
+            )
+        )
+        walks = [list(walks[i]) for i in picks]
+        for _ in range(data.draw(st.integers(0, 2))):
+            walk = walks[data.draw(st.integers(0, len(walks) - 1))]
+            walk[-1] = data.draw(st.integers(0, g.n_vertices - 1))
+        want = _walk_oracle(g, walks, A, desc)
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+
+    def test_bound_reaches_the_last_two_indices(self):
+        # 4-cycles (0, 1)-(1, 3)-(0, 2)-(1, w) on terms 1..120: the head's
+        # indices are 2 and 5, and w = 60 closes with indices 119 and 59,
+        # so c_1 = -57 is within 2*C(2, 1)*119 but not 2*C(2, 1)*5
+        elements = (1, 2, 3, 4, 60)
+        pos = {x: i for i, x in enumerate(elements)}
+        pairs = [(1, 3), (2, 3), (2, 4), (1, 4), (2, 60), (1, 60)]
+        g = RepGraph(elements, tuple(Edge(pos[u], pos[v], u * v - 1, u * v) for u, v in pairs))
+        A = list(range(1, 121))
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _walk_length(g.neighbours, 4, None)[0]
+        ids = [g.vertex_rank[v] for v in [(0, 0), (1, 2), (0, 1), (1, 4)]]
+        assert ids in walks[1:] and walks[walks.index(ids) - 1][:-1] == ids[:-1]
+        cyc = _cycle_through(g, ids)
+        assert cyc.indices == (2, 5, 119, 59)
+        assert cycle_poly(cyc, desc).coeffs == (0, -57, 57)
+        assert _walk_oracle(g, walks, A, desc) is None
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) is None
 
     def test_disagreement_is_a_falsification(self, monkeypatch):
         _, A, g = cover_instance(12)
