@@ -54,7 +54,7 @@ def floor_mul_ln(c: int, n: int) -> int:
     c*ln n is irrational for c >= 1 and n >= 2, and for c = 0 or n = 1 the
     lower end is exactly 0 while the upper one stays below 1."""
     if c < 0 or n < 1:
-        raise DomainError(f"need c >= 0 and n >= 1, got c={c}, n={n}")
+        raise DomainError(f"need c >= 0 and n >= 1, got c={_payload_int(c)}, n={_payload_int(n)}")
     k = n.bit_length() - 1
     prec = c.bit_length() + k.bit_length() + 32
     while True:
@@ -69,7 +69,7 @@ def floor_mul_ln(c: int, n: int) -> int:
 def floor_n_log_n(n: int) -> int:
     """floor(n * ln n), exact."""
     if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+        raise DomainError(f"need n >= 1, got {_payload_int(n)}")
     return floor_mul_ln(n, n)
 
 
@@ -115,7 +115,7 @@ class ConstructionResult:
 def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     """[1..n] together with the primes in [n, floor(n*ln n)]."""
     if n < 3:
-        raise InputError(f"need n >= 3, got {n}")
+        raise InputError(f"need n >= 3, got {_payload_int(n)}")
     table = table or DEFAULT_TABLE
     M = floor_n_log_n(n)
     above = table.primes_in(n + 1, M) if M > n else []  # M = n only at n = 3

@@ -21,7 +21,7 @@ from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
 from .construct import cover_set, floor_mul_ln
 from .cyclelab import _cycle_through, _walk_length, audit_cycle_walks, find_even_cycle
 from .errors import CapacityError, FalsificationError, InputError
-from .exactnum import QuadElem
+from .exactnum import QuadElem, _payload_int
 from .irregular import irregularity_report
 from .prodset import build_rep_graph, longest_ap, product_set
 from .rationalize import (
@@ -339,20 +339,20 @@ def scaling_study(
     generators, sizes, trials: int, seed: int, ap_limit=None
 ) -> list[ExperimentRecord]:
     if trials < 1:
-        raise InputError(f"the trial count must be positive, got {trials}")
+        raise InputError(f"the trial count must be positive, got {_payload_int(trials)}")
     if not generators:
         raise InputError("the study needs at least one generator")
     if not sizes:
         raise InputError("the study needs at least one set size")
     if ap_limit is not None and ap_limit < 1:
-        raise InputError(f"the longest-AP limit must be positive, got {ap_limit}")
+        raise InputError(f"the longest-AP limit must be positive, got {_payload_int(ap_limit)}")
     records = []
     for generator in generators:
         if generator not in GENERATORS:
             raise InputError(f"unknown generator {generator!r}")
         for n in sizes:
             if n < 1:
-                raise InputError(f"set sizes must be positive, got {n}")
+                raise InputError(f"set sizes must be positive, got {_payload_int(n)}")
             for trial in range(trials):
                 records.append(run_trial(generator, n, seed, trial, ap_limit))
     records.sort(key=lambda r: (r.generator, r.n, r.trial))
@@ -456,7 +456,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
     """Full audit chain for one instance; returns a canonical-JSON-ready
     report.  Falsifications are collected, not raised."""
     if cycle_cap < 1:
-        raise InputError(f"the cycle cap must be positive, got {cycle_cap}")
+        raise InputError(f"the cycle cap must be positive, got {_payload_int(cycle_cap)}")
     report: dict = {
         "instance": {
             "field": inst.field_tag,

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, compress, repeat
+from itertools import combinations_with_replacement, repeat
 from operator import sub
 
 from .apcore import APDescriptor, factor_pairs
@@ -128,13 +128,18 @@ class RepGraph:
             raise InputError(f"element {_payload_int(_repeat(self.elements))} appears twice")
         for e in self.edges:
             if not (0 <= e.u < n and 0 <= e.v < n):
-                raise InputError(f"edge endpoint out of range: {e}")
+                raise InputError(
+                    f"edge endpoint out of range: (u, v) = ({_payload_int(e.u)}, "
+                    f"{_payload_int(e.v)}) on edge {_payload_int(e.index)} "
+                    f"of value {_payload_int(e.value)}"
+                )
         # sets first, the repeat itself only for the message
         if len({(e.u, e.v) for e in self.edges}) < len(self.edges):
             pair = _repeat((e.u, e.v) for e in self.edges)
             raise InputError(f"second edge on the vertex pair (u, v) = {pair}")
         if len({e.index for e in self.edges}) < len(self.edges):
-            raise InputError(f"edge index {_repeat(e.index for e in self.edges)} used twice")
+            dup = _repeat(e.index for e in self.edges)
+            raise InputError(f"edge index {_payload_int(dup)} used twice")
 
     @property
     def n_vertices(self) -> int:
@@ -219,15 +224,14 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
     limit.  A ProductSet's products are sorted and distinct by construction,
     so only other input is sorted and scanned for duplicates."""
     if limit is not None and limit < 1:
-        raise InputError(f"the longest-AP limit must be positive, got {limit}")
+        raise InputError(f"the longest-AP limit must be positive, got {_payload_int(limit)}")
     presorted = isinstance(S, ProductSet)
     if presorted:
         S = S.products
     if not S:
         raise InputError("cannot search an empty set")
-    for x in S:
-        if isinstance(x, QuadElem):
-            raise InputError("longest-AP search needs ordered values; got a quadratic element")
+    if any(issubclass(t, QuadElem) for t in set(map(type, S))):
+        raise InputError("longest-AP search needs ordered values; got a quadratic element")
     if not presorted:
         S = sorted(S)
         for i in range(1, len(S)):
@@ -255,12 +259,9 @@ def _best_pair_result(S):
     """Length-2 baseline: smallest gap, then smallest start."""
     if len(S) == 1:
         return (1, 0, S[0])
-    best = None
-    for i in range(len(S) - 1):
-        gap = S[i + 1] - S[i]
-        if best is None or gap < best[1]:
-            best = (2, gap, S[i])
-    return best
+    gaps = list(map(sub, S[1:], S))
+    gap = min(gaps)
+    return (2, gap, S[gaps.index(gap)])
 
 
 def _bitset_kernel(S, best):
@@ -301,42 +302,54 @@ def _pair_kernel(S, best):
     """Every run anchored at its top pair a < b, a taken in descending order,
     seeded with ``best``.
 
-    A run of at least best terms topped by a, b reaches down to a - (best -
-    2)d >= lo, so b lies within a + (a - lo) / (best - 2): a window that
-    narrows where S is dense, at its small values.  One cut serves ints and
-    Fractions: the quotient is rounded up, so the slice may hold a b past
-    the exact window, and such a b fails the reach test and ends the loop.
-    While the record has two terms there is no cut.  Only b with 2a - b in S
-    tops a run longer than two, and a pair run never beats the length-2
-    baseline, so each anchor's slice is filtered at C speed before the reach
-    break, the top skip and the downward extension run in Python."""
+    Only b with c = 2a - b in S tops a run longer than two, and a pair run
+    never beats the length-2 baseline, so each anchor's window goes through
+    one C-speed set intersection that returns those third terms c; they are
+    walked in descending c, which is ascending d = a - c, and the reach
+    break, the top skip and the downward extension run in Python.
+
+    The window holds only the b that can still beat or tie the record.  A
+    run that beats it has best + 1 terms down to a - (best - 1)d >= lo, so
+    d <= (a - lo) / (best - 1); one that ties has best terms and a d no
+    larger than the record's, so d <= min((a - lo) / (best - 2), best_diff).
+    The window ends at a plus the larger bound: narrow where S is dense, at
+    its small values.  While the record has two terms, c >= lo alone gives
+    d <= a - lo.  One cut serves ints and Fractions: each quotient is
+    rounded up, which only widens the window, so it may hold a b past the
+    exact one.  Such a b has d > (a - lo) / (best - 1), so its run reaches
+    at most best terms, and either fewer or d > best_diff as well: it fails
+    the reach test, which ends the loop."""
     best_len, best_diff, best_start = best
     member = set(S)
     lo = S[0]
     for i in range(len(S) - 2, 0, -1):
         a = S[i]
         if best_len == 2:
-            hi = len(S)
+            cut = a - lo
         else:
-            hi = bisect_right(S, a - (lo - a) // (best_len - 2), i + 1)
-        above = S[i + 1 : hi]
-        thirds = map(sub, repeat(a + a), above)
-        for b in compress(above, map(member.__contains__, thirds)):
-            d = b - a
+            # -((lo - a) // k) is (a - lo) / k rounded up, for ints and Fractions
+            cut = max(-((lo - a) // (best_len - 1)), min(-((lo - a) // (best_len - 2)), best_diff))
+        window = S[i + 1 : bisect_right(S, a + cut, i + 1)]
+        for c in sorted(member.intersection(map(sub, repeat(a + a), window)), reverse=True):
+            d = a - c
             # longest run topped by a, b cannot beat the record; an equal
             # (length, d) may still start lower, so the d test is strict
             reach = (a - lo) // d + 2
             if reach < best_len or (reach == best_len and d > best_diff):
                 break
-            if b + d in member:
+            nxt = c - d
+            if best_len > 3 and nxt not in member:
+                continue  # three terms cannot reach the record
+            if a + d + d in member:
                 continue  # top pair of a longer run, met at a higher anchor
             count = 3
-            nxt = a - d - d
             while nxt in member:
                 count += 1
                 nxt -= d
             start = nxt + d
-            if (-count, d, start) < (-best_len, best_diff, best_start):
+            if count > best_len or count == best_len and (
+                d < best_diff or d == best_diff and start < best_start
+            ):
                 best_len, best_diff, best_start = count, d, start
     return best_len, best_diff, best_start
 

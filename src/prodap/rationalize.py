@@ -170,7 +170,7 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
 def c4_extremal_threshold(n: int) -> int:
     """ceil((n/4)(1 + sqrt(4n - 3))), exact via integer square-root bracketing."""
     if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+        raise InputError(f"need n >= 1, got {_payload_int(n)}")
     u = n * n * (4 * n - 3)
     t = isqrt(u)
     # exact root: ceil((n+t)/4); otherwise sqrt(u) lies in (t, t+1) strictly

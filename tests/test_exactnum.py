@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodap import construct, harness, prodset, rationalize
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError
 from prodap.exactnum import (
     BLOCK,
@@ -460,6 +461,32 @@ class TestDigitLimit:
     def test_as_rational(self):
         with pytest.raises(DomainError, match=r"^<16610-bit integer> \+ 1\*sqrt\(2\) is not"):
             QuadElem(10**5000, 1, 2).as_rational()
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda x: prodset.longest_ap([1, 2, 3], limit=x), InputError),
+            (lambda x: prodset.RepGraph((1, 2), (prodset.Edge(x, 0, 0, 2),)), InputError),
+            (lambda x: prodset.RepGraph((1, 2), (prodset.Edge(0, 2, 0, -x),)), InputError),
+            (lambda x: harness.scaling_study(["random"], [10], x, 0), InputError),
+            (lambda x: harness.scaling_study(["random"], [10], 1, 0, ap_limit=x), InputError),
+            (lambda x: harness.scaling_study(["random"], [x], 1, 0), InputError),
+            (lambda x: harness.pipeline(harness.demo_instance_file("quad", 3), x), InputError),
+            (lambda x: construct.floor_mul_ln(x, 2), DomainError),
+            (lambda x: construct.floor_mul_ln(1, x), DomainError),
+            (lambda x: construct.floor_n_log_n(x), DomainError),
+            (lambda x: construct.cover_set(x), InputError),
+            (lambda x: rationalize.c4_extremal_threshold(x), InputError),
+        ],
+        ids=[
+            "longest_ap-limit", "RepGraph-endpoint", "RepGraph-value", "study-trials",
+            "study-ap_limit", "study-size", "pipeline-cycle_cap", "floor_mul_ln-c",
+            "floor_mul_ln-n", "floor_n_log_n", "cover_set", "c4_extremal_threshold",
+        ],
+    )
+    def test_argument_messages(self, call, error):
+        with pytest.raises(error, match=r"<16610-bit integer>"):
+            call(-(10**5000))
 
 
 _rats = st.fractions(

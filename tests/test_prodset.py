@@ -471,6 +471,60 @@ class TestKernels:
         assert (r.start, r.diff, r.length) == (100 * scale, 10 * scale, 4)
         self.check(S)
 
+    @staticmethod
+    def windows(monkeypatch, S):
+        """Run the pair kernel on S and return each anchor's window end,
+        a + cut, keyed by the anchor."""
+        ends = {}
+
+        def spy(S, x, lo):
+            ends[S[lo - 1]] = x
+            return bisect_right(S, x, lo)
+
+        monkeypatch.setattr(prodset, "bisect_right", spy)
+        triple = prodset._pair_kernel(S, _best_pair_result(S))
+        monkeypatch.undo()
+        return triple, ends
+
+    def test_tie_window_keeps_a_smaller_difference(self, monkeypatch):
+        # once 100, 110, 120, 130 sets the record, the anchor 6 tops 0, 3,
+        # 6, 9: d = 3 lies past (6 - 0) / 3 = 2, so it cannot beat the
+        # record, but within min(6 / 2, 10) = 3, so it ties and wins on d
+        S = [0, 3, 6, 9, 100, 110, 120, 130]
+        triple, ends = self.windows(monkeypatch, S)
+        assert triple == (4, 3, 0)
+        assert ends[6] == 9
+        self.check(S)
+
+    def test_tie_window_cuts_a_larger_difference(self, monkeypatch):
+        # once 100, 102, 104, 106 sets the record, the anchor 10 tops 0, 5,
+        # 10, 15: d = 5 is past (10 - 0) / 3, rounded up to 4, and past the
+        # record's d = 2, so 15 is outside the window
+        S = [0, 5, 10, 15, 100, 102, 104, 106]
+        triple, ends = self.windows(monkeypatch, S)
+        assert triple == (4, 2, 100)
+        assert ends[10] == 14
+        self.check(S)
+
+    def test_rounded_up_tie_bound_admits_one_past_the_window(self, monkeypatch):
+        # once 50, 55, 60, 65 sets the record, the anchor a = 5/2 has the
+        # beat bound (5/2) / 3 = 5/6 and the tie bound min((5/2) / 2, 5) =
+        # 5/4; rounded up they are 1 and 2, so the window ends at 9/2, not
+        # 15/4, and holds b = 4, which passes the filter (2a - 4 = 1 is in
+        # S) but reaches only 3 terms, so the loop breaks there
+        S = [0, 1, Fraction(5, 2), 4, 50, 55, 60, 65]
+        a = S[2]
+        triple, ends = self.windows(monkeypatch, S)
+        assert triple == (4, 5, 50)
+        assert a + Fraction(a, 2) < S[3] <= ends[a] == Fraction(9, 2)
+        self.check(S)
+
+    @pytest.mark.parametrize("n", range(36, 59))
+    def test_pair_kernel_matches_start_kernel_on_study_sets(self, n):
+        S = list(product_set(gen_random(n, _trial_rng(2013, "random", n, 0))).products)
+        best = _best_pair_result(S)
+        assert prodset._pair_kernel(S, best) == _start_pair_kernel(S, best, True)
+
     def test_ties(self):
         # [0, 3, 6, 9] and [1, 2, 3, 4]: equal length, smaller difference wins
         self.check({0, 3, 6, 9, 1, 2, 4})
