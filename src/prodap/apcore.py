@@ -24,13 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import (
-    FalsificationError,
-    InputError,
-    RepresentationError,
-    ShapeError,
-)
-from .exactnum import DEFAULT_TABLE, _payload_int, valuation
+from .errors import FalsificationError, InputError, RepresentationError, ShapeError, digit_safe
+from .exactnum import DEFAULT_TABLE, valuation
 
 
 @dataclass(frozen=True)
@@ -46,17 +41,19 @@ class APDescriptor:
         for name in ("D", "r", "d"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
-                raise InputError(
-                    f"APDescriptor.{name} must be a positive integer, got {_payload_int(v)}"
-                )
+                raise InputError("APDescriptor.{} must be a positive integer, got {}", name, v)
         if not isinstance(self.L, int) or self.L < 3:
-            raise InputError(f"APDescriptor.L must be an integer >= 3, got {self.L}")
+            raise InputError("APDescriptor.L must be an integer >= 3, got {}", self.L)
 
     def term(self, i: int) -> int:
         return self.D * (self.r + self.d * i)
 
     def terms(self) -> list[int]:
         return [self.term(i) for i in range(self.L)]
+
+    def as_payload(self) -> dict:
+        """D, r and d as digit_safe text and L as is: a falsification's view."""
+        return {"D": digit_safe(self.D), "r": digit_safe(self.r), "d": digit_safe(self.d), "L": self.L}
 
     @property
     def is_reduced(self) -> bool:
@@ -71,7 +68,7 @@ class APDescriptor:
 def validate_ap(A: list[int]) -> tuple[int, int, int]:
     """Check A is an ascending AP of >= 3 positive integers; return (r, d, L)."""
     if len(A) < 3:
-        raise ShapeError(f"need at least 3 terms, got {len(A)}")
+        raise ShapeError("need at least 3 terms, got {}", len(A))
     if any(not isinstance(a, int) or a < 1 for a in A):
         raise InputError("AP terms must be positive integers")
     d = A[1] - A[0]
@@ -80,8 +77,8 @@ def validate_ap(A: list[int]) -> tuple[int, int, int]:
     for i in range(2, len(A)):
         if A[i] - A[i - 1] != d:
             raise ShapeError(
-                f"not an arithmetic progression: the gap at position {i} "
-                "differs from the first gap"
+                "not an arithmetic progression: the gap at position {} "
+                "differs from the first gap", i,
             )
     return A[0], d, len(A)
 
@@ -128,9 +125,7 @@ def factor_pairs(A, base) -> list[tuple]:
     if None in pairs:
         # named by index: a term may be too long to print
         i = pairs.index(None)
-        raise RepresentationError(
-            f"term {i} is not a product of two set elements", term=A[i]
-        )
+        raise RepresentationError("term {} is not a product of two set elements", i, term=A[i])
     return pairs
 
 
@@ -224,13 +219,13 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
             verify_coverage(new_A, new_B)
         except RepresentationError as exc:
             raise FalsificationError(
-                f"reduction case {case} at p={p} broke coverage: {exc}",
+                "reduction case {} at p={} broke coverage: {}", case, p, exc,
                 payload={
                     "case": case,
                     "prime": p,
-                    "set": [_payload_int(b) for b in new_B],
-                    "ap": [_payload_int(a) for a in new_A],
-                    "missing_term": _payload_int(exc.term),
+                    "set": [digit_safe(b) for b in new_B],
+                    "ap": [digit_safe(a) for a in new_A],
+                    "missing_term": digit_safe(exc.term),
                 },
             ) from exc
         new_measure = sum(omega.values())
@@ -301,15 +296,10 @@ def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:
         raise FalsificationError(
             "closed-form worst pair disagrees with its recomputed gcd",
             payload={
-                "descriptor": {
-                    "D": _payload_int(D),
-                    "r": _payload_int(desc.r),
-                    "d": _payload_int(d),
-                    "L": L,
-                },
+                "descriptor": desc.as_payload(),
                 "pair": [i, j],
-                "closed_form": _payload_int(D * g),
-                "gcd": _payload_int(worst),
+                "closed_form": digit_safe(D * g),
+                "gcd": digit_safe(worst),
             },
         )
     return worst <= D * L, (i, j, worst)

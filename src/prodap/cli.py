@@ -226,7 +226,7 @@ def cmd_study(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
-        raise InputError(f"--sizes must be comma-separated integers: {exc}") from exc
+        raise InputError("--sizes must be comma-separated integers: {}", exc) from exc
     records = scaling_study(generators, sizes, args.trials, args.seed, args.limit)
     csv_text = study_csv(records)
     if args.out:
@@ -353,8 +353,9 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
-        # str() of an int past the digit limit, met while writing an error
-        # message about a computed value (a term D*(r + j*d), say)
+        # str() of an int past the digit limit outside any library error,
+        # which names such an int by its bit length: a report or print value
+        # that skips jsonio.enc_int
         if "integer string conversion" not in str(exc):
             raise
         print(f"capacity error: {exc}", file=sys.stderr)

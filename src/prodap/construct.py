@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import floordiv, le, mod
 
 from .errors import DomainError, FalsificationError, InputError
-from .exactnum import DEFAULT_TABLE, PrimeTable, _payload_int
+from .exactnum import DEFAULT_TABLE, PrimeTable
 
 SIZE_RATIO_CHECK_FROM = 10  # |B| <= 2n is asserted from this n on
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the 0/1 bytes of a selector
@@ -54,7 +54,7 @@ def floor_mul_ln(c: int, n: int) -> int:
     c*ln n is irrational for c >= 1 and n >= 2, and for c = 0 or n = 1 the
     lower end is exactly 0 while the upper one stays below 1."""
     if c < 0 or n < 1:
-        raise DomainError(f"need c >= 0 and n >= 1, got c={_payload_int(c)}, n={_payload_int(n)}")
+        raise DomainError("need c >= 0 and n >= 1, got c={}, n={}", c, n)
     k = n.bit_length() - 1
     prec = c.bit_length() + k.bit_length() + 32
     while True:
@@ -69,7 +69,7 @@ def floor_mul_ln(c: int, n: int) -> int:
 def floor_n_log_n(n: int) -> int:
     """floor(n * ln n), exact."""
     if n < 1:
-        raise DomainError(f"need n >= 1, got {_payload_int(n)}")
+        raise DomainError("need n >= 1, got {}", n)
     return floor_mul_ln(n, n)
 
 
@@ -115,14 +115,14 @@ class ConstructionResult:
 def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
     """[1..n] together with the primes in [n, floor(n*ln n)]."""
     if n < 3:
-        raise InputError(f"need n >= 3, got {_payload_int(n)}")
+        raise InputError("need n >= 3, got {}", n)
     table = table or DEFAULT_TABLE
     M = floor_n_log_n(n)
     above = table.primes_in(n + 1, M) if M > n else []  # M = n only at n = 3
     result = ConstructionResult(n, M, (*range(1, n + 1), *above))
     if n >= SIZE_RATIO_CHECK_FROM and result.size > 2 * n:
         raise FalsificationError(
-            f"cover set for n={n} has {result.size} > 2n elements",
+            "cover set for n={} has {} > 2n elements", n, result.size,
             payload={"n": n, "M": M, "size": result.size},
         )
     return result
@@ -152,7 +152,7 @@ def split_factor(
     says cannot happen for x in range)."""
     table = table or DEFAULT_TABLE
     if not 1 <= x <= result.M:
-        raise InputError(f"x={_payload_int(x)} outside [1, {result.M}]")
+        raise InputError("x={} outside [1, {}]", x, result.M)
     if x == 1:
         return (1, 1, "unit")
     factors = table.factorize(x)
@@ -239,7 +239,7 @@ def _first_bad_large_prime(lpf: list[int], large: bytes, members: frozenset) -> 
 
 def _invalid_witness(n: int, x: int, d1: int, d2: int) -> FalsificationError:
     return FalsificationError(
-        f"invalid witness ({d1}, {d2}) for {x}",
+        "invalid witness ({}, {}) for {}", d1, d2, x,
         payload={"n": n, "x": x, "d1": d1, "d2": d2},
     )
 
@@ -282,7 +282,7 @@ def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResul
             found = _transfer(p, x // p, reversed(primes), members)
         if found is None:
             raise FalsificationError(
-                f"no witness for {x} in the cover set of n={n}",
+                "no witness for {} in the cover set of n={}", x, n,
                 payload={"n": n, "M": result.M, "x": x},
             )
         d1, d2, _ = found

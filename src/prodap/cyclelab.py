@@ -17,8 +17,7 @@ from operator import mul
 from typing import NoReturn
 
 from .apcore import APDescriptor
-from .errors import FalsificationError, InputError, ShapeError
-from .exactnum import _payload_int
+from .errors import FalsificationError, InputError, ShapeError, digit_safe
 from .prodset import RepGraph
 
 Vertex = tuple[int, int]
@@ -68,7 +67,7 @@ def _check_vertices(vertices) -> None:
     length >= 4 whose consecutive vertices lie on opposite sides."""
     n = len(vertices)
     if n < 4 or n % 2 != 0:
-        raise ShapeError(f"cycle length must be even and >= 4, got {n}")
+        raise ShapeError("cycle length must be even and >= 4, got {}", n)
     if len(set(vertices)) != n:
         raise ShapeError("cycle revisits a vertex")
     for t in range(n):
@@ -111,7 +110,7 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     and only the shortest becomes an EvenCycle.
     """
     if k < 2:
-        raise InputError(f"half-length bound must be >= 2, got {k}")
+        raise InputError("half-length bound must be >= 2, got {}", k)
     nbrs = graph.neighbours
     rank = graph.vertex_rank
     near = [set(row) for row in nbrs]
@@ -171,9 +170,9 @@ def enumerate_even_cycles(
     for each length cut short; "cap" means a cycle past max_count exists, so
     a length with exactly max_count cycles is complete."""
     if k < 2:
-        raise InputError(f"half-length bound must be >= 2, got {k}")
+        raise InputError("half-length bound must be >= 2, got {}", k)
     if max_count is not None and max_count < 0:
-        raise InputError(f"cycle cap must be >= 0, got {max_count}")
+        raise InputError("cycle cap must be >= 0, got {}", max_count)
     cycles: list[EvenCycle] = []
     for length in range(4, 2 * k + 1, 2):
         walks, stop = _walk_length(graph.neighbours, length, max_count)
@@ -231,10 +230,10 @@ def cycle_identity_check(cycle: EvenCycle, A) -> bool:
     vals = []
     for t, j in enumerate(cycle.indices):
         if j < 0 or j >= len(A):
-            raise ShapeError(f"edge index {j} outside progression of length {len(A)}")
+            raise ShapeError("edge index {} outside progression of length {}", j, len(A))
         if cycle.values[t] != A[j]:
             # named by position: a term may be too long to print
-            raise ShapeError(f"edge {t} of the cycle does not carry term {j}")
+            raise ShapeError("edge {} of the cycle does not carry term {}", t, j)
         vals.append(A[j])
     return prod(vals[0::2]) == prod(vals[1::2])
 
@@ -292,10 +291,10 @@ def cycle_poly(cycle: EvenCycle, desc: APDescriptor) -> CyclePoly:
             "cycle polynomial does not vanish at (r, d)",
             payload={
                 "indices": list(cycle.indices),
-                "coeffs": [_payload_int(c) for c in coeffs],
-                "r": _payload_int(desc.r),
-                "d": _payload_int(desc.d),
-                "value": _payload_int(value),
+                "coeffs": [digit_safe(c) for c in coeffs],
+                "r": digit_safe(desc.r),
+                "d": digit_safe(desc.d),
+                "value": digit_safe(value),
             },
         )
     nonzero = [t for t, c in enumerate(coeffs) if c != 0]
@@ -328,18 +327,13 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
         raise FalsificationError(
             "cycle coefficient audit failed",
             payload={
-                "coeffs": [_payload_int(c) for c in poly.coeffs],
+                "coeffs": [digit_safe(c) for c in poly.coeffs],
                 "l": poly.l,
                 "m": poly.m,
                 "d_divides_cl": d_ok,
                 "r_divides_cm": r_ok,
                 "coeff_bound_ok": bound_ok,
-                "descriptor": {
-                    "D": _payload_int(desc.D),
-                    "r": _payload_int(desc.r),
-                    "d": _payload_int(desc.d),
-                    "L": desc.L,
-                },
+                "descriptor": desc.as_payload(),
             },
         )
     return report

@@ -1,4 +1,11 @@
-"""Shared exception types and CLI exit codes."""
+"""Shared exception types and CLI exit codes.
+
+A library error takes a str.format template and its values, never a finished
+string: ``raise InputError("need n >= {}, got {}", 1, n)``.  The message then
+names an int too long for str() by its bit length instead of raising.
+"""
+
+from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -6,8 +13,36 @@ EXIT_CAPACITY = 3
 EXIT_FALSIFIED = 4
 
 
+def digit_safe(x) -> str:
+    """str(x), with each int past the digit limit on int-to-decimal
+    conversion given by its bit length, also inside a Fraction, so that
+    building an error message or payload cannot raise in place of the
+    error.  QuadElem's str formats its parts through this."""
+    try:
+        return str(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"<{x.bit_length()}-bit integer>"
+        if isinstance(x, Fraction):
+            num = digit_safe(x.numerator)
+            return num if x.denominator == 1 else f"{num}/{digit_safe(x.denominator)}"
+        raise
+
+
 class ProdapError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    The message is ``template.format(*values)``.  Only when that meets an
+    int past the digit limit do the values go through digit_safe first, so a
+    message below the limit, ``{!r}`` fields included, is formatted from the
+    values as given."""
+
+    def __init__(self, template: str, *values):
+        try:
+            message = template.format(*values)
+        except ValueError:
+            message = template.format(*map(digit_safe, values))
+        super().__init__(message)
 
 
 class InputError(ProdapError):
@@ -21,8 +56,8 @@ class ShapeError(InputError):
 class RepresentationError(InputError):
     """A target value has no representation as a product of two set elements."""
 
-    def __init__(self, message, term=None):
-        super().__init__(message)
+    def __init__(self, template, *values, term=None):
+        super().__init__(template, *values)
         self.term = term
 
 
@@ -37,8 +72,8 @@ class DomainError(InputError):
 class CapacityError(ProdapError):
     """Request exceeds a configured capacity (exit code 3)."""
 
-    def __init__(self, message, limit=None):
-        super().__init__(message)
+    def __init__(self, template, *values, limit=None):
+        super().__init__(template, *values)
         self.limit = limit
 
 
@@ -50,6 +85,6 @@ class FalsificationError(ProdapError):
     patched silently.
     """
 
-    def __init__(self, message, payload=None):
-        super().__init__(message)
+    def __init__(self, template, *values, payload=None):
+        super().__init__(template, *values)
         self.payload = payload if payload is not None else {}

@@ -16,37 +16,12 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, isqrt, prod
 
-from .errors import (
-    CapacityError,
-    DomainError,
-    FieldMismatchError,
-    InputError,
-)
+from .errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 
 DEFAULT_SIEVE_CAPACITY = 10**8
 
 # trial division tests this many consecutive primes with one gcd
 BLOCK = 64
-
-
-def _payload_int(x) -> str:
-    """str(x), with each int past the digit limit on int-to-decimal
-    conversion given by its bit length, also inside a Fraction or QuadElem,
-    so that building an error message or payload cannot raise in place of
-    the error."""
-    try:
-        return str(x)
-    except ValueError:
-        if isinstance(x, int):
-            return f"<{x.bit_length()}-bit integer>"
-        if isinstance(x, Fraction):
-            num = _payload_int(x.numerator)
-            return num if x.denominator == 1 else f"{num}/{_payload_int(x.denominator)}"
-        if isinstance(x, QuadElem):
-            if x.is_rational:
-                return _payload_int(x.a)
-            return f"{_payload_int(x.a)} + {_payload_int(x.b)}*sqrt({_payload_int(x.m)})"
-        raise
 
 
 def _sieve(lo: int, hi: int, base: list[int] | None = None) -> list[int]:
@@ -107,8 +82,7 @@ class PrimeTable:
             return
         if limit > self.capacity:
             raise CapacityError(
-                f"sieve limit {limit} exceeds capacity {self.capacity}",
-                limit=self.capacity,
+                "sieve limit {} exceeds capacity {}", limit, self.capacity, limit=self.capacity
             )
         limit = min(max(limit, 2 * self._limit, 1 << 10), self.capacity)
         # only (old limit, limit] is sieved; the table's own primes serve as
@@ -127,10 +101,10 @@ class PrimeTable:
     def primes_in(self, lo: int, hi: int) -> list[int]:
         """Primes p with lo <= p <= hi, ascending (segmented sieve)."""
         if lo > hi:
-            raise InputError(f"empty range: lo={lo} > hi={hi}")
+            raise InputError("empty range: lo={} > hi={}", lo, hi)
         if hi > self.capacity:
             raise CapacityError(
-                f"primes_in upper bound {hi} exceeds capacity {self.capacity}",
+                "primes_in upper bound {} exceeds capacity {}", hi, self.capacity,
                 limit=self.capacity,
             )
         lo = max(lo, 2)
@@ -146,9 +120,8 @@ class PrimeTable:
             return False
         if isqrt(n) > self.capacity:
             raise CapacityError(
-                f"cannot certify primality of {_payload_int(n)}: needs primes "
-                f"beyond capacity {self.capacity}",
-                limit=self.capacity,
+                "cannot certify primality of {}: needs primes beyond capacity {}",
+                n, self.capacity, limit=self.capacity,
             )
         return self.factorize(n) == [(n, 1)]
 
@@ -184,7 +157,7 @@ class PrimeTable:
         cannot be certified prime within capacity, raises CapacityError.
         """
         if n < 2:
-            raise DomainError(f"factorize requires n >= 2, got {_payload_int(n)}")
+            raise DomainError("factorize requires n >= 2, got {}", n)
         out: list[tuple[int, int]] = []
         rem, root = n, isqrt(n)
         b = 0
@@ -285,9 +258,8 @@ class PrimeTable:
 
     def _uncertifiable(self, n: int, rem: int) -> CapacityError:
         return CapacityError(
-            f"factor of {_payload_int(n)} exceeds capacity {self.capacity}: "
-            f"cofactor {_payload_int(rem)} not certifiable",
-            limit=self.capacity,
+            "factor of {} exceeds capacity {}: cofactor {} not certifiable",
+            n, self.capacity, rem, limit=self.capacity,
         )
 
 
@@ -310,9 +282,7 @@ def valuation(n: int, p: int) -> int:
     """Largest e such that p**e divides n, for n != 0 and p >= 2 (p need
     not be prime)."""
     if n == 0 or p < 2:
-        raise DomainError(
-            f"valuation needs n != 0 and p >= 2, got n={_payload_int(n)}, p={_payload_int(p)}"
-        )
+        raise DomainError("valuation needs n != 0 and p >= 2, got n={}, p={}", n, p)
     n = abs(n)
     e = 0
     while n % p == 0:
@@ -336,7 +306,7 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise InputError(f"expected an exact rational, got {type(x).__name__}")
+    raise InputError("expected an exact rational, got {}", type(x).__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +329,7 @@ class QuadElem:
         if not isinstance(self.m, int):
             raise InputError("field discriminant m must be an integer")
         if not _squarefree_ok(self.m):
-            raise InputError(f"m must be squarefree and outside {{0, 1}}, got {self.m}")
+            raise InputError("m must be squarefree and outside {{0, 1}}, got {}", self.m)
 
     @classmethod
     def from_rational(cls, x, m: int) -> "QuadElem":
@@ -368,9 +338,7 @@ class QuadElem:
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
             if other.m != self.m:
-                raise FieldMismatchError(
-                    f"mixed fields: sqrt({self.m}) versus sqrt({other.m})"
-                )
+                raise FieldMismatchError("mixed fields: sqrt({}) versus sqrt({})", self.m, other.m)
             return other
         return QuadElem.from_rational(_as_fraction(other), self.m)
 
@@ -384,7 +352,7 @@ class QuadElem:
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
-            raise DomainError(f"{_payload_int(self)} is not rational")
+            raise DomainError("{} is not rational", self)
         return self.a
 
     def conjugate(self) -> "QuadElem":
@@ -453,5 +421,5 @@ class QuadElem:
 
     def __str__(self):
         if self.is_rational:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt({self.m})"
+            return digit_safe(self.a)
+        return f"{digit_safe(self.a)} + {digit_safe(self.b)}*sqrt({digit_safe(self.m)})"

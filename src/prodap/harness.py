@@ -20,8 +20,8 @@ from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
 from .construct import cover_set, floor_mul_ln
 from .cyclelab import _cycle_through, _walk_length, audit_cycle_walks, find_even_cycle
-from .errors import CapacityError, FalsificationError, InputError
-from .exactnum import QuadElem, _payload_int
+from .errors import CapacityError, FalsificationError, InputError, digit_safe
+from .exactnum import QuadElem
 from .irregular import irregularity_report
 from .prodset import build_rep_graph, longest_ap, product_set
 from .rationalize import (
@@ -86,12 +86,12 @@ def instance_from_json(obj) -> InstanceFile:
         raise InputError("instance 'elements' must be a list")
     tag = obj["field"]
     if tag not in ("integer", "rational", "quadratic"):
-        raise InputError(f"unknown field tag {tag!r}")
+        raise InputError("unknown field tag {!r}", tag)
     m = jsonio.dec_int(obj["m"]) if obj.get("m") is not None else None
     if tag == "quadratic" and m is None:
         raise InputError("quadratic instance without top-level m")
     if tag != "quadratic" and m is not None:
-        raise InputError(f"{tag} instance with a top-level m")
+        raise InputError("{} instance with a top-level m", tag)
     elements = [jsonio.dec_element(e, tag, m) for e in obj["elements"]]
     if len(set(elements)) != len(elements):
         raise InputError("instance elements must be distinct")
@@ -199,7 +199,7 @@ def build_set(generator: str, n: int, rng: random.Random) -> list[int]:
         return gen_random(n, rng)
     if generator == "smooth":
         return gen_smooth(n)
-    raise InputError(f"unknown generator {generator!r}; choose from {GENERATORS}")
+    raise InputError("unknown generator {!r}; choose from {}", generator, GENERATORS)
 
 
 def quadratic_demo_instance(m: int = 2, gamma=Fraction(1, 2)) -> QuadInstance:
@@ -212,7 +212,7 @@ def quadratic_demo_instance(m: int = 2, gamma=Fraction(1, 2)) -> QuadInstance:
     elements = [b1, 2 / b1, 2 * b1, 3 / b1, 5 / b1]
     inst = make_quad_instance(elements, range(2, 7), m)
     if find_even_cycle(inst.graph, 2) is None:
-        raise InputError(f"gamma={g} degenerates the built-in 4-cycle; pick another")
+        raise InputError("gamma={} degenerates the built-in 4-cycle; pick another", g)
     return inst
 
 
@@ -271,7 +271,7 @@ def demo_instance_file(kind: str, seed: int = 0) -> InstanceFile:
             ap=APDescriptor(1, 2, 1, 5),
             provenance={"generator": "quad-cycle", "seed": seed},
         )
-    raise InputError(f"unknown demo kind {kind!r}; choose cover100 or quad")
+    raise InputError("unknown demo kind {!r}; choose cover100 or quad", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +339,20 @@ def scaling_study(
     generators, sizes, trials: int, seed: int, ap_limit=None
 ) -> list[ExperimentRecord]:
     if trials < 1:
-        raise InputError(f"the trial count must be positive, got {_payload_int(trials)}")
+        raise InputError("the trial count must be positive, got {}", trials)
     if not generators:
         raise InputError("the study needs at least one generator")
     if not sizes:
         raise InputError("the study needs at least one set size")
     if ap_limit is not None and ap_limit < 1:
-        raise InputError(f"the longest-AP limit must be positive, got {_payload_int(ap_limit)}")
+        raise InputError("the longest-AP limit must be positive, got {}", ap_limit)
     records = []
     for generator in generators:
         if generator not in GENERATORS:
-            raise InputError(f"unknown generator {generator!r}")
+            raise InputError("unknown generator {!r}", generator)
         for n in sizes:
             if n < 1:
-                raise InputError(f"set sizes must be positive, got {_payload_int(n)}")
+                raise InputError("set sizes must be positive, got {}", n)
             for trial in range(trials):
                 records.append(run_trial(generator, n, seed, trial, ap_limit))
     records.sort(key=lambda r: (r.generator, r.n, r.trial))
@@ -444,7 +444,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
     if not conc.concave or any(m != desc.D**2 * desc.d**2 for m in conc.margins):
         raise FalsificationError(
             "log-concavity margins deviated from D^2*d^2",
-            payload={"descriptor": jsonio.descriptor_to_json(desc)},
+            payload={"descriptor": desc.as_payload()},
         )
     stages["concavity"] = {
         "concave": conc.concave,
@@ -456,7 +456,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
     """Full audit chain for one instance; returns a canonical-JSON-ready
     report.  Falsifications are collected, not raised."""
     if cycle_cap < 1:
-        raise InputError(f"the cycle cap must be positive, got {_payload_int(cycle_cap)}")
+        raise InputError("the cycle cap must be positive, got {}", cycle_cap)
     report: dict = {
         "instance": {
             "field": inst.field_tag,
@@ -475,9 +475,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
                 raise InputError("quadratic instances need a claimed progression")
             desc = inst.ap
             if desc.D != 1 or desc.d != 1:
-                raise InputError(
-                    "quadratic pipeline expects a claim with D = 1 and d = 1"
-                )
+                raise InputError("quadratic pipeline expects a claim with D = 1 and d = 1")
             qinst = make_quad_instance(inst.elements, desc.terms(), inst.m)
             c4 = four_cycle_exists_audit(qinst.graph)
             stages["c4_audit"] = {
@@ -491,7 +489,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
                 if any(s != qinst.targets[0] for s in starts):
                     raise FalsificationError(
                         "4-cycle start extraction disagreed with the claim",
-                        payload={"starts": [jsonio.enc_rat(s) for s in starts]},
+                        payload={"starts": [digit_safe(s) for s in starts]},
                     )
                 stages["four_cycle_r"] = {
                     "start": jsonio.enc_rat(starts[0]),
@@ -524,7 +522,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
                 desc = found.descriptor()
                 if desc is None:
                     raise InputError(
-                        f"no progression of length >= 3 found (best length {found.length})"
+                        "no progression of length >= 3 found (best length {})", found.length
                     )
                 A = desc.terms()
                 stages["ap"] = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .apcore import APDescriptor
 from .errors import InputError, ShapeError
-from .exactnum import _payload_int, is_prime, primes_in
+from .exactnum import is_prime, primes_in
 from .prodset import Edge, RepGraph
 
 
@@ -51,9 +51,7 @@ def hit_count(p: int, desc: APDescriptor) -> int:
     """Number of i in [0, L-1] with p dividing r + d*i."""
     L = desc.L
     if not (3 * p > L and 2 * p < L and desc.d % p != 0 and is_prime(p)):
-        raise InputError(
-            f"{_payload_int(p)} is not a window prime for L={L}, d={_payload_int(desc.d)}"
-        )
+        raise InputError("{} is not a window prime for L={}, d={}", p, L, desc.d)
     return len(range(desc.first_divisible(p), L, p))
 
 
@@ -83,12 +81,10 @@ def classify_edges(
         if not isinstance(e.value, int):
             raise InputError("irregularity analysis needs an integer instance")
         if not 0 <= e.index < L:
-            raise ShapeError(
-                f"edge index {_payload_int(e.index)} outside progression of length {L}"
-            )
+            raise ShapeError("edge index {} outside progression of length {}", e.index, L)
         if e.value != desc.term(e.index):
             # named by index: a term may be too long to print
-            raise InputError(f"edge {e.index} does not carry term {e.index}")
+            raise InputError("edge {} does not carry term {}", e.index, e.index)
         by_index[e.index] = e
     per_prime: dict[int, tuple[Edge, ...]] = {}
     hits: dict[int, list[int]] = {}

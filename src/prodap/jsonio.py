@@ -38,9 +38,8 @@ def enc_int(x: int) -> str:
         return str(x)
     except ValueError as exc:  # the only way str(int) fails
         raise CapacityError(
-            f"integer of {x.bit_length()} bits exceeds the {_digit_cap()}-digit "
-            "limit on int-to-decimal conversion",
-            limit=_digit_cap(),
+            "integer of {} bits exceeds the {}-digit limit on int-to-decimal conversion",
+            x.bit_length(), _digit_cap(), limit=_digit_cap(),
         ) from exc
 
 
@@ -50,19 +49,18 @@ def dec_int(s) -> int:
     when int() would truncate it, and neither is a string int() would also
     read, such as "1_000", " +12 " or non-ASCII digits."""
     if isinstance(s, bool) or not isinstance(s, (int, str)):
-        raise InputError(f"bad integer literal {s!r}")
+        raise InputError("bad integer literal {!r}", s)
     if isinstance(s, int):
         return int(s)
     digits = s[1:] if s.startswith("-") else s
     if not (digits.isascii() and digits.isdigit()):
-        raise InputError(f"bad integer literal {s!r}")
+        raise InputError("bad integer literal {!r}", s)
     try:
         return int(s)
     except ValueError as exc:  # a well-formed literal past the digit cap
         raise CapacityError(
-            f"integer literal of {len(digits)} digits exceeds the "
-            f"{_digit_cap()}-digit limit on decimal-to-int conversion",
-            limit=_digit_cap(),
+            "integer literal of {} digits exceeds the {}-digit limit on decimal-to-int conversion",
+            len(digits), _digit_cap(), limit=_digit_cap(),
         ) from exc
 
 
@@ -78,7 +76,7 @@ def dec_rat(s) -> Fraction:
     try:
         return Fraction(dec_int(num), dec_int(den))
     except ZeroDivisionError as exc:
-        raise InputError(f"bad rational literal {s!r}") from exc
+        raise InputError("bad rational literal {!r}", s) from exc
 
 
 def enc_quad(x: QuadElem, with_m: bool = True) -> dict:
@@ -90,12 +88,12 @@ def enc_quad(x: QuadElem, with_m: bool = True) -> dict:
 
 def dec_quad(obj, m: int | None = None) -> QuadElem:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-        raise InputError(f"bad quadratic element {obj!r}")
+        raise InputError("bad quadratic element {!r}", obj)
     mm = dec_int(obj["m"]) if "m" in obj else m
     if mm is None:
         raise InputError("quadratic element without a field discriminant")
     if m is not None and "m" in obj and dec_int(obj["m"]) != m:
-        raise InputError(f"element field {obj['m']} conflicts with instance field {m}")
+        raise InputError("element field {} conflicts with instance field {}", obj["m"], m)
     return QuadElem(dec_rat(obj["a"]), dec_rat(obj["b"]), mm)
 
 
@@ -115,16 +113,16 @@ def descriptor_from_json(obj) -> APDescriptor:
     """Decode a descriptor; a length past MAX_DESCRIPTOR_TERMS is a
     CapacityError, raised before any term exists."""
     if not isinstance(obj, dict):
-        raise InputError(f"bad descriptor {obj!r}")
+        raise InputError("bad descriptor {!r}", obj)
     try:
         desc = APDescriptor(
             dec_int(obj["D"]), dec_int(obj["r"]), dec_int(obj["d"]), dec_int(obj["L"])
         )
     except KeyError as exc:
-        raise InputError(f"descriptor missing field {exc}") from exc
+        raise InputError("descriptor missing field {}", exc) from exc
     if desc.L > MAX_DESCRIPTOR_TERMS:
         raise CapacityError(
-            f"descriptor length {desc.L} exceeds the limit of {MAX_DESCRIPTOR_TERMS} terms",
+            "descriptor length {} exceeds the limit of {} terms", desc.L, MAX_DESCRIPTOR_TERMS,
             limit=MAX_DESCRIPTOR_TERMS,
         )
     return desc
@@ -149,7 +147,7 @@ def dec_element(obj, field: str, m: int | None):
         return dec_rat(obj)
     if field == "quadratic":
         return dec_quad(obj, m)
-    raise InputError(f"unknown field tag {field!r}")
+    raise InputError("unknown field tag {!r}", field)
 
 
 def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
@@ -167,7 +165,7 @@ def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
             for e in obj["edges"]
         )
     except (KeyError, TypeError) as exc:
-        raise InputError(f"bad graph object: {exc}") from exc
+        raise InputError("bad graph object: {}", exc) from exc
     return RepGraph(elements, edges), field, m
 
 
@@ -180,9 +178,9 @@ def load_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: not a JSON document: {exc}") from exc
+        raise InputError("{}: not a JSON document: {}", path, exc) from exc
     except ValueError as exc:  # a bare JSON number past the digit limit
-        raise CapacityError(f"{path}: {exc}", limit=_digit_cap()) from exc
+        raise CapacityError("{}: {}", path, exc, limit=_digit_cap()) from exc
 
 
 def save_json(path, obj) -> None:

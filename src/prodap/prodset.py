@@ -23,7 +23,7 @@ from operator import sub
 
 from .apcore import APDescriptor, factor_pairs
 from .errors import CapacityError, InputError
-from .exactnum import QuadElem, _payload_int
+from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
 DEFAULT_ORACLE_LIMIT = 10_000
@@ -56,7 +56,7 @@ def _check_elements(B):
         raise InputError("base set must be nonempty")
     dup = _repeat(B)
     if dup is not None:
-        raise InputError(f"duplicate element {_payload_int(dup)} in base set")
+        raise InputError("duplicate element {} in base set", dup)
     if any(b.is_zero if isinstance(b, QuadElem) else b == 0 for b in B):
         raise InputError("zero element makes products degenerate")
 
@@ -125,21 +125,20 @@ class RepGraph:
     def __post_init__(self):
         n = len(self.elements)
         if len(set(self.elements)) < n:
-            raise InputError(f"element {_payload_int(_repeat(self.elements))} appears twice")
+            raise InputError("element {} appears twice", _repeat(self.elements))
         for e in self.edges:
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise InputError(
-                    f"edge endpoint out of range: (u, v) = ({_payload_int(e.u)}, "
-                    f"{_payload_int(e.v)}) on edge {_payload_int(e.index)} "
-                    f"of value {_payload_int(e.value)}"
+                    "edge endpoint out of range: (u, v) = ({}, {}) on edge {} of value {}",
+                    e.u, e.v, e.index, e.value,
                 )
         # sets first, the repeat itself only for the message
         if len({(e.u, e.v) for e in self.edges}) < len(self.edges):
             pair = _repeat((e.u, e.v) for e in self.edges)
-            raise InputError(f"second edge on the vertex pair (u, v) = {pair}")
+            raise InputError("second edge on the vertex pair (u, v) = {}", pair)
         if len({e.index for e in self.edges}) < len(self.edges):
             dup = _repeat(e.index for e in self.edges)
-            raise InputError(f"edge index {_payload_int(dup)} used twice")
+            raise InputError("edge index {} used twice", dup)
 
     @property
     def n_vertices(self) -> int:
@@ -224,7 +223,7 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
     limit.  A ProductSet's products are sorted and distinct by construction,
     so only other input is sorted and scanned for duplicates."""
     if limit is not None and limit < 1:
-        raise InputError(f"the longest-AP limit must be positive, got {_payload_int(limit)}")
+        raise InputError("the longest-AP limit must be positive, got {}", limit)
     presorted = isinstance(S, ProductSet)
     if presorted:
         S = S.products
@@ -236,12 +235,11 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
         S = sorted(S)
         for i in range(1, len(S)):
             if S[i] == S[i - 1]:
-                raise InputError(f"duplicate element {_payload_int(S[i])}")
+                raise InputError("duplicate element {}", S[i])
     cap = limit if limit is not None else default_limit
     if len(S) > cap:
         raise CapacityError(
-            f"set size {len(S)} exceeds limit {cap}; {other_mode_hint}",
-            limit=cap,
+            "set size {} exceeds limit {}; {}", len(S), cap, other_mode_hint, limit=cap
         )
     return S
 
@@ -404,4 +402,4 @@ def longest_ap(S, mode: str = "exact", limit: int | None = None) -> APSearchResu
     if mode == "oracle":
         S = _validate_search_input(S, limit, DEFAULT_ORACLE_LIMIT, "use exact mode")
         return _longest_ap_oracle(S)
-    raise InputError(f"unknown mode {mode!r}; expected 'exact' or 'oracle'")
+    raise InputError("unknown mode {!r}; expected 'exact' or 'oracle'", mode)

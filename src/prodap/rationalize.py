@@ -18,8 +18,8 @@ from math import isqrt
 
 from .apcore import first_pairs
 from .cyclelab import EvenCycle, find_even_cycle
-from .errors import DomainError, FalsificationError, InputError
-from .exactnum import QuadElem, _payload_int
+from .errors import DomainError, FalsificationError, InputError, digit_safe
+from .exactnum import QuadElem
 from .prodset import RepGraph, build_rep_graph
 
 
@@ -41,9 +41,7 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
     for x in elements:
         q = x if isinstance(x, QuadElem) else QuadElem.from_rational(Fraction(x), m)
         if q.m != m:
-            raise InputError(
-                f"element {_payload_int(q)} lives in sqrt({q.m}), instance has sqrt({m})"
-            )
+            raise InputError("element {} lives in sqrt({}), instance has sqrt({})", q, q.m, m)
         if q.is_zero:
             raise InputError("zero element makes products degenerate")
         elems.append(q)
@@ -51,7 +49,7 @@ def make_quad_instance(elements, targets, m: int) -> QuadInstance:
     for t in targets:
         if isinstance(t, QuadElem):
             if not t.is_rational:
-                raise DomainError(f"target {_payload_int(t)} is not rational")
+                raise DomainError("target {} is not rational", t)
             t = t.as_rational()
         targs.append(Fraction(t))
     graph = build_rep_graph(elems, [QuadElem.from_rational(t, m) for t in targs])
@@ -65,13 +63,13 @@ def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:
     r = (i1 - q*i2)/(q - 1).  The result is checked against both edge values.
     """
     if len(cycle.vertices) != 4:
-        raise InputError(f"need a 4-cycle, got length {len(cycle.vertices)}")
+        raise InputError("need a 4-cycle, got length {}", len(cycle.vertices))
     pos = {cycle.indices[t]: t for t in range(4)}
     if i1 not in pos or i2 not in pos:
-        raise InputError(f"indices ({i1}, {i2}) are not edges of the cycle")
+        raise InputError("indices ({}, {}) are not edges of the cycle", i1, i2)
     t1, t2 = pos[i1], pos[i2]
     if (t2 - t1) % 4 not in (1, 3):
-        raise InputError(f"edges {i1} and {i2} are not adjacent in the cycle")
+        raise InputError("edges {} and {} are not adjacent in the cycle", i1, i2)
     a1 = Fraction(cycle.values[t1]) if not isinstance(cycle.values[t1], QuadElem) else cycle.values[t1].as_rational()
     a2 = Fraction(cycle.values[t2]) if not isinstance(cycle.values[t2], QuadElem) else cycle.values[t2].as_rational()
     if a1 == a2:
@@ -80,8 +78,8 @@ def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:
     r = (i1 - q * i2) / (q - 1)
     if r + i1 != a1 or r + i2 != a2:
         raise InputError(
-            f"edge values are not start + index (got r={r}, values {a1}, {a2}); "
-            "normalize the progression to difference 1 first"
+            "edge values are not start + index (got r={}, values {}, {}); "
+            "normalize the progression to difference 1 first", r, a1, a2,
         )
     return r
 
@@ -141,10 +139,10 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
                 raise FalsificationError(
                     "component rescaling left an irrational element",
                     payload={
-                        "component": [[side, str(graph.vertex_value((side, i)))] for side, i in comp],
-                        "pivot": str(pivot),
-                        "vertex": str(val),
-                        "scaled": str(scaled),
+                        "component": [[side, digit_safe(graph.vertex_value((side, i)))] for side, i in comp],
+                        "pivot": digit_safe(pivot),
+                        "vertex": digit_safe(val),
+                        "scaled": digit_safe(scaled),
                     },
                 )
             new_value[v] = scaled.as_rational()
@@ -155,14 +153,14 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
         if got != target:
             raise FalsificationError(
                 "rescaling changed an edge product",
-                payload={"index": e.index, "expected": str(target), "got": str(got)},
+                payload={"index": e.index, "expected": digit_safe(target), "got": digit_safe(got)},
             )
     rational_set = sorted(set(new_value.values()))
     for t, pair in zip(inst.targets, first_pairs(inst.targets, rational_set)):
         if pair is None:
             raise FalsificationError(
                 "a target lost all representations after rescaling",
-                payload={"target": str(t), "set": [str(x) for x in rational_set]},
+                payload={"target": digit_safe(t), "set": [digit_safe(x) for x in rational_set]},
             )
     return rational_set
 
@@ -170,7 +168,7 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
 def c4_extremal_threshold(n: int) -> int:
     """ceil((n/4)(1 + sqrt(4n - 3))), exact via integer square-root bracketing."""
     if n < 1:
-        raise InputError(f"need n >= 1, got {_payload_int(n)}")
+        raise InputError("need n >= 1, got {}", n)
     u = n * n * (4 * n - 3)
     t = isqrt(u)
     # exact root: ceil((n+t)/4); otherwise sqrt(u) lies in (t, t+1) strictly

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import construct, harness, prodset, rationalize
-from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError
+from prodap import construct, cyclelab, harness, prodset, rationalize
+from prodap.apcore import APDescriptor
+from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 from prodap.exactnum import (
     BLOCK,
     DEFAULT_SIEVE_CAPACITY,
     PrimeTable,
     QuadElem,
-    _payload_int,
     factorize,
     is_prime,
     primes_in,
@@ -423,6 +423,9 @@ class TestOmegaMany:
         assert got.value.limit == 10
 
 
+_GRAPH = prodset.build_rep_graph([1, 2], [2])
+
+
 class TestDigitLimit:
     """An error about an integer past Python's int-to-decimal digit limit
     (4300 by default) names it by its bit length."""
@@ -449,14 +452,14 @@ class TestDigitLimit:
 
     def test_exact_values_name_their_ints(self):
         big = 10**5000
-        assert _payload_int(Fraction(big, 3)) == "<16610-bit integer>/3"
-        assert _payload_int(Fraction(3, big + 1)) == "3/<16610-bit integer>"
-        assert _payload_int(Fraction(big)) == "<16610-bit integer>"
-        assert _payload_int(QuadElem(big, 0, 2)) == "<16610-bit integer>"
-        assert _payload_int(QuadElem(1, Fraction(big, 7), 2)) == "1 + <16610-bit integer>/7*sqrt(2)"
+        assert digit_safe(Fraction(big, 3)) == "<16610-bit integer>/3"
+        assert digit_safe(Fraction(3, big + 1)) == "3/<16610-bit integer>"
+        assert digit_safe(Fraction(big)) == "<16610-bit integer>"
+        assert digit_safe(QuadElem(big, 0, 2)) == "<16610-bit integer>"
+        assert digit_safe(QuadElem(1, Fraction(big, 7), 2)) == "1 + <16610-bit integer>/7*sqrt(2)"
         # below the limit the text is str(x)
         for x in (Fraction(-5, 3), QuadElem(1, -2, 3), QuadElem(4, 0, 3)):
-            assert _payload_int(x) == str(x)
+            assert digit_safe(x) == str(x)
 
     def test_as_rational(self):
         with pytest.raises(DomainError, match=r"^<16610-bit integer> \+ 1\*sqrt\(2\) is not"):
@@ -477,11 +480,22 @@ class TestDigitLimit:
             (lambda x: construct.floor_n_log_n(x), DomainError),
             (lambda x: construct.cover_set(x), InputError),
             (lambda x: rationalize.c4_extremal_threshold(x), InputError),
+            (lambda x: APDescriptor(1, 1, 1, x), InputError),
+            (lambda x: cyclelab.find_even_cycle(_GRAPH, x), InputError),
+            (lambda x: cyclelab.enumerate_even_cycles(_GRAPH, x), InputError),
+            (lambda x: cyclelab.enumerate_even_cycles(_GRAPH, 3, max_count=x), InputError),
+            (lambda x: QuadElem(1, 1, x), InputError),
+            (lambda x: PrimeTable().primes_in(-x, 2), InputError),
+            (lambda x: PrimeTable().primes_in(2, -x), CapacityError),
+            (lambda x: PrimeTable().primes_upto(-x), CapacityError),
         ],
         ids=[
             "longest_ap-limit", "RepGraph-endpoint", "RepGraph-value", "study-trials",
             "study-ap_limit", "study-size", "pipeline-cycle_cap", "floor_mul_ln-c",
             "floor_mul_ln-n", "floor_n_log_n", "cover_set", "c4_extremal_threshold",
+            "APDescriptor-L", "find_even_cycle-k", "enumerate_even_cycles-k",
+            "enumerate_even_cycles-max_count", "QuadElem-m", "primes_in-lo", "primes_in-hi",
+            "primes_upto",
         ],
     )
     def test_argument_messages(self, call, error):

@@ -8,6 +8,7 @@ from prodap.apcore import first_pairs
 from prodap.cyclelab import find_even_cycle
 from prodap.errors import (
     DomainError,
+    FalsificationError,
     InputError,
 )
 from prodap.exactnum import QuadElem
@@ -29,6 +30,11 @@ from prodap.rationalize import (
 
 def rt2(b):
     return QuadElem(0, Fraction(b), 2)
+
+
+def _irrational_component(inst):
+    # one edge from 10**5000 * sqrt2 to 1: the rescaled 1 is irrational
+    inst.graph = RepGraph((rt2(10**5000), QuadElem(1, 0, 2)), (Edge(0, 1, 0, 1),))
 
 
 class TestFourCycleR:
@@ -141,6 +147,19 @@ class TestRationalize:
         big = QuadElem(10**5000, 1, 3)
         with pytest.raises(InputError, match=r"^element <16610-bit integer> \+ 1\*sqrt\(3\) "):
             make_quad_instance([rt2(1), big], [Fraction(2)], 2)
+
+    @pytest.mark.parametrize("tamper, key", [
+        (_irrational_component, "pivot"),
+        (lambda inst: inst.targets.__setitem__(0, inst.targets[0] + 1), "expected"),
+        (lambda inst: inst.targets.append(Fraction(7 * 10**5000)), "target"),
+    ])
+    def test_falsification_past_digit_limit(self, tamper, key):
+        # a falsification about a 5001-digit value stays a falsification
+        inst = make_quad_instance([QuadElem(10**5000, 0, 2), QuadElem(3, 0, 2)], [3 * 10**5000], 2)
+        tamper(inst)
+        with pytest.raises(FalsificationError) as exc:
+            rationalize_components(inst)
+        assert "-bit integer>" in exc.value.payload[key]
 
 
 class TestC4Audit:
