@@ -7,11 +7,17 @@ factors migrate one smallest prime at a time from the big part to the small
 part until both parts land in the set.  Threshold comparisons against ln n
 are decided by an integer enclosure of ln n, never by a float.
 
-``coverage_check`` certifies all of [1, floor(n*ln n)] from one
-largest-prime-factor sieve over that range, and that table is the
+``coverage_check`` certifies all of [1, floor(n*ln n)] from one witness
+table w, where x splits as (w[x], x / w[x]), and that table is the
 certificate: the witnesses are read from it on demand, so no per-x object is
-kept.  ``split_factor`` splits a single x by trial division and shares the
-transfer loop with it.
+kept.  Each prime above floor(ln n) sieves its multiples into w, so w[x] is
+x's largest prime whenever that prime is above floor(ln n); the other x, 1
+and the floor(ln n)-smooth x, are enumerated from the primes up to
+floor(ln n) and split by the transfer loop, which writes the smaller factor,
+or M + 1, which divides no x, when it fails.  Three passes over the table
+check every x with no mask, and only when one fails does an ascending scan
+look for the least bad x.  ``split_factor`` splits a single x by trial
+division and shares the transfer loop with it.
 """
 
 from __future__ import annotations
@@ -19,14 +25,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from operator import floordiv, le, mod
+from operator import floordiv, mod
 
 from .errors import DomainError, FalsificationError, InputError
 from .exactnum import DEFAULT_TABLE, PrimeTable
 
 SIZE_RATIO_CHECK_FROM = 10  # |B| <= 2n is asserted from this n on
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps the 0/1 bytes of a selector
 
 
 def _atanh_fixed(a: int, b: int, prec: int) -> tuple[int, int]:
@@ -165,27 +169,49 @@ def split_factor(
     return _transfer(p_big, x // p_big, moves, result._members)
 
 
-def _largest_prime_factors(result: ConstructionResult, table: PrimeTable) -> list[int]:
-    """lpf with lpf[x] the largest prime factor of x for 2 <= x <= M (and
-    lpf[0] = lpf[1] = 1): each prime writes its multiples in ascending order,
-    so the largest prime is written last.  The primes up to n come from the
-    table, those above n are the cover set's own, so the table never grows
-    past n here."""
-    M = result.M
-    lpf = [1] * (M + 1)
-    for p in table.primes_upto(result.n) + list(result.elements[result.n :]):
-        lpf[p::p] = [p] * (M // p)
-    return lpf
+def _witness_table(
+    result: ConstructionResult, table: PrimeTable
+) -> tuple[list[int], frozenset, dict]:
+    """(w, smooth, failed): w[x] is the smaller factor of a witness
+    (w[x], x / w[x]) for each x in [1, M]; smooth holds x = 1 and the
+    floor(ln n)-smooth x, whose witnesses the transfer loop wrote; failed maps
+    each such x whose loop failed, or handed back a pair with d1*d2 != x, to
+    what it returned, and its w[x] is M + 1, which divides no x.
+
+    Every other x has a prime above floor(ln n), and w[x] is the largest:
+    each such prime writes its multiples in ascending order, so the largest
+    is written last.  The primes up to n come from the table, those above n
+    are the cover set's own, so the table never grows past n here."""
+    n, M, members = result.n, result.M, result._members
+    small = table.primes_upto(_floor_ln(n))
+    w = [1] * (M + 1)
+    for p in table.primes_upto(n)[len(small) :] + list(result.elements[n:]):
+        w[p::p] = [p] * (M // p)
+    # each smooth x with its primes, ascending, built from the small primes
+    smooth = [(1, [])]
+    for p in small:
+        for x, primes in smooth[:]:
+            while (x := x * p) <= M:
+                primes = [*primes, p]
+                smooth.append((x, primes))
+    failed = {}
+    for x, primes in smooth[1:]:
+        found = _transfer(primes[-1], x // primes[-1], primes[:-1], members)
+        if found is None or found[0] * found[1] != x:
+            failed[x] = found
+            w[x] = M + 1
+        else:
+            w[x] = found[0]
+    return w, frozenset(x for x, _ in smooth), failed
 
 
 class _CertificateView(Mapping):
     """Read-only mapping over x = 1..M, ascending, read on demand from the
-    coverage certificate: the largest-prime-factor table, and ``transfers``
-    holding (d1, d2, method) for x = 1 and each x with lpf[x] <= floor(ln n).
-    Every other x splits as (lpf[x], x / lpf[x])."""
+    coverage certificate: the witness table w, where x splits as
+    (w[x], x / w[x]), and the set of unit and transfer x."""
 
-    def __init__(self, M: int, lpf: list[int], transfers: dict) -> None:
-        self._M, self._lpf, self._transfers = M, lpf, transfers
+    def __init__(self, M: int, w: list[int], smooth: frozenset) -> None:
+        self._M, self._w, self._smooth = M, w, smooth
 
     def __iter__(self):
         return iter(range(1, self._M + 1))
@@ -194,17 +220,14 @@ class _CertificateView(Mapping):
         return self._M
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(M={self._M}, transfers={len(self._transfers)})"
+        return f"{type(self).__name__}(M={self._M}, transfers={len(self._smooth)})"
 
 
 class _WitnessView(_CertificateView):
     def __getitem__(self, x: int) -> tuple[int, int]:
         if not (isinstance(x, int) and 1 <= x <= self._M):
             raise KeyError(x)
-        found = self._transfers.get(x)
-        if found is not None:
-            return found[:2]
-        p = self._lpf[x]
+        p = self._w[x]
         q = x // p
         return (q, p) if q <= p else (p, q)
 
@@ -213,28 +236,9 @@ class _MethodView(_CertificateView):
     def __getitem__(self, x: int) -> str:
         if not (isinstance(x, int) and 1 <= x <= self._M):
             raise KeyError(x)
-        found = self._transfers.get(x)
-        return "large-prime" if found is None else found[2]
-
-
-def _first_bad_large_prime(lpf: list[int], large: bytes, members: frozenset) -> int | None:
-    """The least x with large[x] set whose pair (lpf[x], x / lpf[x]) is not a
-    witness, or None.  Three passes check, for every x at once, that
-    x % p == 0 and p is a member, and for the large x that x // p is a member
-    too; each is a map over the table, with no per-x Python statement.  Only
-    when one fails is the offending x looked for one at a time."""
-    xs = range(len(lpf))
-    if (
-        not any(map(mod, xs, lpf))
-        and members.issuperset(lpf)
-        and members.issuperset(compress(map(floordiv, xs, lpf), large))
-    ):
-        return None
-    for x in compress(xs, large):
-        p = lpf[x]
-        if x % p or p not in members or x // p not in members:
-            return x
-    return None
+        if x not in self._smooth:
+            return "large-prime"
+        return "unit" if x == 1 else "transfer"
 
 
 def _invalid_witness(n: int, x: int, d1: int, d2: int) -> FalsificationError:
@@ -249,49 +253,35 @@ def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResul
     elements, with one witness per x.  A missing witness is a falsification,
     not a crash.
 
-    Each x splits from one largest-prime-factor sieve: with p = lpf[x], the
-    pair (p, x/p) is the witness when p > floor(ln n) (exact, since ln n is
-    irrational), which also gives x/p < n since p*n > n*ln n >= x; otherwise
-    the lpf chain of x/p gives its primes for the transfer loop.  Every
-    witness is re-checked: the few hundred transfer witnesses one at a time,
-    the large-prime ones by passes over the table.  The result's witnesses
-    and methods read the pairs from the table when looked up."""
+    The witness table holds (w[x], x/w[x]) for every x: for x with a prime
+    p > floor(ln n) (exact, since ln n is irrational), p is its largest
+    prime, which also gives x/p < n since p*n > n*ln n >= x; the other x are
+    enumerated from the primes up to floor(ln n) and split by the transfer
+    loop.  Three passes over the table re-check every witness: x % w[x] == 0,
+    w[x] in the set and x // w[x] in the set.  Only when one fails is the
+    least bad x looked for.  The result's witnesses and methods read the
+    pairs from the table when looked up."""
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
-    lpf = _largest_prime_factors(result, table)
-    floor_ln = _floor_ln(n)
+    w, smooth, failed = _witness_table(result, table)
     members = result._members
-    # small[x] = 1 where lpf[x] <= floor(ln n): x = 0, x = 1 and the transfer x
-    small = bytes(map(le, lpf, repeat(floor_ln)))
-    bad = _first_bad_large_prime(lpf, small.translate(_FLIP), members)
-    transfers = {}
-    for x in compress(range(len(lpf)), small):
-        if bad is not None and x > bad:
-            break
-        if x == 0:
-            continue
-        if x == 1:
-            found = (1, 1, "unit")
-        else:
-            p = lpf[x]
-            q = x // p
-            primes = []
-            while q > 1:
-                primes.append(lpf[q])
-                q //= lpf[q]
-            found = _transfer(p, x // p, reversed(primes), members)
-        if found is None:
+    xs, ws = range(1, result.M + 1), w[1:]
+    if (
+        any(map(mod, xs, ws))
+        or not members.issuperset(ws)
+        or not members.issuperset(map(floordiv, xs, ws))
+    ):
+        for x, p in zip(xs, ws):
+            if x % p or p not in members or x // p not in members:
+                break
+        if x not in failed:
+            raise _invalid_witness(n, x, *sorted((p, x // p)))
+        if failed[x] is None:
             raise FalsificationError(
                 "no witness for {} in the cover set of n={}", x, n,
                 payload={"n": n, "M": result.M, "x": x},
             )
-        d1, d2, _ = found
-        if d1 * d2 != x or d1 not in members or d2 not in members:
-            raise _invalid_witness(n, x, d1, d2)
-        transfers[x] = found
-    if bad is not None:
-        p = lpf[bad]
-        raise _invalid_witness(n, bad, *sorted((p, bad // p)))
-    result.witnesses = _WitnessView(result.M, lpf, transfers)
-    result.methods = _MethodView(result.M, lpf, transfers)
+        raise _invalid_witness(n, x, *failed[x][:2])
+    result.witnesses = _WitnessView(result.M, w, smooth)
+    result.methods = _MethodView(result.M, w, smooth)
     return result

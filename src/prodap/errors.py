@@ -15,9 +15,9 @@ EXIT_FALSIFIED = 4
 
 def digit_safe(x) -> str:
     """str(x), with each int past the digit limit on int-to-decimal
-    conversion given by its bit length, also inside a Fraction, so that
-    building an error message or payload cannot raise in place of the
-    error.  QuadElem's str formats its parts through this."""
+    conversion given by its bit length, also inside a Fraction, list, tuple
+    or dict, so that building an error message or payload cannot raise in
+    place of the error.  QuadElem's str formats its parts through this."""
     try:
         return str(x)
     except ValueError:
@@ -26,7 +26,22 @@ def digit_safe(x) -> str:
         if isinstance(x, Fraction):
             num = digit_safe(x.numerator)
             return num if x.denominator == 1 else f"{num}/{digit_safe(x.denominator)}"
+        if isinstance(x, dict):
+            return "{" + ", ".join(f"{_item(k)}: {_item(v)}" for k, v in x.items()) + "}"
+        if isinstance(x, list):
+            return "[" + ", ".join(map(_item, x)) + "]"
+        if isinstance(x, tuple):
+            return "(" + ", ".join(map(_item, x)) + ("," if len(x) == 1 else "") + ")"
         raise
+
+
+def _item(x) -> str:
+    """repr(x), as a container shows its items, through digit_safe when that
+    raises."""
+    try:
+        return repr(x)
+    except ValueError:
+        return digit_safe(x)
 
 
 class ProdapError(Exception):

@@ -58,11 +58,14 @@ class TestConstruct:
              "M=460, |B|=163, 460 witnesses"),
             (1000, "8ef598469cb3756eddd24cd7d5be82e8c5bddff09cc32abd0ef12d70d87a3395",
              "M=6907, |B|=1720, 6907 witnesses"),
+            (5000, "db3d171a359d9255711237c046933fd12ef2c50bcae9155d124d049ef3dc3b76",
+             "M=42585, |B|=8784, 42585 witnesses"),
         ],
     )
     def test_verify_output_pinned(self, capsys, n, digest, summary):
         # sha256 of the stdout report, taken when the witnesses were still
-        # stored one dict entry per x
+        # stored one dict entry per x (n = 5000: when they were read from a
+        # largest-prime-factor sieve)
         assert run(["construct", "--n", n, "--verify"]) == 0
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest

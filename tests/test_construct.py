@@ -62,6 +62,20 @@ def split_factor_oracle(x, n, result, table=None):
     return (a, b, "transfer")
 
 
+def corrupt_table(monkeypatch, changes):
+    """Make coverage_check read a witness table with w[x] = value for each
+    x: value in changes, set after the transfers have written theirs."""
+    real = construct._witness_table
+
+    def corrupted(result, table):
+        w, smooth, failed = real(result, table)
+        for x, value in changes.items():
+            w[x] = value
+        return w, smooth, failed
+
+    monkeypatch.setattr(construct, "_witness_table", corrupted)
+
+
 class TestThresholds:
     def test_floor_nlogn_values(self):
         # floor(n ln n) pinned by certified interval refinement
@@ -268,12 +282,31 @@ class TestCoverage:
         )
 
     def test_lpf_is_largest_prime_factor(self):
+        # above floor(ln n) the table's entry is x's largest prime; below it
+        # the entry is the smaller factor of the transfer witness
         table = PrimeTable()
         res = cover_set(1000, table)
-        lpf = construct._largest_prime_factors(res, table)
-        assert len(lpf) == res.M + 1 and lpf[1] == 1
+        w, smooth, failed = construct._witness_table(res, table)
+        assert len(w) == res.M + 1 and w[1] == 1 and failed == {}
+        floor_ln = decimal_floor_mul_ln(1, 1000, 50)
         for x in range(2, res.M + 1):
-            assert lpf[x] == table.factorize(x)[-1][0]
+            p = table.factorize(x)[-1][0]
+            if p > floor_ln:
+                assert w[x] == p and x not in smooth
+            else:
+                assert x in smooth
+                assert (w[x], x // w[x]) == split_factor_oracle(x, 1000, res, table)[:2]
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 1000])
+    def test_transfer_x_are_the_smooth_x(self, n):
+        # the unit and transfer x are 1 and the floor(ln n)-smooth x
+        table = PrimeTable()
+        res = cover_set(n, table)
+        _, smooth, _ = construct._witness_table(res, table)
+        floor_ln = decimal_floor_mul_ln(1, n, 50)
+        assert smooth == {1} | {
+            x for x in range(2, res.M + 1) if table.factorize(x)[-1][0] <= floor_ln
+        }
 
     def test_sieve_does_not_grow_table_to_m(self):
         # the primes above n are the cover set's own, so the table is sieved
@@ -284,7 +317,7 @@ class TestCoverage:
 
 
 class TestCertificate:
-    """The lpf table is the certificate; witnesses and methods are views."""
+    """The witness table is the certificate; witnesses and methods are views."""
 
     @pytest.mark.parametrize("n", [*range(3, 61), 1000])
     def test_views_are_mappings(self, n):
@@ -324,22 +357,30 @@ class TestCertificate:
         [
             ({458: 227}, "invalid witness (2, 227) for 458"),  # 227 does not divide 458
             ({458: 458}, "invalid witness (1, 458) for 458"),  # 458 is not a member
-            ({432: 5}, "invalid witness (5, 86) for 432"),  # a transfer x made large
+            ({432: 5}, "invalid witness (5, 86) for 432"),  # a transfer x's entry
             # the least bad x is reported, whichever pass finds it
             ({7: 2, 458: 227}, "invalid witness (2, 3) for 7"),
             ({458: 227, 460: 3}, "invalid witness (2, 227) for 458"),
         ],
     )
     def test_corrupted_lpf_entry_is_caught(self, monkeypatch, changes, message):
-        real = construct._largest_prime_factors
+        corrupt_table(monkeypatch, changes)
+        with pytest.raises(FalsificationError, match=re.escape(message)):
+            coverage_check(100)
 
-        def corrupted(result, table):
-            lpf = real(result, table)
-            for x, value in changes.items():
-                lpf[x] = value
-            return lpf
-
-        monkeypatch.setattr(construct, "_largest_prime_factors", corrupted)
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({458: 227}, "no witness for 432"), ({7: 2}, "invalid witness (2, 3) for 7")],
+    )
+    def test_least_bad_x_across_kinds(self, monkeypatch, changes, message):
+        # the transfer for 432 fails and a large-prime entry is corrupted:
+        # whichever x is smaller is reported
+        real = construct._transfer
+        monkeypatch.setattr(
+            construct, "_transfer",
+            lambda d1, d2, *args: None if d1 * d2 == 432 else real(d1, d2, *args),
+        )
+        corrupt_table(monkeypatch, changes)
         with pytest.raises(FalsificationError, match=re.escape(message)):
             coverage_check(100)
 
@@ -351,7 +392,7 @@ class TestCertificate:
             coverage_check(100)
 
     def test_retained_memory_per_x(self):
-        # the certificate keeps the lpf list and no per-x object: a dict of
+        # the certificate keeps the witness table and no per-x object: a dict of
         # witness tuples and one of method names kept about 220 bytes per x
         coverage_check(20000)  # grow the shared prime table beforehand
         tracemalloc.start()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import construct, cyclelab, harness, prodset, rationalize
+from prodap import construct, cyclelab, harness, jsonio, prodset, rationalize
 from prodap.apcore import APDescriptor
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 from prodap.exactnum import (
@@ -461,6 +461,17 @@ class TestDigitLimit:
         for x in (Fraction(-5, 3), QuadElem(1, -2, 3), QuadElem(4, 0, 3)):
             assert digit_safe(x) == str(x)
 
+    def test_containers_name_their_ints(self):
+        big = 10**5000
+        value = [big, "a", (big,), {big: Fraction(big, 3)}, ()]
+        assert digit_safe(value) == (
+            "[<16610-bit integer>, 'a', (<16610-bit integer>,), "
+            "{<16610-bit integer>: <16610-bit integer>/3}, ()]"
+        )
+        # below the limit the text is str(x)
+        for x in ([1, "a", (2,), {3: [Fraction(1, 3)]}, (), {}], (1, [2]), {"k": (1, 2)}):
+            assert digit_safe(x) == str(x)
+
     def test_as_rational(self):
         with pytest.raises(DomainError, match=r"^<16610-bit integer> \+ 1\*sqrt\(2\) is not"):
             QuadElem(10**5000, 1, 2).as_rational()
@@ -488,6 +499,8 @@ class TestDigitLimit:
             (lambda x: PrimeTable().primes_in(-x, 2), InputError),
             (lambda x: PrimeTable().primes_in(2, -x), CapacityError),
             (lambda x: PrimeTable().primes_upto(-x), CapacityError),
+            (lambda x: jsonio.dec_quad([x]), InputError),
+            (lambda x: jsonio.descriptor_from_json([x]), InputError),
         ],
         ids=[
             "longest_ap-limit", "RepGraph-endpoint", "RepGraph-value", "study-trials",
@@ -495,7 +508,7 @@ class TestDigitLimit:
             "floor_mul_ln-n", "floor_n_log_n", "cover_set", "c4_extremal_threshold",
             "APDescriptor-L", "find_even_cycle-k", "enumerate_even_cycles-k",
             "enumerate_even_cycles-max_count", "QuadElem-m", "primes_in-lo", "primes_in-hi",
-            "primes_upto",
+            "primes_upto", "dec_quad-list", "descriptor_from_json-list",
         ],
     )
     def test_argument_messages(self, call, error):
