@@ -130,6 +130,48 @@ class TestFindApAndGraph:
         assert rep["window"] == [11]
         assert rep["forest"] is True
 
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("cover10",
+             "1c3682fe1243f8b76abb50db5813f0ca65c1d1f529366a2ada2ad89a1278d236"),
+            ("cover23",
+             "ec857a768b82cae7b7d01e4eca52cfe534563b2a0d7036b0e479ddd8098bbd39"),
+            ("cover40",
+             "c3a9ec2d754a3e0d94071e42964e5e2b67344a1bae8de25705cca90d3067b22f"),
+            ("cover100",
+             "c8ecf134c114da7e3cf395191c95d12faf949b3e459abd76619436583de101ab"),
+            ("r119",
+             "8440e77c48bd53f8da7f13ec91da08e029ae7fd545c535083cd9b3c7bf93122b"),
+            ("D11",
+             "77c243df4130022b148f8c3243f563ee388edc80a096d36f4c774d9552177119"),
+        ],
+    )
+    def test_irregular_output_pinned(self, tmp_path, capsys, case, digest):
+        # sha256 of the stdout report on a graph built by `prodap graph`,
+        # taken when classification, selection and the forest verdict were
+        # three separate passes over one mutable report
+        from prodap.construct import cover_set
+        from prodap.harness import InstanceFile
+
+        if case.startswith("cover"):
+            res = cover_set(int(case[len("cover"):]))
+            elements, desc = list(res.elements), APDescriptor(1, 1, 1, res.M)
+        elif case == "r119":
+            desc = APDescriptor(1, 119, 1, 31)
+            elements = sorted({1} | set(desc.terms()))
+        else:
+            desc = APDescriptor(11, 1, 2, 60)
+            elements = sorted({11} | {1 + 2 * i for i in range(desc.L)})
+        inst, ap, graph = (tmp_path / name for name in ("inst.json", "ap.json", "g.json"))
+        save_instance(inst, InstanceFile("integer", elements))
+        with open(ap, "w") as fh:
+            fh.write(dumps_canonical(prodap.jsonio.descriptor_to_json(desc)))
+        assert run(["graph", "--set", inst, "--ap", ap, "--out", graph]) == 0
+        assert run(["irregular", "--graph", graph, "--ap", ap]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestReduce:
     def test_reduce_instance(self, tmp_path):
