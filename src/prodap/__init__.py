@@ -44,12 +44,10 @@ from .harness import (
 from .irregular import (
     IrregularityReport,
     PrimeWindow,
-    classify_edges,
     forest_check,
     hit_count,
     irregularity_report,
     prime_window,
-    select_independent_irregulars,
 )
 from .prodset import (
     APSearchResult,

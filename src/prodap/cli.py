@@ -187,7 +187,7 @@ def cmd_irregular(args) -> int:
         "forest": report.forest,
     }
     _write_or_print(args.out, out)
-    if report.forest is not True:
+    if not report.forest:
         raise FalsificationError("selected irregular edges contain a cycle", payload=out)
     return EXIT_OK
 

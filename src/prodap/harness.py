@@ -426,7 +426,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
         "all_pass": True,
     }
     irr = irregularity_report(graph, desc)
-    if irr.forest is not True:
+    if not irr.forest:
         raise FalsificationError(
             "selected irregular edges contain a cycle",
             payload={

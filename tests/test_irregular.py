@@ -1,8 +1,11 @@
-"""Prime windows, hit counts, irregular-edge classification and selection."""
+"""Prime windows, hit counts and the irregularity report: classification,
+selection and the forest verdict."""
 
 import random
+from dataclasses import FrozenInstanceError
 from math import gcd
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,10 @@ from prodap.errors import InputError
 from prodap.exactnum import valuation
 from prodap.irregular import (
     IrregularityReport,
-    classify_edges,
     forest_check,
     hit_count,
     irregularity_report,
     prime_window,
-    select_independent_irregulars,
 )
 from prodap.prodset import Edge, RepGraph, build_rep_graph
 from prodap.rationalize import rationalize_components
@@ -85,9 +86,8 @@ class TestHitCount:
 class TestClassify:
     def test_d_one_counts_equal_hits(self):
         graph, desc = cover_graph(10)
-        window = prime_window(desc)
-        report = classify_edges(graph, desc, window)
-        for p in window.primes:
+        report = irregularity_report(graph, desc)
+        for p in report.window.primes:
             assert len(report.per_prime[p]) == hit_count(p, desc)
 
     def test_common_factor_absorbs_one_power(self):
@@ -95,16 +95,15 @@ class TestClassify:
         desc = APDescriptor(11, 1, 2, 31)
         B = sorted({11} | {desc.r + desc.d * i for i in range(desc.L)})
         graph = build_rep_graph(B, desc.terms())
-        report = classify_edges(graph, desc, prime_window(desc))
+        report = irregularity_report(graph, desc)
         irregular_indices = {e.index for e in report.per_prime[11]}
         expected = {i for i in range(desc.L) if (1 + 2 * i) % 11 == 0}
         assert irregular_indices == expected
 
     def test_value_consistency_enforced(self):
         graph, desc = cover_graph(10)
-        wrong = APDescriptor(1, 2, 1, 23)
         with pytest.raises(InputError):
-            classify_edges(graph, wrong, prime_window(wrong))
+            irregularity_report(graph, APDescriptor(1, 2, 1, 23))
 
     def test_mismatch_past_digit_limit(self):
         # the expected term has 5001 digits; the message names it by index
@@ -119,18 +118,15 @@ class TestSelection:
         desc = APDescriptor(1, 1, 1, 31)
         B = sorted(set(range(1, 32)))
         graph = build_rep_graph(B, desc.terms())
-        report = classify_edges(graph, desc, prime_window(desc))
-        selected = select_independent_irregulars(report)
+        report = irregularity_report(graph, desc)
         used = [p for ps in report.selected_primes.values() for p in ps]
-        assert len(used) == len(set(used))
-        for idx, primes in report.selected_primes.items():
-            assert primes
+        assert sorted(used) == [11, 13]
+        assert list(report.selected_primes) == [e.index for e in report.selected]
 
     def test_same_prime_keeps_lower_index(self):
         graph, desc = cover_graph(10)  # window {11}: terms 11 and 22
-        report = classify_edges(graph, desc, prime_window(desc))
-        selected = select_independent_irregulars(report)
-        assert [e.index for e in selected] == [10]  # term 11, not term 22
+        report = irregularity_report(graph, desc)
+        assert [e.index for e in report.selected] == [10]  # term 11, not term 22
 
     def test_double_prime_edge_excluded(self):
         # r=119, d=1, L=31: term 121 (i=2) and 132 (i=13) hit 11; 130 (i=11)
@@ -138,10 +134,10 @@ class TestSelection:
         desc = APDescriptor(1, 119, 1, 31)
         B = sorted({1} | set(desc.terms()))
         graph = build_rep_graph(B, desc.terms())
-        report = classify_edges(graph, desc, prime_window(desc))
-        assert report.edge_primes[24] == (11, 13)
-        selected = select_independent_irregulars(report)
-        indices = [e.index for e in selected]
+        report = irregularity_report(graph, desc)
+        assert [e.index for e in report.per_prime[11]] == [2, 13, 24]
+        assert [e.index for e in report.per_prime[13]] == [11, 24]
+        indices = [e.index for e in report.selected]
         assert indices == [2, 11]
         assert 24 not in indices
         assert 13 not in indices  # second 11-hit blocked too
@@ -164,52 +160,56 @@ class TestForest:
             # no prime claimed twice
             used = [p for ps in report.selected_primes.values() for p in ps]
             assert len(used) == len(set(used))
-            # every selected edge is irregular for at least one window prime
-            for idx in (e.index for e in report.selected):
-                assert report.edge_primes[idx]
+            # every selected edge is irregular for each prime it claims
+            for e in report.selected:
+                assert report.selected_primes[e.index]
+                for p in report.selected_primes[e.index]:
+                    assert e in report.per_prime[p]
+            with pytest.raises(FrozenInstanceError):
+                report.forest = False
 
 
 # ---------------------------------------------------------------------------
 # slow oracle: the classification as first written, comparing the valuation
-# of every edge value with D's for every window prime
+# of every edge value with D's for every window prime, then its own greedy
+# selection and a networkx forest verdict
 # ---------------------------------------------------------------------------
 
 
-def _valuation_classify(graph, desc, window):
+def _valuation_report(graph, desc):
+    window = prime_window(desc)
     per_prime = {p: [] for p in window.primes}
     edge_primes = {}
     d_ord = {p: valuation(desc.D, p) for p in window.primes}
     for e in sorted(graph.edges, key=lambda e: e.index):
         mine = tuple(p for p in window.primes if valuation(e.value, p) > d_ord[p])
         if mine:
-            edge_primes[e.index] = mine
+            edge_primes[e] = mine
             for p in mine:
                 per_prime[p].append(e)
+    selected, selected_primes, used = [], {}, set()
+    for e, primes in edge_primes.items():
+        if not used & set(primes):
+            used |= set(primes)
+            selected.append(e)
+            selected_primes[e.index] = primes
+    nx_graph = nx.MultiGraph(((0, e.u), (1, e.v)) for e in selected)
+    forest = nx.is_forest(nx_graph) if selected else True  # networkx rejects empty graphs
     return IrregularityReport(
-        window, {p: tuple(edges) for p, edges in per_prime.items()}, edge_primes
-    )
-
-
-def _fields(report):
-    return (
-        report.per_prime,
-        report.edge_primes,
-        report.selected,
-        report.selected_primes,
-        report.forest,
+        window,
+        {p: tuple(edges) for p, edges in per_prime.items()},
+        tuple(selected),
+        selected_primes,
+        forest,
     )
 
 
 def assert_matches_oracle(graph, desc):
-    """classify_edges and irregularity_report against the valuation scan;
-    returns the number of irregular edges."""
-    window = prime_window(desc)
-    want = _valuation_classify(graph, desc, window)
-    assert _fields(classify_edges(graph, desc, window)) == _fields(want)
-    select_independent_irregulars(want)
-    want.forest = forest_check(graph, want.selected)
-    assert _fields(irregularity_report(graph, desc)) == _fields(want)
-    return len(want.edge_primes)
+    """irregularity_report against the valuation scan, every field; returns
+    the number of irregular edges."""
+    want = _valuation_report(graph, desc)
+    assert irregularity_report(graph, desc) == want
+    return len({e.index for edges in want.per_prime.values() for e in edges})
 
 
 def _quad_reduced_graph(seed, m):
@@ -266,6 +266,16 @@ class TestResidueRuleOracle:
     def test_reduced_quadratic_graphs(self, m):
         for seed in range(64):
             assert_matches_oracle(*_quad_reduced_graph(seed, m))
+
+    def test_selection_with_a_cycle(self):
+        # L = 100: window {37, 41, 43, 47} marks terms 37, 41, 43 and 47,
+        # placed here on the four edges of one 4-cycle
+        desc = APDescriptor(1, 1, 1, 100)
+        pairs = {36: (0, 0), 40: (0, 1), 42: (1, 0), 46: (1, 1)}
+        edges = tuple(Edge(*pairs[i], i, desc.term(i)) for i in sorted(pairs))
+        graph = RepGraph((1, 2), edges)
+        assert assert_matches_oracle(graph, desc) == 4
+        assert irregularity_report(graph, desc).forest is False
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_in_range())
