@@ -150,7 +150,7 @@ def cmd_cycles(args) -> int:
         "k": args.k,
         "cycle": {
             **cycle.as_json(),
-            "values": [jsonio.enc_value(v, with_m=False) for v in cycle.values],
+            "values": [jsonio.enc_value(v) for v in cycle.values],
         },
     }
     if args.audit:

@@ -44,19 +44,35 @@ def _item(x) -> str:
         return digit_safe(x)
 
 
+class _Shown(str):
+    """digit_safe's text for a value, shown as is by ``{}`` and ``{!r}``."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _formattable(x):
+    """x when str and repr both format it, else its digit_safe text."""
+    try:
+        str(x), repr(x)
+        return x
+    except ValueError:
+        return _Shown(digit_safe(x))
+
+
 class ProdapError(Exception):
     """Base class for all library errors.
 
     The message is ``template.format(*values)``.  Only when that meets an
-    int past the digit limit do the values go through digit_safe first, so a
-    message below the limit, ``{!r}`` fields included, is formatted from the
-    values as given."""
+    int past the digit limit does each value that str or repr cannot format
+    give way to its digit_safe text, shown without quotes by ``{!r}`` as the
+    value itself would be; every other value is formatted as given."""
 
     def __init__(self, template: str, *values):
         try:
             message = template.format(*values)
         except ValueError:
-            message = template.format(*map(digit_safe, values))
+            message = template.format(*map(_formattable, values))
         super().__init__(message)
 
 
@@ -86,10 +102,6 @@ class DomainError(InputError):
 
 class CapacityError(ProdapError):
     """Request exceeds a configured capacity (exit code 3)."""
-
-    def __init__(self, template, *values, limit=None):
-        super().__init__(template, *values)
-        self.limit = limit
 
 
 class FalsificationError(ProdapError):

@@ -81,9 +81,7 @@ class PrimeTable:
         if limit <= self._limit:
             return
         if limit > self.capacity:
-            raise CapacityError(
-                "sieve limit {} exceeds capacity {}", limit, self.capacity, limit=self.capacity
-            )
+            raise CapacityError("sieve limit {} exceeds capacity {}", limit, self.capacity)
         limit = min(max(limit, 2 * self._limit, 1 << 10), self.capacity)
         # only (old limit, limit] is sieved; the table's own primes serve as
         # the base once they reach isqrt(limit)
@@ -103,10 +101,7 @@ class PrimeTable:
         if lo > hi:
             raise InputError("empty range: lo={} > hi={}", lo, hi)
         if hi > self.capacity:
-            raise CapacityError(
-                "primes_in upper bound {} exceeds capacity {}", hi, self.capacity,
-                limit=self.capacity,
-            )
+            raise CapacityError("primes_in upper bound {} exceeds capacity {}", hi, self.capacity)
         lo = max(lo, 2)
         if lo > hi:
             return []
@@ -120,8 +115,7 @@ class PrimeTable:
             return False
         if isqrt(n) > self.capacity:
             raise CapacityError(
-                "cannot certify primality of {}: needs primes beyond capacity {}",
-                n, self.capacity, limit=self.capacity,
+                "cannot certify primality of {}: needs primes beyond capacity {}", n, self.capacity
             )
         return self.factorize(n) == [(n, 1)]
 
@@ -258,8 +252,7 @@ class PrimeTable:
 
     def _uncertifiable(self, n: int, rem: int) -> CapacityError:
         return CapacityError(
-            "factor of {} exceeds capacity {}: cofactor {} not certifiable",
-            n, self.capacity, rem, limit=self.capacity,
+            "factor of {} exceeds capacity {}: cofactor {} not certifiable", n, self.capacity, rem
         )
 
 

@@ -73,7 +73,7 @@ def instance_to_json(inst: InstanceFile) -> dict:
     return {
         "field": inst.field_tag,
         "m": jsonio.enc_int(inst.m) if inst.m is not None else None,
-        "elements": [jsonio.enc_value(x, with_m=False) for x in inst.elements],
+        "elements": [jsonio.enc_value(x) for x in inst.elements],
         "ap": jsonio.descriptor_to_json(inst.ap) if inst.ap is not None else None,
         "provenance": inst.provenance,
     }

@@ -2,8 +2,8 @@
 
 Big integers travel as decimal strings, rationals as "p/q" (or a bare decimal
 string when integral), quadratic elements as {"a": ..., "b": ...} with the
-field discriminant m carried once at instance level (standalone element
-encodings include it).  All report dumps are canonical: sorted keys, compact
+field discriminant m carried once at instance level (an element-level "m" is
+read, never written).  All report dumps are canonical: sorted keys, compact
 separators, trailing newline, so identical inputs give identical bytes.
 
 ``enc_int`` and ``dec_int`` are the only int <-> decimal conversions of the
@@ -39,7 +39,7 @@ def enc_int(x: int) -> str:
     except ValueError as exc:  # the only way str(int) fails
         raise CapacityError(
             "integer of {} bits exceeds the {}-digit limit on int-to-decimal conversion",
-            x.bit_length(), _digit_cap(), limit=_digit_cap(),
+            x.bit_length(), _digit_cap(),
         ) from exc
 
 
@@ -60,7 +60,7 @@ def dec_int(s) -> int:
     except ValueError as exc:  # a well-formed literal past the digit cap
         raise CapacityError(
             "integer literal of {} digits exceeds the {}-digit limit on decimal-to-int conversion",
-            len(digits), _digit_cap(), limit=_digit_cap(),
+            len(digits), _digit_cap(),
         ) from exc
 
 
@@ -79,11 +79,8 @@ def dec_rat(s) -> Fraction:
         raise InputError("bad rational literal {!r}", s) from exc
 
 
-def enc_quad(x: QuadElem, with_m: bool = True) -> dict:
-    out = {"a": enc_rat(x.a), "b": enc_rat(x.b)}
-    if with_m:
-        out["m"] = enc_int(x.m)
-    return out
+def enc_quad(x: QuadElem) -> dict:
+    return {"a": enc_rat(x.a), "b": enc_rat(x.b)}
 
 
 def dec_quad(obj, m: int | None = None) -> QuadElem:
@@ -97,9 +94,9 @@ def dec_quad(obj, m: int | None = None) -> QuadElem:
     return QuadElem(dec_rat(obj["a"]), dec_rat(obj["b"]), mm)
 
 
-def enc_value(x, with_m: bool = True):
+def enc_value(x):
     if isinstance(x, QuadElem):
-        return enc_quad(x, with_m)
+        return enc_quad(x)
     if isinstance(x, Fraction):
         return enc_rat(x)
     return enc_int(x)
@@ -122,8 +119,7 @@ def descriptor_from_json(obj) -> APDescriptor:
         raise InputError("descriptor missing field {}", exc) from exc
     if desc.L > MAX_DESCRIPTOR_TERMS:
         raise CapacityError(
-            "descriptor length {} exceeds the limit of {} terms", desc.L, MAX_DESCRIPTOR_TERMS,
-            limit=MAX_DESCRIPTOR_TERMS,
+            "descriptor length {} exceeds the limit of {} terms", desc.L, MAX_DESCRIPTOR_TERMS
         )
     return desc
 
@@ -132,9 +128,9 @@ def graph_to_json(graph: RepGraph, field: str = "integer", m: int | None = None)
     return {
         "field": field,
         "m": enc_int(m) if m is not None else None,
-        "elements": [enc_value(x, with_m=False) for x in graph.elements],
+        "elements": [enc_value(x) for x in graph.elements],
         "edges": [
-            {"u": e.u, "v": e.v, "index": e.index, "value": enc_value(e.value, with_m=False)}
+            {"u": e.u, "v": e.v, "index": e.index, "value": enc_value(e.value)}
             for e in graph.edges
         ],
     }
@@ -180,7 +176,7 @@ def load_json(path):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError("{}: not a JSON document: {}", path, exc) from exc
     except ValueError as exc:  # a bare JSON number past the digit limit
-        raise CapacityError("{}: {}", path, exc, limit=_digit_cap()) from exc
+        raise CapacityError("{}: {}", path, exc) from exc
 
 
 def save_json(path, obj) -> None:

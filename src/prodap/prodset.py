@@ -238,9 +238,7 @@ def _validate_search_input(S, limit, default_limit, other_mode_hint):
                 raise InputError("duplicate element {}", S[i])
     cap = limit if limit is not None else default_limit
     if len(S) > cap:
-        raise CapacityError(
-            "set size {} exceeds limit {}; {}", len(S), cap, other_mode_hint, limit=cap
-        )
+        raise CapacityError("set size {} exceeds limit {}; {}", len(S), cap, other_mode_hint)
     return S
 
 

@@ -628,7 +628,7 @@ def quad_cycle_instances(draw):
     return {
         "field": "quadratic",
         "m": str(m),
-        "elements": [enc_quad(x, with_m=False) for x in elements],
+        "elements": [enc_quad(x) for x in elements],
         "ap": {"D": "1", "r": "2", "d": "1", "L": 5},
     }
 

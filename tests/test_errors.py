@@ -6,8 +6,10 @@ import ast
 import string
 from pathlib import Path
 
+import pytest
+
 import prodap
-from prodap import errors
+from prodap import errors, jsonio
 from prodap.errors import InputError, RepresentationError
 
 SRC = Path(prodap.__file__).parent
@@ -81,3 +83,21 @@ class TestMessage:
         assert str(InputError("got {} and {}", self.big, 3)) == "got <16610-bit integer> and 3"
         exc = RepresentationError("term {} of {}", 0, self.big, term=self.big)
         assert str(exc) == "term 0 of <16610-bit integer>" and exc.term == self.big
+
+    def test_repr_fields_past_the_limit_match_those_below(self):
+        # {!r} shows digit_safe's text as the value's own repr would be
+        # shown, without quotes; a value that formats keeps its repr
+        assert str(InputError("{!r} {}", "a", 10**5000)) == "'a' <16610-bit integer>"
+        assert str(InputError("{!r}", [10**5000, "b"])) == "[<16610-bit integer>, 'b']"
+
+    @pytest.mark.parametrize(
+        "call, prefix",
+        [(jsonio.dec_quad, "bad quadratic element"),
+         (jsonio.descriptor_from_json, "bad descriptor")],
+        ids=["dec_quad", "descriptor_from_json"],
+    )
+    def test_container_argument_messages(self, call, prefix):
+        for value, shown in (([5], "[5]"), ([10**5000], "[<16610-bit integer>]")):
+            with pytest.raises(InputError) as exc:
+                call(value)
+            assert str(exc.value) == f"{prefix} {shown}"

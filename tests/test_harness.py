@@ -382,8 +382,9 @@ class TestWireFormats:
         from prodap.jsonio import dec_quad, enc_quad
 
         q = QuadElem(Fraction(3, 2), Fraction(-1), 2)
-        assert enc_quad(q) == {"a": "3/2", "b": "-1", "m": "2"}
-        assert dec_quad(enc_quad(q)) == q
+        assert enc_quad(q) == {"a": "3/2", "b": "-1"}
+        assert dec_quad(enc_quad(q), m=2) == q
+        assert dec_quad({"a": "3/2", "b": "-1", "m": "2"}) == q
         assert dec_quad({"a": "3/2", "b": "-1"}, m=2) == q
         with pytest.raises(InputError):
             dec_quad({"a": "1", "b": "0", "m": "3"}, m=2)
