@@ -142,6 +142,16 @@ class TestSelection:
         assert 24 not in indices
         assert 13 not in indices  # second 11-hit blocked too
 
+    def test_selected_edge_claims_all_its_primes(self):
+        # r=143, d=1, L=31: term 143 = 11*13 (i=0) comes first for both
+        # primes, so it is selected alone and blocks the other four hits,
+        # 154 and 165 for 11, 156 and 169 for 13
+        desc = APDescriptor(1, 143, 1, 31)
+        graph = build_rep_graph(sorted({1} | set(desc.terms())), desc.terms())
+        report = irregularity_report(graph, desc)
+        assert report.selected_primes == {0: (11, 13)}
+        assert assert_matches_oracle(graph, desc) == 5
+
 
 class TestForest:
     def test_empty_selection(self):
