@@ -150,9 +150,6 @@ class ReductionTrace:
     k0_primes: tuple[int, ...] = ()  # primes dividing d but not D*r, no step needed
     initial_measure: int = 0
 
-    def __len__(self):
-        return len(self.steps)
-
 
 def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
     """Rewrite A subset of B.B as D*(r + d*i) with gcd(d, D*r) = 1.

@@ -38,8 +38,7 @@ from .prodset import build_rep_graph, longest_ap, product_set
 from .rationalize import make_quad_instance, rationalize_components
 
 
-def _write_or_print(path, obj):
-    text = jsonio.dumps_canonical(obj)
+def _write_or_print(path, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -65,7 +64,7 @@ def cmd_construct(args) -> int:
         "witnesses": {str(x): [str(d1), str(d2)] for x, (d1, d2) in result.witnesses.items()},
         "methods": {str(x): m for x, m in result.methods.items()},
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     print(
         f"cover set n={result.n}: M={result.M}, |B|={result.size}"
         + (f", {len(result.witnesses)} witnesses verified" if args.verify else ""),
@@ -89,7 +88,7 @@ def cmd_find_ap(args) -> int:
         "descriptor": jsonio.descriptor_to_json(desc) if desc else None,
         "prodset_size": len(ps),
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
@@ -125,7 +124,7 @@ def cmd_reduce(args) -> int:
         "k0_primes": list(trace.k0_primes),
         "gcd_bound": {"ok": ok, "worst": [i, j, jsonio.enc_int(g)]},
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
@@ -136,15 +135,16 @@ def cmd_graph(args) -> int:
         graph = make_quad_instance(inst.elements, desc.terms(), inst.m).graph
     else:
         graph = build_rep_graph(inst.elements, desc.terms())
-    _write_or_print(args.out, jsonio.graph_to_json(graph, inst.field_tag, inst.m))
+    out = jsonio.graph_to_json(graph, inst.field_tag, inst.m)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
 def cmd_cycles(args) -> int:
-    graph, _, _ = jsonio.graph_from_json(jsonio.load_json(args.graph))
+    graph = jsonio.graph_from_json(jsonio.load_json(args.graph))
     cycle = find_even_cycle(graph, args.k)
     if cycle is None:
-        _write_or_print(args.out, {"cycle": None, "k": args.k})
+        _write_or_print(args.out, jsonio.dumps_canonical({"cycle": None, "k": args.k}))
         return EXIT_OK
     out = {
         "k": args.k,
@@ -166,12 +166,12 @@ def cmd_cycles(args) -> int:
             "m": poly.m,
             "divisibility": {"ok": True},
         }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
 def cmd_irregular(args) -> int:
-    graph, _, _ = jsonio.graph_from_json(jsonio.load_json(args.graph))
+    graph = jsonio.graph_from_json(jsonio.load_json(args.graph))
     desc = _load_descriptor_arg(args.ap)
     report = irregularity_report(graph, desc)
     out = {
@@ -186,7 +186,7 @@ def cmd_irregular(args) -> int:
         },
         "forest": report.forest,
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     if not report.forest:
         raise FalsificationError("selected irregular edges contain a cycle", payload=out)
     return EXIT_OK
@@ -205,7 +205,7 @@ def cmd_rationalize(args) -> int:
         "elements": [jsonio.enc_rat(x) for x in rational],
         "targets": [jsonio.enc_rat(t) for t in qinst.targets],
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
@@ -217,7 +217,7 @@ def cmd_convex_demo(args) -> int:
         "margins": [jsonio.enc_int(m) for m in report.margins],
         "expected_margin": jsonio.enc_int(desc.D**2 * desc.d**2),
     }
-    _write_or_print(args.out, out)
+    _write_or_print(args.out, jsonio.dumps_canonical(out))
     return EXIT_OK
 
 
@@ -228,12 +228,7 @@ def cmd_study(args) -> int:
     except ValueError as exc:
         raise InputError("--sizes must be comma-separated integers: {}", exc) from exc
     records = scaling_study(generators, sizes, args.trials, args.seed, args.limit)
-    csv_text = study_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_or_print(args.out, study_csv(records))
     for r in records:
         if r.skipped:
             print(f"skipped {r.generator} n={r.n} trial={r.trial}: {r.skipped}", file=sys.stderr)
@@ -248,7 +243,7 @@ def cmd_pipeline(args) -> int:
     else:
         raise InputError("pipeline needs --in FILE or --demo KIND")
     report = pipeline(inst, cycle_cap=args.cycle_cap)
-    _write_or_print(args.out, report)
+    _write_or_print(args.out, jsonio.dumps_canonical(report))
     if not report["ok"]:
         print("falsification report produced", file=sys.stderr)
         return EXIT_FALSIFIED

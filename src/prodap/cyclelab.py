@@ -22,8 +22,8 @@ from .prodset import RepGraph
 
 Vertex = tuple[int, int]
 
-# Path extensions one length of enumerate_even_cycles may make before it
-# stops and reports the length cut short.
+# Path extensions _walk_length may make on one length before it stops and
+# reports the length cut short.
 STEP_BUDGET = 1_000_000
 
 
@@ -48,12 +48,6 @@ class EvenCycle:
     @property
     def k(self) -> int:
         return len(self.vertices) // 2
-
-    def odd_position_indices(self) -> tuple[int, ...]:
-        return self.indices[0::2]
-
-    def even_position_indices(self) -> tuple[int, ...]:
-        return self.indices[1::2]
 
     def as_json(self) -> dict:
         return {
@@ -152,9 +146,7 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     return None if best is None else _cycle_through(graph, best)
 
 
-def enumerate_even_cycles(
-    graph: RepGraph, k: int, max_count: int | None = None, stops: dict | None = None
-) -> list[EvenCycle]:
+def enumerate_even_cycles(graph: RepGraph, k: int, max_count: int | None = None) -> list[EvenCycle]:
     """Simple cycles of length <= 2k, canonicalized, sorted by (length,
     vertex ids).
 
@@ -166,18 +158,14 @@ def enumerate_even_cycles(
 
     max_count caps each length: the cycles kept of a length are an exact
     prefix of all its cycles.  A length also stops after STEP_BUDGET path
-    extensions.  If stops is a dict, it receives length -> "cap" or "steps"
-    for each length cut short; "cap" means a cycle past max_count exists, so
-    a length with exactly max_count cycles is complete."""
+    extensions; _walk_length says why a length was cut short."""
     if k < 2:
         raise InputError("half-length bound must be >= 2, got {}", k)
     if max_count is not None and max_count < 0:
         raise InputError("cycle cap must be >= 0, got {}", max_count)
     cycles: list[EvenCycle] = []
     for length in range(4, 2 * k + 1, 2):
-        walks, stop = _walk_length(graph.neighbours, length, max_count)
-        if stop is not None and stops is not None:
-            stops[length] = stop
+        walks, _ = _walk_length(graph.neighbours, length, max_count)
         # root first, second vertex before the last: each walk is already
         # in canonical form
         cycles.extend(_cycle_through(graph, w) for w in walks)
@@ -277,9 +265,7 @@ def cycle_poly(cycle: EvenCycle, desc: APDescriptor) -> CyclePoly:
     if not desc.is_reduced:
         raise InputError("descriptor must be reduced")
     k = cycle.k
-    coeffs = symmetric_coefficients(
-        cycle.even_position_indices(), cycle.odd_position_indices()
-    )
+    coeffs = symmetric_coefficients(cycle.indices[1::2], cycle.indices[0::2])
     if all(c == 0 for c in coeffs):
         raise FalsificationError(
             "all cycle coefficients vanish, impossible for distinct indices",

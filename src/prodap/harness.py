@@ -80,22 +80,12 @@ def instance_to_json(inst: InstanceFile) -> dict:
 
 
 def instance_from_json(obj) -> InstanceFile:
-    if not isinstance(obj, dict) or "field" not in obj or "elements" not in obj:
-        raise InputError("instance file needs 'field' and 'elements'")
-    if not isinstance(obj["elements"], list):
-        raise InputError("instance 'elements' must be a list")
-    tag = obj["field"]
-    if tag not in ("integer", "rational", "quadratic"):
-        raise InputError("unknown field tag {!r}", tag)
-    m = jsonio.dec_int(obj["m"]) if obj.get("m") is not None else None
-    if tag == "quadratic" and m is None:
-        raise InputError("quadratic instance without top-level m")
-    if tag != "quadratic" and m is not None:
-        raise InputError("{} instance with a top-level m", tag)
+    tag, m = jsonio.dec_header(obj)
     elements = [jsonio.dec_element(e, tag, m) for e in obj["elements"]]
     if len(set(elements)) != len(elements):
         raise InputError("instance elements must be distinct")
-    ap = jsonio.descriptor_from_json(obj["ap"]) if obj.get("ap") else None
+    # only an absent or null claim is no claim; {} or false is a malformed one
+    ap = jsonio.descriptor_from_json(obj["ap"]) if obj.get("ap") is not None else None
     provenance = obj.get("provenance")
     if not isinstance(provenance, (dict, type(None))):
         raise InputError("instance 'provenance' must be an object")
@@ -104,10 +94,6 @@ def instance_from_json(obj) -> InstanceFile:
 
 def load_instance(path) -> InstanceFile:
     return instance_from_json(jsonio.load_json(path))
-
-
-def save_instance(path, inst: InstanceFile) -> None:
-    jsonio.save_json(path, instance_to_json(inst))
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +200,6 @@ def quadratic_demo_instance(m: int = 2, gamma=Fraction(1, 2)) -> QuadInstance:
     if find_even_cycle(inst.graph, 2) is None:
         raise InputError("gamma={} degenerates the built-in 4-cycle; pick another", g)
     return inst
-
-
-def random_quad_chain_instance(seed: int, m: int) -> QuadInstance:
-    """Seeded chain instance: consecutive targets share an element, so the
-    graph is connected and parity arguments bite."""
-    rng = random.Random(f"quad-chain:{seed}:{m}")
-    while True:
-        L = rng.randint(4, 7)
-        start = Fraction(rng.randint(2, 9), rng.choice([1, 2]))
-        targets = [start + i for i in range(L)]
-        coeff = Fraction(rng.randint(1, 7), rng.randint(1, 5))
-        b = QuadElem(Fraction(0), coeff, m)
-        elements = [b]
-        ok = True
-        for t in targets:
-            b = QuadElem.from_rational(t, m) / b
-            if b in elements or b.is_zero:
-                ok = False
-                break
-            elements.append(b)
-        if not ok:
-            continue
-        return make_quad_instance(elements, targets, m)
 
 
 def random_quad_cycle_instance(seed: int, m: int) -> QuadInstance:
@@ -534,7 +497,3 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
         report["falsifications"].append({"message": str(exc), "payload": exc.payload})
         report["ok"] = False
     return report
-
-
-def pipeline_report_json(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> str:
-    return jsonio.dumps_canonical(pipeline(inst, cycle_cap))

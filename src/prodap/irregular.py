@@ -24,7 +24,6 @@ from .prodset import Edge, RepGraph
 class PrimeWindow:
     """Primes p with L/3 < p < L/2 and p not dividing d, ascending."""
 
-    L: int
     primes: tuple[int, ...]
 
 
@@ -40,9 +39,9 @@ def prime_window(desc: APDescriptor) -> PrimeWindow:
         raise InputError("descriptor must be reduced")
     span = _window_range(desc.L)
     if not span:
-        return PrimeWindow(desc.L, ())
+        return PrimeWindow(())
     primes = primes_in(span.start, span[-1])
-    return PrimeWindow(desc.L, tuple(p for p in primes if desc.d % p != 0))
+    return PrimeWindow(tuple(p for p in primes if desc.d % p != 0))
 
 
 def hit_count(p: int, desc: APDescriptor) -> int:

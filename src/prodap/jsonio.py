@@ -136,20 +136,37 @@ def graph_to_json(graph: RepGraph, field: str = "integer", m: int | None = None)
     }
 
 
+def dec_header(obj) -> tuple[str, int | None]:
+    """The field tag and top-level m of an instance or graph file: an object
+    with "field" and an "elements" list, a known tag, and a top-level m on
+    quadratic files and only there."""
+    if not isinstance(obj, dict) or "field" not in obj or "elements" not in obj:
+        raise InputError("file needs 'field' and 'elements'")
+    if not isinstance(obj["elements"], list):
+        raise InputError("'elements' must be a list")
+    field = obj["field"]
+    if field not in ("integer", "rational", "quadratic"):
+        raise InputError("unknown field tag {!r}", field)
+    m = dec_int(obj["m"]) if obj.get("m") is not None else None
+    if field == "quadratic" and m is None:
+        raise InputError("quadratic file without top-level m")
+    if field != "quadratic" and m is not None:
+        raise InputError("{} file with a top-level m", field)
+    return field, m
+
+
 def dec_element(obj, field: str, m: int | None):
+    """One element of a file whose header dec_header has checked."""
     if field == "integer":
         return dec_int(obj)
     if field == "rational":
         return dec_rat(obj)
-    if field == "quadratic":
-        return dec_quad(obj, m)
-    raise InputError("unknown field tag {!r}", field)
+    return dec_quad(obj, m)
 
 
-def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
+def graph_from_json(obj) -> RepGraph:
+    field, m = dec_header(obj)
     try:
-        field = obj["field"]
-        m = dec_int(obj["m"]) if obj.get("m") is not None else None
         elements = tuple(dec_element(e, field, m) for e in obj["elements"])
         edges = tuple(
             Edge(
@@ -162,7 +179,7 @@ def graph_from_json(obj) -> tuple[RepGraph, str, int | None]:
         )
     except (KeyError, TypeError) as exc:
         raise InputError("bad graph object: {}", exc) from exc
-    return RepGraph(elements, edges), field, m
+    return RepGraph(elements, edges)
 
 
 def dumps_canonical(obj) -> str:
@@ -177,8 +194,3 @@ def load_json(path):
         raise InputError("{}: not a JSON document: {}", path, exc) from exc
     except ValueError as exc:  # a bare JSON number past the digit limit
         raise CapacityError("{}: {}", path, exc) from exc
-
-
-def save_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj))

@@ -144,9 +144,6 @@ class RepGraph:
     def n_vertices(self) -> int:
         return 2 * len(self.elements)
 
-    def vertex_value(self, vertex):
-        return self.elements[vertex[1]]
-
     @cached_property
     def vertices(self) -> tuple:
         """The vertex (side, i) of each id: every value sits on both sides,

@@ -129,17 +129,17 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
     new_value = dict.fromkeys(graph.vertices, Fraction(1))
     for comp in _components(graph):
         # the first side-0 vertex has the smallest id on its side
-        pivot = graph.vertex_value(next(v for v in comp if v[0] == 0))
+        pivot = graph.elements[next(i for side, i in comp if side == 0)]
         if pivot.is_zero:
             raise InputError("zero pivot")
         for v in comp:
-            val = graph.vertex_value(v)
+            val = graph.elements[v[1]]
             scaled = val / pivot if v[0] == 0 else val * pivot
             if not scaled.is_rational:
                 raise FalsificationError(
                     "component rescaling left an irrational element",
                     payload={
-                        "component": [[side, digit_safe(graph.vertex_value((side, i)))] for side, i in comp],
+                        "component": [[side, digit_safe(graph.elements[i])] for side, i in comp],
                         "pivot": digit_safe(pivot),
                         "vertex": digit_safe(val),
                         "scaled": digit_safe(scaled),

@@ -1,0 +1,30 @@
+"""Seeded instances shared by the test modules."""
+
+import random
+from fractions import Fraction
+
+from prodap.exactnum import QuadElem
+from prodap.rationalize import QuadInstance, make_quad_instance
+
+
+def random_quad_chain_instance(seed: int, m: int) -> QuadInstance:
+    """Seeded chain instance: consecutive targets share an element, so the
+    graph is connected and parity arguments bite."""
+    rng = random.Random(f"quad-chain:{seed}:{m}")
+    while True:
+        L = rng.randint(4, 7)
+        start = Fraction(rng.randint(2, 9), rng.choice([1, 2]))
+        targets = [start + i for i in range(L)]
+        coeff = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        b = QuadElem(Fraction(0), coeff, m)
+        elements = [b]
+        ok = True
+        for t in targets:
+            b = QuadElem.from_rational(t, m) / b
+            if b in elements or b.is_zero:
+                ok = False
+                break
+            elements.append(b)
+        if not ok:
+            continue
+        return make_quad_instance(elements, targets, m)

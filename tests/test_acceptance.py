@@ -18,8 +18,7 @@ from prodap.cyclelab import cycle_identity_check, cycle_poly, divisibility_audit
 from prodap.harness import (
     concavity_demo,
     demo_instance_file,
-    pipeline_report_json,
-    random_quad_chain_instance,
+    pipeline,
     random_quad_cycle_instance,
 )
 from prodap.irregular import hit_count, irregularity_report
@@ -28,6 +27,8 @@ from prodap.prodset import build_rep_graph, longest_ap, product_set
 from prodap.rationalize import four_cycle_r_rotations, rationalize_components
 from prodap.cyclelab import find_even_cycle
 from prodap.exactnum import DEFAULT_TABLE
+
+from instances import random_quad_chain_instance
 
 
 def report(num: int, t0: float, detail: str) -> None:
@@ -259,8 +260,8 @@ def test_criterion_9_end_to_end():
 
     runs = {}
     for kind, seed in (("cover100", 0), ("quad", 0)):
-        first = pipeline_report_json(demo_instance_file(kind, seed))
-        second = pipeline_report_json(demo_instance_file(kind, seed))
+        first = dumps_canonical(pipeline(demo_instance_file(kind, seed)))
+        second = dumps_canonical(pipeline(demo_instance_file(kind, seed)))
         assert first == second, f"{kind} report is not byte-stable"
         parsed = json.loads(first)
         assert parsed["ok"] is True and parsed["falsifications"] == []

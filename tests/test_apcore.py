@@ -158,7 +158,7 @@ class TestReduce:
         B2, desc, trace = reduce_ap([3, 5, 7], [1, 3, 5, 7])
         assert B2 == [1, 3, 5, 7]
         assert desc == APDescriptor(1, 3, 2, 3)
-        assert len(trace) == 0
+        assert trace.steps == ()
 
     def test_partition_case(self):
         # ord_2(r=4) = 2, ord_2(d=8) = 3: the three-way split applies

@@ -18,8 +18,12 @@ import prodap
 from prodap.apcore import APDescriptor
 from prodap.cli import main
 from prodap.exactnum import DEFAULT_TABLE, QuadElem
-from prodap.harness import demo_instance_file, save_instance
+from prodap.harness import demo_instance_file, instance_to_json
 from prodap.jsonio import MAX_DESCRIPTOR_TERMS, dumps_canonical, enc_quad, load_json
+
+
+def save_instance(path, inst):
+    Path(path).write_text(dumps_canonical(instance_to_json(inst)), encoding="utf-8")
 
 
 @pytest.fixture
@@ -411,6 +415,23 @@ class TestPipelineCmd:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ap", [{}, [], "", 0, False])
+    def test_falsy_claim_is_not_absent(self, tmp_path, capsys, ap):
+        # only an absent or null claim lets the pipeline search
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"field": "integer", "elements": ["1", "2", "3"], "ap": ap}))
+        out = tmp_path / "rep.json"
+        assert run(["pipeline", "--in", path, "--out", out]) == 2
+        assert "descriptor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_claim_is_absent(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"field": "integer", "elements": ["1", "2", "3"], "ap": None}))
+        out = tmp_path / "rep.json"
+        assert run(["pipeline", "--in", path, "--out", out]) == 0
+        assert load_json(out)["stages"]["ap"]["source"] == "search"
+
     def test_cycle_cap_below_one(self, tmp_path, capsys):
         # an audit capped at no cycles would report all_pass on nothing
         out = tmp_path / "rep.json"
@@ -554,6 +575,33 @@ class TestExitCodes:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err == f"input error: {message}\n"
+
+    # a graph file's header follows the instance file's rules: "elements"
+    # is a list, never a string or object read as its characters or keys;
+    # the tag is known even with no element to decode; a top-level m sits
+    # on quadratic files and only there
+    @pytest.mark.parametrize("command", ["cycles", "irregular"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"field": "integer", "elements": "1236"}, "'elements' must be a list"),
+            ({"field": "integer", "elements": {"1": 0, "2": 0}}, "'elements' must be a list"),
+            ({"field": "bogus", "elements": []}, "unknown field tag 'bogus'"),
+            ({"field": "integer", "m": "5", "elements": ["1", "2"]},
+             "integer file with a top-level m"),
+            ({"field": "quadratic", "elements": [{"a": "0", "b": "1", "m": "2"},
+                                                 {"a": "1", "b": "0", "m": "2"}]},
+             "quadratic file without top-level m"),
+        ],
+    )
+    def test_graph_header_checked(self, tmp_path, capsys, command, header, message):
+        graph = tmp_path / "g.json"
+        ap = tmp_path / "ap.json"
+        graph.write_text(json.dumps({**header, "edges": []}))
+        ap.write_text(dumps_canonical({"D": "1", "r": "1", "d": "1", "L": 3}))
+        argv = [command, "--graph", graph, "--ap", ap] + (["--k", 2] if command == "cycles" else [])
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,17 @@ def cover_instance(n=10):
     return list(res.elements), A, build_rep_graph(list(res.elements), A)
 
 
+def stops(graph: RepGraph, k: int, cap) -> dict:
+    """Length -> why _walk_length cut that length short ("cap" or "steps"),
+    for each length 4..2k it did not finish."""
+    out = {}
+    for length in range(4, 2 * k + 1, 2):
+        _, stop = _walk_length(graph.neighbours, length, cap)
+        if stop is not None:
+            out[length] = stop
+    return out
+
+
 def to_networkx(graph: RepGraph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from((0, i) for i in range(len(graph.elements)))
@@ -101,11 +112,10 @@ class TestEnumerate:
 
     def test_max_count_caps(self):
         _, _, g = cover_instance(15)
-        stops = {}
-        capped = enumerate_even_cycles(g, 5, max_count=3, stops=stops)
+        capped = enumerate_even_cycles(g, 5, max_count=3)
         assert [len(c.vertices) for c in capped] == [4] * 3 + [6] * 3 + [8] * 3 + [10] * 3
         assert capped == ref_prefixes(g, 5, 3)
-        assert stops == {4: "cap", 6: "cap", 8: "cap", 10: "cap"}
+        assert stops(g, 5, 3) == {4: "cap", 6: "cap", 8: "cap", 10: "cap"}
 
     def test_cap_reports_only_a_cut(self):
         # cover n = 10 has 16 four-cycles and 5 six-cycles
@@ -113,26 +123,21 @@ class TestEnumerate:
         full = enumerate_even_cycles(g, 3)
         fours = [c for c in full if len(c.vertices) == 4]
         assert (len(fours), len(full)) == (16, 21)
-        stops = {}
-        assert enumerate_even_cycles(g, 3, max_count=16, stops=stops) == full
-        assert stops == {}  # exactly the cap: nothing was cut
-        assert enumerate_even_cycles(g, 3, max_count=15, stops=stops) == full[:15] + full[16:]
-        assert stops == {4: "cap"}  # one past the cap
-        stops = {}
-        assert enumerate_even_cycles(g, 3, max_count=0, stops=stops) == []
-        assert stops == {4: "cap", 6: "cap"}
+        assert enumerate_even_cycles(g, 3, max_count=16) == full
+        assert stops(g, 3, 16) == {}  # exactly the cap: nothing was cut
+        assert enumerate_even_cycles(g, 3, max_count=15) == full[:15] + full[16:]
+        assert stops(g, 3, 15) == {4: "cap"}  # one past the cap
+        assert enumerate_even_cycles(g, 3, max_count=0) == []
+        assert stops(g, 3, 0) == {4: "cap", 6: "cap"}
         tree = RepGraph((2, 3, 5), (Edge(0, 1, 0, 6), Edge(1, 2, 1, 15)))
-        stops = {}
-        assert enumerate_even_cycles(tree, 3, max_count=0, stops=stops) == []
-        assert stops == {}
+        assert enumerate_even_cycles(tree, 3, max_count=0) == []
+        assert stops(tree, 3, 0) == {}
         with pytest.raises(InputError, match="cycle cap"):
             enumerate_even_cycles(g, 3, max_count=-1)
 
     def test_uncapped_walk_reports_no_stop(self):
         _, _, g = cover_instance(10)
-        stops = {}
-        enumerate_even_cycles(g, 5, stops=stops)
-        assert stops == {}
+        assert stops(g, 5, None) == {}
 
     def test_step_budget_stops_walk_on_hub_tree(self, monkeypatch):
         # hubs (0, 0) and (1, 0), joined by an edge, each with 40 neighbours
@@ -146,12 +151,11 @@ class TestEnumerate:
         elements = tuple(range(2, 243))
         edges = (Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs))
         g = RepGraph(elements, tuple(edges))
-        stops = {}
-        assert enumerate_even_cycles(g, 5, stops=stops) == []
-        assert stops == {}  # the default budget lets the whole tree be walked
+        assert enumerate_even_cycles(g, 5) == []
+        assert stops(g, 5, None) == {}  # the default budget lets the whole tree be walked
         monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
-        assert enumerate_even_cycles(g, 5, stops=stops) == []
-        assert stops == {6: "steps", 8: "steps", 10: "steps"}
+        assert enumerate_even_cycles(g, 5) == []
+        assert stops(g, 5, None) == {6: "steps", 8: "steps", 10: "steps"}
 
     def test_cycles_are_valid(self):
         _, A, g = cover_instance(12)
@@ -362,7 +366,7 @@ class TestForestAgreement:
 
 
 def _ref_order_key(graph, vertex):
-    x = graph.vertex_value(vertex)
+    x = graph.elements[vertex[1]]
     key = x.sort_key if isinstance(x, QuadElem) else (Fraction(x), Fraction(0))
     return (key, vertex[0])
 

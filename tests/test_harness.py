@@ -21,7 +21,6 @@ from prodap.harness import (
     instance_to_json,
     integerize,
     pipeline,
-    pipeline_report_json,
     ratio_e9,
     run_trial,
     scaling_study,
@@ -291,8 +290,8 @@ class TestPipeline:
         assert report["stages"]["rationalize"]["size"] >= 1
 
     def test_byte_stability(self):
-        a = pipeline_report_json(demo_instance_file("quad", seed=5))
-        b = pipeline_report_json(demo_instance_file("quad", seed=5))
+        a = dumps_canonical(pipeline(demo_instance_file("quad", seed=5)))
+        b = dumps_canonical(pipeline(demo_instance_file("quad", seed=5)))
         assert a == b
 
     # sha256 of the canonical reports; a change that alters report bytes on
@@ -323,12 +322,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("kind,seed", sorted(k for k in GOLDEN if len(k) == 2))
     def test_golden_report_digest(self, kind, seed):
-        text = pipeline_report_json(self.golden_instance(kind, seed))
+        text = dumps_canonical(pipeline(self.golden_instance(kind, seed)))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed)]
 
     @pytest.mark.parametrize("kind,seed,cap", sorted(k for k in GOLDEN if len(k) == 3))
     def test_golden_report_digest_at_cap(self, kind, seed, cap):
-        text = pipeline_report_json(self.golden_instance(kind, seed), cap)
+        text = dumps_canonical(pipeline(self.golden_instance(kind, seed), cap))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed, cap)]
 
     def test_fabricated_claim_fails_loudly(self):

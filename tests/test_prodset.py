@@ -197,12 +197,16 @@ class TestRepGraph:
     def test_cover_graph_file_round_trip(self, n):
         res = cover_set(n)
         g = build_rep_graph(list(res.elements), range(1, res.M + 1))
-        assert graph_from_json(graph_to_json(g)) == (g, "integer", None)
+        assert graph_from_json(graph_to_json(g)) == g
 
     @pytest.mark.parametrize("seed", range(5))
     def test_quad_graph_file_round_trip(self, seed):
         g = random_quad_cycle_instance(seed, 2).graph
-        assert graph_from_json(graph_to_json(g, "quadratic", 2)) == (g, "quadratic", 2)
+        obj = graph_to_json(g, "quadratic", 2)
+        # elements are written without "m": the field comes from the header
+        assert all("m" not in x for x in obj["elements"])
+        assert graph_from_json(obj) == g
+        assert all(x.m == 3 for x in graph_from_json({**obj, "m": "3"}).elements)
 
 
 def oracle_lengths_match(S):

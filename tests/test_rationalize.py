@@ -12,11 +12,7 @@ from prodap.errors import (
     InputError,
 )
 from prodap.exactnum import QuadElem
-from prodap.harness import (
-    quadratic_demo_instance,
-    random_quad_chain_instance,
-    random_quad_cycle_instance,
-)
+from prodap.harness import quadratic_demo_instance, random_quad_cycle_instance
 from prodap.prodset import Edge, RepGraph, product_set
 from prodap.rationalize import (
     c4_extremal_threshold,
@@ -26,6 +22,8 @@ from prodap.rationalize import (
     make_quad_instance,
     rationalize_components,
 )
+
+from instances import random_quad_chain_instance
 
 
 def rt2(b):
