@@ -42,6 +42,14 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# find-ap inputs beside the cover set: products 1/4, 3/2, 9, and products
+# 1/4, 1/2, 3/4, 1, 3/2, 9/4
+RATIONAL_SETS = {
+    "pair": {"field": "rational", "elements": ["1/2", "3"]},
+    "fractions": {"field": "rational", "elements": ["1/2", "1", "3/2"]},
+}
+
+
 class TestConstruct:
     def test_verify_writes_witnesses(self, tmp_path):
         out = tmp_path / "w.json"
@@ -89,12 +97,41 @@ class TestConstruct:
 
 
 class TestFindApAndGraph:
-    def test_find_ap_modes_agree(self, tmp_path, cover10_instance):
-        out_e = tmp_path / "e.json"
-        out_o = tmp_path / "o.json"
-        assert run(["find-ap", "--in", cover10_instance, "--mode", "exact", "--out", out_e]) == 0
-        assert run(["find-ap", "--in", cover10_instance, "--mode", "oracle", "--out", out_o]) == 0
-        assert load_json(out_e)["length"] == load_json(out_o)["length"] == 28
+    @pytest.mark.parametrize(
+        "case, length, digest",
+        [
+            ("cover10", 28,
+             "60704f52ca71e6b67ab3452117b2c1aabe4a210875c98a5f1f9c2543d14573c5"),
+            # best run has two terms, so no descriptor
+            ("pair", 2,
+             "06151aa78d7860f23b670b692c4423d5be01fcf6208af83c450743b3bf0025ec"),
+            ("fractions", 4,
+             "711228f933d19bc87fe48780f0d7cafb1e100d4e6002a818c3b5ddfa71bf53e9"),
+        ],
+        ids=["cover10", "pair", "fractions"],
+    )
+    def test_find_ap_output_pinned(
+        self, tmp_path, capsys, cover10_instance, case, length, digest
+    ):
+        # sha256 of the stdout report, taken when find-ap still had a
+        # brute-force oracle mode beside the exact search
+        if case == "cover10":
+            inst = cover10_instance
+        else:
+            inst = tmp_path / "inst.json"
+            inst.write_text(json.dumps(RATIONAL_SETS[case]))
+        assert run(["find-ap", "--in", inst]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["length"] == length
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_find_ap_capacity_message(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(RATIONAL_SETS["fractions"]))
+        assert run(["find-ap", "--in", inst, "--limit", 1]) == 3
+        assert capsys.readouterr().err == (
+            "capacity error: set size 6 exceeds limit 1; pass a larger limit\n"
+        )
 
     def test_limit_below_one(self, tmp_path, capsys, cover10_instance):
         # malformed input (exit 2), not a capacity hit (exit 3)
