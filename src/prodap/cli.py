@@ -78,7 +78,7 @@ def cmd_find_ap(args) -> int:
     if inst.field_tag == "quadratic":
         raise InputError("longest-AP search needs ordered values; use a claim instead")
     ps = product_set(inst.elements)
-    result = longest_ap(ps, mode=args.mode, limit=args.limit)
+    result = longest_ap(ps, limit=args.limit)
     desc = result.descriptor()
     out = {
         "start": jsonio.enc_rat(Fraction(result.start)),
@@ -94,8 +94,10 @@ def cmd_find_ap(args) -> int:
 
 def _load_descriptor_arg(path):
     obj = jsonio.load_json(path)
-    if isinstance(obj, dict) and "descriptor" in obj and obj["descriptor"]:
-        return jsonio.descriptor_from_json(obj["descriptor"])
+    # a find-ap report wraps its descriptor; only an absent or null wrapper
+    # is no wrapper, so {} or false is a malformed descriptor
+    if isinstance(obj, dict) and obj.get("descriptor") is not None:
+        obj = obj["descriptor"]
     return jsonio.descriptor_from_json(obj)
 
 
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-ap", help="longest progression in B.B")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=["exact", "oracle"], default="exact")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_find_ap)

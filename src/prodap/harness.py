@@ -285,7 +285,7 @@ def run_trial(generator: str, n: int, seed: int, trial: int, ap_limit=None) -> E
     B = build_set(generator, n, rng)
     ps = product_set(B)
     try:
-        result = longest_ap(ps, mode="exact", limit=ap_limit)
+        result = longest_ap(ps, limit=ap_limit)
         length = result.length
         skipped = None
     except CapacityError as exc:
@@ -481,7 +481,7 @@ def pipeline(inst: InstanceFile, cycle_cap: int = DEFAULT_CYCLE_CAP) -> dict:
                 }
             else:
                 ps = product_set(B)
-                found = longest_ap(ps, mode="exact")
+                found = longest_ap(ps)
                 desc = found.descriptor()
                 if desc is None:
                     raise InputError(

@@ -1,5 +1,5 @@
 """Product sets (the sorted distinct products), the doubled bipartite
-representation graph, and longest-AP search with a brute-force oracle.
+representation graph, and exact longest-AP search.
 
 The representation graph takes two copies of the base set as color classes
 and places one edge per progression term, joining the lexicographically first
@@ -7,9 +7,9 @@ factor pair (``apcore.first_pairs``).  Doubling keeps the graph simple and
 bipartite even for square terms, at the cost of a constant factor in the
 vertex count.
 
-Exact longest-AP search runs one of two exact kernels, chosen from the input
+Longest-AP search runs one of two exact kernels, chosen from the input
 alone: a big-int bitset kernel for dense int sets and a filtered pair kernel
-for the rest (see ``_longest_ap_exact``).
+for the rest (see ``longest_ap``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .errors import CapacityError, InputError
 from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
-DEFAULT_ORACLE_LIMIT = 10_000
 # The bitset kernel takes int sets whose span is at most BITSET_SPAN_RATIO
 # bits per element; sparser sets go to the pair kernel.
 BITSET_SPAN_RATIO = 64
@@ -215,30 +214,6 @@ class APSearchResult:
         return APDescriptor(1, int(s), int(d), self.length)
 
 
-def _validate_search_input(S, limit, default_limit, other_mode_hint):
-    """S as a sorted sequence of distinct ordered values within the size
-    limit.  A ProductSet's products are sorted and distinct by construction,
-    so only other input is sorted and scanned for duplicates."""
-    if limit is not None and limit < 1:
-        raise InputError("the longest-AP limit must be positive, got {}", limit)
-    presorted = isinstance(S, ProductSet)
-    if presorted:
-        S = S.products
-    if not S:
-        raise InputError("cannot search an empty set")
-    if any(issubclass(t, QuadElem) for t in set(map(type, S))):
-        raise InputError("longest-AP search needs ordered values; got a quadratic element")
-    if not presorted:
-        S = sorted(S)
-        for i in range(1, len(S)):
-            if S[i] == S[i - 1]:
-                raise InputError("duplicate element {}", S[i])
-    cap = limit if limit is not None else default_limit
-    if len(S) > cap:
-        raise CapacityError("set size {} exceeds limit {}; {}", len(S), cap, other_mode_hint)
-    return S
-
-
 def _indices_of_run(S, start, diff, length):
     out = []
     x = start
@@ -347,10 +322,35 @@ def _pair_kernel(S, best):
     return best_len, best_diff, best_start
 
 
-def _longest_ap_exact(S):
-    """The bitset kernel for int sets whose span is at most BITSET_SPAN_RATIO
-    bits per element, the pair kernel for every other set (Fractions, huge
-    elements, spread-out ints).  Both are exact over all differences."""
+def longest_ap(S, limit: int | None = None) -> APSearchResult:
+    """Maximum-length arithmetic progression inside a set of exact values, or
+    inside the products of a ``ProductSet``, at most ``limit`` of them
+    (DEFAULT_EXACT_LIMIT when None).  Ties break by smallest difference, then
+    smallest start.
+
+    A ProductSet's products are sorted and distinct by construction, so only
+    other input is sorted and scanned for duplicates.  The bitset kernel
+    takes int sets whose span is at most BITSET_SPAN_RATIO bits per element,
+    the pair kernel every other set (Fractions, huge elements, spread-out
+    ints); both are exact over all differences.
+    """
+    if limit is not None and limit < 1:
+        raise InputError("the longest-AP limit must be positive, got {}", limit)
+    presorted = isinstance(S, ProductSet)
+    if presorted:
+        S = S.products
+    if not S:
+        raise InputError("cannot search an empty set")
+    if any(issubclass(t, QuadElem) for t in set(map(type, S))):
+        raise InputError("longest-AP search needs ordered values; got a quadratic element")
+    if not presorted:
+        S = sorted(S)
+        for i in range(1, len(S)):
+            if S[i] == S[i - 1]:
+                raise InputError("duplicate element {}", S[i])
+    cap = limit if limit is not None else DEFAULT_EXACT_LIMIT
+    if len(S) > cap:
+        raise CapacityError("set size {} exceeds limit {}; pass a larger limit", len(S), cap)
     best = _best_pair_result(S)
     if len(S) > 2:
         if set(map(type, S)) == {int} and S[-1] - S[0] <= BITSET_SPAN_RATIO * len(S):
@@ -359,42 +359,3 @@ def _longest_ap_exact(S):
             best = _pair_kernel(S, best)
     length, diff, start = best
     return APSearchResult(start, diff, length, _indices_of_run(S, start, diff, length))
-
-
-def _longest_ap_oracle(S):
-    """Plain enumeration over all (start, difference) pairs; no pruning."""
-    n = len(S)
-    if n <= 2:
-        length, diff, start = _best_pair_result(S)
-        return APSearchResult(start, diff, length, tuple(range(length)))
-    member = set(S)
-    best_len, best_diff, best_start = _best_pair_result(S)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            x, d = S[i], S[j] - S[i]
-            count = 2
-            nxt = S[j] + d
-            while nxt in member:
-                count += 1
-                nxt += d
-            if (-count, d, x) < (-best_len, best_diff, best_start):
-                best_len, best_diff, best_start = count, d, x
-    return APSearchResult(
-        best_start, best_diff, best_len, _indices_of_run(S, best_start, best_diff, best_len)
-    )
-
-
-def longest_ap(S, mode: str = "exact", limit: int | None = None) -> APSearchResult:
-    """Maximum-length arithmetic progression inside a set of exact values, or
-    inside the products of a ``ProductSet``.
-
-    Ties break by smallest difference, then smallest start.  Both modes agree;
-    the oracle is a deliberately unoptimized cross-check.
-    """
-    if mode == "exact":
-        S = _validate_search_input(S, limit, DEFAULT_EXACT_LIMIT, "pass a larger limit")
-        return _longest_ap_exact(S)
-    if mode == "oracle":
-        S = _validate_search_input(S, limit, DEFAULT_ORACLE_LIMIT, "use exact mode")
-        return _longest_ap_oracle(S)
-    raise InputError("unknown mode {!r}; expected 'exact' or 'oracle'", mode)

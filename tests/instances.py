@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from prodap.exactnum import QuadElem
+from prodap.prodset import APSearchResult
 from prodap.rationalize import QuadInstance, make_quad_instance
 
 
@@ -28,3 +29,23 @@ def random_quad_chain_instance(seed: int, m: int) -> QuadInstance:
         if not ok:
             continue
         return make_quad_instance(elements, targets, m)
+
+
+def longest_ap_oracle(S) -> APSearchResult:
+    """Longest progression in a set of distinct ordered values by plain
+    enumeration over every (start, next term) pair, with no pruning; ties
+    break by smallest difference, then smallest start, as in
+    ``prodset.longest_ap``.  A one-element set is a run of length 1 with
+    difference 0."""
+    S = sorted(S)
+    member = set(S)
+    length, diff, start = 1, 0, S[0]
+    for i, x in enumerate(S):
+        for y in S[i + 1 :]:
+            d, count = y - x, 2
+            while x + count * d in member:
+                count += 1
+            if (-count, d, x) < (-length, diff, start):
+                length, diff, start = count, d, x
+    indices = tuple(S.index(start + k * diff) for k in range(length))
+    return APSearchResult(start, diff, length, indices)

@@ -28,7 +28,7 @@ from prodap.rationalize import four_cycle_r_rotations, rationalize_components
 from prodap.cyclelab import find_even_cycle
 from prodap.exactnum import DEFAULT_TABLE
 
-from instances import random_quad_chain_instance
+from instances import longest_ap_oracle, random_quad_chain_instance
 
 
 def report(num: int, t0: float, detail: str) -> None:
@@ -79,17 +79,17 @@ def test_criterion_2_longest_ap_oracle_equivalence():
         size = rng.randint(1, 8)
         B = sorted(rng.sample(range(1, 51), size))
         S = list(product_set(B).products)
-        exact = longest_ap(S, mode="exact")
-        oracle = longest_ap(S, mode="oracle")
-        assert exact.length == oracle.length
-        assert (exact.start, exact.diff, exact.indices) == (
+        found = longest_ap(S)
+        oracle = longest_ap_oracle(S)
+        assert found.length == oracle.length
+        assert (found.start, found.diff, found.indices) == (
             oracle.start,
             oracle.diff,
             oracle.indices,
         )
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    report(2, t0, "100 seeded sets, modes identical")
+    report(2, t0, "100 seeded sets, search and oracle identical")
 
 
 def test_criterion_3_gcd_bound():

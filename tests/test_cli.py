@@ -640,6 +640,47 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    # a --ap file is a descriptor or a find-ap report wrapping one; the
+    # top-level fields here are a valid descriptor, so a malformed wrapper
+    # that counted as absent would let every command exit 0
+    @pytest.mark.parametrize("wrapper", [{}, False], ids=["empty", "false"])
+    @pytest.mark.parametrize("command", ["graph", "cycles", "irregular", "convex-demo"])
+    def test_falsy_descriptor_wrapper_is_not_absent(
+        self, tmp_path, capsys, cover10_instance, command, wrapper
+    ):
+        desc = {"D": "1", "r": "1", "d": "1", "L": 23}
+        plain, ap, graph = (tmp_path / name for name in ("plain.json", "ap.json", "g.json"))
+        plain.write_text(json.dumps(desc))
+        ap.write_text(json.dumps({"descriptor": wrapper, **desc}))
+        assert run(["graph", "--set", cover10_instance, "--ap", plain, "--out", graph]) == 0
+        argv = {
+            "graph": ["graph", "--set", cover10_instance, "--ap", ap],
+            "cycles": ["cycles", "--graph", graph, "--k", 5, "--audit", "--ap", ap],
+            "irregular": ["irregular", "--graph", graph, "--ap", ap],
+            "convex-demo": ["convex-demo", "--ap", ap],
+        }[command]
+        assert run(argv) == 2
+        message = "descriptor missing field 'D'" if wrapper == {} else "bad descriptor False"
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_descriptor_wrapper_from_find_ap(self, tmp_path, capsys, cover10_instance):
+        # a report with a run is read through its wrapper; one without
+        # ("descriptor": null) is read as a bare descriptor, which it is not
+        inst, ap = tmp_path / "inst.json", tmp_path / "ap.json"
+        assert run(["find-ap", "--in", cover10_instance, "--out", ap]) == 0
+        assert run(["convex-demo", "--ap", ap]) == 0
+        assert json.loads(capsys.readouterr().out)["expected_margin"] == "1"
+        inst.write_text(json.dumps(RATIONAL_SETS["pair"]))
+        assert run(["find-ap", "--in", inst, "--out", ap]) == 0
+        assert run(["convex-demo", "--ap", ap]) == 2
+        assert capsys.readouterr().err == "input error: descriptor missing field 'D'\n"
+
+    def test_find_ap_mode_flag_removed(self, cover10_instance):
+        # one search path: --mode is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            run(["find-ap", "--in", cover10_instance, "--mode", "exact"])
+        assert exc.value.code == 2
+
 
 # ---------------------------------------------------------------------------
 # fuzz: malformed and extreme instance, graph and descriptor files

@@ -24,12 +24,12 @@ from prodap.prodset import (
     RepGraph,
     _best_pair_result,
     _indices_of_run,
-    _longest_ap_exact,
-    _longest_ap_oracle,
     build_rep_graph,
     longest_ap,
     product_set,
 )
+
+from instances import longest_ap_oracle
 
 
 class TestProductSet:
@@ -210,12 +210,12 @@ class TestRepGraph:
 
 
 def oracle_lengths_match(S):
-    exact = longest_ap(S, mode="exact")
-    oracle = longest_ap(S, mode="oracle")
-    assert exact.length == oracle.length
-    assert (exact.start, exact.diff) == (oracle.start, oracle.diff)
-    assert exact.indices == oracle.indices
-    return exact
+    found = longest_ap(S)
+    oracle = longest_ap_oracle(S)
+    assert found.length == oracle.length
+    assert (found.start, found.diff) == (oracle.start, oracle.diff)
+    assert found.indices == oracle.indices
+    return found
 
 
 class TestLongestAP:
@@ -268,26 +268,18 @@ class TestLongestAP:
 
     def test_capacity_errors(self):
         S = list(range(1, 200))
-        with pytest.raises(CapacityError) as exc:
-            longest_ap(S, mode="oracle", limit=100)
-        assert "exact" in str(exc.value)
         with pytest.raises(CapacityError):
-            longest_ap(S, mode="exact", limit=100)
+            longest_ap(S, limit=100)
 
-    @pytest.mark.parametrize("mode", ["exact", "oracle"])
     @pytest.mark.parametrize("limit", [0, -1])
-    def test_limit_below_one(self, mode, limit):
+    def test_limit_below_one(self, limit):
         # a malformed limit, not a capacity hit
         with pytest.raises(InputError, match="limit must be positive"):
-            longest_ap([1, 2, 3], mode=mode, limit=limit)
+            longest_ap([1, 2, 3], limit=limit)
 
     def test_quadratic_rejected(self):
         with pytest.raises(InputError):
             longest_ap([QuadElem(0, 1, 2)])
-
-    def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            longest_ap([1, 2, 3], mode="fast")
 
     @pytest.mark.parametrize("B", [
         [1, 2, 3, 4],
@@ -299,8 +291,8 @@ class TestLongestAP:
     def test_product_set_input_matches_sorted_products(self, B):
         # a ProductSet skips the sort and the duplicate scan, nothing else
         ps = product_set(B)
-        for mode in ("exact", "oracle"):
-            assert longest_ap(ps, mode=mode) == longest_ap(sorted(ps.products), mode=mode)
+        found = longest_ap(ps)
+        assert found == longest_ap(sorted(ps.products)) == longest_ap_oracle(ps.products)
 
     def test_product_set_input_keeps_checks(self):
         with pytest.raises(InputError):
@@ -426,9 +418,9 @@ class TestKernels:
     @staticmethod
     def check(values):
         S = sorted(values)
-        expected = _longest_ap_oracle(S)
+        expected = longest_ap_oracle(S)
         assert _pair_loop_oracle(S) == expected
-        assert _longest_ap_exact(S) == expected
+        assert longest_ap(S) == expected
         triple = (expected.length, expected.diff, expected.start)
         ints = all(type(x) is int for x in S)
         assert _start_pair_kernel(S, _best_pair_result(S), ints) == triple
@@ -448,7 +440,7 @@ class TestKernels:
         # = 3/2: a floored cut at 1 would miss 5/2, 4, 11/2, which wins the
         # tie on its smaller difference
         S = [0, 2, Fraction(5, 2), 4, Fraction(11, 2)]
-        r = _longest_ap_exact(S)
+        r = longest_ap(S)
         assert (r.start, r.diff, r.length) == (Fraction(5, 2), Fraction(3, 2), 3)
         self.check(S)
         self.check([Fraction(1, 3), Fraction(2, 3), 1])
@@ -458,7 +450,7 @@ class TestKernels:
         # 3/2 + (3/2 - 0) / 1 = 3: a floored window would end at 5/2 and miss
         # 0, 3/2, 3, which wins the tie on its smaller difference
         S = [0, Fraction(3, 2), 3, 6]
-        r = _longest_ap_exact(S)
+        r = longest_ap(S)
         assert (r.start, r.diff, r.length) == (0, Fraction(3, 2), 3)
         self.check(S)
 
@@ -471,7 +463,7 @@ class TestKernels:
         S = [x * scale for x in (0, 3, 7, 11, 100, 110, 120, 130)]
         a, lo = S[2], S[0]
         assert a - (lo - a) // 2 == S[3] > a + Fraction(a - lo) / 2
-        r = _longest_ap_exact(S)
+        r = longest_ap(S)
         assert (r.start, r.diff, r.length) == (100 * scale, 10 * scale, 4)
         self.check(S)
 
@@ -532,11 +524,11 @@ class TestKernels:
     def test_ties(self):
         # [0, 3, 6, 9] and [1, 2, 3, 4]: equal length, smaller difference wins
         self.check({0, 3, 6, 9, 1, 2, 4})
-        r = _longest_ap_exact([0, 1, 2, 3, 4, 6, 9])
+        r = longest_ap([0, 1, 2, 3, 4, 6, 9])
         assert (r.start, r.diff, r.length) == (0, 1, 5)
         # equal length and difference: smaller start wins, also when the pair
         # kernel meets the lower run at a later, smaller anchor
-        r = _longest_ap_exact([-7, -5, -3, 10, 12, 14])
+        r = longest_ap([-7, -5, -3, 10, 12, 14])
         assert (r.start, r.diff, r.length) == (-7, 2, 3)
         self.check([-7, -5, -3, 10, 12, 14])
 
