@@ -6,10 +6,13 @@ an input progression A inside B.B into that shape with gcd(d, D*r) = 1 by
 repeatedly dividing out a prime that appears to a higher power in the
 difference than in the start, shrinking B alongside.  Every step is followed
 by an independent re-verification that A is still covered by products of the
-shrunken set; the case analysis is never trusted on its own.  The measure
-each step must decrease, the total prime multiplicity Omega of the set, is
-carried through the steps: the Omega table comes from one batched walk, and
-an element divided by q in {1, p, p**2} loses Omega(q).
+shrunken set; the case analysis is never trusted on its own.  The reduction
+ends because each step lowers the total prime multiplicity Omega of the set.
+A step divides every element b by some q in {1, p, p**2}, so the step's drop,
+the sum of Omega(q) over its divisors, is read off the divisors alone and the
+set itself is never factorized.  The drop equals the set's Omega decrease
+unless two elements meet on one quotient, which lowers Omega further; a step
+whose drop is 0 falsifies the reduction.
 
 ``gcd_bound_audit`` checks the paper's bound gcd(t_i, t_j) <= D*L on a
 reduced descriptor in O(L) exact integer steps.  Reducedness gives
@@ -141,14 +144,13 @@ class ReductionStep:
     divisors: tuple[tuple[int, int], ...]  # (element before, divisor applied)
     result_set: tuple[int, ...]
     result_desc: APDescriptor
-    measure: int  # prime-multiplicity measure of result_set
+    measure_drop: int  # sum of Omega(q) over the divisors; 0 for extract-gcd
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
     steps: tuple[ReductionStep, ...] = ()
     k0_primes: tuple[int, ...] = ()  # primes dividing d but not D*r, no step needed
-    initial_measure: int = 0
 
 
 def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
@@ -167,12 +169,6 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     verify_coverage(A, cur_B)
 
     steps: list[ReductionStep] = []
-    # Omega of every current element, from one batched walk; a step dividing
-    # b by q in {1, p, p**2} maps it to Omega(b) - Omega(q), since q | b
-    omega = dict(zip(cur_B, DEFAULT_TABLE.omega_many(cur_B)))
-    initial_measure = sum(omega.values())
-    measure = initial_measure
-
     while True:
         # smallest prime appearing to a higher power in d than in r, with the
         # power in r at least 1 (the power-0 case is handled by extraction)
@@ -206,9 +202,10 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
             divisors = tuple(divs)
             ap_div = p * p
             case = "partition-B1B2B3"
-        q_omega = {1: 0, p: 1, p * p: 2}
-        omega = {b // q: omega[b] - q_omega[q] for b, q in divisors}
-        new_B = sorted(omega)
+        # b // q has Omega(b) - Omega(q); quotients that meet lower it further
+        omega_q = {1: 0, p: 1, p * p: 2}
+        drop = sum(omega_q[q] for _, q in divisors)
+        new_B = sorted({b // q for b, q in divisors})
         r //= ap_div
         d //= ap_div
         new_A = [r + d * i for i in range(L)]
@@ -225,11 +222,10 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
                     "missing_term": digit_safe(exc.term),
                 },
             ) from exc
-        new_measure = sum(omega.values())
-        if new_measure >= measure:
+        if drop == 0:
             raise FalsificationError(
                 "reduction step did not decrease the prime-multiplicity measure",
-                payload={"case": case, "prime": p, "before": measure, "after": new_measure},
+                payload={"case": case, "prime": p},
             )
         steps.append(
             ReductionStep(
@@ -238,11 +234,10 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
                 divisors=divisors,
                 result_set=tuple(new_B),
                 result_desc=APDescriptor(1, r, d, L),
-                measure=new_measure,
+                measure_drop=drop,
             )
         )
         cur_B = new_B
-        measure = new_measure
 
     g = gcd(r, d)
     desc = APDescriptor(g, r // g, d // g, L)
@@ -258,10 +253,10 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
                 divisors=(),
                 result_set=tuple(cur_B),
                 result_desc=desc,
-                measure=measure,
+                measure_drop=0,
             )
         )
-    trace = ReductionTrace(tuple(steps), k0, initial_measure)
+    trace = ReductionTrace(tuple(steps), k0)
     return cur_B, desc, trace
 
 

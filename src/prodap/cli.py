@@ -119,7 +119,7 @@ def cmd_reduce(args) -> int:
                 "divisors": [[jsonio.enc_int(b), jsonio.enc_int(q)] for b, q in s.divisors],
                 "result_set": [jsonio.enc_int(b) for b in s.result_set],
                 "result_descriptor": jsonio.descriptor_to_json(s.result_desc),
-                "measure": s.measure,
+                "measure_drop": s.measure_drop,
             }
             for s in trace.steps
         ],

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
@@ -53,10 +53,9 @@ class PrimeTable:
     Trial division takes the primes in blocks of ``BLOCK`` and makes one gcd
     of the number with each block's product; only a block sharing a factor
     is scanned, prime by prime up to the root of the gcd, and what is left
-    of the gcd is one prime.  ``factorize`` walks one number, ``omega_many``
-    many numbers at once; both take their blocks from ``_block``, which
-    grows the sieve and caches the products.  ``is_prime`` is the verdict of
-    ``factorize``.
+    of the gcd is one prime.  ``factorize`` takes its blocks from
+    ``_block``, which grows the sieve and caches the products.  ``is_prime``
+    is the verdict of ``factorize``.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -121,7 +120,7 @@ class PrimeTable:
 
     def _block(self, b: int, root: int) -> int:
         """Product of the b-th block of ``BLOCK`` primes for a trial division
-        whose largest remaining square root is root, or 1 when the division
+        whose cofactor has square root root, or 1 when the division
         stops before block b: that block starts past root, or past the
         capacity.
 
@@ -187,68 +186,6 @@ class PrimeTable:
                 raise self._uncertifiable(n, rem)
             out.append((rem, 1))
         return out
-
-    def omega_many(self, values) -> list[int]:
-        """Omega(v), the number of prime factors of v counted with
-        multiplicity, for each int v >= 1 (Omega(1) = 0), in input order.
-
-        One trial division runs over all the values at once.  Per block, every
-        cofactor still in the walk takes one gcd with the block's product at
-        C speed, and only those sharing a factor are divided in Python,
-        counting exponents.  A cofactor leaves the walk once it is below the
-        square of the block's first prime: it is then 1 or a prime, which
-        counts 1.  The sieve and the block products are those ``factorize``
-        would leave on the same values (``_block`` serves both), and a
-        cofactor past the capacity raises the CapacityError of ``factorize``
-        for the first such value in input order.
-        """
-        values = list(values)
-        if values and min(values) < 1:
-            raise DomainError("omega_many requires values >= 1")
-        omega = [0] * len(values)
-        cofactors = list(values)
-        # the values still in the walk, and their cofactors
-        index = [i for i, v in enumerate(values) if v > 1]
-        rems = [values[i] for i in index]
-        b = 0
-        while rems:
-            block_product = self._block(b, isqrt(max(rems)))
-            if block_product == 1:
-                break
-            lo = b * BLOCK
-            bound = self._primes[lo] ** 2
-            if min(rems) < bound:
-                # never the largest: the block starts at or below its root
-                keep = [rem >= bound for rem in rems]
-                index = list(compress(index, keep))
-                rems = list(compress(rems, keep))
-            gs = list(map(gcd, rems, repeat(block_product)))
-            block = self._primes[lo : lo + BLOCK]
-            for j in compress(range(len(gs)), map((1).__lt__, gs)):
-                # g is a product of distinct primes of the block: scan them
-                # up to its root, and what is left of g is one prime
-                g, rem, e = gs[j], rems[j], 0
-                for p in block:
-                    if p * p > g:
-                        break
-                    if g % p == 0:
-                        g //= p
-                        while rem % p == 0:
-                            rem //= p
-                            e += 1
-                if g > 1:
-                    while rem % g == 0:
-                        rem //= g
-                        e += 1
-                omega[index[j]] += e
-                rems[j] = cofactors[index[j]] = rem
-            b += 1
-        # the walk stopped: a cofactor still in it has no prime factor up to
-        # min(its root, capacity)
-        for i, rem in zip(index, rems):
-            if isqrt(rem) > self.capacity:
-                raise self._uncertifiable(values[i], rem)
-        return [w + (c > 1) for w, c in zip(omega, cofactors)]
 
     def _uncertifiable(self, n: int, rem: int) -> CapacityError:
         return CapacityError(

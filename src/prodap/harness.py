@@ -346,7 +346,8 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
         "descriptor": jsonio.descriptor_to_json(desc),
         "set_size": len(B_red),
         "steps": [
-            {"prime": s.prime, "case": s.case, "measure": s.measure} for s in trace.steps
+            {"prime": s.prime, "case": s.case, "measure_drop": s.measure_drop}
+            for s in trace.steps
         ],
         "k0_primes": list(trace.k0_primes),
     }

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from prodap.apcore import APDescriptor
 from prodap.exactnum import QuadElem
 from prodap.prodset import APSearchResult
 from prodap.rationalize import QuadInstance, make_quad_instance
@@ -49,3 +50,14 @@ def longest_ap_oracle(S) -> APSearchResult:
                 length, diff, start = count, d, x
     indices = tuple(S.index(start + k * diff) for k in range(length))
     return APSearchResult(start, diff, length, indices)
+
+
+def inflated_reduce_instance(L, r, d, p1, p2, q):
+    """A claim for ``prodap reduce``, inflated like the benchmark's long
+    reduction inputs: with gcd(r, d) = 1, p1 * p2 | d and q dividing neither,
+    each term U * V_i has U = p1 * p2 * q and V_i = p2 * (r + d*i).  The start
+    holds p1 once (a k1 step), p2 twice (a partition step), and q is left for
+    the gcd extraction.  Returns (elements, claim)."""
+    U = p1 * p2 * q
+    V = [p2 * (r + d * i) for i in range(L)]
+    return sorted(set(V) | {U}), APDescriptor(U * p2, r, d, L)

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -42,6 +43,32 @@ def pairwise_worst(desc):
 def omega_sum(B):
     """Oracle for the reduction measure: factorize every element from scratch."""
     return sum(e for b in B if b > 1 for _, e in factorize(b))
+
+
+def check_drops(B, trace):
+    """The drop oracle, step by step against from-scratch factorization.
+
+    A non-terminal step divides each element b of the set before it by its
+    divisor q and lowers the set's Omega by at least its measure_drop > 0.
+    The two are equal unless quotients meet: each extra element mapped to a
+    quotient c lowers Omega by a further Omega(c), so equality fails exactly
+    when two elements meet on a quotient above 1.  Returns the number of
+    non-terminal steps."""
+    before, n = tuple(sorted(set(B))), 0
+    for s in trace.steps:
+        if s.case == "extract-gcd":
+            assert s.measure_drop == 0 and s.result_set == before
+            continue
+        assert tuple(b for b, _ in s.divisors) == before
+        quotients = Counter(b // q for b, q in s.divisors)
+        assert s.result_set == tuple(sorted(quotients))
+        decrease = omega_sum(before) - omega_sum(s.result_set)
+        assert decrease >= s.measure_drop > 0
+        assert decrease == s.measure_drop + sum(
+            (k - 1) * omega_sum([c]) for c, k in quotients.items()
+        )
+        before, n = s.result_set, n + 1
+    return n
 
 
 def inflated_instance(rng):
@@ -173,10 +200,30 @@ class TestReduce:
         verify_coverage(desc.terms(), B2)
 
     def test_length_preserved_and_measure_decreases(self):
-        B2, desc, trace = reduce_ap([6, 10, 14], [2, 3, 5, 7])
+        B = [2, 3, 5, 7]
+        B2, desc, trace = reduce_ap([6, 10, 14], B)
         assert all(s.result_desc.L == 3 for s in trace.steps)
-        measures = [trace.initial_measure] + [s.measure for s in trace.steps]
-        assert all(b < a for a, b in zip(measures, measures[1:]))
+        # one k1 step at p = 2 divides only the 2: Omega 4 -> 3
+        assert [s.measure_drop for s in trace.steps] == [1]
+        assert check_drops(B, trace) == 1
+
+    def test_merged_elements_drop_more_than_reported(self):
+        # the k1 step at p = 2 maps 1, 2 to 1 and 3, 6 to 3: the divisors
+        # give drop 2, the set's Omega goes 6 -> 3
+        B = [1, 2, 3, 5, 6, 7]
+        B2, desc, trace = reduce_ap([2, 6, 10, 14], B)
+        assert [(s.case, s.prime, s.measure_drop) for s in trace.steps] == [("k1", 2, 2)]
+        assert B2 == [1, 3, 5, 7] and desc == APDescriptor(1, 1, 2, 4)
+        assert (omega_sum(B), omega_sum(B2)) == (6, 3)
+        assert check_drops(B, trace) == 1
+
+    def test_zero_drop_falsifies(self, monkeypatch):
+        # with coverage unchecked, B has no even element for the k1 step at
+        # p = 2 to divide, so the step lowers nothing
+        monkeypatch.setattr(apcore, "verify_coverage", lambda A, B: None)
+        with pytest.raises(FalsificationError, match="did not decrease") as info:
+            reduce_ap([6, 10, 14], [3, 5, 7])
+        assert info.value.payload == {"case": "k1", "prime": 2}
 
     def test_idempotent_on_examples(self):
         for A, B in [
@@ -206,25 +253,15 @@ class TestReduce:
             # idempotence
             B3, desc3, _ = reduce_ap(desc.terms(), B2)
             assert B3 == B2 and desc3 == desc
-            # measure strictly decreases along the trace
-            measures = [trace.initial_measure] + [s.measure for s in trace.steps]
-            non_terminal = measures[: len(trace.steps) + 1]
-            for a, b in zip(non_terminal, non_terminal[1:]):
-                assert b <= a
+            check_drops(B, trace)
 
     def test_measures_match_factorization(self):
-        # the measure is carried through the steps; it must equal the
-        # from-scratch prime multiplicity of each step's result set
+        # each step's drop, read off its divisors, against the from-scratch
+        # prime multiplicity of the sets before and after it
         rng = random.Random(0x0E6A)
         cases = [([6, 10, 14], [2, 3, 5, 7]), ([4, 12, 20, 28], [2, 4, 6, 10, 14])]
-        cases += [inflated_instance(rng) for _ in range(80)]
-        steps = 0
-        for A, B in cases:
-            _, _, trace = reduce_ap(A, B)
-            assert trace.initial_measure == omega_sum(set(B))
-            for s in trace.steps:
-                assert s.measure == omega_sum(s.result_set)
-            steps += len(trace.steps)
+        cases += [inflated_instance(rng) for _ in range(300)]
+        steps = sum(check_drops(B, reduce_ap(A, B)[2]) for A, B in cases)
         assert steps > 100
 
 

@@ -21,6 +21,8 @@ from prodap.exactnum import DEFAULT_TABLE, QuadElem
 from prodap.harness import demo_instance_file, instance_to_json
 from prodap.jsonio import MAX_DESCRIPTOR_TERMS, dumps_canonical, enc_quad, load_json
 
+from instances import inflated_reduce_instance
+
 
 def save_instance(path, inst):
     Path(path).write_text(dumps_canonical(instance_to_json(inst)), encoding="utf-8")
@@ -252,6 +254,51 @@ class TestReduce:
         j0 = (-r * pow(2, -1, g)) % g
         assert data["gcd_bound"] == {"ok": True, "worst": [j0 + g, j0, str(D * g)]}
         assert gcd(D * (r + 2 * (j0 + g)), D * (r + 2 * j0)) == D * g
+
+    def test_output_pinned(self, tmp_path, capsys):
+        # sha256 of the stdout report, one step of each case: k1 at 2,
+        # partition at 3, gcd extraction of 7
+        from prodap.harness import InstanceFile
+
+        elements, claim = inflated_reduce_instance(6, 5, 6, 2, 3, 7)
+        path = tmp_path / "inst.json"
+        save_instance(path, InstanceFile("integer", elements, ap=claim))
+        assert run(["reduce", "--in", path]) == 0
+        out = capsys.readouterr().out
+        steps = [(s["case"], s["prime"], s["measure_drop"]) for s in json.loads(out)["trace"]]
+        assert steps == [("k1", 2, 1), ("partition-B1B2B3", 3, 7), ("extract-gcd", None, 0)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5dbbd5c5c395c2a92faf6eb1f3f252beac72e6994713ee11a71117c522afd008"
+        )
+
+    @pytest.mark.parametrize("command", ["reduce", "pipeline"])
+    def test_untouched_element_is_not_factorized(self, tmp_path, capsys, command):
+        # 1..4 need no step, so the 31-digit prime beside them, whose
+        # primality the default sieve cannot certify, is never factorized
+        from prodap.harness import InstanceFile
+
+        big = 10**30 + 57
+        path = tmp_path / "inst.json"
+        save_instance(path, InstanceFile("integer", [1, 2, 3, 4, big], ap=APDescriptor(1, 1, 1, 4)))
+        assert run([command, "--in", path]) == 0
+        out, err = capsys.readouterr()
+        data = json.loads(out)
+        assert err == ""
+        if command == "reduce":
+            assert data["trace"] == [] and data["set"][-1] == str(big)
+        else:
+            assert data["ok"] and data["stages"]["reduction"]["set_size"] == 5
+
+    def test_difference_past_capacity(self, tmp_path, capsys):
+        # factorizing the difference is reduction work, so it stays bounded
+        from prodap.harness import InstanceFile
+
+        big = 10**30 + 57
+        path = tmp_path / "inst.json"
+        claim = APDescriptor(1, 1, big, 3)
+        save_instance(path, InstanceFile("integer", claim.terms(), ap=claim))
+        assert run(["reduce", "--in", path]) == 3
+        assert capsys.readouterr().err.startswith(f"capacity error: factor of {big} exceeds")
 
     def test_power_of_two_keeps_sieve_small(self, tmp_path):
         # factorizing 2**60 needs no prime past the first block, so the

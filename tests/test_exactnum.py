@@ -348,76 +348,6 @@ class TestFactorizeBlocks:
         assert table.limit == 1024
 
 
-def omega_oracle(table, values):
-    """The per-value loop that ``omega_many`` replaced: factorize each value
-    on its own."""
-    return [sum(e for _, e in table.factorize(v)) if v > 1 else 0 for v in values]
-
-
-# lists with 1s, repeated values and no order
-_omega_inputs = st.lists(st.one_of(st.just(1), _factorize_inputs), max_size=30).flatmap(
-    lambda vs: st.permutations(vs + vs[::3])
-)
-
-
-class TestOmegaMany:
-    """The batched walk against per-value factorization."""
-
-    oracle_table = PrimeTable(capacity=10**6)
-    table = PrimeTable(capacity=10**6)  # grows across the examples
-
-    @settings(max_examples=200, deadline=None)
-    @given(_omega_inputs)
-    def test_matches_factorize(self, values):
-        assert self.table.omega_many(values) == omega_oracle(self.oracle_table, values)
-
-    def test_examples(self):
-        table = PrimeTable()
-        assert table.omega_many([]) == []
-        assert table.omega_many([1, 2, 12, 97, 2**80 * 3**40, 1]) == [0, 1, 3, 1, 120, 0]
-        with pytest.raises(DomainError):
-            table.omega_many([3, 0])
-
-    @staticmethod
-    def assert_same_table(values):
-        batch, loop = PrimeTable(capacity=10**6), PrimeTable(capacity=10**6)
-        assert batch.omega_many(values) == omega_oracle(loop, values)
-        assert batch.limit == loop.limit
-        assert len(batch._products) == len(loop._products)
-        return batch
-
-    @settings(max_examples=60, deadline=None)
-    @given(_omega_inputs)
-    def test_fresh_table_grows_as_factorize(self, values):
-        self.assert_same_table(values)
-
-    def test_sieve_grows_only_as_far_as_the_division(self):
-        table = self.assert_same_table([2**80 * 3**40, 1, 2**80 * 3**40])
-        assert table.limit == 1024
-
-    def test_partial_block_is_not_cached(self):
-        # at limit 1024 the third block holds only 44 of its 64 primes
-        table = self.assert_same_table([727 * 1021])
-        assert table.limit == 1024 and len(table._products) == 2
-        table = self.assert_same_table([727 * 1021, 1031 * 1033])
-        assert table.limit == 2048 and len(table._products) == 3
-
-    @pytest.mark.parametrize("values", [
-        [2 * 97, 101 * 103, 1, 4 * 107 * 109],
-        [2 * 97, 4 * 107 * 109, 1, 101 * 103],
-    ])
-    def test_capacity_error_names_the_first_failing_value(self, values):
-        # at capacity 10, 2 * 97 is certified but neither cofactor 101 * 103
-        # nor 107 * 109 is
-        with pytest.raises(CapacityError) as want:
-            omega_oracle(PrimeTable(capacity=10), values)
-        with pytest.raises(CapacityError) as got:
-            PrimeTable(capacity=10).omega_many(values)
-        assert str(got.value) == str(want.value)
-        assert f"factor of {values[1]} " in str(got.value)
-        assert "capacity 10:" in str(got.value)
-
-
 _GRAPH = prodset.build_rep_graph([1, 2], [2])
 
 
@@ -435,11 +365,6 @@ class TestDigitLimit:
         with pytest.raises(CapacityError, match=r"of <16615-bit integer> .* "
                            r"cofactor <16615-bit integer>"):
             PrimeTable(capacity=1000).factorize(self.big)
-
-    def test_omega_many(self):
-        with pytest.raises(CapacityError, match=r"of <16616-bit integer> .* "
-                           r"cofactor <16615-bit integer>"):
-            PrimeTable(capacity=1000).omega_many([6, 2 * self.big])
 
     def test_valuation(self):
         with pytest.raises(DomainError, match=r"n=<16610-bit integer>, p=1$"):

@@ -299,9 +299,9 @@ class TestPipeline:
     GOLDEN = {
         ("cover100", 0): "7641c347aed1e5889e55e2d8c6b405d0a37f9f6be6c2331f7b071ea719746241",
         ("quad", 0): "4fcaf1076bd84e2c8001f5f49977353ae53543adc2a40b731cfbe702ee7c5b1b",
-        ("quad", 1): "39eab76192e27073b6d17bdab12a4069d625614e83143f43a04d2888c43ab5b1",
-        ("quad", 2): "1b0754a12112f0804d5a5fda611e36ecac9054a6dc8555e590dd12d175889b5c",
-        ("quad", 3): "5ef46fd07590f968c1bc3e68a3fe867f5c4f8f9e7844667b5fa890b4775df85f",
+        ("quad", 1): "3490ed8f3b2dd6bfd43f3fc2a0458c98afff76bcd931fa9ca378d24381661a1f",
+        ("quad", 2): "336c89618f9834045536ec628277817ab54d2f18c88bc5cf81b98853fa48b2f8",
+        ("quad", 3): "a2acc4396988bf7f7c1c5f33484d19d0d6e01b38c82b63636c3a6683a6a0ba5d",
         ("quad", 4): "a01b802eee9720dfaedbcd18f2c56d0edb73ba76304278d0a40822b9a660eb2e",
         # a cover set with no claim, n = 24: the progression comes from search
         ("noclaim", 24): "a7f505ad1a68678a784473e233a12a427128397048598bfdd9a7c0578d0c601c",
