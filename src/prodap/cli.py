@@ -240,10 +240,8 @@ def cmd_study(args) -> int:
 def cmd_pipeline(args) -> int:
     if args.demo:
         inst = demo_instance_file(args.demo, args.seed)
-    elif args.infile:
-        inst = load_instance(args.infile)
     else:
-        raise InputError("pipeline needs --in FILE or --demo KIND")
+        inst = load_instance(args.infile)
     report = pipeline(inst, cycle_cap=args.cycle_cap)
     _write_or_print(args.out, jsonio.dumps_canonical(report))
     if not report["ok"]:
@@ -317,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("pipeline", help="full audit chain for one instance")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--demo", choices=["cover100", "quad"], default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", default=None)
+    source.add_argument("--demo", choices=["cover100", "quad"], default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--cycle-cap", type=int, default=harness.DEFAULT_CYCLE_CAP,

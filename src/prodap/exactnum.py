@@ -13,15 +13,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import gcd, isqrt, prod
+from itertools import compress, islice
+from math import isqrt
 
 from .errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 
 DEFAULT_SIEVE_CAPACITY = 10**8
-
-# trial division tests this many consecutive primes with one gcd
-BLOCK = 64
 
 
 def _sieve(lo: int, hi: int, base: list[int] | None = None) -> list[int]:
@@ -50,12 +47,9 @@ class PrimeTable:
     request that would need a prime beyond ``capacity`` raises CapacityError
     instead of falling back to a probabilistic test.
 
-    Trial division takes the primes in blocks of ``BLOCK`` and makes one gcd
-    of the number with each block's product; only a block sharing a factor
-    is scanned, prime by prime up to the root of the gcd, and what is left
-    of the gcd is one prime.  ``factorize`` takes its blocks from
-    ``_block``, which grows the sieve and caches the products.  ``is_prime``
-    is the verdict of ``factorize``.
+    ``factorize`` divides by the sieved primes one at a time and grows the
+    sieve only when the division runs past its last prime.  ``is_prime`` is
+    the verdict of ``factorize``.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -64,9 +58,6 @@ class PrimeTable:
         self.capacity = capacity
         self._limit = 0
         self._primes: list[int] = []
-        # products of the full blocks of _primes; a partial last block is not
-        # cached, since growing the sieve adds primes to it
-        self._products: list[int] = []
 
     @property
     def limit(self) -> int:
@@ -118,31 +109,6 @@ class PrimeTable:
             )
         return self.factorize(n) == [(n, 1)]
 
-    def _block(self, b: int, root: int) -> int:
-        """Product of the b-th block of ``BLOCK`` primes for a trial division
-        whose cofactor has square root root, or 1 when the division
-        stops before block b: that block starts past root, or past the
-        capacity.
-
-        The sieve doubles only while block b is not full and root is still
-        above the limit.  Only full blocks' products are cached: growing the
-        sieve adds primes to a partial block.  A walk visits blocks 0, 1, ...
-        in order, so block b is cached once every block before it is.
-        """
-        lo = b * BLOCK
-        while lo + BLOCK > len(self._primes) and self._limit < min(root, self.capacity):
-            self._ensure(self._limit + 1)
-        primes = self._primes
-        if lo >= len(primes) or primes[lo] > root:
-            return 1
-        if b < len(self._products):
-            return self._products[b]
-        block = primes[lo : lo + BLOCK]
-        block_product = prod(block)
-        if len(block) == BLOCK:
-            self._products.append(block_product)
-        return block_product
-
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with ascending p, exact or error.
 
@@ -152,45 +118,34 @@ class PrimeTable:
         if n < 2:
             raise DomainError("factorize requires n >= 2, got {}", n)
         out: list[tuple[int, int]] = []
-        rem, root = n, isqrt(n)
-        b = 0
+        rem, start = n, 0
         while rem > 1:
-            block_product = self._block(b, root)
-            if block_product == 1:
-                break
-            g = gcd(rem, block_product)
-            if g > 1:
-                # g is a product of distinct primes of the block: scan them
-                # up to its root, and what is left of g is one prime
-                for p in self._primes[b * BLOCK : (b + 1) * BLOCK]:
-                    if p * p > g:
-                        break
-                    if g % p == 0:
-                        g //= p
-                        e = 0
-                        while rem % p == 0:
-                            rem //= p
-                            e += 1
-                        out.append((p, e))
-                if g > 1:
+            for p in islice(self._primes, start, None):
+                if p * p > rem:
+                    break
+                if rem % p == 0:
                     e = 0
-                    while rem % g == 0:
-                        rem //= g
+                    while rem % p == 0:
+                        rem //= p
                         e += 1
-                    out.append((g, e))
-                root = isqrt(rem)
-            b += 1
+                    out.append((p, e))
+            else:
+                # past the last sieved prime: grow only while the cofactor
+                # may still have a prime factor above the limit
+                if self._limit < min(isqrt(rem), self.capacity):
+                    start = len(self._primes)
+                    self._ensure(self._limit + 1)
+                    continue
+            break
         if rem > 1:
             # cofactor has no prime factor <= min(sqrt(rem), capacity)
             if isqrt(rem) > self.capacity:
-                raise self._uncertifiable(n, rem)
+                raise CapacityError(
+                    "factor of {} exceeds capacity {}: cofactor {} not certifiable",
+                    n, self.capacity, rem,
+                )
             out.append((rem, 1))
         return out
-
-    def _uncertifiable(self, n: int, rem: int) -> CapacityError:
-        return CapacityError(
-            "factor of {} exceeds capacity {}: cofactor {} not certifiable", n, self.capacity, rem
-        )
 
 
 DEFAULT_TABLE = PrimeTable()

@@ -192,5 +192,7 @@ def load_json(path):
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError("{}: not a JSON document: {}", path, exc) from exc
+    except RecursionError as exc:  # nesting past the decoder's depth limit
+        raise InputError("{}: JSON nested too deeply: {}", path, exc) from exc
     except ValueError as exc:  # a bare JSON number past the digit limit
         raise CapacityError("{}: {}", path, exc) from exc

@@ -301,9 +301,9 @@ class TestReduce:
         assert capsys.readouterr().err.startswith(f"capacity error: factor of {big} exceeds")
 
     def test_power_of_two_keeps_sieve_small(self, tmp_path):
-        # factorizing 2**60 needs no prime past the first block, so the
-        # shared table must not be sieved toward sqrt(2**60) (capped at
-        # 10**8); a subprocess has a DEFAULT_TABLE no other test has grown
+        # factorizing 2**60 needs no prime past 2, so the shared table must
+        # not be sieved toward sqrt(2**60) (capped at 10**8); a subprocess
+        # has a DEFAULT_TABLE no other test has grown
         from prodap.harness import InstanceFile
 
         path = tmp_path / "inst.json"
@@ -324,6 +324,33 @@ class TestReduce:
         assert exit_code == 0
         assert limit < 10**5
         assert load_json(out)["descriptor"] == {"D": "1", "r": "3", "d": "2", "L": 3}
+
+    def test_hard_difference_grows_sieve_to_its_root(self, tmp_path):
+        # d is the product of two primes near 10**7, so the division runs
+        # past every sieved prime until the limit passes sqrt(d): 1024
+        # doubles to 2**24, the first power past 9999982
+        from prodap.harness import InstanceFile
+
+        path = tmp_path / "inst.json"
+        out = tmp_path / "red.json"
+        claim = APDescriptor(1, 1, 9999973 * 9999991, 3)
+        save_instance(path, InstanceFile("integer", claim.terms(), ap=claim))
+        code = (
+            "import sys; from prodap.cli import main; "
+            "from prodap.exactnum import DEFAULT_TABLE; "
+            f"code = main(['reduce', '--in', {str(path)!r}, '--out', {str(out)!r}]); "
+            "print(code, DEFAULT_TABLE.limit)"
+        )
+        src = Path(prodap.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        exit_code, limit = map(int, proc.stdout.split())
+        assert exit_code == 0
+        assert limit == 2**24
+        data = load_json(out)
+        assert data["k0_primes"] == [9999973, 9999991] and data["trace"] == []
 
 
 class TestRationalizeCmd:
@@ -484,7 +511,18 @@ class TestPipelineCmd:
         assert rep["ok"] is True and rep["stages"]["rationalize"]["size"] >= 1
 
     def test_needs_input(self):
-        assert run(["pipeline"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["pipeline"])
+        assert exc.value.code == 2
+
+    def test_in_and_demo_exclusive(self, tmp_path, capsys, cover10_instance):
+        # the demo used to be audited and the file silently ignored
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["pipeline", "--in", cover10_instance, "--demo", "quad", "--out", out])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra,message", [
         ({"m": "5"}, "top-level m"),
@@ -721,6 +759,17 @@ class TestExitCodes:
         assert run(["find-ap", "--in", inst, "--out", ap]) == 0
         assert run(["convex-demo", "--ap", ap]) == 2
         assert capsys.readouterr().err == "input error: descriptor missing field 'D'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["find-ap", "--in"], ["cycles", "--k", "4", "--graph"], ["convex-demo", "--ap"],
+    ], ids=lambda argv: argv[0])
+    def test_deeply_nested_json(self, tmp_path, capsys, argv):
+        # past the decoder's depth limit json.load raises RecursionError,
+        # which used to end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert run(argv + [path]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_find_ap_mode_flag_removed(self, cover10_instance):
         # one search path: --mode is an unknown argument

@@ -13,7 +13,6 @@ from prodap import construct, cyclelab, harness, jsonio, prodset, rationalize
 from prodap.apcore import APDescriptor
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 from prodap.exactnum import (
-    BLOCK,
     DEFAULT_SIEVE_CAPACITY,
     PrimeTable,
     QuadElem,
@@ -107,7 +106,7 @@ def outcome(factorize_fn, n):
 
 
 _PRIMES = PrimeTable().primes_upto(3 * 10**5)
-_SMALL = _PRIMES[:200]  # up to 1223: three full blocks and 8 primes of a fourth
+_SMALL = _PRIMES[:200]  # up to 1223
 _LARGE = _PRIMES[-2000:]  # about 2.8e5 to 3e5
 
 _smooth = st.lists(st.sampled_from(_SMALL), max_size=12).map(prod)
@@ -123,8 +122,9 @@ _factorize_inputs = st.one_of(
 )
 
 
-# a hit block's gcd is scanned only up to its root, and what is left of it
-# is one prime: 311 in block 0, 719 in block 1
+# the former block gcd probe scanned a hit block's gcd only up to its root
+# and read what was left of it as one prime: 311 and 719 ended the first two
+# blocks of 64 primes
 ROOT_STOP = [3 * 307 * 311, 307**2 * 311, 313 * 409 * 719]
 
 
@@ -191,8 +191,8 @@ class TestPrimes:
             table.is_prime(10**4 + 7_000_000)
 
     def test_is_prime_on_fresh_table(self):
-        # a small prime n divides the product of the first block: only the
-        # factorization [(n, 1)] tells it from a composite
+        # n runs past the first sieve's limit of 1024, and a prime n is told
+        # from a composite only by its factorization [(n, 1)]
         for n in range(0, 1100):
             assert PrimeTable().is_prime(n) == trial_division_is_prime(n), n
 
@@ -292,7 +292,8 @@ class TestFactorize:
 
 
 class TestFactorizeBlocks:
-    """The block gcd probe against the per-prime loop it replaced."""
+    """The per-prime division, with its lazy sieve growth, against the loop
+    that sieved to the square root up front."""
 
     # the oracle sieves to min(sqrt(n), capacity) up front, so both tables
     # stop at 10**6, past the square root of every input's cofactor
@@ -331,21 +332,29 @@ class TestFactorizeBlocks:
         assert table.limit <= 10**4
 
     def test_partial_block_is_not_cached(self):
-        # at limit 1024 the third block holds only 44 of its 64 primes
+        # the division of 727 * 1021 ends at 733 > sqrt(1021), inside the
+        # first sieve, so the limit stays at 1024
         table = PrimeTable()
-        n = 727 * 1021  # division ends inside that partial block
-        assert table.factorize(n) == [(727, 1), (1021, 1)]
-        assert table.limit == 1024 and len(table.primes) < 3 * BLOCK
-        assert table.primes[2 * BLOCK] <= isqrt(n)
-        # 1031 and 1033 join the third block once the sieve grows past 1024
+        assert table.factorize(727 * 1021) == [(727, 1), (1021, 1)]
+        assert table.limit == 1024
+        # no prime up to 1021 divides 1031 * 1033, whose root is 1031: the
+        # division runs past the last prime and the sieve doubles once
         assert table.factorize(1031 * 1033) == [(1031, 1), (1033, 1)]
         assert table.limit == 2048
 
     def test_sieve_grows_only_as_far_as_the_division(self):
-        # sqrt(n) is near 2**63, but the cofactor is 1 after the first block
+        # sqrt(n) is near 2**63, but the cofactor is 1 after 2 and 3
         table = PrimeTable()
         assert table.factorize(2**80 * 3**40) == [(2, 80), (3, 40)]
         assert table.limit == 1024
+
+    @settings(max_examples=100, deadline=None)
+    @given(_factorize_inputs)
+    def test_limit_at_most_twice_the_root(self, n):
+        # the sieve doubles only while its limit is below the cofactor's root
+        table = PrimeTable()
+        table.factorize(n)
+        assert table.limit <= max(1024, 2 * isqrt(n))
 
 
 _GRAPH = prodset.build_rep_graph([1, 2], [2])
