@@ -10,8 +10,10 @@ are decided by an integer enclosure of ln n, never by a float.
 ``coverage_check`` certifies all of [1, floor(n*ln n)] from one witness
 table w, where x splits as (w[x], x / w[x]), and that table is the
 certificate: the witnesses are read from it on demand, so no per-x object is
-kept.  Each prime above floor(ln n) sieves its multiples into w, so w[x] is
-x's largest prime whenever that prime is above floor(ln n); the other x, 1
+kept.  Every prime comes from the shared prime table, which the cover set
+grows to M once, so a later call with no larger M sieves nothing.  Each
+prime above floor(ln n) sieves its multiples into w, so w[x] is x's largest
+prime whenever that prime is above floor(ln n); the other x, 1
 and the floor(ln n)-smooth x, are enumerated from the primes up to
 floor(ln n) and split by the transfer loop, which writes the smaller factor,
 or M + 1, which divides no x, when it fails.  Three passes over the table
@@ -22,6 +24,7 @@ division and shares the transfer loop with it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -117,12 +120,14 @@ class ConstructionResult:
 
 
 def cover_set(n: int, table: PrimeTable | None = None) -> ConstructionResult:
-    """[1..n] together with the primes in [n, floor(n*ln n)]."""
+    """[1..n] together with the primes in [n, floor(n*ln n)], taken from the
+    table, which grows to floor(n*ln n) unless it already reaches it."""
     if n < 3:
         raise InputError("need n >= 3, got {}", n)
     table = table or DEFAULT_TABLE
     M = floor_n_log_n(n)
-    above = table.primes_in(n + 1, M) if M > n else []  # M = n only at n = 3
+    primes = table.primes_upto(M) if M > n else []  # M = n only at n = 3
+    above = primes[bisect_right(primes, n) :]
     result = ConstructionResult(n, M, (*range(1, n + 1), *above))
     if n >= SIZE_RATIO_CHECK_FROM and result.size > 2 * n:
         raise FalsificationError(
@@ -180,13 +185,18 @@ def _witness_table(
 
     Every other x has a prime above floor(ln n), and w[x] is the largest:
     each such prime writes its multiples in ascending order, so the largest
-    is written last.  The primes up to n come from the table, those above n
-    are the cover set's own, so the table never grows past n here."""
+    is written last.  A prime above M // 2 has no multiple in [1, M] but
+    itself, so it writes only w[p].  The primes come from the table, which
+    ``cover_set`` has already grown to M."""
     n, M, members = result.n, result.M, result._members
-    small = table.primes_upto(_floor_ln(n))
+    primes = table.primes_upto(M)
+    cut, half = bisect_right(primes, _floor_ln(n)), bisect_right(primes, M // 2)
+    small = primes[:cut]
     w = [1] * (M + 1)
-    for p in table.primes_upto(n)[len(small) :] + list(result.elements[n:]):
+    for p in primes[cut:half]:
         w[p::p] = [p] * (M // p)
+    for p in primes[half:]:
+        w[p] = p
     # each smooth x with its primes, ascending, built from the small primes
     smooth = [(1, [])]
     for p in small:

@@ -89,8 +89,8 @@ class TestConstruct:
         assert run(["construct", "--n", 50, "--capacity", 60]) == 3
 
     def test_capacity_exit_code_with_verify(self):
-        # the certificate's sieve takes its primes above n from the cover
-        # set, which a capacity below M = 195 already refuses
+        # the cover set sieves the prime table to M = 195, which a capacity
+        # below it refuses before the certificate is built
         assert run(["construct", "--n", 50, "--capacity", 60, "--verify"]) == 3
 
     def test_zero_capacity_is_input_error(self):

@@ -164,6 +164,22 @@ class TestCoverSet:
         with pytest.raises(CapacityError):
             cover_set(50, PrimeTable(capacity=60))
 
+    def test_capacity_boundary_is_m(self):
+        # M = 195 for n = 50: the table must be allowed to sieve to M
+        with pytest.raises(CapacityError, match="sieve limit 195 exceeds capacity 194"):
+            cover_set(50, PrimeTable(capacity=194))
+        assert cover_set(50, PrimeTable(capacity=195)).M == 195
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_primes_above_n_match_segmented_sieve(self, grown):
+        # the segmented sieve of (n, M] is the oracle, on a fresh table per n
+        # and on one table grown past every M
+        oracle, past_m = PrimeTable(), PrimeTable()
+        past_m.primes_upto(50000)
+        for n in (*range(4, 301), 1000, 3000):
+            res = cover_set(n, past_m if grown else PrimeTable())
+            assert list(res.elements[n:]) == oracle.primes_in(n + 1, res.M)
+
     def test_size_ratio(self):
         worst = 0.0
         for n in range(10, 400, 13):
@@ -308,12 +324,22 @@ class TestCoverage:
             x for x in range(2, res.M + 1) if table.factorize(x)[-1][0] <= floor_ln
         }
 
-    def test_sieve_does_not_grow_table_to_m(self):
-        # the primes above n are the cover set's own, so the table is sieved
-        # to n, not to M
+    def test_table_grows_to_m_once(self):
+        # a fresh table, as a CLI run has, is sieved to M and not past it; a
+        # later call with a smaller M sieves nothing
         table = PrimeTable()
         res = coverage_check(3000, table)
-        assert table.limit < res.M == 24019
+        assert table.limit == res.M == 24019
+        cover_set(2000, table)
+        assert table.limit == 24019
+
+    def test_grown_table_gives_the_fresh_certificate(self):
+        grown = PrimeTable()
+        coverage_check(5000, grown)
+        res, fresh = coverage_check(500, grown), coverage_check(500, PrimeTable())
+        assert res.elements == fresh.elements
+        assert list(res.witnesses.items()) == list(fresh.witnesses.items())
+        assert list(res.methods.items()) == list(fresh.methods.items())
 
 
 class TestCertificate:
