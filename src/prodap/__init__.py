@@ -31,7 +31,7 @@ from .errors import (
     RepresentationError,
     ShapeError,
 )
-from .exactnum import PrimeTable, QuadElem, factorize, is_prime, primes_in
+from .exactnum import PrimeTable, QuadElem
 from .harness import (
     InstanceFile,
     absolutize,

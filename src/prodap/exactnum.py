@@ -86,17 +86,6 @@ class PrimeTable:
         self._ensure(n)
         return self._primes[: bisect_right(self._primes, n)]
 
-    def primes_in(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo <= p <= hi, ascending (segmented sieve)."""
-        if lo > hi:
-            raise InputError("empty range: lo={} > hi={}", lo, hi)
-        if hi > self.capacity:
-            raise CapacityError("primes_in upper bound {} exceeds capacity {}", hi, self.capacity)
-        lo = max(lo, 2)
-        if lo > hi:
-            return []
-        return _sieve(lo, hi, self.primes_upto(isqrt(hi)))
-
     def is_prime(self, n: int) -> bool:
         """Exact primality for n <= capacity**2; beyond that, CapacityError.
 
@@ -149,18 +138,6 @@ class PrimeTable:
 
 
 DEFAULT_TABLE = PrimeTable()
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    return DEFAULT_TABLE.primes_in(lo, hi)
-
-
-def is_prime(n: int) -> bool:
-    return DEFAULT_TABLE.is_prime(n)
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    return DEFAULT_TABLE.factorize(n)
 
 
 def valuation(n: int, p: int) -> int:

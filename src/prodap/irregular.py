@@ -12,11 +12,12 @@ forest.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .apcore import APDescriptor
 from .errors import InputError, ShapeError
-from .exactnum import is_prime, primes_in
+from .exactnum import DEFAULT_TABLE
 from .prodset import Edge, RepGraph
 
 
@@ -40,14 +41,15 @@ def prime_window(desc: APDescriptor) -> PrimeWindow:
     span = _window_range(desc.L)
     if not span:
         return PrimeWindow(())
-    primes = primes_in(span.start, span[-1])
-    return PrimeWindow(tuple(p for p in primes if desc.d % p != 0))
+    primes = DEFAULT_TABLE.primes_upto(span[-1])
+    start = bisect_left(primes, span.start)
+    return PrimeWindow(tuple(p for p in primes[start:] if desc.d % p != 0))
 
 
 def hit_count(p: int, desc: APDescriptor) -> int:
     """Number of i in [0, L-1] with p dividing r + d*i."""
     L = desc.L
-    if not (p in _window_range(L) and desc.d % p != 0 and is_prime(p)):
+    if not (p in _window_range(L) and desc.d % p != 0 and DEFAULT_TABLE.is_prime(p)):
         raise InputError("{} is not a window prime for L={}, d={}", p, L, desc.d)
     return len(range(desc.first_divisible(p), L, p))
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from prodap.apcore import APDescriptor
 from prodap.exactnum import QuadElem
@@ -61,3 +62,16 @@ def inflated_reduce_instance(L, r, d, p1, p2, q):
     U = p1 * p2 * q
     V = [p2 * (r + d * i) for i in range(L)]
     return sorted(set(V) | {U}), APDescriptor(U * p2, r, d, L)
+
+
+def primes_between(lo, hi):
+    """Primes p with lo <= p <= hi, ascending, from a plain sieve of
+    Eratosthenes over [0, hi] that shares no code with ``prodap``."""
+    if hi < 2:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(hi) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
+    return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]

@@ -23,7 +23,7 @@ from prodap.apcore import (
     verify_coverage,
 )
 from prodap.errors import FalsificationError, InputError, RepresentationError, ShapeError
-from prodap.exactnum import QuadElem, factorize
+from prodap.exactnum import DEFAULT_TABLE, QuadElem
 from prodap.prodset import sort_key
 
 
@@ -42,7 +42,7 @@ def pairwise_worst(desc):
 
 def omega_sum(B):
     """Oracle for the reduction measure: factorize every element from scratch."""
-    return sum(e for b in B if b > 1 for _, e in factorize(b))
+    return sum(e for b in B if b > 1 for _, e in DEFAULT_TABLE.factorize(b))
 
 
 def check_drops(B, trace):

@@ -26,6 +26,8 @@ from prodap.construct import (
 from prodap.errors import CapacityError, DomainError, FalsificationError, InputError
 from prodap.exactnum import DEFAULT_TABLE, PrimeTable
 
+from instances import primes_between
+
 
 def decimal_floor_mul_ln(c: int, n: int, digits: int) -> int:
     """floor(c * ln n) from decimal, whose ln is correctly rounded."""
@@ -172,13 +174,13 @@ class TestCoverSet:
 
     @pytest.mark.parametrize("grown", [False, True])
     def test_primes_above_n_match_segmented_sieve(self, grown):
-        # the segmented sieve of (n, M] is the oracle, on a fresh table per n
-        # and on one table grown past every M
-        oracle, past_m = PrimeTable(), PrimeTable()
+        # an independent sieve of (n, M] is the oracle, on a fresh table per
+        # n and on one table grown past every M
+        past_m = PrimeTable()
         past_m.primes_upto(50000)
         for n in (*range(4, 301), 1000, 3000):
             res = cover_set(n, past_m if grown else PrimeTable())
-            assert list(res.elements[n:]) == oracle.primes_in(n + 1, res.M)
+            assert list(res.elements[n:]) == primes_between(n + 1, res.M)
 
     def test_size_ratio(self):
         worst = 0.0

@@ -1,6 +1,7 @@
 """Prime utilities and quadratic-field arithmetic."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, prod
@@ -14,11 +15,9 @@ from prodap.apcore import APDescriptor
 from prodap.errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
 from prodap.exactnum import (
     DEFAULT_SIEVE_CAPACITY,
+    DEFAULT_TABLE,
     PrimeTable,
     QuadElem,
-    factorize,
-    is_prime,
-    primes_in,
     valuation,
 )
 
@@ -163,26 +162,24 @@ class TestValuation:
 
 class TestPrimes:
     def test_primes_in_examples(self):
+        # the primes in [lo, hi] are a slice of primes_upto(hi)
+        def primes_in(lo, hi):
+            primes = PrimeTable().primes_upto(hi)
+            return primes[bisect_left(primes, lo) :]
+
         assert primes_in(10, 23) == [11, 13, 17, 19, 23]
         assert primes_in(8, 10) == []
         assert primes_in(2, 2) == [2]
 
     def test_against_trial_division(self):
-        got = len(primes_in(2, 10**5))
+        got = len(PrimeTable().primes_upto(10**5))
         expected = sum(1 for k in range(2, 10**5 + 1) if trial_division_is_prime(k))
         assert got == expected == 9592
 
-    def test_segments_match_full_sieve(self):
-        table = PrimeTable()
-        full = set(table.primes_upto(3000))
-        for lo, hi in [(100, 200), (1000, 1100), (2500, 3000), (2, 50)]:
-            assert set(table.primes_in(lo, hi)) == {p for p in full if lo <= p <= hi}
-
     def test_capacity_error_names_limit(self):
         table = PrimeTable(capacity=100)
-        with pytest.raises(CapacityError) as exc:
-            table.primes_in(2, 1000)
-        assert "100" in str(exc.value)
+        with pytest.raises(CapacityError, match="sieve limit 1000 exceeds capacity 100$"):
+            table.primes_upto(1000)
 
     def test_is_prime_beyond_capacity(self):
         table = PrimeTable(capacity=10)
@@ -203,7 +200,7 @@ class TestPrimes:
         st.sampled_from(_LARGE),
     ))
     def test_is_prime_matches_oracle(self, n):
-        assert is_prime(n) == is_prime_oracle(self.oracle_table, n)
+        assert DEFAULT_TABLE.is_prime(n) == is_prime_oracle(self.oracle_table, n)
 
     def test_is_prime_fixed_cases(self):
         edges = [_PRIMES[i] for i in (63, 64, 127, 128, 191, 192)]
@@ -248,20 +245,10 @@ class TestSieveGrowth:
                 assert table.limit == oracle.limit, requests
                 assert table.primes == oracle.primes, requests
 
-    def test_primes_in_straddles_the_limit(self):
-        table = PrimeTable()
-        for limit in (1024, 2048, 10**6):
-            table._ensure(limit)
-            assert table.limit == limit
-            for lo, hi in [(limit - 30, limit + 30), (limit // 2, 2 * limit), (2, limit + 1)]:
-                before = table.limit
-                got = table.primes_in(lo, hi)
-                assert got == [p for p in ResieveTable().primes_upto(hi) if p >= lo]
-                assert table.limit == before  # isqrt(hi) is inside the table
-
 
 class TestFactorize:
     def test_examples(self):
+        factorize = DEFAULT_TABLE.factorize
         assert factorize(12) == [(2, 2), (3, 1)]
         assert factorize(97) == [(97, 1)]
         assert factorize(2 * 3 * 5 * 7 * 11) == [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1)]
@@ -269,16 +256,16 @@ class TestFactorize:
     def test_rejects_small(self):
         for n in (0, 1):
             with pytest.raises(DomainError):
-                factorize(n)
+                DEFAULT_TABLE.factorize(n)
 
     def test_roundtrip_random(self):
         rng = random.Random(0xFAC7)
         for _ in range(1000):
             n = rng.randint(2, 10**12)
-            fac = factorize(n)
+            fac = DEFAULT_TABLE.factorize(n)
             prod = 1
             for p, e in fac:
-                assert is_prime(p)
+                assert DEFAULT_TABLE.is_prime(p)
                 prod *= p**e
             assert prod == n
             assert [p for p, _ in fac] == sorted({p for p, _ in fac})
@@ -368,7 +355,7 @@ class TestDigitLimit:
 
     def test_is_prime(self):
         with pytest.raises(CapacityError, match=r"<16610-bit integer>"):
-            is_prime(10**5000 + 1)
+            DEFAULT_TABLE.is_prime(10**5000 + 1)
 
     def test_factorize(self):
         with pytest.raises(CapacityError, match=r"of <16615-bit integer> .* "
@@ -425,8 +412,6 @@ class TestDigitLimit:
             (lambda x: cyclelab.enumerate_even_cycles(_GRAPH, x), InputError),
             (lambda x: cyclelab.enumerate_even_cycles(_GRAPH, 3, max_count=x), InputError),
             (lambda x: QuadElem(1, 1, x), InputError),
-            (lambda x: PrimeTable().primes_in(-x, 2), InputError),
-            (lambda x: PrimeTable().primes_in(2, -x), CapacityError),
             (lambda x: PrimeTable().primes_upto(-x), CapacityError),
             (lambda x: jsonio.dec_quad([x]), InputError),
             (lambda x: jsonio.descriptor_from_json([x]), InputError),
@@ -436,8 +421,8 @@ class TestDigitLimit:
             "study-ap_limit", "study-size", "pipeline-cycle_cap", "floor_mul_ln-c",
             "floor_mul_ln-n", "floor_n_log_n", "cover_set", "c4_extremal_threshold",
             "APDescriptor-L", "find_even_cycle-k", "enumerate_even_cycles-k",
-            "enumerate_even_cycles-max_count", "QuadElem-m", "primes_in-lo", "primes_in-hi",
-            "primes_upto", "dec_quad-list", "descriptor_from_json-list",
+            "enumerate_even_cycles-max_count", "QuadElem-m", "primes_upto", "dec_quad-list",
+            "descriptor_from_json-list",
         ],
     )
     def test_argument_messages(self, call, error):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import harness
+from prodap import harness, irregular
 from prodap.apcore import APDescriptor, reduce_ap
 from prodap.construct import cover_set
 from prodap.errors import InputError
-from prodap.exactnum import valuation
+from prodap.exactnum import PrimeTable, valuation
 from prodap.irregular import (
     IrregularityReport,
     forest_check,
@@ -24,6 +24,8 @@ from prodap.irregular import (
 )
 from prodap.prodset import Edge, RepGraph, build_rep_graph
 from prodap.rationalize import rationalize_components
+
+from instances import primes_between
 
 
 def cover_graph(n):
@@ -47,6 +49,40 @@ class TestWindow:
     def test_requires_reduced(self):
         with pytest.raises(InputError):
             prime_window(APDescriptor(1, 2, 2, 31))
+
+    @pytest.mark.parametrize("grown", [False, True])
+    def test_matches_independent_sieve(self, grown, monkeypatch):
+        # the primes p with L < 3p and 2p < L from a sieve that shares no
+        # code with the table, for d = 1, d = 6 and d a window prime
+        table = PrimeTable()
+        if grown:
+            table.primes_upto(2 * 10**6)
+        monkeypatch.setattr(irregular, "DEFAULT_TABLE", table)
+        for L in (*range(3, 3001), 10**5, 10**6):
+            want = primes_between(L // 3 + 1, (L - 1) // 2)
+            for d in (1, 6, want[len(want) // 2]) if want else (1, 6):
+                got = prime_window(APDescriptor(1, 1, d, L)).primes
+                assert got == tuple(p for p in want if d % p != 0), (L, d)
+        assert table.limit == (2 * 10**6 if grown else 499999)
+
+    def test_fresh_table_limit(self, monkeypatch):
+        # a window's primes lie below 1024 up to L = 2050, so the first
+        # fill serves it; past that the table doubles to 2048, which holds
+        # the window of the cover-500 claim L = 3107
+        table = PrimeTable()
+        monkeypatch.setattr(irregular, "DEFAULT_TABLE", table)
+        for L in range(3, 2051):
+            prime_window(APDescriptor(1, 1, 1, L))
+            assert table.limit <= 1024, L
+        assert table.limit == 1024
+        for L in (2051, 3107):
+            prime_window(APDescriptor(1, 1, 1, L))
+            assert table.limit == 2048, L
+        # an empty table sieves only to the window's last prime
+        table = PrimeTable()
+        monkeypatch.setattr(irregular, "DEFAULT_TABLE", table)
+        prime_window(APDescriptor(1, 1, 1, 3107))
+        assert table.limit == 1553
 
 
 class TestHitCount:
