@@ -25,7 +25,9 @@ as a FalsificationError rather than as a silently wrong witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
 from math import gcd
+from operator import floordiv, mul
 
 from .errors import FalsificationError, InputError, RepresentationError, ShapeError, digit_safe
 from .exactnum import DEFAULT_TABLE, valuation
@@ -72,17 +74,21 @@ def validate_ap(A: list[int]) -> tuple[int, int, int]:
     """Check A is an ascending AP of >= 3 positive integers; return (r, d, L)."""
     if len(A) < 3:
         raise ShapeError("need at least 3 terms, got {}", len(A))
-    if any(not isinstance(a, int) or a < 1 for a in A):
-        raise InputError("AP terms must be positive integers")
+    # each fast test runs in C; only when one fails does its loop run, to
+    # find the error and its position (the loop accepts int subclasses)
+    if set(map(type, A)) != {int} or min(A) < 1:
+        if any(not isinstance(a, int) or a < 1 for a in A):
+            raise InputError("AP terms must be positive integers")
     d = A[1] - A[0]
     if d < 1:
         raise ShapeError("difference must be positive: term 1 is not above term 0")
-    for i in range(2, len(A)):
-        if A[i] - A[i - 1] != d:
-            raise ShapeError(
-                "not an arithmetic progression: the gap at position {} "
-                "differs from the first gap", i,
-            )
+    if A != list(range(A[0], A[0] + d * len(A), d)):
+        for i in range(2, len(A)):
+            if A[i] - A[i - 1] != d:
+                raise ShapeError(
+                    "not an arithmetic progression: the gap at position {} "
+                    "differs from the first gap", i,
+                )
     return A[0], d, len(A)
 
 
@@ -133,8 +139,19 @@ def factor_pairs(A, base) -> list[tuple]:
 
 
 def verify_coverage(A: list[int], B: list[int]) -> None:
-    """Raise RepresentationError at the first term of A not in B.B."""
-    factor_pairs(A, sorted(B))
+    """Raise RepresentationError at the first term of A not in B.B.
+
+    Every product x0 * b with x0 = min(B) lies in B.B, so that first column
+    is one C-level set; only the terms outside it go through the
+    ``first_pairs`` scan.  The first uncovered term is the first of those
+    the scan finds no pair for, named by its first index in A."""
+    column = set(map(mul, B, repeat(min(B, default=0))))
+    rest = list(filterfalse(column.__contains__, A))
+    if rest and None in (pairs := first_pairs(rest, sorted(B))):
+        term = rest[pairs.index(None)]
+        raise RepresentationError(
+            "term {} is not a product of two set elements", A.index(term), term=term
+        )
 
 
 @dataclass(frozen=True)
@@ -163,8 +180,9 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     oracle on a concrete instance.
     """
     r, d, L = validate_ap(A)
-    if any(not isinstance(b, int) or b < 1 for b in B):
-        raise InputError("base-set elements must be positive integers")
+    if set(map(type, B)) != {int} or min(B) < 1:
+        if any(not isinstance(b, int) or b < 1 for b in B):
+            raise InputError("base-set elements must be positive integers")
     cur_B = sorted(set(B))
     verify_coverage(A, cur_B)
 
@@ -184,31 +202,24 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
         if k_r == 1:
             # every term carries exactly one factor p; strip one p from the
             # divisible elements of B and divide A by p
-            divisors = tuple((b, p if b % p == 0 else 1) for b in cur_B)
+            qs = list(map(gcd, cur_B, repeat(p)))
             ap_div = p
             case = "k1"
         else:
             # k_d > k_r >= 2: terms carry exactly p**k_r; split B by valuation
-            # and divide A by p**2
-            divs = []
-            for b in cur_B:
-                e = valuation(b, p)
-                if e == 0:
-                    divs.append((b, 1))
-                elif e < k_r:
-                    divs.append((b, p))
-                else:
-                    divs.append((b, p * p))
-            divisors = tuple(divs)
+            # (0, 1..k_r-1, >= k_r, read off gcd(b, p**k_r)) and divide A by p**2
+            split = dict.fromkeys((p**e for e in range(1, k_r)), p) | {1: 1, p**k_r: p * p}
+            qs = list(map(split.__getitem__, map(gcd, cur_B, repeat(p**k_r))))
             ap_div = p * p
             case = "partition-B1B2B3"
-        # b // q has Omega(b) - Omega(q); quotients that meet lower it further
-        omega_q = {1: 0, p: 1, p * p: 2}
-        drop = sum(omega_q[q] for _, q in divisors)
-        new_B = sorted({b // q for b, q in divisors})
+        divisors = tuple(zip(cur_B, qs))
+        # b // q has Omega(b) - Omega(q) for q in {1, p, p**2}; quotients
+        # that meet lower it further
+        drop = len(qs) - qs.count(1) + qs.count(p * p)
+        new_B = sorted(set(map(floordiv, cur_B, qs)))
         r //= ap_div
         d //= ap_div
-        new_A = [r + d * i for i in range(L)]
+        new_A = list(range(r, r + d * L, d))
         try:
             verify_coverage(new_A, new_B)
         except RepresentationError as exc:

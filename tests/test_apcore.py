@@ -16,6 +16,7 @@ import prodap
 from prodap import apcore
 from prodap.apcore import (
     APDescriptor,
+    factor_pairs,
     first_pairs,
     gcd_bound_audit,
     reduce_ap,
@@ -23,7 +24,7 @@ from prodap.apcore import (
     verify_coverage,
 )
 from prodap.errors import FalsificationError, InputError, RepresentationError, ShapeError
-from prodap.exactnum import DEFAULT_TABLE, QuadElem
+from prodap.exactnum import DEFAULT_TABLE, QuadElem, valuation
 from prodap.prodset import sort_key
 
 
@@ -69,6 +70,62 @@ def check_drops(B, trace):
         )
         before, n = s.result_set, n + 1
     return n
+
+
+def divisor_oracle(b, p, k_r):
+    """The divisor of b at a step on p: for k_r = 1, p when p | b; else the
+    three-way split by valuation, 1 below p, p for 1 <= e < k_r and p**2
+    from k_r on."""
+    if k_r == 1:
+        return p if b % p == 0 else 1
+    e = valuation(b, p)
+    return 1 if e == 0 else p if e < k_r else p * p
+
+
+def check_divisors(A, trace):
+    """Each non-terminal step's divisors and drop against ``divisor_oracle``,
+    with k_r the valuation at p of the start before the step.  Returns the
+    list of k_r, one per step."""
+    r, ks = A[0], []
+    for s in trace.steps:
+        if s.case == "extract-gcd":
+            continue
+        p = s.prime
+        k_r = valuation(r, p)
+        assert s.case == ("k1" if k_r == 1 else "partition-B1B2B3")
+        want = tuple((b, divisor_oracle(b, p, k_r)) for b, _ in s.divisors)
+        assert s.divisors == want
+        assert s.measure_drop == sum({1: 0, p: 1, p * p: 2}[q] for _, q in want)
+        r, ks = s.result_desc.r, ks + [k_r]
+    return ks
+
+
+def validate_ap_oracle(A):
+    """``validate_ap`` as one loop over the terms and one over the gaps: the
+    reference for its errors and their order."""
+    if len(A) < 3:
+        raise ShapeError("need at least 3 terms, got {}", len(A))
+    if any(not isinstance(a, int) or a < 1 for a in A):
+        raise InputError("AP terms must be positive integers")
+    d = A[1] - A[0]
+    if d < 1:
+        raise ShapeError("difference must be positive: term 1 is not above term 0")
+    for i in range(2, len(A)):
+        if A[i] - A[i - 1] != d:
+            raise ShapeError(
+                "not an arithmetic progression: the gap at position {} "
+                "differs from the first gap", i,
+            )
+    return A[0], d, len(A)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the InputError it raises, with
+    the term of a RepresentationError."""
+    try:
+        return f(*args)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "term", None)
 
 
 def inflated_instance(rng):
@@ -127,6 +184,45 @@ class TestDescriptor:
             validate_ap([1, 2, 10**5000])
         with pytest.raises(ShapeError, match="difference must be positive"):
             validate_ap([10**5000, 1, 2])
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            [1, 2, 4, 5, 6],
+            [*range(1, 11), 12, *range(12, 21)],
+            [*range(1, 20), 21],
+            [1, 2, 3, 4, True],
+            [True, 2, 3, 4],
+            [False, 1, 2],
+            [1, 2, 3, Fraction(4)],
+            [Fraction(1, 2), 1, Fraction(3, 2)],
+            [0, 1, 2],
+            [3, 2, 1, -1],
+            [-5, 1, 7],
+            [1, 2, 10**5000],
+            [10**5000, 10**5000 + 1, 10**5000 + 2],
+            [10**5000, 1, 2],
+            (1, 3, 5),
+            (1, 3, 6),
+            [7, 7],
+        ],
+    )
+    def test_validate_ap_matches_loop(self, A):
+        # the fast tests fall back to the loops, so each error keeps its
+        # type, message and position
+        assert outcome(validate_ap, A) == outcome(validate_ap_oracle, A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-2, 9), st.integers(-1, 5), st.integers(0, 8),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3) | st.booleans())),
+    )
+    def test_validate_ap_matches_loop_on_near_progressions(self, r, d, L, edits):
+        A = [r + d * i for i in range(L)]
+        for i, v in edits:
+            if i < L:
+                A[i] = v if isinstance(v, bool) else A[i] + v
+        assert outcome(validate_ap, A) == outcome(validate_ap_oracle, A)
 
     def test_descriptor_past_digit_limit(self):
         with pytest.raises(InputError, match="APDescriptor.r .* got <16610-bit integer>"):
@@ -199,6 +295,32 @@ class TestReduce:
         assert "partition-B1B2B3" in cases
         verify_coverage(desc.terms(), B2)
 
+    def test_partition_divisors_at_k_r_three(self):
+        # ord_2(r = 8) = 3 < ord_2(d = 16) = 4: 4, 12, 20 and 28 have
+        # valuation 2, below k_r, so they lose one 2; only 8 loses 2**2
+        A = [8, 24, 40, 56]
+        B = [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 28]
+        B2, desc, trace = reduce_ap(A, B)
+        assert [(s.case, s.prime) for s in trace.steps] == [("partition-B1B2B3", 2), ("k1", 2)]
+        assert check_divisors(A, trace) == [3, 1]
+        assert dict(trace.steps[0].divisors) == {
+            1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 4, 12: 2, 20: 2, 28: 2
+        }
+        assert trace.steps[0].measure_drop == 8
+        assert B2 == [1, 3, 5, 7] and desc == APDescriptor(1, 1, 2, 4)
+        check_drops(B, trace)
+
+    @pytest.mark.parametrize(
+        "B", [[0, 1, 2, 3], [-1, 1, 2, 3], [1, 2, 3, Fraction(5)], [1, 2, 3, 2.0]]
+    )
+    def test_base_set_must_be_positive_integers(self, B):
+        with pytest.raises(InputError, match="^base-set elements must be positive integers$"):
+            reduce_ap([1, 2, 3], B)
+
+    def test_bool_base_element_is_an_int(self):
+        # True passes the positive-integer check, as any int subclass does
+        assert reduce_ap([1, 2, 3], [True, 2, 3])[1] == APDescriptor(1, 1, 1, 3)
+
     def test_length_preserved_and_measure_decreases(self):
         B = [2, 3, 5, 7]
         B2, desc, trace = reduce_ap([6, 10, 14], B)
@@ -254,6 +376,7 @@ class TestReduce:
             B3, desc3, _ = reduce_ap(desc.terms(), B2)
             assert B3 == B2 and desc3 == desc
             check_drops(B, trace)
+            check_divisors(A, trace)
 
     def test_measures_match_factorization(self):
         # each step's drop, read off its divisors, against the from-scratch
@@ -261,8 +384,11 @@ class TestReduce:
         rng = random.Random(0x0E6A)
         cases = [([6, 10, 14], [2, 3, 5, 7]), ([4, 12, 20, 28], [2, 4, 6, 10, 14])]
         cases += [inflated_instance(rng) for _ in range(300)]
-        steps = sum(check_drops(B, reduce_ap(A, B)[2]) for A, B in cases)
-        assert steps > 100
+        traces = [(A, B, reduce_ap(A, B)[2]) for A, B in cases]
+        assert sum(check_drops(B, trace) for _, B, trace in traces) > 100
+        # the divisors against the valuation split, at k_r = 1, 2 and above
+        ks = Counter(k for A, _, trace in traces for k in check_divisors(A, trace))
+        assert ks[1] and ks[2] and sum(n for k, n in ks.items() if k >= 3)
 
 
 class TestGcdBound:
@@ -341,6 +467,50 @@ class TestGcdBound:
         assert payload["pair"] == [9, 0]
         assert payload["closed_form"] == "<16613-bit integer>"
         assert payload["gcd"] == "<16610-bit integer>"
+
+
+class TestVerifyCoverage:
+    """``verify_coverage`` against the full ``factor_pairs`` scan over A."""
+
+    @staticmethod
+    def full_scan(A, B):
+        factor_pairs(A, sorted(B))
+
+    @pytest.mark.parametrize(
+        "A, B, missing",
+        [
+            ([1, 2], [], (0, 1)),
+            ([6, 10, 15, 25], [5, 3, 2], None),
+            ([4, 9, 7, 6], [3, 2, 3, 2], (2, 7)),
+            ([9, 4, 6, 25], [3, 2, 5], None),
+            ([15, 35, 21, 49], [2, 3, 5, 7], None),
+            ([15, 35, 21, 11], [2, 3, 5, 7], (3, 11)),
+            ([4, 11, 6, 11], [1, 2, 3, 4, 6], (1, 11)),
+            ([4, 13, 11, 13], [1, 2, 3, 4], (1, 13)),
+            ([2, 4], [1], (0, 2)),
+        ],
+        ids=[
+            "empty", "unsorted", "duplicates", "min-above-1", "later-column",
+            "later-column-missing", "repeated-missing", "two-missing", "one-element",
+        ],
+    )
+    def test_examples(self, A, B, missing):
+        want = None
+        if missing is not None:
+            i, term = missing
+            want = (RepresentationError, f"term {i} is not a product of two set elements", term)
+        assert outcome(verify_coverage, A, B) == want
+        assert outcome(self.full_scan, A, B) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(1, 40), max_size=10), st.data())
+    def test_matches_full_scan(self, B, data):
+        # B unsorted, with repeats; A mixes products (any column) and strays
+        terms = st.integers(1, 1600)
+        if B:
+            terms |= st.sampled_from([x * y for x in B for y in B])
+        A = data.draw(st.lists(terms, max_size=12))
+        assert outcome(verify_coverage, A, B) == outcome(self.full_scan, A, B)
 
 
 def first_pair_oracle(a, base):

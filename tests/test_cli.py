@@ -289,6 +289,20 @@ class TestReduce:
         else:
             assert data["ok"] and data["stages"]["reduction"]["set_size"] == 5
 
+    @pytest.mark.parametrize("command", ["reduce", "pipeline"])
+    def test_empty_set_is_input_error(self, tmp_path, capsys, command):
+        # no element to take a first column from: the coverage check still
+        # reports the first term as uncovered
+        path = tmp_path / "inst.json"
+        path.write_text(
+            '{"ap":{"D":"1","r":"1","d":"1","L":4},"elements":[],"field":"integer"}',
+            encoding="utf-8",
+        )
+        assert run([command, "--in", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: term 0 is not a product of two set elements\n"
+
     def test_difference_past_capacity(self, tmp_path, capsys):
         # factorizing the difference is reduction work, so it stays bounded
         from prodap.harness import InstanceFile
