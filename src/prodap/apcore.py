@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import filterfalse, repeat
 from math import gcd
-from operator import floordiv, mul
+from operator import eq, floordiv, mul
 
 from .errors import FalsificationError, InputError, RepresentationError, ShapeError, digit_safe
 from .exactnum import DEFAULT_TABLE, valuation
@@ -74,15 +74,13 @@ def validate_ap(A: list[int]) -> tuple[int, int, int]:
     """Check A is an ascending AP of >= 3 positive integers; return (r, d, L)."""
     if len(A) < 3:
         raise ShapeError("need at least 3 terms, got {}", len(A))
-    # each fast test runs in C; only when one fails does its loop run, to
-    # find the error and its position (the loop accepts int subclasses)
-    if set(map(type, A)) != {int} or min(A) < 1:
-        if any(not isinstance(a, int) or a < 1 for a in A):
-            raise InputError("AP terms must be positive integers")
+    if not all(map(isinstance, A, repeat(int))) or min(A) < 1:
+        raise InputError("AP terms must be positive integers")
     d = A[1] - A[0]
     if d < 1:
         raise ShapeError("difference must be positive: term 1 is not above term 0")
-    if A != list(range(A[0], A[0] + d * len(A), d)):
+    # the comparison runs in C; the loop runs only to find the bad gap
+    if not all(map(eq, A, range(A[0], A[0] + d * len(A), d))):
         for i in range(2, len(A)):
             if A[i] - A[i - 1] != d:
                 raise ShapeError(
@@ -180,9 +178,8 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     oracle on a concrete instance.
     """
     r, d, L = validate_ap(A)
-    if set(map(type, B)) != {int} or min(B) < 1:
-        if any(not isinstance(b, int) or b < 1 for b in B):
-            raise InputError("base-set elements must be positive integers")
+    if not all(map(isinstance, B, repeat(int))) or min(B, default=1) < 1:
+        raise InputError("base-set elements must be positive integers")
     cur_B = sorted(set(B))
     verify_coverage(A, cur_B)
 

@@ -208,8 +208,8 @@ class TestDescriptor:
         ],
     )
     def test_validate_ap_matches_loop(self, A):
-        # the fast tests fall back to the loops, so each error keeps its
-        # type, message and position
+        # the C-level tests give each error the loops' type, message and
+        # position
         assert outcome(validate_ap, A) == outcome(validate_ap_oracle, A)
 
     @settings(max_examples=300, deadline=None)
