@@ -54,7 +54,7 @@ class APDescriptor:
         return self.D * (self.r + self.d * i)
 
     def terms(self) -> list[int]:
-        return [self.term(i) for i in range(self.L)]
+        return list(range(self.term(0), self.term(self.L), self.D * self.d))
 
     def as_payload(self) -> dict:
         """D, r and d as digit_safe text and L as is: a falsification's view."""

@@ -22,8 +22,8 @@ from .prodset import RepGraph
 
 Vertex = tuple[int, int]
 
-# Path extensions _walk_length may make on one length before it stops and
-# reports the length cut short.
+# Steps _walk_length may make on one length, path extensions and closed
+# walks alike, before it stops and reports the length cut short.
 STEP_BUDGET = 1_000_000
 
 
@@ -157,8 +157,9 @@ def enumerate_even_cycles(graph: RepGraph, k: int, max_count: int | None = None)
     length's cycles come out in sorted order.
 
     max_count caps each length: the cycles kept of a length are an exact
-    prefix of all its cycles.  A length also stops after STEP_BUDGET path
-    extensions; _walk_length says why a length was cut short."""
+    prefix of all its cycles.  A length also stops after STEP_BUDGET steps,
+    path extensions and closed walks; _walk_length says why a length was cut
+    short."""
     if k < 2:
         raise InputError("half-length bound must be >= 2, got {}", k)
     if max_count is not None and max_count < 0:
@@ -195,6 +196,9 @@ def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
                     if w in ends and path[1] < w:
                         if len(walks) == cap:
                             return walks, "cap"  # a cycle past the cap
+                        steps += 1
+                        if steps >= STEP_BUDGET:
+                            return walks, "steps"
                         walks.append(path + [w])
                     continue
                 if depth == length - 2 and w not in near:
@@ -345,8 +349,8 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     Each walk is checked from its edges, A and desc alone, as EvenCycle and
     the three checks of cycle_audit would check it: shape, index range,
     edge values against A, the product identity, exact vanishing at (r, d),
-    d | c_l, r | c_m and the |c_t| bounds.  The powers of r and d and the
-    2*C(k, t) factors are taken once per half-length k.
+    d | c_l, r | c_m and the |c_t| bounds.  The weights w_t = r^(k-t) * d^t
+    and the 2*C(k, t) factors are taken once per half-length k.
 
     A walk's head, its first n - 1 vertices, is checked once for each run of
     walks that share it, as the walk order of _walk_length gives them: its
@@ -355,16 +359,29 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     positions 1, 3, ... and O of those at 0, 2, ....  The last vertex w then
     adds the edges (head[-1], w) at position n - 2, index x, and (w, root),
     index y, so the products become P_odd*A[x] and P_even*A[y] and each
-    coefficient is c_t = (E_t - O_t) + y*E_(t-1) - x*O_(t-1), with E_(k-1)
-    and O_(k-1) the top ones: O(k) work per walk.  The first walk that fails
-    goes through EvenCycle and cycle_audit, so the error, its message and
-    its payload are theirs."""
+    coefficient is c_t = delta_t + y*E_(t-1) - x*O_(t-1), delta_t = E_t - O_t.
+
+    Three per-head quantities leave O(1) numeric work per walk:
+    - vanishing, by linearity: sum c_t*w_t = s0 + y*ew - x*ow, with
+      s0 = sum delta_t*w_t, ew = sum E_(t-1)*w_t and ow = sum O_(t-1)*w_t;
+    - the bound, certified once per head (_bound_certificate) for every
+      x, y >= 0 at top = max(top0, x, y), top0 the head's largest index:
+      |c_t| <= |delta_t| + top*S_t with S_t = |E_(t-1)| + |O_(t-1)|, and
+      top^t - top0^t >= t*top0^(t-1)*(top - top0);
+    - c_l and c_m: with E_0 = O_0 = 1, delta_0 = 0, so l = 1 when
+      c_1 = delta_1 + y - x is nonzero, and m = k when c_k = y*E_(k-1) -
+      x*O_(k-1) is nonzero.
+    A walk whose head fails the certificate, or with c_1 = 0 or c_k = 0, or
+    that fails one of these tests, takes the coefficient loop of
+    _coefficients_fail, O(k).  The first walk that fails goes through
+    EvenCycle and cycle_audit, so the error, its message and its payload
+    are theirs."""
     if not walks:
         return
     if not desc.is_reduced:
         _reaudit(graph, walks[0], A, desc)
     lookup = graph.edge_lookup
-    side = [v[0] for v in graph.vertices]
+    side = graph.sides
     n_terms = len(A)
     r, d = desc.r, desc.d
     scales: dict = {}  # k -> (r^(k-t) * d^t, 2*C(k, t)) for t = 0..k
@@ -400,6 +417,13 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             odd = elementary_symmetric(idx[0::2])
             delta = [e - o for e, o in zip(even, odd)] + [0]
             steps = list(zip(delta[1:], even, odd))
+            fast = even[0] == odd[0] == 1 and _bound_certificate(
+                delta, even, odd, top0, twice_comb
+            )
+            s0 = sum(map(mul, delta, weights))
+            ew = sum(map(mul, even, weights[1:]))
+            ow = sum(map(mul, odd, weights[1:]))
+            d1, e_top, o_top = delta[1], even[-1], odd[-1]
             on_head = set(head)
             root, last, root_side = head[0], head[-1], sides[0]
         w = ids[-1]
@@ -410,23 +434,60 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
         except KeyError:
             _reaudit(graph, ids, A, desc)
         x, y = edge_x.index, edge_y.index
-        if x == y or x in seen or y in seen or min(x, y) < 0 or max(x, y) >= n_terms:
+        if x == y or x in seen or y in seen or not (0 <= x < n_terms and 0 <= y < n_terms):
             _reaudit(graph, ids, A, desc)
         a_x, a_y = A[x], A[y]
         if edge_x.value != a_x or edge_y.value != a_y or p_odd * a_x != p_even * a_y:
             _reaudit(graph, ids, A, desc)
+        if fast:
+            c_1, c_k = d1 + y - x, y * e_top - x * o_top
+            if c_1 and c_k and not c_1 % d and not c_k % r and s0 + y * ew == x * ow:
+                continue
         coeffs = delta[:1] + [c + y * e - x * o for c, e, o in steps]
-        nonzero = [c for c in coeffs if c]
-        if not nonzero or sum(map(mul, coeffs, weights)) != 0:
+        if _coefficients_fail(coeffs, max(top0, x, y), weights, twice_comb, r, d):
             _reaudit(graph, ids, A, desc)
-        if nonzero[0] % d or nonzero[-1] % r:
-            _reaudit(graph, ids, A, desc)
-        top = max(top0, x, y)
-        power = 1
-        for c, b in zip(coeffs, twice_comb):
-            if abs(c) > b * power:
-                _reaudit(graph, ids, A, desc)
-            power *= top
+
+
+def _coefficients_fail(coeffs, top, weights, twice_comb, r, d) -> bool:
+    """The coefficient checks of cycle_poly and divisibility_audit, term by
+    term: True when c_0..c_k are all zero, do not vanish at (r, d) under the
+    weights r^(k-t) * d^t, d does not divide c_l, r does not divide c_m, or
+    some |c_t| exceeds 2*C(k, t)*top^t."""
+    nonzero = [c for c in coeffs if c]
+    if not nonzero or sum(map(mul, coeffs, weights)) != 0:
+        return True
+    if nonzero[0] % d or nonzero[-1] % r:
+        return True
+    power = 1
+    for c, b in zip(coeffs, twice_comb):
+        if abs(c) > b * power:
+            return True
+        power *= top
+    return False
+
+
+def _bound_certificate(delta, even, odd, top0: int, twice_comb) -> bool:
+    """True when c_0 = delta_0 and every c_t = delta_t + y*E_(t-1) -
+    x*O_(t-1), t = 1..k, meet |c_t| <= 2*C(k, t)*top^t at top = max(top0, x,
+    y), for all x, y >= 0.  even and odd hold E_0..E_(k-1) and
+    O_0..O_(k-1), delta holds delta_0..delta_k, and twice_comb[t] is
+    2*C(k, t).
+
+    With S_t = |E_(t-1)| + |O_(t-1)|, |c_t| <= |delta_t| + top*S_t.  So it
+    suffices that |delta_0| <= 2 and, for t = 1..k, that |delta_t| +
+    top0*S_t <= 2*C(k, t)*top0^t and S_t <= 2t*C(k, t)*top0^(t-1): then
+    |c_t| <= 2*C(k, t)*(top0^t + t*top0^(t-1)*(top - top0)), and that is at
+    most 2*C(k, t)*top^t."""
+    if abs(delta[0]) > twice_comb[0]:
+        return False
+    power = 1  # top0^(t-1)
+    for t in range(1, len(delta)):
+        s = abs(even[t - 1]) + abs(odd[t - 1])
+        bound = twice_comb[t] * power
+        if s > t * bound or abs(delta[t]) + top0 * s > bound * top0:
+            return False
+        power *= top0
+    return True
 
 
 def _reaudit(graph: RepGraph, ids: list[int], A, desc: APDescriptor) -> NoReturn:

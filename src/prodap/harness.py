@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul, sub
 
 from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
@@ -135,9 +136,8 @@ def concavity_demo(desc: APDescriptor) -> ConcavityReport:
     cross-multiplication test term(i+1)**2 > term(i)*term(i+2); each margin
     equals D**2 * d**2."""
     terms = desc.terms()
-    margins = tuple(
-        terms[i + 1] ** 2 - terms[i] * terms[i + 2] for i in range(desc.L - 2)
-    )
+    inner = terms[1:-1]
+    margins = tuple(map(sub, map(mul, inner, inner), map(mul, terms, terms[2:])))
     return ConcavityReport(all(m > 0 for m in margins), margins)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 from .apcore import APDescriptor
 from .errors import InputError, ShapeError
@@ -93,19 +95,33 @@ def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityRepo
     than D does, iff p | r + d*i, so p marks the edges at
     first_divisible(p) + k*p below L.  The greedy selection walks irregular
     edges in ascending index order; an edge joins iff none of its primes is
-    used yet, and joining claims all of them."""
+    used yet, and joining claims all of them.
+
+    The edges' types, index range and values are checked as C-level passes
+    against the terms as one range, which holds no list of L terms; only
+    when a pass fails are the edges scanned in order, so the error names the
+    first bad edge."""
     window = prime_window(desc)
     L = desc.L
-    by_index: dict[int, Edge] = {}
-    for e in graph.edges:
-        if not isinstance(e.value, int):
-            raise InputError("irregularity analysis needs an integer instance")
-        if not 0 <= e.index < L:
-            raise ShapeError("edge index {} outside progression of length {}", e.index, L)
-        if e.value != desc.term(e.index):
-            # named by index: a term may be too long to print
-            raise InputError("edge {} does not carry term {}", e.index, e.index)
-        by_index[e.index] = e
+    edges = graph.edges
+    values = list(map(attrgetter("value"), edges))
+    indices = list(map(attrgetter("index"), edges))
+    terms = range(desc.term(0), desc.term(L), desc.D * desc.d)
+    if not (
+        all(map(isinstance, values, repeat(int)))
+        and all(map(isinstance, indices, repeat(int)))
+        and (not indices or (0 <= min(indices) and max(indices) < L))
+        and list(map(terms.__getitem__, indices)) == values
+    ):
+        for e in edges:
+            if not isinstance(e.value, int):
+                raise InputError("irregularity analysis needs an integer instance")
+            if not 0 <= e.index < L:
+                raise ShapeError("edge index {} outside progression of length {}", e.index, L)
+            if e.value != desc.term(e.index):
+                # named by index: a term may be too long to print
+                raise InputError("edge {} does not carry term {}", e.index, e.index)
+    by_index: dict[int, Edge] = dict(zip(indices, edges))
     per_prime: dict[int, tuple[Edge, ...]] = {}
     hits: dict[int, list[int]] = {}
     for p in window.primes:

@@ -112,10 +112,11 @@ class RepGraph:
     Every graph walk runs on one integer vertex id: the rank of
     (sort_key(value), side), so ids follow values, not positions in
     ``elements``.  ``vertices`` maps an id to its vertex and ``vertex_rank``
-    back; ``neighbours`` holds each id's neighbour ids, ascending; and
-    ``edge_lookup`` finds the edge joining two ids.  All four are computed
-    once per graph; caching them is sound only because the dataclass is
-    frozen.
+    back; ``sides`` holds each id's side; ``neighbours`` holds each id's
+    neighbour ids, ascending; and ``edge_lookup`` finds the edge joining two
+    ids.  Both of the last two come from one list of the edges' id pairs.
+    All of them are computed once per graph; caching them is sound only
+    because the dataclass is frozen.
     """
 
     elements: tuple
@@ -157,22 +158,35 @@ class RepGraph:
         return {v: t for t, v in enumerate(self.vertices)}
 
     @cached_property
+    def sides(self) -> tuple:
+        """The side of each id."""
+        return tuple(v[0] for v in self.vertices)
+
+    @cached_property
+    def _id_pairs(self) -> list:
+        """(side-0 id, side-1 id) of each edge, in edge order: element i of
+        value rank r has ids 2r and 2r + 1."""
+        first = [0] * len(self.elements)
+        for t, (_, i) in enumerate(self.vertices[0::2]):
+            first[i] = 2 * t
+        return [(first[e.u], first[e.v] + 1) for e in self.edges]
+
+    @cached_property
     def neighbours(self) -> tuple:
         """For each id, the ascending ids of its neighbours."""
         rows: list = [[] for _ in self.vertices]
-        for a, b in self.edge_lookup:
+        for a, b in self._id_pairs:
             rows[a].append(b)
+            rows[b].append(a)
         return tuple(tuple(sorted(row)) for row in rows)
 
     @cached_property
     def edge_lookup(self) -> dict:
         """Edge joining two vertex ids, keyed by the id pair in either
         order."""
-        rank = self.vertex_rank
-        table = {}
-        for e in self.edges:
-            a, b = rank[(0, e.u)], rank[(1, e.v)]
-            table[(a, b)] = table[(b, a)] = e
+        pairs = self._id_pairs
+        table = dict(zip(pairs, self.edges))
+        table.update(zip([(b, a) for a, b in pairs], self.edges))
         return table
 
 

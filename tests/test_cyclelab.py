@@ -5,6 +5,7 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import networkx as nx
 import pytest
@@ -156,6 +157,24 @@ class TestEnumerate:
         monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
         assert enumerate_even_cycles(g, 5) == []
         assert stops(g, 5, None) == {6: "steps", 8: "steps", 10: "steps"}
+
+    def test_step_budget_counts_closed_walks(self, monkeypatch):
+        # cover n = 100 closes about 30 cycles of length 10 per path
+        # extension: a budget on extensions alone let 31 338 through
+        _, _, g = cover_instance(100)
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
+        walks, stop = _walk_length(g.neighbours, 10, None)
+        assert stop == "steps"
+        assert 0 < len(walks) <= 1000
+        # one step more of budget buys one walk more at most
+        _, _, g = cover_instance(20)
+        for length in (4, 6):
+            counts = []
+            for budget in range(1, 300):
+                monkeypatch.setattr(cyclelab, "STEP_BUDGET", budget)
+                counts.append(len(_walk_length(g.neighbours, length, None)[0]))
+            assert counts[-1] > 0
+            assert all(b - a in (0, 1) for a, b in zip(counts, counts[1:]))
 
     def test_cycles_are_valid(self):
         _, A, g = cover_instance(12)
@@ -532,6 +551,7 @@ class TestVertexIds:
             joined[b].add(a)
         assert len(g.edge_lookup) == 2 * len(g.edges)
         assert len(g.neighbours) == 2 * n
+        assert g.sides == tuple(side for side, _ in g.vertices)
         for t, row in enumerate(g.neighbours):
             assert list(row) == sorted(joined[t])
 
@@ -878,6 +898,69 @@ class TestBatchedAudit:
         assert cycle_poly(cyc, desc).coeffs == (0, -57, 57)
         assert _walk_oracle(g, walks, A, desc) is None
         assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bound_certificate_covers_every_closing_pair(self, data):
+        # a head certified by _bound_certificate passes the explicit bound
+        # loop for every closing pair x, y >= 0.  Genuine heads (E and O of
+        # distinct indices >= 0) are always certified; arbitrary E and O
+        # near the bounds are certified or not
+        k = data.draw(st.integers(2, 5))
+        if data.draw(st.booleans()):
+            size = 2 * k - 2
+            idx = data.draw(st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True))
+            top0 = max(idx)
+            even, odd = elementary_symmetric(idx[1::2]), elementary_symmetric(idx[0::2])
+        else:
+            # at top0 >= 1 about half of these heads are certified.  At
+            # top0 = 0 a certified head has delta_t = 0 for t >= 1, so O = E
+            # there, and the sizes reach past 2*C(k, t) for the S_t
+            # condition to decide
+            top0 = data.draw(st.one_of(st.just(0), st.integers(1, 40)))
+            sizes = [comb(k, t) * (top0 or 3) ** (t - 1) for t in range(1, k + 1)]
+            even = [data.draw(st.integers(-s, s)) for s in sizes]
+            odd = even
+            if top0:
+                odd = [
+                    data.draw(st.one_of(st.just(e), st.integers(-s, s))) for e, s in zip(even, sizes)
+                ]
+            idx = None
+        delta = [e - o for e, o in zip(even, odd)] + [0]
+        twice_comb = [2 * comb(k, t) for t in range(k + 1)]
+        certified = cyclelab._bound_certificate(delta, even, odd, top0, twice_comb)
+        if idx is not None:
+            assert certified
+        if not certified:
+            return
+        for x in range(top0 + 21):
+            for y in range(top0 + 21):
+                top = max(top0, x, y)
+                coeffs = delta[:1] + [
+                    delta[t] + y * even[t - 1] - x * odd[t - 1] for t in range(1, k + 1)
+                ]
+                assert all(abs(c) <= 2 * comb(k, t) * top**t for t, c in enumerate(coeffs))
+
+    def test_vanishing_c1_takes_the_coefficient_loop(self, monkeypatch):
+        # cover n = 12 has a capped 6-cycle with coefficients (0, 0, -20,
+        # 20): c_1 = 0, so l = 2 is not read off per head and the walk goes
+        # through the coefficient loop
+        _, A, g = cover_instance(12)
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _pipeline_walks(g)
+        ids = next(w for w in walks if cycle_poly(_cycle_through(g, w), desc).coeffs[1] == 0)
+        assert cycle_poly(_cycle_through(g, ids), desc).coeffs == (0, 0, -20, 20)
+        loop = cyclelab._coefficients_fail
+        looped = []
+
+        def spy(coeffs, *rest):
+            looped.append(coeffs)
+            return loop(coeffs, *rest)
+
+        monkeypatch.setattr(cyclelab, "_coefficients_fail", spy)
+        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) is None
+        assert _walk_oracle(g, walks, A, desc) is None
+        assert [0, 0, -20, 20] in looped
 
     def test_disagreement_is_a_falsification(self, monkeypatch):
         _, A, g = cover_instance(12)

@@ -2,7 +2,8 @@
 selection and the forest verdict."""
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 from math import gcd
 
 import networkx as nx
@@ -140,6 +141,22 @@ class TestClassify:
         graph, desc = cover_graph(10)
         with pytest.raises(InputError):
             irregularity_report(graph, APDescriptor(1, 2, 1, 23))
+
+    def test_first_bad_edge_is_named(self):
+        # two bad edges of different kinds: the error is the one of the
+        # earlier edge, in edge order, whichever kind it is
+        graph, desc = cover_graph(10)
+        wrong = replace(graph.edges[1], value=graph.edges[1].value + 1)
+        fraction = replace(graph.edges[-2], value=Fraction(graph.edges[-2].value))
+        for first, later, message in [
+            (wrong, fraction, "^edge 1 does not carry term 1$"),
+            (fraction, wrong, "^irregularity analysis needs an integer instance$"),
+        ]:
+            edges = list(graph.edges)
+            edges[1], edges[-2] = first, later
+            bad = RepGraph(graph.elements, tuple(edges))
+            with pytest.raises(InputError, match=message):
+                irregularity_report(bad, desc)
 
     def test_mismatch_past_digit_limit(self):
         # the expected term has 5001 digits; the message names it by index
