@@ -372,10 +372,10 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
       c_1 = delta_1 + y - x is nonzero, and m = k when c_k = y*E_(k-1) -
       x*O_(k-1) is nonzero.
     A walk whose head fails the certificate, or with c_1 = 0 or c_k = 0, or
-    that fails one of these tests, takes the coefficient loop of
-    _coefficients_fail, O(k).  The first walk that fails goes through
-    EvenCycle and cycle_audit, so the error, its message and its payload
-    are theirs."""
+    that fails one of these tests, goes to cycle_audit, which passes it or
+    raises.  The first walk that fails a structural check goes through
+    EvenCycle and cycle_audit too (_reaudit), so every error, its message
+    and its payload are theirs."""
     if not walks:
         return
     if not desc.is_reduced:
@@ -416,7 +416,6 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             even = elementary_symmetric(idx[1::2])
             odd = elementary_symmetric(idx[0::2])
             delta = [e - o for e, o in zip(even, odd)] + [0]
-            steps = list(zip(delta[1:], even, odd))
             fast = even[0] == odd[0] == 1 and _bound_certificate(
                 delta, even, odd, top0, twice_comb
             )
@@ -443,27 +442,7 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             c_1, c_k = d1 + y - x, y * e_top - x * o_top
             if c_1 and c_k and not c_1 % d and not c_k % r and s0 + y * ew == x * ow:
                 continue
-        coeffs = delta[:1] + [c + y * e - x * o for c, e, o in steps]
-        if _coefficients_fail(coeffs, max(top0, x, y), weights, twice_comb, r, d):
-            _reaudit(graph, ids, A, desc)
-
-
-def _coefficients_fail(coeffs, top, weights, twice_comb, r, d) -> bool:
-    """The coefficient checks of cycle_poly and divisibility_audit, term by
-    term: True when c_0..c_k are all zero, do not vanish at (r, d) under the
-    weights r^(k-t) * d^t, d does not divide c_l, r does not divide c_m, or
-    some |c_t| exceeds 2*C(k, t)*top^t."""
-    nonzero = [c for c in coeffs if c]
-    if not nonzero or sum(map(mul, coeffs, weights)) != 0:
-        return True
-    if nonzero[0] % d or nonzero[-1] % r:
-        return True
-    power = 1
-    for c, b in zip(coeffs, twice_comb):
-        if abs(c) > b * power:
-            return True
-        power *= top
-    return False
+        cycle_audit(_cycle_through(graph, ids), A, desc)
 
 
 def _bound_certificate(delta, even, odd, top0: int, twice_comb) -> bool:

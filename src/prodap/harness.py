@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul, sub
 
 from . import jsonio
@@ -119,9 +119,7 @@ def integerize(B) -> tuple[list[int], int]:
     fracs = [Fraction(b) for b in B]
     if any(f <= 0 for f in fracs):
         raise InputError("integerize needs positive rationals")
-    scale = 1
-    for f in fracs:
-        scale = scale * f.denominator // gcd(scale, f.denominator)
+    scale = lcm(*(f.denominator for f in fracs))
     return [int(f * scale) for f in fracs], scale
 
 

@@ -359,9 +359,8 @@ def longest_ap(S, limit: int | None = None) -> APSearchResult:
         raise InputError("longest-AP search needs ordered values; got a quadratic element")
     if not presorted:
         S = sorted(S)
-        for i in range(1, len(S)):
-            if S[i] == S[i - 1]:
-                raise InputError("duplicate element {}", S[i])
+        if len(set(S)) < len(S):
+            raise InputError("duplicate element {}", _repeat(S))
     cap = limit if limit is not None else DEFAULT_EXACT_LIMIT
     if len(S) > cap:
         raise CapacityError("set size {} exceeds limit {}; pass a larger limit", len(S), cap)

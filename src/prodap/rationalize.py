@@ -70,8 +70,10 @@ def four_cycle_r(cycle: EvenCycle, i1: int, i2: int) -> Fraction:
     t1, t2 = pos[i1], pos[i2]
     if (t2 - t1) % 4 not in (1, 3):
         raise InputError("edges {} and {} are not adjacent in the cycle", i1, i2)
-    a1 = Fraction(cycle.values[t1]) if not isinstance(cycle.values[t1], QuadElem) else cycle.values[t1].as_rational()
-    a2 = Fraction(cycle.values[t2]) if not isinstance(cycle.values[t2], QuadElem) else cycle.values[t2].as_rational()
+    a1, a2 = (
+        v.as_rational() if isinstance(v, QuadElem) else Fraction(v)
+        for v in (cycle.values[t1], cycle.values[t2])
+    )
     if a1 == a2:
         raise DomainError("degenerate cycle: equal adjacent edge values")
     q = a1 / a2

@@ -698,9 +698,9 @@ class TestBatchedAudit:
         assert (desc.r, desc.d) != (1, 1)
         yield g, A, desc
 
-    @pytest.mark.parametrize(
-        "tamper", ["r", "d", "term", "pair", "relabel", "short", "unreduced"]
-    )
+    TAMPERS = ["r", "d", "term", "pair", "relabel", "short", "unreduced"]
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
     def test_tampered_inputs_fail_alike(self, tamper):
         for g, A, desc in self.tampered_cases():
             walks = _pipeline_walks(g)
@@ -731,6 +731,19 @@ class TestBatchedAudit:
                 desc = APDescriptor(D, 2 * r, 2 * d, L)
             want = _first_failure(g, walks, A, desc)
             assert want is not None
+            assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
+
+    @pytest.mark.parametrize("tamper", [None, *TAMPERS])
+    def test_uncertified_heads_agree(self, tamper, monkeypatch):
+        # no genuine head fails _bound_certificate, so force every head to:
+        # each walk then goes to cycle_audit, and the pool and the tampered
+        # inputs must still come out as the oracle says
+        monkeypatch.setattr(cyclelab, "_bound_certificate", lambda *args: False)
+        if tamper is not None:
+            self.test_tampered_inputs_fail_alike(tamper)
+            return
+        for g, A, desc, walks in _audit_pool():
+            want = _walk_oracle(g, walks, A, desc)
             assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
 
     def test_coefficient_bound_failures_match(self, monkeypatch):
@@ -941,26 +954,31 @@ class TestBatchedAudit:
                 ]
                 assert all(abs(c) <= 2 * comb(k, t) * top**t for t, c in enumerate(coeffs))
 
-    def test_vanishing_c1_takes_the_coefficient_loop(self, monkeypatch):
-        # cover n = 12 has a capped 6-cycle with coefficients (0, 0, -20,
-        # 20): c_1 = 0, so l = 2 is not read off per head and the walk goes
-        # through the coefficient loop
-        _, A, g = cover_instance(12)
-        desc = APDescriptor(1, 1, 1, len(A))
-        walks = _pipeline_walks(g)
-        ids = next(w for w in walks if cycle_poly(_cycle_through(g, w), desc).coeffs[1] == 0)
-        assert cycle_poly(_cycle_through(g, ids), desc).coeffs == (0, 0, -20, 20)
-        loop = cyclelab._coefficients_fail
-        looped = []
+    def test_vanishing_end_coefficients_go_to_cycle_audit(self, monkeypatch):
+        # l = 1 and m = k are read off per walk only when c_1 and c_k are
+        # nonzero; every pipeline head is certified, so cycle_audit gets
+        # exactly the walks with c_1 = 0 or c_k = 0, in walk order.  Cover
+        # n = 12 has one: a capped 6-cycle with coefficients (0, 0, -20, 20)
+        audit = cyclelab.cycle_audit
+        deferred = []
 
-        def spy(coeffs, *rest):
-            looped.append(coeffs)
-            return loop(coeffs, *rest)
+        def spy(cycle, A, desc):
+            deferred.append(cycle.indices)
+            return audit(cycle, A, desc)
 
-        monkeypatch.setattr(cyclelab, "_coefficients_fail", spy)
-        assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) is None
-        assert _walk_oracle(g, walks, A, desc) is None
-        assert [0, 0, -20, 20] in looped
+        monkeypatch.setattr(cyclelab, "cycle_audit", spy)
+        want = []
+        for n in range(12, 41):
+            _, A, g = cover_instance(n)
+            desc = APDescriptor(1, 1, 1, len(A))
+            walks = _pipeline_walks(g)
+            for cycle in (_cycle_through(g, w) for w in walks):
+                coeffs = audit(cycle, A, desc).coeffs
+                if coeffs[1] == 0 or coeffs[-1] == 0:
+                    want.append(cycle.indices)
+                    assert n > 12 or coeffs == (0, 0, -20, 20)
+            audit_cycle_walks(g, walks, A, desc)
+            assert deferred == want != []
 
     def test_disagreement_is_a_falsification(self, monkeypatch):
         _, A, g = cover_instance(12)
