@@ -79,11 +79,11 @@ def _canonical_cycle(ids: list[int]) -> list[int]:
 
 def _cycle_through(graph: RepGraph, ids: list[int]) -> EvenCycle:
     """The cycle visiting the vertex ids in the order given."""
-    edges = [graph.edge_lookup[pair] for pair in zip(ids, ids[1:] + ids[:1])]
+    pos = list(map(graph.edge_lookup.__getitem__, zip(ids, ids[1:] + ids[:1])))
     return EvenCycle(
         tuple(graph.vertices[t] for t in ids),
-        tuple(e.index for e in edges),
-        tuple(e.value for e in edges),
+        tuple(map(graph.indices.__getitem__, pos)),
+        tuple(map(graph.values.__getitem__, pos)),
     )
 
 
@@ -106,11 +106,11 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
     if k < 2:
         raise InputError("half-length bound must be >= 2, got {}", k)
     nbrs = graph.neighbours
-    rank = graph.vertex_rank
     near = [set(row) for row in nbrs]
+    side0, side1 = graph._ids
     best: list[int] | None = None
-    for e in sorted(graph.edges, key=lambda e: e.index):
-        src, dst = rank[(0, e.u)], rank[(1, e.v)]
+    for p in sorted(range(len(side0)), key=graph.indices.__getitem__):
+        src, dst = side0[p], side1[p]
         max_edges = (2 * k - 1) if best is None else min(2 * k, len(best)) - 1
         parent = [-1] * len(nbrs)
         parent[src], parent[dst] = src, dst
@@ -381,6 +381,7 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     if not desc.is_reduced:
         _reaudit(graph, walks[0], A, desc)
     lookup = graph.edge_lookup
+    indices, values = graph.indices, graph.values
     side = graph.sides
     n_terms = len(A)
     r, d = desc.r, desc.d
@@ -395,16 +396,16 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
                 _reaudit(graph, ids, A, desc)
             try:
-                edges = list(map(lookup.__getitem__, zip(head, head[1:])))
+                pos = list(map(lookup.__getitem__, zip(head, head[1:])))
             except KeyError:
                 _reaudit(graph, ids, A, desc)
-            idx = [e.index for e in edges]
+            idx = list(map(indices.__getitem__, pos))
             top0 = max(idx)
             seen = set(idx)
             if len(seen) != n - 2 or min(idx) < 0 or top0 >= n_terms:
                 _reaudit(graph, ids, A, desc)
             vals = [A[j] for j in idx]
-            if [e.value for e in edges] != vals:
+            if list(map(values.__getitem__, pos)) != vals:
                 _reaudit(graph, ids, A, desc)
             p_odd, p_even = prod(vals[0::2]), prod(vals[1::2])
             if k not in scales:
@@ -429,14 +430,14 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
         if side[w] == root_side or w in on_head:
             _reaudit(graph, ids, A, desc)
         try:
-            edge_x, edge_y = lookup[last, w], lookup[w, root]
+            px, py = lookup[last, w], lookup[w, root]
         except KeyError:
             _reaudit(graph, ids, A, desc)
-        x, y = edge_x.index, edge_y.index
+        x, y = indices[px], indices[py]
         if x == y or x in seen or y in seen or not (0 <= x < n_terms and 0 <= y < n_terms):
             _reaudit(graph, ids, A, desc)
         a_x, a_y = A[x], A[y]
-        if edge_x.value != a_x or edge_y.value != a_y or p_odd * a_x != p_even * a_y:
+        if values[px] != a_x or values[py] != a_y or p_odd * a_x != p_even * a_y:
             _reaudit(graph, ids, A, desc)
         if fast:
             c_1, c_k = d1 + y - x, y * e_top - x * o_top

@@ -136,7 +136,7 @@ def concavity_demo(desc: APDescriptor) -> ConcavityReport:
     terms = desc.terms()
     inner = terms[1:-1]
     margins = tuple(map(sub, map(mul, inner, inner), map(mul, terms, terms[2:])))
-    return ConcavityReport(all(m > 0 for m in margins), margins)
+    return ConcavityReport(not margins or min(margins) > 0, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
         )
     final_A = desc.terms()
     graph = build_rep_graph(B_red, final_A)
-    stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.edges)}
+    stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.indices)}
     by_length = []
     first = None  # the first walk of the shortest length that has one
     for length in range(4, 2 * CYCLE_HALF_LENGTH + 1, 2):
@@ -403,14 +403,15 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
         "forest": irr.forest,
     }
     conc = concavity_demo(desc)
-    if not conc.concave or any(m != desc.D**2 * desc.d**2 for m in conc.margins):
+    margin = desc.D**2 * desc.d**2
+    if not conc.concave or conc.margins.count(margin) != len(conc.margins):
         raise FalsificationError(
             "log-concavity margins deviated from D^2*d^2",
             payload={"descriptor": desc.as_payload()},
         )
     stages["concavity"] = {
         "concave": conc.concave,
-        "margin": jsonio.enc_int(desc.D**2 * desc.d**2),
+        "margin": jsonio.enc_int(margin),
     }
 
 

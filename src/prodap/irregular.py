@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from itertools import count, repeat
 
 from .apcore import APDescriptor
 from .errors import InputError, ShapeError
@@ -98,44 +97,47 @@ def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityRepo
     used yet, and joining claims all of them.
 
     The edges' types, index range and values are checked as C-level passes
-    against the terms as one range, which holds no list of L terms; only
-    when a pass fails are the edges scanned in order, so the error names the
-    first bad edge."""
+    over the graph's columns against the terms as one range, which holds no
+    list of L terms; only when a pass fails are the edges scanned in order,
+    so the error names the first bad edge.  Only the marked edges become
+    ``Edge`` objects."""
     window = prime_window(desc)
     L = desc.L
-    edges = graph.edges
-    values = list(map(attrgetter("value"), edges))
-    indices = list(map(attrgetter("index"), edges))
+    values, indices = graph.values, graph.indices
     terms = range(desc.term(0), desc.term(L), desc.D * desc.d)
     if not (
         all(map(isinstance, values, repeat(int)))
         and all(map(isinstance, indices, repeat(int)))
         and (not indices or (0 <= min(indices) and max(indices) < L))
-        and list(map(terms.__getitem__, indices)) == values
+        and tuple(map(terms.__getitem__, indices)) == values
     ):
-        for e in edges:
-            if not isinstance(e.value, int):
+        for index, value in zip(indices, values):
+            if not isinstance(value, int):
                 raise InputError("irregularity analysis needs an integer instance")
-            if not 0 <= e.index < L:
-                raise ShapeError("edge index {} outside progression of length {}", e.index, L)
-            if e.value != desc.term(e.index):
+            if not 0 <= index < L:
+                raise ShapeError("edge index {} outside progression of length {}", index, L)
+            if value != desc.term(index):
                 # named by index: a term may be too long to print
-                raise InputError("edge {} does not carry term {}", e.index, e.index)
-    by_index: dict[int, Edge] = dict(zip(indices, edges))
+                raise InputError("edge {} does not carry term {}", index, index)
+    position = dict(zip(indices, count()))
+    edge: dict[int, Edge] = {}  # each marked edge, by index
     per_prime: dict[int, tuple[Edge, ...]] = {}
     hits: dict[int, list[int]] = {}
     for p in window.primes:
-        marked = [i for i in range(desc.first_divisible(p), L, p) if i in by_index]
-        per_prime[p] = tuple(by_index[i] for i in marked)
+        marked = [i for i in range(desc.first_divisible(p), L, p) if i in position]
         for i in marked:
+            if i not in edge:
+                q = position[i]
+                edge[i] = Edge(graph.us[q], graph.vs[q], i, values[q])
             hits.setdefault(i, []).append(p)
+        per_prime[p] = tuple(map(edge.__getitem__, marked))
     used: set[int] = set()
     selected_primes: dict[int, tuple[int, ...]] = {}
     for i in sorted(hits):
         if used.isdisjoint(hits[i]):
             used.update(hits[i])
             selected_primes[i] = tuple(hits[i])
-    selected = tuple(by_index[i] for i in selected_primes)
+    selected = tuple(edge[i] for i in selected_primes)
     return IrregularityReport(
         window, per_prime, selected, selected_primes, forest_check(graph, selected)
     )

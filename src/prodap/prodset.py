@@ -18,8 +18,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, repeat
-from operator import sub
+from itertools import combinations_with_replacement, count, repeat
+from operator import attrgetter, itemgetter, sub
 
 from .apcore import APDescriptor, factor_pairs
 from .errors import CapacityError, InputError
@@ -50,13 +50,18 @@ def _repeat(items):
     return None
 
 
+def _has_quad(items) -> bool:
+    return any(issubclass(t, QuadElem) for t in set(map(type, items)))
+
+
 def _check_elements(B):
     if not B:
         raise InputError("base set must be nonempty")
-    dup = _repeat(B)
-    if dup is not None:
-        raise InputError("duplicate element {} in base set", dup)
-    if any(b.is_zero if isinstance(b, QuadElem) else b == 0 for b in B):
+    members = set(B)
+    if len(members) < len(B):
+        raise InputError("duplicate element {} in base set", _repeat(B))
+    # a zero QuadElem equals 0 and hashes like it
+    if 0 in members:
         raise InputError("zero element makes products degenerate")
 
 
@@ -82,9 +87,7 @@ def product_set(B) -> ProductSet:
     already sort by value, so only quadratic bases sort through the key."""
     _check_elements(B)
     products = {x * y for x, y in combinations_with_replacement(B, 2)}
-    if any(isinstance(b, QuadElem) for b in B):
-        return ProductSet(tuple(sorted(products, key=sort_key)))
-    return ProductSet(tuple(sorted(products)))
+    return ProductSet(tuple(sorted(products, key=sort_key if _has_quad(B) else None)))
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,16 @@ class Edge:
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RepGraph:
     """Doubled bipartite representation graph.
 
     Vertices are (side, element index) with side 0 and 1 the two copies of
-    the base set; each edge joins (0, u) to (1, v).
+    the base set; edge p joins (0, us[p]) to (1, vs[p]) and carries the term
+    of progression index indices[p], of value values[p].  The edges are
+    held as these four parallel columns; ``edges`` builds the ``Edge`` of
+    each position on first access.  ``RepGraph(elements, edges)`` takes the
+    edges as ``Edge`` objects, ``from_columns`` takes the columns.
 
     The graph is simple, as in the paper: construction raises InputError
     for two equal elements, an edge endpoint out of range, a second edge on
@@ -113,32 +120,53 @@ class RepGraph:
     (sort_key(value), side), so ids follow values, not positions in
     ``elements``.  ``vertices`` maps an id to its vertex and ``vertex_rank``
     back; ``sides`` holds each id's side; ``neighbours`` holds each id's
-    neighbour ids, ascending; and ``edge_lookup`` finds the edge joining two
-    ids.  Both of the last two come from one list of the edges' id pairs.
-    All of them are computed once per graph; caching them is sound only
-    because the dataclass is frozen.
+    neighbour ids, ascending; and ``edge_lookup`` maps two ids to the
+    position of the edge joining them.  Both of the last two come from the
+    edges' id columns.  All of them are computed once per graph;
+    caching them is sound only because the dataclass is frozen.
     """
 
     elements: tuple
-    edges: tuple[Edge, ...]
+    us: tuple
+    vs: tuple
+    indices: tuple
+    values: tuple
 
-    def __post_init__(self):
+    def __init__(self, elements, edges):
+        edges = tuple(edges)
+        fields = ("u", "v", "index", "value")
+        self._fill(elements, *(map(attrgetter(f), edges) for f in fields))
+
+    @classmethod
+    def from_columns(cls, elements, us, vs, indices, values) -> RepGraph:
+        graph = cls.__new__(cls)
+        graph._fill(elements, us, vs, indices, values)
+        return graph
+
+    def _fill(self, *columns):
+        for name, column in zip(("elements", "us", "vs", "indices", "values"), columns):
+            object.__setattr__(self, name, tuple(column))
         n = len(self.elements)
         if len(set(self.elements)) < n:
             raise InputError("element {} appears twice", _repeat(self.elements))
-        for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise InputError(
-                    "edge endpoint out of range: (u, v) = ({}, {}) on edge {} of value {}",
-                    e.u, e.v, e.index, e.value,
-                )
+        us, vs, indices = self.us, self.vs, self.indices
+        if us and not (0 <= min(us) and max(us) < n and 0 <= min(vs) and max(vs) < n):
+            for u, v, index, value in zip(us, vs, indices, self.values):
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(
+                        "edge endpoint out of range: (u, v) = ({}, {}) on edge {} of value {}",
+                        u, v, index, value,
+                    )
         # sets first, the repeat itself only for the message
-        if len({(e.u, e.v) for e in self.edges}) < len(self.edges):
-            pair = _repeat((e.u, e.v) for e in self.edges)
-            raise InputError("second edge on the vertex pair (u, v) = {}", pair)
-        if len({e.index for e in self.edges}) < len(self.edges):
-            dup = _repeat(e.index for e in self.edges)
-            raise InputError("edge index {} used twice", dup)
+        if len(set(zip(us, vs))) < len(us):
+            raise InputError("second edge on the vertex pair (u, v) = {}", _repeat(zip(us, vs)))
+        if len(set(indices)) < len(indices):
+            raise InputError("edge index {} used twice", _repeat(indices))
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The Edge at each position."""
+        return tuple(map(Edge, self.us, self.vs, self.indices, self.values))
 
     @property
     def n_vertices(self) -> int:
@@ -148,7 +176,8 @@ class RepGraph:
     def vertices(self) -> tuple:
         """The vertex (side, i) of each id: every value sits on both sides,
         so value rank r gives ids 2r and 2r + 1."""
-        keys = [sort_key(x) for x in self.elements]
+        elements = self.elements
+        keys = list(map(sort_key, elements)) if _has_quad(elements) else elements
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return tuple((side, i) for i in order for side in (0, 1))
 
@@ -160,33 +189,34 @@ class RepGraph:
     @cached_property
     def sides(self) -> tuple:
         """The side of each id."""
-        return tuple(v[0] for v in self.vertices)
+        return (0, 1) * len(self.elements)
 
     @cached_property
-    def _id_pairs(self) -> list:
-        """(side-0 id, side-1 id) of each edge, in edge order: element i of
-        value rank r has ids 2r and 2r + 1."""
+    def _ids(self) -> tuple[list, list]:
+        """The side-0 id and the side-1 id of each edge, in edge order:
+        element i of value rank r has ids 2r and 2r + 1."""
         first = [0] * len(self.elements)
         for t, (_, i) in enumerate(self.vertices[0::2]):
             first[i] = 2 * t
-        return [(first[e.u], first[e.v] + 1) for e in self.edges]
+        second = [t + 1 for t in first]
+        return list(map(first.__getitem__, self.us)), list(map(second.__getitem__, self.vs))
 
     @cached_property
     def neighbours(self) -> tuple:
         """For each id, the ascending ids of its neighbours."""
-        rows: list = [[] for _ in self.vertices]
-        for a, b in self._id_pairs:
+        rows: list = [[] for _ in range(self.n_vertices)]
+        for a, b in zip(*self._ids):
             rows[a].append(b)
             rows[b].append(a)
-        return tuple(tuple(sorted(row)) for row in rows)
+        return tuple(map(tuple, map(sorted, rows)))
 
     @cached_property
     def edge_lookup(self) -> dict:
-        """Edge joining two vertex ids, keyed by the id pair in either
-        order."""
-        pairs = self._id_pairs
-        table = dict(zip(pairs, self.edges))
-        table.update(zip([(b, a) for a, b in pairs], self.edges))
+        """Position of the edge joining two vertex ids, keyed by the id pair
+        in either order."""
+        a, b = self._ids
+        table = dict(zip(zip(a, b), count()))
+        table.update(zip(zip(b, a), count()))
         return table
 
 
@@ -194,13 +224,16 @@ def build_rep_graph(B, A) -> RepGraph:
     """One edge per term of A, on the term's first factor pair in the
     element order."""
     _check_elements(B)
-    base = tuple(sorted(B, key=sort_key))
+    base = tuple(sorted(B, key=sort_key if _has_quad(B) else None))
     index_of = {b: i for i, b in enumerate(base)}
-    edges = tuple(
-        Edge(index_of[x], index_of[y], idx, a)
-        for idx, (a, (x, y)) in enumerate(zip(A, factor_pairs(A, base)))
+    pairs = factor_pairs(A, base)
+    return RepGraph.from_columns(
+        base,
+        map(index_of.__getitem__, map(itemgetter(0), pairs)),
+        map(index_of.__getitem__, map(itemgetter(1), pairs)),
+        range(len(pairs)),
+        A,
     )
-    return RepGraph(base, edges)
 
 
 @dataclass(frozen=True)
@@ -355,7 +388,7 @@ def longest_ap(S, limit: int | None = None) -> APSearchResult:
         S = S.products
     if not S:
         raise InputError("cannot search an empty set")
-    if any(issubclass(t, QuadElem) for t in set(map(type, S))):
+    if _has_quad(S):
         raise InputError("longest-AP search needs ordered values; got a quadratic element")
     if not presorted:
         S = sorted(S)

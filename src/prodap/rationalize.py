@@ -149,13 +149,13 @@ def rationalize_components(inst: QuadInstance) -> list[Fraction]:
                 )
             new_value[v] = scaled.as_rational()
     # every edge product must be exactly preserved
-    for e in graph.edges:
-        target = inst.targets[e.index]
-        got = new_value[(0, e.u)] * new_value[(1, e.v)]
+    for u, v, index in zip(graph.us, graph.vs, graph.indices):
+        target = inst.targets[index]
+        got = new_value[(0, u)] * new_value[(1, v)]
         if got != target:
             raise FalsificationError(
                 "rescaling changed an edge product",
-                payload={"index": e.index, "expected": digit_safe(target), "got": digit_safe(got)},
+                payload={"index": index, "expected": digit_safe(target), "got": digit_safe(got)},
             )
     rational_set = sorted(set(new_value.values()))
     for t, pair in zip(inst.targets, first_pairs(inst.targets, rational_set)):
@@ -194,7 +194,7 @@ def four_cycle_exists_audit(graph: RepGraph) -> C4AuditReport:
     weaken the bound."""
     n = max(sum(1 for row in graph.neighbours if row), 1)
     threshold = c4_extremal_threshold(n)
-    edges = len(graph.edges)
+    edges = len(graph.indices)
     exceeded = edges > threshold
     cycle = find_even_cycle(graph, 2)
     if exceeded and cycle is None:

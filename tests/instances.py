@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from prodap.apcore import APDescriptor
+from prodap.apcore import APDescriptor, factor_pairs
 from prodap.exactnum import QuadElem
-from prodap.prodset import APSearchResult
+from prodap.prodset import APSearchResult, Edge, RepGraph, sort_key
 from prodap.rationalize import QuadInstance, make_quad_instance
 
 
@@ -75,3 +75,45 @@ def primes_between(lo, hi):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, hi + 1, p)))
     return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
+
+
+def rep_graph_oracle(B, A) -> tuple[tuple, tuple]:
+    """(elements, edges) of the representation graph as the per-term build
+    made them: the base sorted by ``sort_key``, one ``Edge`` per term on its
+    first factor pair."""
+    base = tuple(sorted(B, key=sort_key))
+    index_of = {b: i for i, b in enumerate(base)}
+    edges = tuple(
+        Edge(index_of[x], index_of[y], idx, a)
+        for idx, (a, (x, y)) in enumerate(zip(A, factor_pairs(A, base)))
+    )
+    return base, edges
+
+
+def assert_graph_matches_oracle(g: RepGraph, edges) -> None:
+    """g against the per-Edge construction of its edges: the columns, the
+    Edge at each position, the vertex numbering, each id's neighbours, and
+    the edge found at each id pair."""
+    edges = tuple(edges)
+    assert g == RepGraph(g.elements, edges)
+    assert g.edges == edges
+    assert (g.us, g.vs, g.indices, g.values) == tuple(
+        tuple(getattr(e, f) for e in edges) for f in ("u", "v", "index", "value")
+    )
+    keys = [sort_key(x) for x in g.elements]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    vertices = tuple((side, i) for i in order for side in (0, 1))
+    assert g.vertices == vertices
+    assert g.sides == tuple(side for side, _ in vertices)
+    rank = {v: t for t, v in enumerate(vertices)}
+    pairs = [(rank[(0, e.u)], rank[(1, e.v)]) for e in edges]
+    rows = [[] for _ in vertices]
+    for a, b in pairs:
+        rows[a].append(b)
+        rows[b].append(a)
+    assert g.neighbours == tuple(tuple(sorted(row)) for row in rows)
+    lookup = dict(zip(pairs, edges))
+    lookup.update(zip([(b, a) for a, b in pairs], edges))
+    assert g.edge_lookup.keys() == lookup.keys()
+    for pair, e in lookup.items():
+        assert g.edges[g.edge_lookup[pair]] == e

@@ -5,11 +5,12 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
+from operator import mul
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prodap import cyclelab, harness
@@ -35,6 +36,8 @@ from prodap.irregular import forest_check
 from prodap.prodset import Edge, RepGraph, build_rep_graph
 from prodap.rationalize import rationalize_components
 
+from instances import assert_graph_matches_oracle
+
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
 # 6=1*6, 7=1*7, 12=2*6, 14=2*7
 SQUARE_B = [1, 2, 6, 7]
@@ -58,6 +61,15 @@ def stops(graph: RepGraph, k: int, cap) -> dict:
         if stop is not None:
             out[length] = stop
     return out
+
+
+def hand_built(elements, edges) -> RepGraph:
+    """RepGraph(elements, edges), checked against the per-Edge construction
+    of its columns, neighbours and edge lookup."""
+    edges = tuple(edges)
+    g = RepGraph(elements, edges)
+    assert_graph_matches_oracle(g, edges)
+    return g
 
 
 def to_networkx(graph: RepGraph) -> nx.Graph:
@@ -91,7 +103,7 @@ class TestFindCycle:
             Edge(u, v, i, elements[u] * elements[v])
             for i, (u, v) in enumerate([(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)])
         )
-        g = RepGraph(elements, edges)
+        g = hand_built(elements, edges)
         assert find_even_cycle(g, 2) is None
         assert find_even_cycle(g, 3) is not None
 
@@ -130,7 +142,7 @@ class TestEnumerate:
         assert stops(g, 3, 15) == {4: "cap"}  # one past the cap
         assert enumerate_even_cycles(g, 3, max_count=0) == []
         assert stops(g, 3, 0) == {4: "cap", 6: "cap"}
-        tree = RepGraph((2, 3, 5), (Edge(0, 1, 0, 6), Edge(1, 2, 1, 15)))
+        tree = hand_built((2, 3, 5), (Edge(0, 1, 0, 6), Edge(1, 2, 1, 15)))
         assert enumerate_even_cycles(tree, 3, max_count=0) == []
         assert stops(tree, 3, 0) == {}
         with pytest.raises(InputError, match="cycle cap"):
@@ -151,7 +163,7 @@ class TestEnumerate:
                 pairs += [(40 * s + t, t), (t, 40 * s + t)]
         elements = tuple(range(2, 243))
         edges = (Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs))
-        g = RepGraph(elements, tuple(edges))
+        g = hand_built(elements, tuple(edges))
         assert enumerate_even_cycles(g, 5) == []
         assert stops(g, 5, None) == {}  # the default budget lets the whole tree be walked
         monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
@@ -357,7 +369,7 @@ class TestForestAgreement:
         edges = tuple(
             Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs)
         )
-        g = RepGraph(elements, edges)
+        g = hand_built(elements, edges)
         # independent acyclicity oracle
         parent = {}
 
@@ -544,9 +556,9 @@ class TestVertexIds:
         assert keys == sorted(keys)
         rank = g.vertex_rank
         joined = [set() for _ in every]
-        for e in g.edges:
+        for p, e in enumerate(g.edges):
             a, b = rank[(0, e.u)], rank[(1, e.v)]
-            assert g.edge_lookup[(a, b)] is e and g.edge_lookup[(b, a)] is e
+            assert g.edge_lookup[(a, b)] == p == g.edge_lookup[(b, a)]
             joined[a].add(b)
             joined[b].add(a)
         assert len(g.edge_lookup) == 2 * len(g.edges)
@@ -554,6 +566,7 @@ class TestVertexIds:
         assert g.sides == tuple(side for side, _ in g.vertices)
         for t, row in enumerate(g.neighbours):
             assert list(row) == sorted(joined[t])
+        assert_graph_matches_oracle(g, g.edges)
 
 
 class TestOracleEquivalence:
@@ -584,7 +597,7 @@ class TestOracleEquivalence:
         edges = tuple(
             Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs)
         )
-        g = RepGraph(elements, edges)
+        g = hand_built(elements, edges)
         assert [g.vertex_rank[(0, i)] for i in range(4)] == [6, 2, 4, 0]
         cyc = find_even_cycle(g, 3)
         assert cyc is not None and cyc == ref_find_even_cycle(g, 3)
@@ -865,7 +878,7 @@ class TestBatchedAudit:
         head, w = walk[:-1], walk[-1]
         A = list(A)
         for pair in [(head[-1], w), (w, head[0])]:
-            A[g.edge_lookup[pair].index] *= 2
+            A[g.indices[g.edge_lookup[pair]]] *= 2
         want = _walk_oracle(g, [prev, walk], A, desc)
         assert want[0] is ShapeError and "does not carry term" in want[1]
         assert _outcome(lambda: audit_cycle_walks(g, [prev, walk], A, desc)) == want
@@ -900,7 +913,7 @@ class TestBatchedAudit:
         elements = (1, 2, 3, 4, 60)
         pos = {x: i for i, x in enumerate(elements)}
         pairs = [(1, 3), (2, 3), (2, 4), (1, 4), (2, 60), (1, 60)]
-        g = RepGraph(elements, tuple(Edge(pos[u], pos[v], u * v - 1, u * v) for u, v in pairs))
+        g = hand_built(elements, tuple(Edge(pos[u], pos[v], u * v - 1, u * v) for u, v in pairs))
         A = list(range(1, 121))
         desc = APDescriptor(1, 1, 1, len(A))
         walks = _walk_length(g.neighbours, 4, None)[0]
@@ -979,6 +992,37 @@ class TestBatchedAudit:
                     assert n > 12 or coeffs == (0, 0, -20, 20)
             audit_cycle_walks(g, walks, A, desc)
             assert deferred == want != []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_vanishing_forces_end_divisibility(self, data):
+        # why no reduced instance decides the c_k guard: with gcd(r, d) = 1,
+        # sum c_t*r^(k-t)*d^t = 0 divided by r^(k-m)*d^l leaves, mod r, only
+        # c_m*d^(m-l) and, mod d, only c_l*r^(m-l), so r | c_m and d | c_l.
+        # A vanishing walk with c_k = 0 thus meets r | c_m already.  Random
+        # head indices, small ones making c_k = 0 in a few percent of the
+        # examples; the last two, x and y, are solved for vanishing
+        k = data.draw(st.integers(2, 5))
+        size = 2 * k - 2
+        top = data.draw(st.sampled_from((8, 60)))
+        head = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        r, d = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 60))
+        assume(gcd(r, d) == 1)
+        even, odd = elementary_symmetric(head[1::2]), elementary_symmetric(head[0::2])
+        weights = [r ** (k - t) * d**t for t in range(k + 1)]
+        delta = [e - o for e, o in zip(even, odd)] + [0]
+        s0 = sum(map(mul, delta, weights))
+        ew, ow = sum(map(mul, even, weights[1:])), sum(map(mul, odd, weights[1:]))
+        # the sum is s0 + y*ew - x*ow, and ew, ow > 0
+        g = gcd(ew, ow)
+        assume(s0 % g == 0)
+        x = s0 // g * pow(ow // g, -1, ew // g) % (ew // g)
+        y = (x * ow - s0) // ew
+        coeffs = symmetric_coefficients(head[1::2] + [y], head[0::2] + [x])
+        assert sum(map(mul, coeffs, weights)) == 0
+        nonzero = [c for c in coeffs if c]
+        assume(nonzero)
+        assert nonzero[-1] % r == 0 and nonzero[0] % d == 0
 
     def test_disagreement_is_a_falsification(self, monkeypatch):
         _, A, g = cover_instance(12)

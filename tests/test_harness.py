@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import cyclelab, harness, jsonio
+from prodap import cyclelab, harness, jsonio, prodset
 from prodap.apcore import APDescriptor
 from prodap.errors import FalsificationError, InputError, RepresentationError
 from prodap.harness import (
@@ -213,6 +213,23 @@ class TestPipeline:
         assert stages["cycles"]["all_pass"] is True
         assert stages["irregular"]["forest"] is True
         assert stages["concavity"]["margin"] == "1"
+
+    @pytest.mark.parametrize("kind,seed", [("cover100", 0), ("noclaim", 24)])
+    def test_only_marked_edges_become_objects(self, kind, seed, monkeypatch):
+        # the graph is held as columns, so the only Edge objects a run makes
+        # are the irregular edges it marks, one each
+        made = []
+        init = prodset.Edge.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(prodset.Edge, "__init__", spy)
+        report = pipeline(self.golden_instance(kind, seed))
+        assert report["ok"] is True
+        assert 0 < len(made) == report["stages"]["irregular"]["irregular_edges"]
+        assert len({e.index for e in made}) == len(made)
 
     def test_cycles_stage_reports_each_length(self):
         cycles = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]

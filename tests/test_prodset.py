@@ -29,7 +29,7 @@ from prodap.prodset import (
     product_set,
 )
 
-from instances import longest_ap_oracle
+from instances import assert_graph_matches_oracle, longest_ap_oracle, rep_graph_oracle
 
 
 class TestProductSet:
@@ -192,6 +192,23 @@ class TestRepGraph:
     def test_rejects_non_simple_graphs(self, elements, edges, message):
         with pytest.raises(InputError, match=message):
             RepGraph(elements, tuple(Edge(u, v, j, 2) for u, v, j in edges))
+
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_cover_claim_matches_per_edge_build(self, n):
+        res = cover_set(n)
+        B, A = list(res.elements), list(range(1, res.M + 1))
+        g = build_rep_graph(B, A)
+        elements, edges = rep_graph_oracle(B, A)
+        assert g.elements == elements
+        assert_graph_matches_oracle(g, edges)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quad_demo_matches_per_edge_build(self, seed):
+        inst = random_quad_cycle_instance(seed, 2)
+        A = [QuadElem.from_rational(t, 2) for t in inst.targets]
+        elements, edges = rep_graph_oracle(inst.elements, A)
+        assert inst.graph.elements == elements
+        assert_graph_matches_oracle(inst.graph, edges)
 
     @pytest.mark.parametrize("n", range(10, 31))
     def test_cover_graph_file_round_trip(self, n):
