@@ -178,11 +178,8 @@ def cmd_irregular(args) -> int:
     report = irregularity_report(graph, desc)
     out = {
         "window": list(report.window.primes),
-        "per_prime": {
-            jsonio.enc_int(p): [e.index for e in edges]
-            for p, edges in report.per_prime.items()
-        },
-        "selected": [e.index for e in report.selected],
+        "per_prime": {jsonio.enc_int(p): list(marked) for p, marked in report.per_prime.items()},
+        "selected": list(report.selected),
         "selected_primes": {
             jsonio.enc_int(idx): list(ps) for idx, ps in report.selected_primes.items()
         },

@@ -107,7 +107,7 @@ def find_even_cycle(graph: RepGraph, k: int) -> EvenCycle | None:
         raise InputError("half-length bound must be >= 2, got {}", k)
     nbrs = graph.neighbours
     near = [set(row) for row in nbrs]
-    side0, side1 = graph._ids
+    side0, side1 = graph.ends
     best: list[int] | None = None
     for p in sorted(range(len(side0)), key=graph.indices.__getitem__):
         src, dst = side0[p], side1[p]
@@ -382,7 +382,6 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
         _reaudit(graph, walks[0], A, desc)
     lookup = graph.edge_lookup
     indices, values = graph.indices, graph.values
-    side = graph.sides
     n_terms = len(A)
     r, d = desc.r, desc.d
     scales: dict = {}  # k -> (r^(k-t) * d^t, 2*C(k, t)) for t = 0..k
@@ -392,7 +391,7 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             head = ids[:-1]
             n = len(ids)
             k = n // 2
-            sides = [side[t] for t in ids]
+            sides = [t & 1 for t in ids]
             if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
                 _reaudit(graph, ids, A, desc)
             try:
@@ -427,7 +426,7 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             on_head = set(head)
             root, last, root_side = head[0], head[-1], sides[0]
         w = ids[-1]
-        if side[w] == root_side or w in on_head:
+        if w & 1 == root_side or w in on_head:
             _reaudit(graph, ids, A, desc)
         try:
             px, py = lookup[last, w], lookup[w, root]

@@ -393,13 +393,13 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
             "selected irregular edges contain a cycle",
             payload={
                 "window": list(irr.window.primes),
-                "selected": [e.index for e in irr.selected],
+                "selected": list(irr.selected),
             },
         )
     stages["irregular"] = {
         "window": list(irr.window.primes),
         "irregular_edges": sum(len(v) for v in irr.per_prime.values()),
-        "selected": [e.index for e in irr.selected],
+        "selected": list(irr.selected),
         "forest": irr.forest,
     }
     conc = concavity_demo(desc)

@@ -19,7 +19,7 @@ from itertools import count, repeat
 from .apcore import APDescriptor
 from .errors import InputError, ShapeError
 from .exactnum import DEFAULT_TABLE
-from .prodset import Edge, RepGraph
+from .prodset import RepGraph
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,20 @@ def hit_count(p: int, desc: APDescriptor) -> int:
 class IrregularityReport:
     """Per-prime irregular edges, the greedy selection (at most one
     irregular edge per prime) with each selected edge's irregular primes,
-    and whether the selection spans a forest."""
+    and whether the selection spans a forest.  Edges are named by their
+    progression index."""
 
     window: PrimeWindow
-    per_prime: dict[int, tuple[Edge, ...]]
-    selected: tuple[Edge, ...]
+    per_prime: dict[int, tuple[int, ...]]
+    selected: tuple[int, ...]
     selected_primes: dict[int, tuple[int, ...]]  # selected edge index -> its primes
     forest: bool
 
 
-def forest_check(graph: RepGraph, edges) -> bool:
-    """True iff the edge-induced subgraph is acyclic (union-find over vertex
-    ids)."""
-    rank = graph.vertex_rank
+def forest_check(graph: RepGraph, positions) -> bool:
+    """True iff the edges at the given positions span an acyclic subgraph
+    (union-find over the vertex ids in ``graph.ends``)."""
+    side0, side1 = graph.ends
     parent = list(range(graph.n_vertices))
 
     def find(x):
@@ -80,8 +81,8 @@ def forest_check(graph: RepGraph, edges) -> bool:
             x = parent[x]
         return x
 
-    for e in edges:
-        a, b = find(rank[(0, e.u)]), find(rank[(1, e.v)])
+    for p in positions:
+        a, b = find(side0[p]), find(side1[p])
         if a == b:
             return False
         parent[a] = b
@@ -99,8 +100,7 @@ def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityRepo
     The edges' types, index range and values are checked as C-level passes
     over the graph's columns against the terms as one range, which holds no
     list of L terms; only when a pass fails are the edges scanned in order,
-    so the error names the first bad edge.  Only the marked edges become
-    ``Edge`` objects."""
+    so the error names the first bad edge."""
     window = prime_window(desc)
     L = desc.L
     values, indices = graph.values, graph.indices
@@ -120,24 +120,19 @@ def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityRepo
                 # named by index: a term may be too long to print
                 raise InputError("edge {} does not carry term {}", index, index)
     position = dict(zip(indices, count()))
-    edge: dict[int, Edge] = {}  # each marked edge, by index
-    per_prime: dict[int, tuple[Edge, ...]] = {}
+    per_prime: dict[int, tuple[int, ...]] = {}
     hits: dict[int, list[int]] = {}
     for p in window.primes:
-        marked = [i for i in range(desc.first_divisible(p), L, p) if i in position]
+        marked = tuple(i for i in range(desc.first_divisible(p), L, p) if i in position)
         for i in marked:
-            if i not in edge:
-                q = position[i]
-                edge[i] = Edge(graph.us[q], graph.vs[q], i, values[q])
             hits.setdefault(i, []).append(p)
-        per_prime[p] = tuple(map(edge.__getitem__, marked))
+        per_prime[p] = marked
     used: set[int] = set()
     selected_primes: dict[int, tuple[int, ...]] = {}
     for i in sorted(hits):
         if used.isdisjoint(hits[i]):
             used.update(hits[i])
             selected_primes[i] = tuple(hits[i])
-    selected = tuple(edge[i] for i in selected_primes)
-    return IrregularityReport(
-        window, per_prime, selected, selected_primes, forest_check(graph, selected)
-    )
+    selected = tuple(selected_primes)
+    forest = forest_check(graph, map(position.__getitem__, selected))
+    return IrregularityReport(window, per_prime, selected, selected_primes, forest)

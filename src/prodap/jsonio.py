@@ -21,7 +21,7 @@ from fractions import Fraction
 from .apcore import APDescriptor
 from .errors import CapacityError, InputError
 from .exactnum import QuadElem
-from .prodset import Edge, RepGraph
+from .prodset import RepGraph
 
 # every subcommand that reads a descriptor materializes its L terms
 MAX_DESCRIPTOR_TERMS = 10**6
@@ -130,8 +130,8 @@ def graph_to_json(graph: RepGraph, field: str = "integer", m: int | None = None)
         "m": enc_int(m) if m is not None else None,
         "elements": [enc_value(x) for x in graph.elements],
         "edges": [
-            {"u": e.u, "v": e.v, "index": e.index, "value": enc_value(e.value)}
-            for e in graph.edges
+            {"u": u, "v": v, "index": index, "value": enc_value(value)}
+            for u, v, index, value in zip(graph.us, graph.vs, graph.indices, graph.values)
         ],
     }
 
@@ -165,21 +165,25 @@ def dec_element(obj, field: str, m: int | None):
 
 
 def graph_from_json(obj) -> RepGraph:
+    """The graph of a graph file.  Each edge is decoded whole, in file
+    order, before the columns are formed, so a malformed file fails on its
+    first bad edge."""
     field, m = dec_header(obj)
     try:
-        elements = tuple(dec_element(e, field, m) for e in obj["elements"])
-        edges = tuple(
-            Edge(
+        elements = [dec_element(e, field, m) for e in obj["elements"]]
+        edges = [
+            (
                 dec_int(e["u"]),
                 dec_int(e["v"]),
                 dec_int(e["index"]),
                 dec_element(e["value"], field, m),
             )
             for e in obj["edges"]
-        )
+        ]
     except (KeyError, TypeError) as exc:
         raise InputError("bad graph object: {}", exc) from exc
-    return RepGraph(elements, edges)
+    # zip(*edges) of no edges gives no columns at all, not four empty ones
+    return RepGraph(elements, *(zip(*edges) if edges else [()] * 4))
 
 
 def dumps_canonical(obj) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, count, repeat
-from operator import attrgetter, itemgetter, sub
+from operator import itemgetter, sub
 
 from .apcore import APDescriptor, factor_pairs
 from .errors import CapacityError, InputError
@@ -101,29 +101,29 @@ class Edge:
     value: object
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RepGraph:
     """Doubled bipartite representation graph.
 
     Vertices are (side, element index) with side 0 and 1 the two copies of
     the base set; edge p joins (0, us[p]) to (1, vs[p]) and carries the term
     of progression index indices[p], of value values[p].  The edges are
-    held as these four parallel columns; ``edges`` builds the ``Edge`` of
-    each position on first access.  ``RepGraph(elements, edges)`` takes the
-    edges as ``Edge`` objects, ``from_columns`` takes the columns.
+    held as these four parallel columns, and the graph is built from them
+    alone; ``edges`` builds the ``Edge`` of each position on first access.
 
     The graph is simple, as in the paper: construction raises InputError
     for two equal elements, an edge endpoint out of range, a second edge on
     one vertex pair, or an edge index used twice.
 
-    Every graph walk runs on one integer vertex id: the rank of
-    (sort_key(value), side), so ids follow values, not positions in
-    ``elements``.  ``vertices`` maps an id to its vertex and ``vertex_rank``
-    back; ``sides`` holds each id's side; ``neighbours`` holds each id's
+    Every graph walk runs on one integer vertex id: element i of value rank
+    r (by sort_key) has ids 2r on side 0 and 2r + 1 on side 1, so an id's
+    side is ``id & 1`` and ids follow values, not positions in
+    ``elements``.  ``vertices`` maps an id to its vertex; ``ends`` holds
+    each edge's side-0 id and side-1 id; ``neighbours`` holds each id's
     neighbour ids, ascending; and ``edge_lookup`` maps two ids to the
-    position of the edge joining them.  Both of the last two come from the
-    edges' id columns.  All of them are computed once per graph;
-    caching them is sound only because the dataclass is frozen.
+    position of the edge joining them.  The last two come from ``ends``.
+    All of them are computed once per graph; caching them is sound only
+    because the dataclass is frozen.
     """
 
     elements: tuple
@@ -132,20 +132,9 @@ class RepGraph:
     indices: tuple
     values: tuple
 
-    def __init__(self, elements, edges):
-        edges = tuple(edges)
-        fields = ("u", "v", "index", "value")
-        self._fill(elements, *(map(attrgetter(f), edges) for f in fields))
-
-    @classmethod
-    def from_columns(cls, elements, us, vs, indices, values) -> RepGraph:
-        graph = cls.__new__(cls)
-        graph._fill(elements, us, vs, indices, values)
-        return graph
-
-    def _fill(self, *columns):
-        for name, column in zip(("elements", "us", "vs", "indices", "values"), columns):
-            object.__setattr__(self, name, tuple(column))
+    def __post_init__(self):
+        for name in ("elements", "us", "vs", "indices", "values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.elements)
         if len(set(self.elements)) < n:
             raise InputError("element {} appears twice", _repeat(self.elements))
@@ -182,30 +171,19 @@ class RepGraph:
         return tuple((side, i) for i in order for side in (0, 1))
 
     @cached_property
-    def vertex_rank(self) -> dict:
-        """The id of each vertex."""
-        return {v: t for t, v in enumerate(self.vertices)}
-
-    @cached_property
-    def sides(self) -> tuple:
-        """The side of each id."""
-        return (0, 1) * len(self.elements)
-
-    @cached_property
-    def _ids(self) -> tuple[list, list]:
-        """The side-0 id and the side-1 id of each edge, in edge order:
-        element i of value rank r has ids 2r and 2r + 1."""
+    def ends(self) -> tuple[tuple, tuple]:
+        """The side-0 id and the side-1 id of each edge, in edge order."""
         first = [0] * len(self.elements)
         for t, (_, i) in enumerate(self.vertices[0::2]):
             first[i] = 2 * t
         second = [t + 1 for t in first]
-        return list(map(first.__getitem__, self.us)), list(map(second.__getitem__, self.vs))
+        return tuple(map(first.__getitem__, self.us)), tuple(map(second.__getitem__, self.vs))
 
     @cached_property
     def neighbours(self) -> tuple:
         """For each id, the ascending ids of its neighbours."""
         rows: list = [[] for _ in range(self.n_vertices)]
-        for a, b in zip(*self._ids):
+        for a, b in zip(*self.ends):
             rows[a].append(b)
             rows[b].append(a)
         return tuple(map(tuple, map(sorted, rows)))
@@ -214,7 +192,7 @@ class RepGraph:
     def edge_lookup(self) -> dict:
         """Position of the edge joining two vertex ids, keyed by the id pair
         in either order."""
-        a, b = self._ids
+        a, b = self.ends
         table = dict(zip(zip(a, b), count()))
         table.update(zip(zip(b, a), count()))
         return table
@@ -227,7 +205,7 @@ def build_rep_graph(B, A) -> RepGraph:
     base = tuple(sorted(B, key=sort_key if _has_quad(B) else None))
     index_of = {b: i for i, b in enumerate(base)}
     pairs = factor_pairs(A, base)
-    return RepGraph.from_columns(
+    return RepGraph(
         base,
         map(index_of.__getitem__, map(itemgetter(0), pairs)),
         map(index_of.__getitem__, map(itemgetter(1), pairs)),

@@ -90,12 +90,20 @@ def rep_graph_oracle(B, A) -> tuple[tuple, tuple]:
     return base, edges
 
 
+def graph_from_edges(elements, edges) -> RepGraph:
+    """The RepGraph of hand-made ``Edge`` objects: their fields transposed
+    into the four edge columns."""
+    edges = tuple(edges)
+    fields = ("u", "v", "index", "value")
+    return RepGraph(elements, *([getattr(e, f) for e in edges] for f in fields))
+
+
 def assert_graph_matches_oracle(g: RepGraph, edges) -> None:
     """g against the per-Edge construction of its edges: the columns, the
-    Edge at each position, the vertex numbering, each id's neighbours, and
-    the edge found at each id pair."""
+    Edge at each position, the vertex numbering, each edge's end ids, each
+    id's neighbours, and the edge found at each id pair."""
     edges = tuple(edges)
-    assert g == RepGraph(g.elements, edges)
+    assert g == graph_from_edges(g.elements, edges)
     assert g.edges == edges
     assert (g.us, g.vs, g.indices, g.values) == tuple(
         tuple(getattr(e, f) for e in edges) for f in ("u", "v", "index", "value")
@@ -104,9 +112,9 @@ def assert_graph_matches_oracle(g: RepGraph, edges) -> None:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     vertices = tuple((side, i) for i in order for side in (0, 1))
     assert g.vertices == vertices
-    assert g.sides == tuple(side for side, _ in vertices)
-    rank = {v: t for t, v in enumerate(vertices)}
-    pairs = [(rank[(0, e.u)], rank[(1, e.v)]) for e in edges]
+    assert all(side == t & 1 for t, (side, _) in enumerate(vertices))
+    pairs = [(vertices.index((0, e.u)), vertices.index((1, e.v))) for e in edges]
+    assert g.ends == (tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
     rows = [[] for _ in vertices]
     for a, b in pairs:
         rows[a].append(b)

@@ -10,7 +10,7 @@ from operator import mul
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prodap import cyclelab, harness
@@ -33,10 +33,11 @@ from prodap.cyclelab import (
 from prodap.errors import FalsificationError, InputError, ProdapError, ShapeError
 from prodap.exactnum import QuadElem
 from prodap.irregular import forest_check
+from prodap.jsonio import graph_from_json, graph_to_json
 from prodap.prodset import Edge, RepGraph, build_rep_graph
 from prodap.rationalize import rationalize_components
 
-from instances import assert_graph_matches_oracle
+from instances import assert_graph_matches_oracle, graph_from_edges
 
 # B = [1,2,6,7] with terms {6,7,12,14} interlocks into a 4-cycle:
 # 6=1*6, 7=1*7, 12=2*6, 14=2*7
@@ -64,10 +65,10 @@ def stops(graph: RepGraph, k: int, cap) -> dict:
 
 
 def hand_built(elements, edges) -> RepGraph:
-    """RepGraph(elements, edges), checked against the per-Edge construction
-    of its columns, neighbours and edge lookup."""
+    """graph_from_edges(elements, edges), checked against the per-Edge
+    construction of its columns, neighbours and edge lookup."""
     edges = tuple(edges)
-    g = RepGraph(elements, edges)
+    g = graph_from_edges(elements, edges)
     assert_graph_matches_oracle(g, edges)
     return g
 
@@ -387,7 +388,7 @@ class TestForestAgreement:
             parent[ra] = rb
         found = find_even_cycle(g, len(edges) // 2 + 2) if edges else None
         assert (found is None) == acyclic
-        assert forest_check(g, edges) == acyclic
+        assert forest_check(g, range(len(edges))) == acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +540,7 @@ def bipartite_graphs(draw):
     edges = tuple(
         Edge(u, v, j, elements[u] * elements[v]) for (u, v), j in zip(pairs, indices)
     )
-    return RepGraph(elements, edges)
+    return graph_from_edges(elements, edges)
 
 
 class TestVertexIds:
@@ -549,24 +550,37 @@ class TestVertexIds:
         n = len(g.elements)
         every = [(side, i) for side in (0, 1) for i in range(n)]
         assert sorted(g.vertices) == every
-        for v in every:
-            assert g.vertices[g.vertex_rank[v]] == v
+        # an id's side is its low bit
+        assert [side for side, _ in g.vertices] == [t & 1 for t in range(2 * n)]
         # ids follow (value, side), not positions in elements
         keys = [_ref_order_key(g, v) for v in g.vertices]
         assert keys == sorted(keys)
-        rank = g.vertex_rank
+        side0, side1 = g.ends
+        assert len(side0) == len(side1) == len(g.edges)
         joined = [set() for _ in every]
         for p, e in enumerate(g.edges):
-            a, b = rank[(0, e.u)], rank[(1, e.v)]
+            a, b = g.vertices.index((0, e.u)), g.vertices.index((1, e.v))
+            assert (side0[p], side1[p]) == (a, b)
             assert g.edge_lookup[(a, b)] == p == g.edge_lookup[(b, a)]
             joined[a].add(b)
             joined[b].add(a)
         assert len(g.edge_lookup) == 2 * len(g.edges)
         assert len(g.neighbours) == 2 * n
-        assert g.sides == tuple(side for side, _ in g.vertices)
         for t, row in enumerate(g.neighbours):
             assert list(row) == sorted(joined[t])
         assert_graph_matches_oracle(g, g.edges)
+
+
+class TestGraphFile:
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs())
+    @example(RepGraph((2, 1), (), (), (), ()))
+    def test_round_trip(self, g):
+        # the writer reads the columns and the reader rebuilds them, for
+        # every field, unsorted elements and zero edges alike
+        field = {int: "integer", Fraction: "rational", QuadElem: "quadratic"}[type(g.elements[0])]
+        m = 2 if field == "quadratic" else None
+        assert graph_from_json(graph_to_json(g, field, m)) == g
 
 
 class TestOracleEquivalence:
@@ -598,7 +612,7 @@ class TestOracleEquivalence:
             Edge(u, v, i, elements[u] * elements[v]) for i, (u, v) in enumerate(pairs)
         )
         g = hand_built(elements, edges)
-        assert [g.vertex_rank[(0, i)] for i in range(4)] == [6, 2, 4, 0]
+        assert [g.vertices.index((0, i)) for i in range(4)] == [6, 2, 4, 0]
         cyc = find_even_cycle(g, 3)
         assert cyc is not None and cyc == ref_find_even_cycle(g, 3)
         assert enumerate_even_cycles(g, 3) == ref_enumerate_even_cycles(g, 3)
@@ -735,7 +749,7 @@ class TestBatchedAudit:
                 # every term and edge value moved by one: the values match A
                 # and the indices still vanish at (r, d), the products differ
                 A = [a + 1 for a in A]
-                g = RepGraph(g.elements, tuple(replace(e, value=e.value + 1) for e in g.edges))
+                g = graph_from_edges(g.elements, (replace(e, value=e.value + 1) for e in g.edges))
             elif tamper == "short":
                 A = A[: max(first)]  # the first cycle's top index is past the end
             elif d > 1:
@@ -917,7 +931,7 @@ class TestBatchedAudit:
         A = list(range(1, 121))
         desc = APDescriptor(1, 1, 1, len(A))
         walks = _walk_length(g.neighbours, 4, None)[0]
-        ids = [g.vertex_rank[v] for v in [(0, 0), (1, 2), (0, 1), (1, 4)]]
+        ids = [g.vertices.index(v) for v in [(0, 0), (1, 2), (0, 1), (1, 4)]]
         assert ids in walks[1:] and walks[walks.index(ids) - 1][:-1] == ids[:-1]
         cyc = _cycle_through(g, ids)
         assert cyc.indices == (2, 5, 119, 59)

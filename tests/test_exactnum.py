@@ -21,6 +21,8 @@ from prodap.exactnum import (
     valuation,
 )
 
+from instances import graph_from_edges
+
 
 def trial_division_is_prime(n):
     if n < 2:
@@ -396,8 +398,8 @@ class TestDigitLimit:
         "call, error",
         [
             (lambda x: prodset.longest_ap([1, 2, 3], limit=x), InputError),
-            (lambda x: prodset.RepGraph((1, 2), (prodset.Edge(x, 0, 0, 2),)), InputError),
-            (lambda x: prodset.RepGraph((1, 2), (prodset.Edge(0, 2, 0, -x),)), InputError),
+            (lambda x: graph_from_edges((1, 2), (prodset.Edge(x, 0, 0, 2),)), InputError),
+            (lambda x: graph_from_edges((1, 2), (prodset.Edge(0, 2, 0, -x),)), InputError),
             (lambda x: harness.scaling_study(["random"], [10], x, 0), InputError),
             (lambda x: harness.scaling_study(["random"], [10], 1, 0, ap_limit=x), InputError),
             (lambda x: harness.scaling_study(["random"], [x], 1, 0), InputError),

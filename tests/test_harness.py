@@ -215,9 +215,10 @@ class TestPipeline:
         assert stages["concavity"]["margin"] == "1"
 
     @pytest.mark.parametrize("kind,seed", [("cover100", 0), ("noclaim", 24)])
-    def test_only_marked_edges_become_objects(self, kind, seed, monkeypatch):
-        # the graph is held as columns, so the only Edge objects a run makes
-        # are the irregular edges it marks, one each
+    def test_makes_no_edge_objects(self, kind, seed, monkeypatch):
+        # the graph is built and read as columns, and the irregularity
+        # report names edges by index: a run makes no Edge at all, even
+        # with irregular edges marked
         made = []
         init = prodset.Edge.__init__
 
@@ -228,8 +229,8 @@ class TestPipeline:
         monkeypatch.setattr(prodset.Edge, "__init__", spy)
         report = pipeline(self.golden_instance(kind, seed))
         assert report["ok"] is True
-        assert 0 < len(made) == report["stages"]["irregular"]["irregular_edges"]
-        assert len({e.index for e in made}) == len(made)
+        assert report["stages"]["irregular"]["irregular_edges"] > 0
+        assert made == []
 
     def test_cycles_stage_reports_each_length(self):
         cycles = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]

@@ -23,10 +23,10 @@ from prodap.irregular import (
     irregularity_report,
     prime_window,
 )
-from prodap.prodset import Edge, RepGraph, build_rep_graph
+from prodap.prodset import Edge, build_rep_graph
 from prodap.rationalize import rationalize_components
 
-from instances import primes_between
+from instances import graph_from_edges, primes_between
 
 
 def cover_graph(n):
@@ -133,7 +133,7 @@ class TestClassify:
         B = sorted({11} | {desc.r + desc.d * i for i in range(desc.L)})
         graph = build_rep_graph(B, desc.terms())
         report = irregularity_report(graph, desc)
-        irregular_indices = {e.index for e in report.per_prime[11]}
+        irregular_indices = set(report.per_prime[11])
         expected = {i for i in range(desc.L) if (1 + 2 * i) % 11 == 0}
         assert irregular_indices == expected
 
@@ -154,13 +154,13 @@ class TestClassify:
         ]:
             edges = list(graph.edges)
             edges[1], edges[-2] = first, later
-            bad = RepGraph(graph.elements, tuple(edges))
+            bad = graph_from_edges(graph.elements, edges)
             with pytest.raises(InputError, match=message):
                 irregularity_report(bad, desc)
 
     def test_mismatch_past_digit_limit(self):
         # the expected term has 5001 digits; the message names it by index
-        graph = RepGraph((1, 2), (Edge(0, 1, 0, 2),))
+        graph = graph_from_edges((1, 2), (Edge(0, 1, 0, 2),))
         with pytest.raises(InputError, match="^edge 0 does not carry term 0$"):
             irregularity_report(graph, APDescriptor(10**5000, 1, 1, 3))
 
@@ -174,12 +174,12 @@ class TestSelection:
         report = irregularity_report(graph, desc)
         used = [p for ps in report.selected_primes.values() for p in ps]
         assert sorted(used) == [11, 13]
-        assert list(report.selected_primes) == [e.index for e in report.selected]
+        assert list(report.selected_primes) == list(report.selected)
 
     def test_same_prime_keeps_lower_index(self):
         graph, desc = cover_graph(10)  # window {11}: terms 11 and 22
         report = irregularity_report(graph, desc)
-        assert [e.index for e in report.selected] == [10]  # term 11, not term 22
+        assert report.selected == (10,)  # term 11, not term 22
 
     def test_double_prime_edge_excluded(self):
         # r=119, d=1, L=31: term 121 (i=2) and 132 (i=13) hit 11; 130 (i=11)
@@ -188,12 +188,11 @@ class TestSelection:
         B = sorted({1} | set(desc.terms()))
         graph = build_rep_graph(B, desc.terms())
         report = irregularity_report(graph, desc)
-        assert [e.index for e in report.per_prime[11]] == [2, 13, 24]
-        assert [e.index for e in report.per_prime[13]] == [11, 24]
-        indices = [e.index for e in report.selected]
-        assert indices == [2, 11]
-        assert 24 not in indices
-        assert 13 not in indices  # second 11-hit blocked too
+        assert report.per_prime[11] == (2, 13, 24)
+        assert report.per_prime[13] == (11, 24)
+        assert report.selected == (2, 11)
+        assert 24 not in report.selected
+        assert 13 not in report.selected  # second 11-hit blocked too
 
     def test_selected_edge_claims_all_its_primes(self):
         # r=143, d=1, L=31: term 143 = 11*13 (i=0) comes first for both
@@ -213,7 +212,16 @@ class TestForest:
 
     def test_explicit_cycle_detected(self):
         graph = build_rep_graph([1, 2, 6, 7], [6, 7, 12, 14])
-        assert forest_check(graph, graph.edges) is False
+        assert forest_check(graph, range(4)) is False
+        assert forest_check(graph, range(3)) is True
+
+    def test_reads_positions_not_indices(self):
+        # positions 0-3 close the 4-cycle 6, 7, 12, 14; index 0 is the
+        # pendant edge 5*5 at position 4
+        edges = [Edge(0, 2, 1, 6), Edge(0, 3, 2, 7), Edge(1, 2, 3, 12), Edge(1, 3, 4, 14)]
+        graph = graph_from_edges((1, 2, 6, 7, 5), edges + [Edge(4, 4, 0, 25)])
+        assert forest_check(graph, range(4)) is False
+        assert forest_check(graph, [4, 0, 1, 2]) is True
 
     def test_full_reports_on_cover_instances(self):
         for n in (10, 20, 50):
@@ -224,10 +232,10 @@ class TestForest:
             used = [p for ps in report.selected_primes.values() for p in ps]
             assert len(used) == len(set(used))
             # every selected edge is irregular for each prime it claims
-            for e in report.selected:
-                assert report.selected_primes[e.index]
-                for p in report.selected_primes[e.index]:
-                    assert e in report.per_prime[p]
+            for i in report.selected:
+                assert report.selected_primes[i]
+                for p in report.selected_primes[i]:
+                    assert i in report.per_prime[p]
             with pytest.raises(FrozenInstanceError):
                 report.forest = False
 
@@ -260,8 +268,8 @@ def _valuation_report(graph, desc):
     forest = nx.is_forest(nx_graph) if selected else True  # networkx rejects empty graphs
     return IrregularityReport(
         window,
-        {p: tuple(edges) for p, edges in per_prime.items()},
-        tuple(selected),
+        {p: tuple(e.index for e in edges) for p, edges in per_prime.items()},
+        tuple(e.index for e in selected),
         selected_primes,
         forest,
     )
@@ -272,7 +280,7 @@ def assert_matches_oracle(graph, desc):
     the number of irregular edges."""
     want = _valuation_report(graph, desc)
     assert irregularity_report(graph, desc) == want
-    return len({e.index for edges in want.per_prime.values() for e in edges})
+    return len({i for marked in want.per_prime.values() for i in marked})
 
 
 def _quad_reduced_graph(seed, m):
@@ -302,7 +310,7 @@ def graphs_in_range(draw):
     )
     indices = draw(st.permutations(range(desc.L)))
     edges = tuple(Edge(u, v, i, desc.term(i)) for (u, v), i in zip(pairs, indices))
-    return RepGraph(tuple(range(1, n + 1)), edges), desc
+    return graph_from_edges(tuple(range(1, n + 1)), edges), desc
 
 
 class TestResidueRuleOracle:
@@ -336,7 +344,7 @@ class TestResidueRuleOracle:
         desc = APDescriptor(1, 1, 1, 100)
         pairs = {36: (0, 0), 40: (0, 1), 42: (1, 0), 46: (1, 1)}
         edges = tuple(Edge(*pairs[i], i, desc.term(i)) for i in sorted(pairs))
-        graph = RepGraph((1, 2), edges)
+        graph = graph_from_edges((1, 2), edges)
         assert assert_matches_oracle(graph, desc) == 4
         assert irregularity_report(graph, desc).forest is False
 

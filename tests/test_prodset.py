@@ -21,7 +21,6 @@ from prodap.harness import _trial_rng, gen_cover, gen_random, random_quad_cycle_
 from prodap.jsonio import graph_from_json, graph_to_json
 from prodap.prodset import (
     Edge,
-    RepGraph,
     _best_pair_result,
     _indices_of_run,
     build_rep_graph,
@@ -29,7 +28,12 @@ from prodap.prodset import (
     product_set,
 )
 
-from instances import assert_graph_matches_oracle, longest_ap_oracle, rep_graph_oracle
+from instances import (
+    assert_graph_matches_oracle,
+    graph_from_edges,
+    longest_ap_oracle,
+    rep_graph_oracle,
+)
 
 
 class TestProductSet:
@@ -133,7 +137,7 @@ class TestRepGraph:
         [
             lambda big: product_set([big, big]),
             lambda big: longest_ap([big, big, 3]),
-            lambda big: RepGraph((big, big), ()),
+            lambda big: graph_from_edges((big, big), ()),
         ],
         ids=["product_set", "longest_ap", "RepGraph"],
     )
@@ -150,8 +154,8 @@ class TestRepGraph:
             (longest_ap, BIG_FRACTION, f"duplicate element {BIG_FRACTION_TEXT}"),
             # a quadratic element is refused before any repeat is looked for
             (longest_ap, BIG_QUAD, "needs ordered values"),
-            (lambda B: RepGraph(tuple(B), ()), BIG_FRACTION, f"{BIG_FRACTION_TEXT} appears twice"),
-            (lambda B: RepGraph(tuple(B), ()), BIG_QUAD, f"{BIG_QUAD_TEXT} appears twice"),
+            (lambda B: graph_from_edges(B, ()), BIG_FRACTION, f"{BIG_FRACTION_TEXT} appears twice"),
+            (lambda B: graph_from_edges(B, ()), BIG_QUAD, f"{BIG_QUAD_TEXT} appears twice"),
         ],
         ids=[f"{site}-{kind}" for site in ("product_set", "longest_ap", "RepGraph")
              for kind in ("Fraction", "QuadElem")],
@@ -191,7 +195,7 @@ class TestRepGraph:
     )
     def test_rejects_non_simple_graphs(self, elements, edges, message):
         with pytest.raises(InputError, match=message):
-            RepGraph(elements, tuple(Edge(u, v, j, 2) for u, v, j in edges))
+            graph_from_edges(elements, (Edge(u, v, j, 2) for u, v, j in edges))
 
     @pytest.mark.parametrize("n", range(3, 61))
     def test_cover_claim_matches_per_edge_build(self, n):

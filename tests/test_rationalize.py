@@ -13,7 +13,7 @@ from prodap.errors import (
 )
 from prodap.exactnum import QuadElem
 from prodap.harness import quadratic_demo_instance, random_quad_cycle_instance
-from prodap.prodset import Edge, RepGraph, product_set
+from prodap.prodset import Edge, product_set
 from prodap.rationalize import (
     c4_extremal_threshold,
     four_cycle_exists_audit,
@@ -23,7 +23,7 @@ from prodap.rationalize import (
     rationalize_components,
 )
 
-from instances import random_quad_chain_instance
+from instances import graph_from_edges, random_quad_chain_instance
 
 
 def rt2(b):
@@ -32,7 +32,7 @@ def rt2(b):
 
 def _irrational_component(inst):
     # one edge from 10**5000 * sqrt2 to 1: the rescaled 1 is irrational
-    inst.graph = RepGraph((rt2(10**5000), QuadElem(1, 0, 2)), (Edge(0, 1, 0, 1),))
+    inst.graph = graph_from_edges((rt2(10**5000), QuadElem(1, 0, 2)), (Edge(0, 1, 0, 1),))
 
 
 class TestFourCycleR:
@@ -167,7 +167,7 @@ class TestC4Audit:
             Edge(u, v, i, 0)
             for i, (u, v) in enumerate((u, v) for u in range(3) for v in range(3, 6))
         )
-        return RepGraph(elements, edges)
+        return graph_from_edges(elements, edges)
 
     def test_threshold_values(self):
         assert c4_extremal_threshold(6) == 9
@@ -185,11 +185,11 @@ class TestC4Audit:
             Edge(u, v, i, 0)
             for i, (u, v) in enumerate((u, v) for u in range(4) for v in range(4, 8))
         )
-        report = four_cycle_exists_audit(RepGraph(elements, edges))
+        report = four_cycle_exists_audit(graph_from_edges(elements, edges))
         assert report.exceeded and report.cycle is not None
 
     def test_star_below_threshold(self):
         elements = (2, 3, 5, 7)
         edges = tuple(Edge(0, v, i, 0) for i, v in enumerate(range(4)))
-        report = four_cycle_exists_audit(RepGraph(elements, edges))
+        report = four_cycle_exists_audit(graph_from_edges(elements, edges))
         assert report.cycle is None and not report.exceeded
