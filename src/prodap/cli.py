@@ -179,7 +179,7 @@ def cmd_irregular(args) -> int:
     out = {
         "window": list(report.window.primes),
         "per_prime": {jsonio.enc_int(p): list(marked) for p, marked in report.per_prime.items()},
-        "selected": list(report.selected),
+        "selected": list(report.selected_primes),
         "selected_primes": {
             jsonio.enc_int(idx): list(ps) for idx, ps in report.selected_primes.items()
         },

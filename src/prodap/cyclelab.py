@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from operator import mul
 from typing import NoReturn
 
 from .apcore import APDescriptor
@@ -22,7 +21,7 @@ from .prodset import RepGraph
 
 Vertex = tuple[int, int]
 
-# Steps _walk_length may make on one length, path extensions and closed
+# Steps _walk_lengths may make on one length, path extensions and closed
 # walks alike, before it stops and reports the length cut short.
 STEP_BUDGET = 1_000_000
 
@@ -158,32 +157,48 @@ def enumerate_even_cycles(graph: RepGraph, k: int, max_count: int | None = None)
 
     max_count caps each length: the cycles kept of a length are an exact
     prefix of all its cycles.  A length also stops after STEP_BUDGET steps,
-    path extensions and closed walks; _walk_length says why a length was cut
-    short."""
+    path extensions and closed walks; _walk_lengths says why a length was
+    cut short."""
     if k < 2:
         raise InputError("half-length bound must be >= 2, got {}", k)
     if max_count is not None and max_count < 0:
         raise InputError("cycle cap must be >= 0, got {}", max_count)
     cycles: list[EvenCycle] = []
-    for length in range(4, 2 * k + 1, 2):
-        walks, _ = _walk_length(graph.neighbours, length, max_count)
+    for walks, _ in _walk_lengths(graph.neighbours, range(4, 2 * k + 1, 2), max_count):
         # root first, second vertex before the last: each walk is already
         # in canonical form
         cycles.extend(_cycle_through(graph, w) for w in walks)
     return cycles
 
 
-def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
-    """The cycles of one length as vertex-id walks, in walk order, and why
-    the walk stopped early ("cap" or "steps"), or None if it finished."""
+def _walk_lengths(nbrs, lengths, cap):
+    """For each length in turn, the cycles of that length as vertex-id
+    walks, in walk order, and why the walk stopped early ("cap" or
+    "steps"), or None if it finished.
+
+    A root's cycles close only through its neighbours (its ends), and the
+    vertex before the last must be an id above the root that reaches it in
+    two edges (its near set).  Both sets depend on the root alone, so each
+    root's are built the first time a length reaches it and shared by the
+    lengths after."""
+    closing: list[tuple[set, set]] = []
+    for length in lengths:
+        yield _walk_cycles(nbrs, length, cap, closing)
+
+
+def _walk_cycles(nbrs, length, cap, closing) -> tuple[list[list[int]], str | None]:
+    """One length of _walk_lengths; closing holds the (ends, near) sets of
+    the roots walked so far, and gains those of each root walked first."""
     walks: list[list[int]] = []
+    budget = STEP_BUDGET
     steps = 0
     on_path = [False] * len(nbrs)
     path: list[int] = []
     for root in range(len(nbrs)):
-        ends = set(nbrs[root])  # the last vertex must close back to the root
-        # the vertex before the last must reach the root in two edges
-        near = {x for y in ends for x in nbrs[y] if x > root}
+        if root == len(closing):
+            ends = set(nbrs[root])
+            closing.append((ends, {x for y in ends for x in nbrs[y] if x > root}))
+        ends, near = closing[root]
         path.append(root)
         on_path[root] = True
         stack = [iter(nbrs[root])]
@@ -197,14 +212,14 @@ def _walk_length(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
                         if len(walks) == cap:
                             return walks, "cap"  # a cycle past the cap
                         steps += 1
-                        if steps >= STEP_BUDGET:
+                        if steps >= budget:
                             return walks, "steps"
                         walks.append(path + [w])
                     continue
                 if depth == length - 2 and w not in near:
                     continue
                 steps += 1
-                if steps >= STEP_BUDGET:
+                if steps >= budget:
                     return walks, "steps"
                 path.append(w)
                 on_path[w] = True
@@ -349,28 +364,38 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     Each walk is checked from its edges, A and desc alone, as EvenCycle and
     the three checks of cycle_audit would check it: shape, index range,
     edge values against A, the product identity, exact vanishing at (r, d),
-    d | c_l, r | c_m and the |c_t| bounds.  The weights w_t = r^(k-t) * d^t
-    and the 2*C(k, t) factors are taken once per half-length k.
+    d | c_l, r | c_m and the |c_t| bounds.
 
-    A walk's head, its first n - 1 vertices, is checked once for each run of
-    walks that share it, as the walk order of _walk_length gives them: its
-    shape, its n - 2 edges, the products of their values at odd and at even
-    positions, and the elementary symmetric functions E of its indices at
-    positions 1, 3, ... and O of those at 0, 2, ....  The last vertex w then
-    adds the edges (head[-1], w) at position n - 2, index x, and (w, root),
-    index y, so the products become P_odd*A[x] and P_even*A[y] and each
-    coefficient is c_t = delta_t + y*E_(t-1) - x*O_(t-1), delta_t = E_t - O_t.
+    A walk's head is its first n - 1 vertices.  The audit keeps one state
+    per prefix of the current head, taken after each of its edges: the
+    products of the A values at edge positions 0, 2, ... and at 1, 3, ...;
+    the products P_O and P_E of r + d*j over the indices j at those
+    positions; the elementary symmetric functions O and E of those indices;
+    and the largest index so far.  A new head keeps the states of the
+    prefix it shares with the head before, none when the root or the walk
+    length changes, and checks only its new vertices and edges: each
+    vertex's side and newness, and each edge's existence, its index's
+    newness and range, and its value against A.  A new edge multiplies two
+    products and extends O or E by one index, in O(k).  So a run of walks
+    that share a head, as the walk order of _walk_lengths gives them, costs
+    one head, and consecutive heads share most of their prefix.
 
-    Three per-head quantities leave O(1) numeric work per walk:
-    - vanishing, by linearity: sum c_t*w_t = s0 + y*ew - x*ow, with
-      s0 = sum delta_t*w_t, ew = sum E_(t-1)*w_t and ow = sum O_(t-1)*w_t;
+    The last vertex w of a walk adds the edges (head[-1], w) at position
+    n - 2, index x, and (w, root), index y.  The A products must then agree
+    with A[x] and A[y] joined, and each coefficient is c_t = delta_t +
+    y*E_(t-1) - x*O_(t-1), delta_t = E_t - O_t.  Per head, only delta, the
+    bound certificate and the constants of c_1 and c_k are taken, which
+    leaves O(1) numeric work per walk:
+    - vanishing, in product form: sum_t c_t*r^(k-t)*d^t = P_E*(r + d*y) -
+      P_O*(r + d*x), because sum_s e_s(S)*r^(|S|-s)*d^s is the product of
+      r + d*i over i in S;
     - the bound, certified once per head (_bound_certificate) for every
       x, y >= 0 at top = max(top0, x, y), top0 the head's largest index:
       |c_t| <= |delta_t| + top*S_t with S_t = |E_(t-1)| + |O_(t-1)|, and
       top^t - top0^t >= t*top0^(t-1)*(top - top0);
-    - c_l and c_m: with E_0 = O_0 = 1, delta_0 = 0, so l = 1 when
-      c_1 = delta_1 + y - x is nonzero, and m = k when c_k = y*E_(k-1) -
-      x*O_(k-1) is nonzero.
+    - c_l and c_m: E_0 = O_0 = 1, so delta_0 = 0, l = 1 when c_1 = delta_1
+      + y - x is nonzero, and m = k when c_k = y*E_(k-1) - x*O_(k-1) is
+      nonzero.
     A walk whose head fails the certificate, or with c_1 = 0 or c_k = 0, or
     that fails one of these tests, goes to cycle_audit, which passes it or
     raises.  The first walk that fails a structural check goes through
@@ -384,47 +409,58 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     indices, values = graph.indices, graph.values
     n_terms = len(A)
     r, d = desc.r, desc.d
-    scales: dict = {}  # k -> (r^(k-t) * d^t, 2*C(k, t)) for t = 0..k
+    n = 0
     head = None
+    # path holds the head's vertex ids, idx the indices of its edges, and
+    # state, per prefix of path after its last edge, the A products at
+    # positions 0, 2, ... and 1, 3, ..., P_O and P_E, O and E, and the
+    # largest index
     for ids in walks:
         if ids[:-1] != head:
-            head = ids[:-1]
-            n = len(ids)
-            k = n // 2
-            sides = [t & 1 for t in ids]
-            if n < 4 or n % 2 or len(set(ids)) != n or sides != [sides[0], 1 - sides[0]] * k:
-                _reaudit(graph, ids, A, desc)
-            try:
-                pos = list(map(lookup.__getitem__, zip(head, head[1:])))
-            except KeyError:
-                _reaudit(graph, ids, A, desc)
-            idx = list(map(indices.__getitem__, pos))
-            top0 = max(idx)
-            seen = set(idx)
-            if len(seen) != n - 2 or min(idx) < 0 or top0 >= n_terms:
-                _reaudit(graph, ids, A, desc)
-            vals = [A[j] for j in idx]
-            if list(map(values.__getitem__, pos)) != vals:
-                _reaudit(graph, ids, A, desc)
-            p_odd, p_even = prod(vals[0::2]), prod(vals[1::2])
-            if k not in scales:
-                scales[k] = (
-                    [r ** (k - t) * d**t for t in range(k + 1)],
-                    [2 * comb(k, t) for t in range(k + 1)],
-                )
-            weights, twice_comb = scales[k]
-            even = elementary_symmetric(idx[1::2])
-            odd = elementary_symmetric(idx[0::2])
+            prev, head = head, ids[:-1]
+            if prev is None or len(ids) != n or head[0] != prev[0]:
+                n = len(ids)
+                if n < 4 or n % 2:
+                    _reaudit(graph, ids, A, desc)
+                k = n // 2
+                twice_comb = [2 * comb(k, t) for t in range(k + 1)]
+                root = head[0]
+                root_side = root & 1
+                path, idx, state = [root], [], [(1, 1, 1, 1, [1], [1], -1)]
+            else:
+                c = 1
+                while c < n - 1 and head[c] == prev[c]:
+                    c += 1
+                del path[c:], idx[c - 1 :], state[c:]
+            a_o, a_e, p_o, p_e, odd, even, top = state[-1]
+            for t in range(len(path), n - 1):
+                v = head[t]
+                if (v ^ t) & 1 != root_side or v in path:
+                    _reaudit(graph, ids, A, desc)
+                try:
+                    p = lookup[path[-1], v]
+                except KeyError:
+                    _reaudit(graph, ids, A, desc)
+                j = indices[p]
+                if j in idx or not 0 <= j < n_terms:
+                    _reaudit(graph, ids, A, desc)
+                a = A[j]
+                if values[p] != a:
+                    _reaudit(graph, ids, A, desc)
+                if t & 1:  # the edge into v is at position t - 1, even
+                    a_o, p_o = a_o * a, p_o * (r + d * j)
+                    odd = [1] + [e + j * f for e, f in zip(odd[1:] + [0], odd)]
+                else:
+                    a_e, p_e = a_e * a, p_e * (r + d * j)
+                    even = [1] + [e + j * f for e, f in zip(even[1:] + [0], even)]
+                top = max(top, j)
+                path.append(v)
+                idx.append(j)
+                state.append((a_o, a_e, p_o, p_e, odd, even, top))
             delta = [e - o for e, o in zip(even, odd)] + [0]
-            fast = even[0] == odd[0] == 1 and _bound_certificate(
-                delta, even, odd, top0, twice_comb
-            )
-            s0 = sum(map(mul, delta, weights))
-            ew = sum(map(mul, even, weights[1:]))
-            ow = sum(map(mul, odd, weights[1:]))
+            fast = _bound_certificate(delta, even, odd, top, twice_comb)
             d1, e_top, o_top = delta[1], even[-1], odd[-1]
-            on_head = set(head)
-            root, last, root_side = head[0], head[-1], sides[0]
+            on_head, seen, last = set(path), set(idx), path[-1]
         w = ids[-1]
         if w & 1 == root_side or w in on_head:
             _reaudit(graph, ids, A, desc)
@@ -436,11 +472,12 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
         if x == y or x in seen or y in seen or not (0 <= x < n_terms and 0 <= y < n_terms):
             _reaudit(graph, ids, A, desc)
         a_x, a_y = A[x], A[y]
-        if values[px] != a_x or values[py] != a_y or p_odd * a_x != p_even * a_y:
+        if values[px] != a_x or values[py] != a_y or a_o * a_x != a_e * a_y:
             _reaudit(graph, ids, A, desc)
         if fast:
             c_1, c_k = d1 + y - x, y * e_top - x * o_top
-            if c_1 and c_k and not c_1 % d and not c_k % r and s0 + y * ew == x * ow:
+            vanishes = p_e * (r + d * y) == p_o * (r + d * x)
+            if c_1 and c_k and not c_1 % d and not c_k % r and vanishes:
                 continue
         cycle_audit(_cycle_through(graph, ids), A, desc)
 

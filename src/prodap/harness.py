@@ -20,7 +20,7 @@ from operator import mul, sub
 from . import jsonio
 from .apcore import APDescriptor, gcd_bound_audit, reduce_ap
 from .construct import cover_set, floor_mul_ln
-from .cyclelab import _cycle_through, _walk_length, audit_cycle_walks, find_even_cycle
+from .cyclelab import _cycle_through, _walk_lengths, audit_cycle_walks, find_even_cycle
 from .errors import CapacityError, FalsificationError, InputError, digit_safe
 from .exactnum import QuadElem
 from .irregular import irregularity_report
@@ -365,8 +365,9 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
     stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.indices)}
     by_length = []
     first = None  # the first walk of the shortest length that has one
-    for length in range(4, 2 * CYCLE_HALF_LENGTH + 1, 2):
-        walks, stopped = _walk_length(graph.neighbours, length, cycle_cap)
+    lengths = range(4, 2 * CYCLE_HALF_LENGTH + 1, 2)
+    walked = _walk_lengths(graph.neighbours, lengths, cycle_cap)
+    for length, (walks, stopped) in zip(lengths, walked):
         audit_cycle_walks(graph, walks, final_A, desc)
         if first is None and walks:
             first = walks[0]
@@ -393,13 +394,13 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
             "selected irregular edges contain a cycle",
             payload={
                 "window": list(irr.window.primes),
-                "selected": list(irr.selected),
+                "selected": list(irr.selected_primes),
             },
         )
     stages["irregular"] = {
         "window": list(irr.window.primes),
         "irregular_edges": sum(len(v) for v in irr.per_prime.values()),
-        "selected": list(irr.selected),
+        "selected": list(irr.selected_primes),
         "forest": irr.forest,
     }
     conc = concavity_demo(desc)

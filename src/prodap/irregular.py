@@ -64,8 +64,8 @@ class IrregularityReport:
 
     window: PrimeWindow
     per_prime: dict[int, tuple[int, ...]]
-    selected: tuple[int, ...]
-    selected_primes: dict[int, tuple[int, ...]]  # selected edge index -> its primes
+    # selected edge index -> its primes; the keys, in order, are the selection
+    selected_primes: dict[int, tuple[int, ...]]
     forest: bool
 
 
@@ -133,6 +133,5 @@ def irregularity_report(graph: RepGraph, desc: APDescriptor) -> IrregularityRepo
         if used.isdisjoint(hits[i]):
             used.update(hits[i])
             selected_primes[i] = tuple(hits[i])
-    selected = tuple(selected_primes)
-    forest = forest_check(graph, map(position.__getitem__, selected))
-    return IrregularityReport(window, per_prime, selected, selected_primes, forest)
+    forest = forest_check(graph, map(position.__getitem__, selected_primes))
+    return IrregularityReport(window, per_prime, selected_primes, forest)

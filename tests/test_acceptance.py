@@ -194,7 +194,7 @@ def test_criterion_6_forest_property(tmp_path):
                         "instance": name,
                         "set": [str(b) for b in B_red],
                         "descriptor": {"D": desc.D, "r": desc.r, "d": desc.d, "L": desc.L},
-                        "selected": list(rep.selected),
+                        "selected": list(rep.selected_primes),
                     }
                 )
             )

@@ -5,6 +5,7 @@ from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, gcd
 from operator import mul
 
@@ -19,7 +20,7 @@ from prodap.cyclelab import (
     CyclePoly,
     EvenCycle,
     _cycle_through,
-    _walk_length,
+    _walk_lengths,
     audit_cycle_walks,
     cycle_audit,
     cycle_identity_check,
@@ -54,14 +55,62 @@ def cover_instance(n=10):
 
 
 def stops(graph: RepGraph, k: int, cap) -> dict:
-    """Length -> why _walk_length cut that length short ("cap" or "steps"),
+    """Length -> why _walk_lengths cut that length short ("cap" or "steps"),
     for each length 4..2k it did not finish."""
-    out = {}
-    for length in range(4, 2 * k + 1, 2):
-        _, stop = _walk_length(graph.neighbours, length, cap)
-        if stop is not None:
-            out[length] = stop
-    return out
+    lengths = range(4, 2 * k + 1, 2)
+    return {
+        length: stop
+        for length, (_, stop) in zip(lengths, _walk_lengths(graph.neighbours, lengths, cap))
+        if stop is not None
+    }
+
+
+def walk_length(nbrs, length, cap):
+    """_walk_lengths at one length: its walks, and why it stopped early."""
+    return next(_walk_lengths(nbrs, [length], cap))
+
+
+def walk_length_oracle(nbrs, length, cap) -> tuple[list[list[int]], str | None]:
+    """The walk of one length as first written, building each root's ends
+    and near sets afresh: the slow oracle of _walk_lengths."""
+    walks: list[list[int]] = []
+    steps = 0
+    on_path = [False] * len(nbrs)
+    path: list[int] = []
+    for root in range(len(nbrs)):
+        ends = set(nbrs[root])  # the last vertex must close back to the root
+        # the vertex before the last must reach the root in two edges
+        near = {x for y in ends for x in nbrs[y] if x > root}
+        path.append(root)
+        on_path[root] = True
+        stack = [iter(nbrs[root])]
+        while stack:
+            depth = len(path)
+            for w in stack[-1]:
+                if w <= root or on_path[w]:
+                    continue
+                if depth == length - 1:
+                    if w in ends and path[1] < w:
+                        if len(walks) == cap:
+                            return walks, "cap"  # a cycle past the cap
+                        steps += 1
+                        if steps >= cyclelab.STEP_BUDGET:
+                            return walks, "steps"
+                        walks.append(path + [w])
+                    continue
+                if depth == length - 2 and w not in near:
+                    continue
+                steps += 1
+                if steps >= cyclelab.STEP_BUDGET:
+                    return walks, "steps"
+                path.append(w)
+                on_path[w] = True
+                stack.append(iter(nbrs[w]))
+                break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+    return walks, None
 
 
 def hand_built(elements, edges) -> RepGraph:
@@ -176,7 +225,7 @@ class TestEnumerate:
         # extension: a budget on extensions alone let 31 338 through
         _, _, g = cover_instance(100)
         monkeypatch.setattr(cyclelab, "STEP_BUDGET", 1000)
-        walks, stop = _walk_length(g.neighbours, 10, None)
+        walks, stop = walk_length(g.neighbours, 10, None)
         assert stop == "steps"
         assert 0 < len(walks) <= 1000
         # one step more of budget buys one walk more at most
@@ -185,7 +234,7 @@ class TestEnumerate:
             counts = []
             for budget in range(1, 300):
                 monkeypatch.setattr(cyclelab, "STEP_BUDGET", budget)
-                counts.append(len(_walk_length(g.neighbours, length, None)[0]))
+                counts.append(len(walk_length(g.neighbours, length, None)[0]))
             assert counts[-1] > 0
             assert all(b - a in (0, 1) for a, b in zip(counts, counts[1:]))
 
@@ -193,6 +242,51 @@ class TestEnumerate:
         _, A, g = cover_instance(12)
         for cyc in enumerate_even_cycles(g, 5):
             assert cycle_identity_check(cyc, A)
+
+
+class TestSharedClosingSets:
+    """_walk_lengths, which builds each root's ends and near sets once for
+    all lengths, against walk_length_oracle, which builds them per length."""
+
+    LENGTHS = range(4, 2 * harness.CYCLE_HALF_LENGTH + 1, 2)
+
+    @classmethod
+    def assert_agrees(cls, graph, cap):
+        # the pipeline's order, and the reverse, where the longest length
+        # builds the sets the shorter ones then share
+        for lengths in (cls.LENGTHS, cls.LENGTHS[::-1]):
+            want = [walk_length_oracle(graph.neighbours, length, cap) for length in lengths]
+            assert list(_walk_lengths(graph.neighbours, lengths, cap)) == want
+
+    @pytest.mark.parametrize("n", range(12, 101))
+    def test_cover_graphs(self, n, monkeypatch):
+        _, _, g = cover_instance(n)
+        for cap in (1, 50) if n > 24 else (1, 50, None):
+            self.assert_agrees(g, cap)
+        # every length of cover n = 100 ends on this budget
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", 2000)
+        for cap in (1, 50, None):
+            self.assert_agrees(g, cap)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 7])
+    def test_quadratic_instances(self, m, monkeypatch):
+        graphs = [_quad_audit_inputs(seed, m)[0] for seed in range(64)]
+        for budget in (cyclelab.STEP_BUDGET, 3):
+            monkeypatch.setattr(cyclelab, "STEP_BUDGET", budget)
+            for g in graphs:
+                for cap in (1, 50, None):
+                    self.assert_agrees(g, cap)
+
+    def test_reasons_are_exercised(self, monkeypatch):
+        # the comparisons above see both reasons and finished lengths
+        _, _, g = cover_instance(100)
+        assert stops(g, 5, 50) == {4: "cap", 6: "cap", 8: "cap", 10: "cap"}
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", 2000)
+        assert stops(g, 5, None) == {4: "steps", 6: "steps", 8: "steps", 10: "steps"}
+        quads = [_quad_audit_inputs(seed, 2)[0] for seed in range(64)]
+        assert all(stops(g, 5, None) == {} for g in quads)
+        monkeypatch.setattr(cyclelab, "STEP_BUDGET", 3)
+        assert all("steps" in stops(g, 5, None).values() for g in quads)
 
 
 class TestIdentity:
@@ -634,10 +728,11 @@ def _outcome(call):
 
 def _pipeline_walks(graph):
     """The walks the pipeline audits, shortest length first."""
+    lengths = range(4, 2 * harness.CYCLE_HALF_LENGTH + 1, 2)
     return [
         w
-        for length in range(4, 2 * harness.CYCLE_HALF_LENGTH + 1, 2)
-        for w in _walk_length(graph.neighbours, length, harness.DEFAULT_CYCLE_CAP)[0]
+        for walks, _ in _walk_lengths(graph.neighbours, lengths, harness.DEFAULT_CYCLE_CAP)
+        for w in walks
     ]
 
 
@@ -774,15 +869,13 @@ class TestBatchedAudit:
             assert _outcome(lambda: audit_cycle_walks(g, walks, A, desc)) == want
 
     def test_coefficient_bound_failures_match(self, monkeypatch):
-        # with every e_t past e_0 scaled up, the coefficients still vanish at
-        # r = d = 1, so only the |c_t| bound can fail
+        # with C(k, t) taken as 0 for t >= 1, both the certificate and
+        # divisibility_audit bound every c_t past c_0 by 0, so only the
+        # |c_t| bound can fail
         _, A, g = cover_instance(20)
         desc = APDescriptor(1, 1, 1, len(A))
         walks = _pipeline_walks(g)
-        esym = cyclelab.elementary_symmetric
-        monkeypatch.setattr(
-            cyclelab, "elementary_symmetric", lambda xs: [1] + [10**40 * e for e in esym(xs)[1:]]
-        )
+        monkeypatch.setattr(cyclelab, "comb", lambda k, t: int(t == 0))
         want = _first_failure(g, walks, A, desc)
         assert want[1] == "cycle coefficient audit failed"
         assert want[2]["coeff_bound_ok"] is False
@@ -811,7 +904,7 @@ class TestBatchedAudit:
     def test_malformed_walks(self):
         _, A, g = cover_instance(12)
         desc = APDescriptor(1, 1, 1, len(A))
-        fours = _walk_length(g.neighbours, 4, None)[0]
+        fours = walk_length(g.neighbours, 4, None)[0]
         a, b, c, d = fours[0]
         side = [v[0] for v in g.vertices]
         off = next(
@@ -845,7 +938,7 @@ class TestBatchedAudit:
         # every root, some with a missing edge back to it
         _, A, g = cover_instance(n)
         desc = APDescriptor(1, 1, 1, len(A))
-        walks = _pipeline_walks(g) + _walk_length(g.neighbours, 6, None)[0]
+        walks = _pipeline_walks(g) + walk_length(g.neighbours, 6, None)[0]
         lookup = g.edge_lookup
         side = [v[0] for v in g.vertices]
 
@@ -897,6 +990,154 @@ class TestBatchedAudit:
         assert want[0] is ShapeError and "does not carry term" in want[1]
         assert _outcome(lambda: audit_cycle_walks(g, [prev, walk], A, desc)) == want
 
+    # the prefix states: a head keeps the states of the prefix it shares with
+    # the head before, when the root and length are the same, and builds the
+    # rest
+
+    @staticmethod
+    def prefix_pairs(walks):
+        """(p, q, c) for consecutive walks p and q of one length whose heads
+        differ, c the number of leading vertices they share."""
+        return [
+            (p, q, next(t for t in range(len(q)) if p[t] != q[t]))
+            for p, q in zip(walks, walks[1:])
+            if len(p) == len(q) and p[:-1] != q[:-1]
+        ]
+
+    @staticmethod
+    def prefix_cases():
+        """(graph, A, descriptor, walks): cover graphs with r = d = 1 and
+        d = 2, and a quadratic instance with (r, d) != (1, 1), each with
+        the pipeline walks and 6- and 4-walks from every root."""
+        _, A, g = cover_instance(40)
+        cases = [*TestBatchedAudit.tampered_cases(), (g, A, APDescriptor(1, 1, 1, len(A)))]
+        for g, A, desc in cases:
+            extra = walk_length(g.neighbours, 6, 2000)[0] + walk_length(g.neighbours, 4, None)[0]
+            yield g, A, desc, _pipeline_walks(g) + extra
+
+    @staticmethod
+    def index_of(graph, a, b):
+        return graph.indices[graph.edge_lookup[a, b]]
+
+    def test_head_revisited_after_another(self):
+        # A, B, A: the second A keeps only the prefix it shares with B
+        seen = 0
+        for g, A, desc, walks in self.prefix_cases():
+            for p, q, _ in self.prefix_pairs(walks)[:150]:
+                for trio in ([p, q, p], [q, p, q]):
+                    assert _walk_oracle(g, trio, A, desc) is None
+                    assert _outcome(lambda: audit_cycle_walks(g, trio, A, desc)) is None
+                    seen += 1
+        assert seen > 300
+
+    def test_interleaved_lengths_at_one_root(self):
+        # round robin over the lengths: each walk's length differs from the
+        # one before, so each head starts again from the root.  Then one
+        # term is moved, on the first edge of the last walk
+        seen = 0
+        for g, A, desc, _ in self.prefix_cases():
+            lengths = range(4, 2 * harness.CYCLE_HALF_LENGTH + 1, 2)
+            groups = [walks for walks, _ in _walk_lengths(g.neighbours, lengths, 50)]
+            root = groups[0][0][0]
+            groups = [[w for w in walks if w[0] == root] for walks in groups]
+            if sum(map(bool, groups)) < 2:
+                continue  # the quadratic instance has 4-cycles only
+            seen += 1
+            mixed = [w for row in zip_longest(*groups) for w in row if w is not None]
+            assert any(len(a) != len(b) for a, b in zip(mixed, mixed[1:]))
+            assert _walk_oracle(g, mixed, A, desc) is None
+            assert _outcome(lambda: audit_cycle_walks(g, mixed, A, desc)) is None
+            A = list(A)
+            A[self.index_of(g, *mixed[-1][:2])] += 1
+            want = _walk_oracle(g, mixed, A, desc)
+            assert want is not None
+            assert _outcome(lambda: audit_cycle_walks(g, mixed, A, desc)) == want
+        assert seen == 3
+
+    def test_heads_that_differ_at_position_1(self):
+        # no state past the root is kept: the edge from the root is new, and
+        # a wrong value on it fails the second walk only
+        seen = 0
+        for g, A, desc, walks in self.prefix_cases():
+            for p, q, c in self.prefix_pairs(walks):
+                if c != 1 or p[0] != q[0]:
+                    continue
+                assert _outcome(lambda: audit_cycle_walks(g, [p, q], A, desc)) is None
+                j = self.index_of(g, q[0], q[1])
+                if j in _cycle_through(g, p).indices:
+                    continue
+                bad = list(A)
+                bad[j] += 1
+                want = _walk_oracle(g, [p, q], bad, desc)
+                assert want == (ShapeError, f"edge 0 of the cycle does not carry term {j}", None)
+                assert _outcome(lambda: audit_cycle_walks(g, [p, q], bad, desc)) == want
+                seen += 1
+        assert seen > 10
+
+    def test_new_root(self):
+        # a walk from another root starts again: its side is read off its
+        # own root, and a wrong value on its first edge fails it
+        seen = 0
+        for g, A, desc, walks in self.prefix_cases():
+            for p, q, c in self.prefix_pairs(walks):
+                if c != 0:
+                    continue
+                assert _outcome(lambda: audit_cycle_walks(g, [p, q], A, desc)) is None
+                j = self.index_of(g, q[0], q[1])
+                if j in _cycle_through(g, p).indices:
+                    continue
+                bad = list(A)
+                bad[j] += 1
+                want = _walk_oracle(g, [p, q], bad, desc)
+                assert want[0] is ShapeError and "does not carry term" in want[1]
+                assert _outcome(lambda: audit_cycle_walks(g, [p, q], bad, desc)) == want
+                seen += 1
+        assert seen > 5
+
+    def test_bad_new_suffix_after_a_passing_head(self):
+        # q shares two or more vertices with p, which passes; the first new
+        # vertex of q's head, at position t, or the edge into it, is broken
+        # in one way at a time
+        def variants(g, A, p, q, t):
+            side = [v[0] for v in g.vertices]
+            j = self.index_of(g, q[t - 1], q[t])
+            p_indices = _cycle_through(g, p).indices
+            if q[t] ^ 1 not in q:
+                yield "wrong side", q[:t] + [q[t] ^ 1] + q[t + 1 :], A
+            yield "revisit", q[:t] + [q[t - 2]] + q[t + 1 :], A
+            off = [
+                v for v in range(g.n_vertices)
+                if side[v] == side[q[t]] and v not in q and (q[t - 1], v) not in g.edge_lookup
+            ]
+            if off:
+                yield "no edge", q[:t] + [off[0]] + q[t + 1 :], A
+            before = [self.index_of(g, a, b) for a, b in zip(q[: t - 1], q[1:t])]
+            if j > max(p_indices + tuple(before)):
+                yield "index", q, A[:j]
+            if j not in p_indices:
+                yield "value", q, A[:j] + [A[j] + 1] + A[j + 1 :]
+
+        messages = {
+            "wrong side": "consecutive cycle vertices must alternate sides",
+            "revisit": "cycle revisits a vertex",
+            "no edge": "the walk steps between two vertices with no edge",
+            "index": "edge index {j} outside progression of length {j}",
+            "value": "edge {e} of the cycle does not carry term {j}",
+        }
+        seen = dict.fromkeys(messages, 0)
+        for g, A, desc, walks in self.prefix_cases():
+            for p, q, c in self.prefix_pairs(walks)[:300]:
+                if not 2 <= c < len(q) - 1:
+                    continue
+                assert _outcome(lambda: audit_cycle_walks(g, [p], A, desc)) is None
+                j = self.index_of(g, q[c - 1], q[c])
+                for kind, bad, terms in variants(g, A, p, q, c):
+                    want = _walk_oracle(g, [p, bad], terms, desc)
+                    assert want[:2] == (ShapeError, messages[kind].format(j=j, e=c - 1))
+                    assert _outcome(lambda: audit_cycle_walks(g, [p, bad], terms, desc)) == want
+                    seen[kind] += 1
+        assert min(seen.values()) > 0, seen
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_perturbed_walk_lists_agree(self, data):
@@ -930,7 +1171,7 @@ class TestBatchedAudit:
         g = hand_built(elements, tuple(Edge(pos[u], pos[v], u * v - 1, u * v) for u, v in pairs))
         A = list(range(1, 121))
         desc = APDescriptor(1, 1, 1, len(A))
-        walks = _walk_length(g.neighbours, 4, None)[0]
+        walks = walk_length(g.neighbours, 4, None)[0]
         ids = [g.vertices.index(v) for v in [(0, 0), (1, 2), (0, 1), (1, 4)]]
         assert ids in walks[1:] and walks[walks.index(ids) - 1][:-1] == ids[:-1]
         cyc = _cycle_through(g, ids)
@@ -1040,7 +1281,7 @@ class TestBatchedAudit:
 
     def test_disagreement_is_a_falsification(self, monkeypatch):
         _, A, g = cover_instance(12)
-        walk = _walk_length(g.neighbours, 4, 1)[0][0]
+        walk = walk_length(g.neighbours, 4, 1)[0][0]
         A = list(A)
         A[_cycle_through(g, walk).indices[0]] += 1
         monkeypatch.setattr(cyclelab, "cycle_audit", lambda cycle, A, desc: None)

@@ -257,12 +257,9 @@ class TestPipeline:
                 assert row["stopped"] == (None if total <= cap else "cap")
 
     def test_cycle_audit_failure_is_reported(self, monkeypatch):
-        # every e_t past e_0 scaled up breaks only the |c_t| bound; the
+        # C(k, t) taken as 0 for t >= 1 breaks only the |c_t| bound; the
         # report carries cycle_audit's falsification for the first cycle
-        esym = cyclelab.elementary_symmetric
-        monkeypatch.setattr(
-            cyclelab, "elementary_symmetric", lambda xs: [1] + [10**40 * e for e in esym(xs)[1:]]
-        )
+        monkeypatch.setattr(cyclelab, "comb", lambda k, t: int(t == 0))
         inst = demo_instance_file("cover100")
         report = pipeline(inst, cycle_cap=2)
         assert report["ok"] is False and "cycles" not in report["stages"]

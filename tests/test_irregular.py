@@ -174,12 +174,12 @@ class TestSelection:
         report = irregularity_report(graph, desc)
         used = [p for ps in report.selected_primes.values() for p in ps]
         assert sorted(used) == [11, 13]
-        assert list(report.selected_primes) == list(report.selected)
+        assert list(report.selected_primes) == [10, 12]  # terms 11 and 13
 
     def test_same_prime_keeps_lower_index(self):
         graph, desc = cover_graph(10)  # window {11}: terms 11 and 22
         report = irregularity_report(graph, desc)
-        assert report.selected == (10,)  # term 11, not term 22
+        assert tuple(report.selected_primes) == (10,)  # term 11, not term 22
 
     def test_double_prime_edge_excluded(self):
         # r=119, d=1, L=31: term 121 (i=2) and 132 (i=13) hit 11; 130 (i=11)
@@ -190,9 +190,9 @@ class TestSelection:
         report = irregularity_report(graph, desc)
         assert report.per_prime[11] == (2, 13, 24)
         assert report.per_prime[13] == (11, 24)
-        assert report.selected == (2, 11)
-        assert 24 not in report.selected
-        assert 13 not in report.selected  # second 11-hit blocked too
+        assert tuple(report.selected_primes) == (2, 11)
+        assert 24 not in report.selected_primes
+        assert 13 not in report.selected_primes  # second 11-hit blocked too
 
     def test_selected_edge_claims_all_its_primes(self):
         # r=143, d=1, L=31: term 143 = 11*13 (i=0) comes first for both
@@ -232,7 +232,7 @@ class TestForest:
             used = [p for ps in report.selected_primes.values() for p in ps]
             assert len(used) == len(set(used))
             # every selected edge is irregular for each prime it claims
-            for i in report.selected:
+            for i in report.selected_primes:
                 assert report.selected_primes[i]
                 for p in report.selected_primes[i]:
                     assert i in report.per_prime[p]
@@ -269,7 +269,6 @@ def _valuation_report(graph, desc):
     return IrregularityReport(
         window,
         {p: tuple(e.index for e in edges) for p, edges in per_prime.items()},
-        tuple(e.index for e in selected),
         selected_primes,
         forest,
     )
@@ -279,7 +278,10 @@ def assert_matches_oracle(graph, desc):
     """irregularity_report against the valuation scan, every field; returns
     the number of irregular edges."""
     want = _valuation_report(graph, desc)
-    assert irregularity_report(graph, desc) == want
+    got = irregularity_report(graph, desc)
+    assert got == want
+    # dicts compare without order; the selection is the keys in order
+    assert list(got.selected_primes) == list(want.selected_primes)
     return len({i for marked in want.per_prime.values() for i in marked})
 
 
