@@ -24,7 +24,7 @@ as a FalsificationError rather than as a silently wrong witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
 from math import gcd
 from operator import eq, floordiv, mul
@@ -136,20 +136,27 @@ def factor_pairs(A, base) -> list[tuple]:
     return pairs
 
 
-def verify_coverage(A: list[int], B: list[int]) -> None:
-    """Raise RepresentationError at the first term of A not in B.B.
+def verify_coverage(A: list[int], B: list[int]) -> dict:
+    """Raise RepresentationError at the first term of A not in B.B; return
+    {term: first factor pair} over the terms outside the first column.
 
     Every product x0 * b with x0 = min(B) lies in B.B, so that first column
-    is one C-level set; only the terms outside it go through the
-    ``first_pairs`` scan.  The first uncovered term is the first of those
-    the scan finds no pair for, named by its first index in A."""
+    is one C-level set, and its terms' first pairs are (x0, term // x0);
+    only the terms outside it go through the ``first_pairs`` scan, and the
+    pairs it finds are returned, {} when there is no such term.  The first
+    uncovered term is the first of those the scan finds no pair for, named
+    by its first index in A."""
     column = set(map(mul, B, repeat(min(B, default=0))))
     rest = list(filterfalse(column.__contains__, A))
-    if rest and None in (pairs := first_pairs(rest, sorted(B))):
+    if not rest:
+        return {}
+    pairs = first_pairs(rest, sorted(B))
+    if None in pairs:
         term = rest[pairs.index(None)]
         raise RepresentationError(
             "term {} is not a product of two set elements", A.index(term), term=term
         )
+    return dict(zip(rest, pairs))
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,9 @@ class ReductionStep:
 class ReductionTrace:
     steps: tuple[ReductionStep, ...] = ()
     k0_primes: tuple[int, ...] = ()  # primes dividing d but not D*r, no step needed
+    # the last coverage check's pairs: the first factor pair of each final
+    # term outside the final set's first column (see ``verify_coverage``)
+    pairs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, ReductionTrace]:
@@ -173,7 +183,9 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
 
     Returns (B', descriptor, trace).  The returned descriptor's terms are the
     transformed progression (the original A divided by the primes recorded in
-    the trace), each still a product of two elements of B'.  Raises
+    the trace), each still a product of two elements of B'; the trace's
+    ``pairs`` are the last coverage check's, on those terms and B', since
+    the gcd extraction changes neither.  Raises
     FalsificationError if a case of the reduction fails its post-step coverage
     oracle on a concrete instance.
     """
@@ -181,7 +193,7 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     if not all(map(isinstance, B, repeat(int))) or min(B, default=1) < 1:
         raise InputError("base-set elements must be positive integers")
     cur_B = sorted(set(B))
-    verify_coverage(A, cur_B)
+    pairs = verify_coverage(A, cur_B)
 
     steps: list[ReductionStep] = []
     while True:
@@ -218,7 +230,7 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
         d //= ap_div
         new_A = list(range(r, r + d * L, d))
         try:
-            verify_coverage(new_A, new_B)
+            pairs = verify_coverage(new_A, new_B)
         except RepresentationError as exc:
             raise FalsificationError(
                 "reduction case {} at p={} broke coverage: {}", case, p, exc,
@@ -264,7 +276,7 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
                 measure_drop=0,
             )
         )
-    trace = ReductionTrace(tuple(steps), k0)
+    trace = ReductionTrace(tuple(steps), k0, pairs)
     return cur_B, desc, trace
 
 
@@ -283,9 +295,10 @@ def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:
     """
     if not desc.is_reduced:
         raise InputError("descriptor not reduced: gcd(d, D*r) != 1")
-    D, d, L = desc.D, desc.d, desc.L
+    D, r, d, L = desc.D, desc.r, desc.d, desc.L
     i, j, g = 1, 0, 1
-    for h in range(L - 1, 1, -1):
+    # h | r + d*j0 >= h and j0 + h <= L - 1 need h*(d + 1) <= r + d*(L - 1)
+    for h in range(min(L - 1, (r + d * (L - 1)) // (d + 1)), 1, -1):
         if gcd(h, d) == 1:
             j0 = desc.first_divisible(h)
             if j0 + h <= L - 1:

@@ -361,7 +361,7 @@ def _integer_stages(B: list[int], A: list[int], report: dict, cycle_cap: int) ->
             payload=stages["gcd_bound"],
         )
     final_A = desc.terms()
-    graph = build_rep_graph(B_red, final_A)
+    graph = build_rep_graph(B_red, final_A, trace.pairs)
     stages["graph"] = {"vertices": graph.n_vertices, "edges": len(graph.indices)}
     by_length = []
     first = None  # the first walk of the shortest length that has one

@@ -18,11 +18,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, count, repeat
-from operator import itemgetter, sub
+from itertools import combinations_with_replacement, count, filterfalse, repeat
+from operator import floordiv, itemgetter, mod, sub
 
 from .apcore import APDescriptor, factor_pairs
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, RepresentationError
 from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
@@ -198,13 +198,32 @@ class RepGraph:
         return table
 
 
-def build_rep_graph(B, A) -> RepGraph:
+def build_rep_graph(B, A, pairs=None) -> RepGraph:
     """One edge per term of A, on the term's first factor pair in the
-    element order."""
+    element order.
+
+    ``pairs`` is None, and every term's pair is searched, or, for a set of
+    positive ints, the dict ``apcore.verify_coverage(A, B)`` returns: the
+    first pair of each term outside the first column x0 * B, x0 = min(B).
+    Every other term then takes (x0, a // x0), its first pair when x0 | a
+    and a // x0 is in B; a term that fails this raises the search's
+    RepresentationError."""
     _check_elements(B)
     base = tuple(sorted(B, key=sort_key if _has_quad(B) else None))
     index_of = {b: i for i, b in enumerate(base)}
-    pairs = factor_pairs(A, base)
+    if pairs is None:
+        pairs = factor_pairs(A, base)
+    else:
+        x0 = base[0]
+        column = list(filterfalse(pairs.__contains__, A))
+        cofactors = list(map(floordiv, column, repeat(x0)))
+        if any(map(mod, column, repeat(x0))) or not all(map(index_of.__contains__, cofactors)):
+            term = next(a for a in column if a % x0 or a // x0 not in index_of)
+            raise RepresentationError(
+                "term {} is not a product of two set elements", A.index(term), term=term
+            )
+        firsts = pairs | dict(zip(column, zip(repeat(x0), cofactors)))
+        pairs = list(map(firsts.__getitem__, A))
     return RepGraph(
         base,
         map(index_of.__getitem__, map(itemgetter(0), pairs)),
@@ -267,12 +286,14 @@ def _bitset_kernel(S, best):
     only on a hit; the lowest set bit is the smallest start, so ascending d
     keeps the (longest, smallest d, smallest start) order.  Past d = span //
     best no run can be longer, and the pass ends."""
-    lo, span = S[0], S[-1] - S[0]
-    buf = bytearray(span // 8 + 1)
+    lo, hi = S[0], S[-1]
+    span = hi - lo
+    # one ASCII digit per value, "1" at position hi - x: the set's base-2
+    # numeral, which int() reads with no decimal digit limit
+    flags = bytearray(b"0") * (span + 1)
     for x in S:
-        i = x - lo
-        buf[i >> 3] |= 1 << (i & 7)
-    bits = int.from_bytes(buf, "little")
+        flags[hi - x] = 49
+    bits = int(flags, 2)
     best_len, best_diff, best_start = best
     d = 0
     while d < span // best_len:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from prodap.apcore import APDescriptor, factor_pairs
 from prodap.exactnum import QuadElem
@@ -51,6 +51,27 @@ def longest_ap_oracle(S) -> APSearchResult:
                 length, diff, start = count, d, x
     indices = tuple(S.index(start + k * diff) for k in range(length))
     return APSearchResult(start, diff, length, indices)
+
+
+def inflated_instance(rng):
+    """A reduced progression with 1 in the set, scaled by random small primes
+    (p*p on A and p on B, or p on A and B | p*B)."""
+    while True:
+        r, d = rng.randint(1, 9), rng.randint(1, 6)
+        if gcd(d, r) == 1:
+            break
+    L = rng.randint(3, 6)
+    A = [r + d * i for i in range(L)]
+    B = sorted(set(A) | {1})
+    for _ in range(rng.randint(1, 3)):
+        p = rng.choice([2, 3, 5, 7])
+        if rng.random() < 0.5:
+            A = [p * p * a for a in A]
+            B = [p * b for b in B]
+        else:
+            A = [p * a for a in A]
+            B = sorted(set(B) | {p * b for b in B})
+    return A, B
 
 
 def inflated_reduce_instance(L, r, d, p1, p2, q):

@@ -27,6 +27,8 @@ from prodap.errors import FalsificationError, InputError, RepresentationError, S
 from prodap.exactnum import DEFAULT_TABLE, QuadElem, valuation
 from prodap.prodset import sort_key
 
+from instances import inflated_instance
+
 
 def pairwise_worst(desc):
     """Oracle: the O(L^2) scan over all pairs j < i, first maximum in (j, i)
@@ -39,6 +41,20 @@ def pairwise_worst(desc):
             if g > worst:
                 worst, i, j = g, ii, jj
     return worst <= desc.D * desc.L, (i, j, worst)
+
+
+def gcd_scan_from_top(desc):
+    """The closed form of ``gcd_bound_audit`` with its scan over every h from
+    L - 1 down: (i, j, D*g) for the first h, coprime to d, whose j0 leaves
+    room for i = j0 + h <= L - 1."""
+    i, j, g = 1, 0, 1
+    for h in range(desc.L - 1, 1, -1):
+        if gcd(h, desc.d) == 1:
+            j0 = desc.first_divisible(h)
+            if j0 + h <= desc.L - 1:
+                i, j, g = j0 + h, j0, h
+                break
+    return i, j, desc.D * g
 
 
 def omega_sum(B):
@@ -126,27 +142,6 @@ def outcome(f, *args):
         return f(*args)
     except InputError as exc:
         return type(exc), str(exc), getattr(exc, "term", None)
-
-
-def inflated_instance(rng):
-    """A reduced progression with 1 in the set, scaled by random small primes
-    (p*p on A and p on B, or p on A and B | p*B)."""
-    while True:
-        r, d = rng.randint(1, 9), rng.randint(1, 6)
-        if gcd(d, r) == 1:
-            break
-    L = rng.randint(3, 6)
-    A = [r + d * i for i in range(L)]
-    B = sorted(set(A) | {1})
-    for _ in range(rng.randint(1, 3)):
-        p = rng.choice([2, 3, 5, 7])
-        if rng.random() < 0.5:
-            A = [p * p * a for a in A]
-            B = [p * b for b in B]
-        else:
-            A = [p * a for a in A]
-            B = sorted(set(B) | {p * b for b in B})
-    return A, B
 
 
 class TestDescriptor:
@@ -447,13 +442,29 @@ class TestGcdBound:
         desc = APDescriptor(D, r, d, L)
         assert gcd_bound_audit(desc) == pairwise_worst(desc)
 
+    def test_scan_start_matches_scan_from_top(self):
+        # the scan starts at min(L - 1, (r + d*(L - 1)) // (d + 1)); no h
+        # above it has a pair, so the pick is the full scan's, for r below
+        # and at or above L, at d = 1 and d > 1
+        seen = set()
+        for L in (3, 4, 10, 29, 64):
+            for r in range(1, 2 * L + 4):
+                for d in (1, 2, 3, 5, 6, 35):
+                    for D in (1, 2, 11):
+                        desc = APDescriptor(D, r, d, L)
+                        if desc.is_reduced:
+                            assert gcd_bound_audit(desc)[1] == gcd_scan_from_top(desc)
+                            seen.add((r < L, d == 1))
+        assert len(seen) == 4
+
     def test_witness_is_rechecked(self, monkeypatch):
         # a wrong closed form (j0 forced to 0) must surface as a falsification
         monkeypatch.setattr(apcore, "pow", lambda *args: 0, raising=False)
         with pytest.raises(FalsificationError) as exc:
             gcd_bound_audit(APDescriptor(1, 1, 1, 10))
-        assert exc.value.payload["pair"] == [9, 0]
-        assert exc.value.payload["closed_form"] == "9"
+        # the scan starts at h = (1 + 9) // 2 = 5, which j0 = 0 admits
+        assert exc.value.payload["pair"] == [5, 0]
+        assert exc.value.payload["closed_form"] == "5"
         assert exc.value.payload["descriptor"] == {"D": "1", "r": "1", "d": "1", "L": 10}
 
     def test_falsification_past_digit_limit(self, monkeypatch):
@@ -464,40 +475,47 @@ class TestGcdBound:
             gcd_bound_audit(APDescriptor(10**5000, 1, 1, 10))
         payload = exc.value.payload
         assert payload["descriptor"] == {"D": "<16610-bit integer>", "r": "1", "d": "1", "L": 10}
-        assert payload["pair"] == [9, 0]
-        assert payload["closed_form"] == "<16613-bit integer>"
+        assert payload["pair"] == [5, 0]
+        assert payload["closed_form"] == "<16612-bit integer>"
         assert payload["gcd"] == "<16610-bit integer>"
 
 
 class TestVerifyCoverage:
-    """``verify_coverage`` against the full ``factor_pairs`` scan over A."""
+    """``verify_coverage`` against the full ``factor_pairs`` scan over A:
+    the same first uncovered term, and the same first pairs of the terms
+    outside the first column x0 * B, x0 = min(B)."""
 
     @staticmethod
     def full_scan(A, B):
-        factor_pairs(A, sorted(B))
+        pairs = factor_pairs(A, sorted(B))
+        column = {min(B, default=0) * b for b in B}
+        return {a: pair for a, pair in zip(A, pairs) if a not in column}
 
     @pytest.mark.parametrize(
-        "A, B, missing",
+        "A, B, expected",
         [
             ([1, 2], [], (0, 1)),
-            ([6, 10, 15, 25], [5, 3, 2], None),
+            ([6, 10, 15, 25], [5, 3, 2], {15: (3, 5), 25: (5, 5)}),
             ([4, 9, 7, 6], [3, 2, 3, 2], (2, 7)),
-            ([9, 4, 6, 25], [3, 2, 5], None),
-            ([15, 35, 21, 49], [2, 3, 5, 7], None),
+            ([9, 4, 6, 25], [3, 2, 5], {9: (3, 3), 25: (5, 5)}),
+            ([15, 35, 21, 49], [2, 3, 5, 7], {15: (3, 5), 35: (5, 7), 21: (3, 7), 49: (7, 7)}),
             ([15, 35, 21, 11], [2, 3, 5, 7], (3, 11)),
             ([4, 11, 6, 11], [1, 2, 3, 4, 6], (1, 11)),
             ([4, 13, 11, 13], [1, 2, 3, 4], (1, 13)),
             ([2, 4], [1], (0, 2)),
+            ([3, 1, 4, 2], [1, 2, 3, 4], {}),
+            ([9, 12, 9], [1, 3, 4], {9: (3, 3), 12: (3, 4)}),
         ],
         ids=[
             "empty", "unsorted", "duplicates", "min-above-1", "later-column",
             "later-column-missing", "repeated-missing", "two-missing", "one-element",
+            "all-column", "repeated-pair",
         ],
     )
-    def test_examples(self, A, B, missing):
-        want = None
-        if missing is not None:
-            i, term = missing
+    def test_examples(self, A, B, expected):
+        want = expected
+        if isinstance(expected, tuple):
+            i, term = expected
             want = (RepresentationError, f"term {i} is not a product of two set elements", term)
         assert outcome(verify_coverage, A, B) == want
         assert outcome(self.full_scan, A, B) == want

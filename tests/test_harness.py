@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodap import cyclelab, harness, jsonio, prodset
-from prodap.apcore import APDescriptor
+from prodap import apcore, cyclelab, harness, jsonio, prodset
+from prodap.apcore import APDescriptor, reduce_ap
 from prodap.errors import FalsificationError, InputError, RepresentationError
 from prodap.harness import (
     InstanceFile,
@@ -26,6 +26,7 @@ from prodap.harness import (
     scaling_study,
     study_csv,
 )
+from prodap.construct import cover_set
 from prodap.cyclelab import enumerate_even_cycles, find_even_cycle
 from prodap.jsonio import dumps_canonical
 from prodap.prodset import build_rep_graph
@@ -232,6 +233,37 @@ class TestPipeline:
         assert report["stages"]["irregular"]["irregular_edges"] > 0
         assert made == []
 
+    @pytest.mark.parametrize("kind", ["cover12", "noclaim", "k1"])
+    def test_each_term_is_scanned_once(self, kind, monkeypatch):
+        # the graph takes its pairs from the reduction's last coverage
+        # check, so the op's only factor-pair scans are the checks' own,
+        # each over the terms outside its set's first column
+        if kind == "cover12":
+            inst = InstanceFile("integer", list(cover_set(12).elements), ap=APDescriptor(1, 1, 1, 29))
+        elif kind == "noclaim":
+            inst = self.golden_instance("noclaim", 24)
+        else:
+            elements = [1, 2, 3, 5, 6, 7, 9, 11, 13, 15, 17, 19]
+            inst = InstanceFile("integer", elements, ap=APDescriptor(1, 2, 4, 11))
+        scans, real = [], apcore.first_pairs
+        monkeypatch.setattr(apcore, "first_pairs", lambda A, base: scans.append(A) or real(A, base))
+        report = pipeline(inst)
+        monkeypatch.undo()
+        assert report["ok"] is True
+        B = inst.elements
+        if inst.ap is None:
+            A = prodset.longest_ap(prodset.product_set(B)).descriptor().terms()
+        else:
+            A = inst.ap.terms()
+        checks = [(A, B)] + [
+            (s.result_desc.terms(), s.result_set)
+            for s in reduce_ap(A, B)[2].steps
+            if s.case != "extract-gcd"
+        ]
+        outside = [[a for a in terms if a not in {min(S) * b for b in S}] for terms, S in checks]
+        assert scans == [terms for terms in outside if terms]
+        assert len(checks) == (2 if kind == "k1" else 1) and outside[-1]
+
     def test_cycles_stage_reports_each_length(self):
         cycles = pipeline(demo_instance_file("cover100"))["stages"]["cycles"]
         assert cycles["cap"] == harness.DEFAULT_CYCLE_CAP == 50
@@ -242,8 +274,6 @@ class TestPipeline:
         assert cycles["audited"] == 200
 
     def test_complete_lengths_audit_every_cycle(self):
-        from prodap.construct import cover_set
-
         res = cover_set(10)
         inst = InstanceFile("integer", list(res.elements), ap=APDescriptor(1, 1, 1, res.M))
         graph = build_rep_graph(list(res.elements), list(range(1, res.M + 1)))
@@ -287,8 +317,6 @@ class TestPipeline:
     @pytest.mark.parametrize("n", [10, 14, 21, 33])
     @pytest.mark.parametrize("claim", [True, False])
     def test_shortest_is_the_bfs_cycle(self, n, claim):
-        from prodap.construct import cover_set
-
         res = cover_set(n)
         inst = InstanceFile(
             "integer", list(res.elements), ap=APDescriptor(1, 1, 1, res.M) if claim else None
@@ -329,8 +357,6 @@ class TestPipeline:
     @staticmethod
     def golden_instance(kind, seed):
         if kind == "noclaim":
-            from prodap.construct import cover_set
-
             elements = list(cover_set(seed).elements)
             return InstanceFile("integer", elements, provenance={"generator": "cover", "n": seed})
         return demo_instance_file(kind, seed)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
@@ -13,12 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodap import prodset
-from prodap.apcore import APDescriptor, first_pairs
+from prodap.apcore import APDescriptor, first_pairs, reduce_ap
 from prodap.errors import CapacityError, InputError, RepresentationError
 from prodap.exactnum import QuadElem
 from prodap.construct import cover_set
-from prodap.harness import _trial_rng, gen_cover, gen_random, random_quad_cycle_instance
+from prodap.harness import (
+    _trial_rng,
+    demo_instance_file,
+    gen_cover,
+    gen_random,
+    integerize,
+    random_quad_cycle_instance,
+)
 from prodap.jsonio import graph_from_json, graph_to_json
+from prodap.rationalize import make_quad_instance, rationalize_components
 from prodap.prodset import (
     Edge,
     _best_pair_result,
@@ -31,6 +40,7 @@ from prodap.prodset import (
 from instances import (
     assert_graph_matches_oracle,
     graph_from_edges,
+    inflated_instance,
     longest_ap_oracle,
     rep_graph_oracle,
 )
@@ -228,6 +238,91 @@ class TestRepGraph:
         assert all("m" not in x for x in obj["elements"])
         assert graph_from_json(obj) == g
         assert all(x.m == 3 for x in graph_from_json({**obj, "m": "3"}).elements)
+
+
+# 2 * (1 + 2i): one k1 step on p = 2, after which 21 = 3 * 7 lies outside 1 * B'
+K1_CLAIM = list(range(2, 43, 4))
+K1_SET = [1, 2, 3, 5, 6, 7, 9, 11, 13, 15, 17, 19]
+
+
+def handed_over(B, A):
+    """The reduction of A in B, and its graph built from the trace's pairs
+    and from a search of every term: (trace, given, searched)."""
+    B_red, desc, trace = reduce_ap(A, B)
+    terms = desc.terms()
+    return trace, build_rep_graph(B_red, terms, trace.pairs), build_rep_graph(B_red, terms)
+
+
+class TestPairsHandOver:
+    """``build_rep_graph`` with the reduction's pairs against the search."""
+
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_cover_claims(self, n):
+        res = cover_set(n)
+        trace, given, searched = handed_over(list(res.elements), list(range(1, res.M + 1)))
+        assert given == searched
+        # from n = 5 on, [1, M] has a term outside the column 1 * B
+        assert bool(trace.pairs) is (n >= 5)
+
+    @pytest.mark.parametrize("n", range(12, 41))
+    def test_searched_covers(self, n):
+        B = gen_cover(n)
+        desc = longest_ap(product_set(B)).descriptor()
+        _, given, searched = handed_over(B, desc.terms())
+        assert given == searched
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integerized_quad_demos(self, seed):
+        inst = demo_instance_file("quad", seed)
+        claim = inst.ap.terms()
+        B, scale = integerize(rationalize_components(make_quad_instance(inst.elements, claim, 2)))
+        _, given, searched = handed_over(B, [t * scale * scale for t in claim])
+        assert given == searched
+
+    def test_reductions_with_steps(self):
+        # inflated claims reduce through k1 and partition steps, and the
+        # pairs come from the check after the last of them
+        rng = random.Random(0x5EED)
+        cases = [inflated_instance(rng) for _ in range(200)]
+        cases += [(K1_CLAIM, K1_SET), ([4, 12, 20, 28], [2, 4, 6, 10, 14])]
+        seen = set()
+        for A, B in cases:
+            trace, given, searched = handed_over(B, A)
+            assert given == searched
+            seen.update(s.case for s in trace.steps)
+            seen.add("pairs" if trace.pairs else "column")
+        assert seen >= {"k1", "partition-B1B2B3", "pairs", "column"}
+
+    def test_pairs_stay_out_of_trace_equality(self):
+        _, _, trace = reduce_ap(K1_CLAIM, K1_SET)
+        assert [s.case for s in trace.steps] == ["k1"]
+        assert trace.pairs == {21: (3, 7)}
+        bare = type(trace)(trace.steps, trace.k0_primes)
+        assert bare == trace and hash(bare) == hash(trace)
+
+    @pytest.mark.parametrize(
+        "B, A, pairs, missing",
+        [
+            # 15 = 3 * 5 lies outside 2 * B and the pairs lack it
+            ([2, 3, 5, 7], [6, 10, 15], {}, (2, 15)),
+            # 11 has no pair at all
+            ([2, 3, 5, 7], [6, 11, 14], {}, (1, 11)),
+            # 8 = 2 * 4 with 4 outside B; 9 is odd
+            ([2, 3, 5], [4, 8, 6], {}, (1, 8)),
+            ([2, 3], [4, 9, 6], {}, (1, 9)),
+            ([2, 3], [4, 9, 6], {9: (3, 3)}, None),
+        ],
+    )
+    def test_term_without_pair(self, B, A, pairs, missing):
+        if missing is None:
+            assert build_rep_graph(B, A, pairs) == build_rep_graph(B, A)
+            return
+        i, term = missing
+        with pytest.raises(Exception) as info:
+            build_rep_graph(B, A, pairs)
+        assert type(info.value) is RepresentationError
+        assert str(info.value) == f"term {i} is not a product of two set elements"
+        assert info.value.term == term
 
 
 def oracle_lengths_match(S):
@@ -558,6 +653,22 @@ class TestKernels:
         monkeypatch.setattr(prodset, "_pair_kernel", None)  # never called
         r = longest_ap(S)
         assert (r.start, r.diff, r.length) == (1, 1, 148)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit to run under"
+    )
+    def test_bitset_past_the_decimal_digit_limit(self):
+        # the n = 40 cover products make a 19 321-digit base-2 numeral, which
+        # int() reads whatever the decimal digit limit
+        S = list(product_set(gen_cover(40)).products)
+        assert S[-1] - S[0] + 1 > 640
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            found = longest_ap(S)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert found == longest_ap_oracle(S)
 
     def test_random_study_set_goes_to_pairs(self, monkeypatch):
         S = list(product_set(gen_random(58, _trial_rng(2013, "random", 58, 0))).products)
