@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from typing import NoReturn
 
 from .apcore import APDescriptor
 from .errors import FalsificationError, InputError, ShapeError, digit_safe
@@ -77,8 +76,14 @@ def _canonical_cycle(ids: list[int]) -> list[int]:
 
 
 def _cycle_through(graph: RepGraph, ids: list[int]) -> EvenCycle:
-    """The cycle visiting the vertex ids in the order given."""
-    pos = list(map(graph.edge_lookup.__getitem__, zip(ids, ids[1:] + ids[:1])))
+    """The cycle visiting the vertex ids in the order given.  A walk that is
+    no cycle fails in the oracle's order: on its vertices, as EvenCycle
+    checks them, and then on a step between two vertices with no edge."""
+    try:
+        pos = list(map(graph.edge_lookup.__getitem__, zip(ids, ids[1:] + ids[:1])))
+    except KeyError:
+        _check_vertices(tuple(graph.vertices[t] for t in ids))
+        raise ShapeError("the walk steps between two vertices with no edge") from None
     return EvenCycle(
         tuple(graph.vertices[t] for t in ids),
         tuple(map(graph.indices.__getitem__, pos)),
@@ -359,12 +364,21 @@ def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
 
 def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     """cycle_audit on the cycle through each vertex-id walk of graph, with no
-    EvenCycle, CyclePoly or DivisibilityReport for a cycle that passes.
+    EvenCycle, CyclePoly or DivisibilityReport for a walk that passes the
+    fast checks below.
 
-    Each walk is checked from its edges, A and desc alone, as EvenCycle and
-    the three checks of cycle_audit would check it: shape, index range,
-    edge values against A, the product identity, exact vanishing at (r, d),
-    d | c_l, r | c_m and the |c_t| bounds.
+    One rule decides each walk.  It passes when every fast check passes;
+    otherwise cycle_audit(_cycle_through(graph, ids), A, desc) passes it or
+    raises, so every failure, its message and its payload are the oracle's.
+    The fast checks read only the walk's edges, A and desc: a reduced
+    descriptor, length >= 4, new vertices, an edge on every step, each index
+    in range, each edge value equal to its term of A, the product identity,
+    the head's bound certificate, c_1 != 0, c_k != 0, d | c_1, r | c_k and
+    vanishing at (r, d).  Sides and index newness need no check of their
+    own: every RepGraph edge joins a side-0 id to a side-1 id, so a vertex on
+    the wrong side, or a walk of odd length, misses an edge; and each index
+    sits on exactly one edge, so a repeated index is a repeated edge and
+    revisits a vertex.
 
     A walk's head is its first n - 1 vertices.  The audit keeps one state
     per prefix of the current head, taken after each of its edges: the
@@ -373,12 +387,13 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     positions; the elementary symmetric functions O and E of those indices;
     and the largest index so far.  A new head keeps the states of the
     prefix it shares with the head before, none when the root or the walk
-    length changes, and checks only its new vertices and edges: each
-    vertex's side and newness, and each edge's existence, its index's
-    newness and range, and its value against A.  A new edge multiplies two
-    products and extends O or E by one index, in O(k).  So a run of walks
-    that share a head, as the walk order of _walk_lengths gives them, costs
-    one head, and consecutive heads share most of their prefix.
+    length changes, and checks only its new vertices and edges.  A new edge
+    multiplies two products and extends O or E by one index, in O(k).  So a
+    run of walks that share a head, as the walk order of _walk_lengths gives
+    them, costs one head, and consecutive heads share most of their prefix.
+    A head that fails a check stops at the vertex or edge that fails it:
+    its walks go to cycle_audit, and the states before that point stay for
+    the heads after.
 
     The last vertex w of a walk adds the edges (head[-1], w) at position
     n - 2, index x, and (w, root), index y.  The A products must then agree
@@ -395,58 +410,41 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
       top^t - top0^t >= t*top0^(t-1)*(top - top0);
     - c_l and c_m: E_0 = O_0 = 1, so delta_0 = 0, l = 1 when c_1 = delta_1
       + y - x is nonzero, and m = k when c_k = y*E_(k-1) - x*O_(k-1) is
-      nonzero.
-    A walk whose head fails the certificate, or with c_1 = 0 or c_k = 0, or
-    that fails one of these tests, goes to cycle_audit, which passes it or
-    raises.  The first walk that fails a structural check goes through
-    EvenCycle and cycle_audit too (_reaudit), so every error, its message
-    and its payload are theirs."""
-    if not walks:
-        return
-    if not desc.is_reduced:
-        _reaudit(graph, walks[0], A, desc)
+      nonzero."""
     lookup = graph.edge_lookup
     indices, values = graph.indices, graph.values
     n_terms = len(A)
     r, d = desc.r, desc.d
-    n = 0
+    reduced = desc.is_reduced
     head = None
-    # path holds the head's vertex ids, idx the indices of its edges, and
-    # state, per prefix of path after its last edge, the A products at
-    # positions 0, 2, ... and 1, 3, ..., P_O and P_E, O and E, and the
-    # largest index
+    # path holds the head's vertex ids as far as they pass, and state, per
+    # prefix of path after its last edge, the A products at positions 0, 2,
+    # ... and 1, 3, ..., P_O and P_E, O and E, and the largest index
     for ids in walks:
-        if ids[:-1] != head:
+        if len(ids) < 4 or not reduced:
+            head, fast = None, False  # the next walk starts from its root
+        elif ids[:-1] != head:
             prev, head = head, ids[:-1]
             if prev is None or len(ids) != n or head[0] != prev[0]:
                 n = len(ids)
-                if n < 4 or n % 2:
-                    _reaudit(graph, ids, A, desc)
-                k = n // 2
-                twice_comb = [2 * comb(k, t) for t in range(k + 1)]
+                twice_comb = [2 * comb(n // 2, t) for t in range(n // 2 + 1)]
                 root = head[0]
-                root_side = root & 1
-                path, idx, state = [root], [], [(1, 1, 1, 1, [1], [1], -1)]
+                path, state = [root], [(1, 1, 1, 1, [1], [1], -1)]
             else:
                 c = 1
                 while c < n - 1 and head[c] == prev[c]:
                     c += 1
-                del path[c:], idx[c - 1 :], state[c:]
+                del path[c:], state[c:]
             a_o, a_e, p_o, p_e, odd, even, top = state[-1]
             for t in range(len(path), n - 1):
                 v = head[t]
-                if (v ^ t) & 1 != root_side or v in path:
-                    _reaudit(graph, ids, A, desc)
-                try:
-                    p = lookup[path[-1], v]
-                except KeyError:
-                    _reaudit(graph, ids, A, desc)
+                p = lookup.get((path[-1], v))
+                if p is None or v in path:
+                    break
                 j = indices[p]
-                if j in idx or not 0 <= j < n_terms:
-                    _reaudit(graph, ids, A, desc)
+                if not 0 <= j < n_terms or values[p] != A[j]:
+                    break
                 a = A[j]
-                if values[p] != a:
-                    _reaudit(graph, ids, A, desc)
                 if t & 1:  # the edge into v is at position t - 1, even
                     a_o, p_o = a_o * a, p_o * (r + d * j)
                     odd = [1] + [e + j * f for e, f in zip(odd[1:] + [0], odd)]
@@ -455,30 +453,24 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
                     even = [1] + [e + j * f for e, f in zip(even[1:] + [0], even)]
                 top = max(top, j)
                 path.append(v)
-                idx.append(j)
                 state.append((a_o, a_e, p_o, p_e, odd, even, top))
             delta = [e - o for e, o in zip(even, odd)] + [0]
-            fast = _bound_certificate(delta, even, odd, top, twice_comb)
-            d1, e_top, o_top = delta[1], even[-1], odd[-1]
-            on_head, seen, last = set(path), set(idx), path[-1]
-        w = ids[-1]
-        if w & 1 == root_side or w in on_head:
-            _reaudit(graph, ids, A, desc)
-        try:
-            px, py = lookup[last, w], lookup[w, root]
-        except KeyError:
-            _reaudit(graph, ids, A, desc)
-        x, y = indices[px], indices[py]
-        if x == y or x in seen or y in seen or not (0 <= x < n_terms and 0 <= y < n_terms):
-            _reaudit(graph, ids, A, desc)
-        a_x, a_y = A[x], A[y]
-        if values[px] != a_x or values[py] != a_y or a_o * a_x != a_e * a_y:
-            _reaudit(graph, ids, A, desc)
+            fast = len(path) == n - 1 and _bound_certificate(delta, even, odd, top, twice_comb)
+            d1, e_top, o_top, last = delta[1], even[-1], odd[-1], path[-1]
         if fast:
-            c_1, c_k = d1 + y - x, y * e_top - x * o_top
-            vanishes = p_e * (r + d * y) == p_o * (r + d * x)
-            if c_1 and c_k and not c_1 % d and not c_k % r and vanishes:
-                continue
+            w = ids[-1]
+            px, py = lookup.get((last, w)), lookup.get((w, root))
+            if px is not None and py is not None and w not in path:
+                x, y = indices[px], indices[py]
+                if 0 <= x < n_terms and 0 <= y < n_terms:
+                    a_x, a_y = A[x], A[y]
+                    c_1, c_k = d1 + y - x, y * e_top - x * o_top
+                    if (
+                        values[px] == a_x and values[py] == a_y and a_o * a_x == a_e * a_y
+                        and c_1 and c_k and not c_1 % d and not c_k % r
+                        and p_e * (r + d * y) == p_o * (r + d * x)
+                    ):
+                        continue
         cycle_audit(_cycle_through(graph, ids), A, desc)
 
 
@@ -504,19 +496,3 @@ def _bound_certificate(delta, even, odd, top0: int, twice_comb) -> bool:
             return False
         power *= top0
     return True
-
-
-def _reaudit(graph: RepGraph, ids: list[int], A, desc: APDescriptor) -> NoReturn:
-    """Raise what EvenCycle and cycle_audit raise on the cycle through ids,
-    after audit_cycle_walks found it failing; if they pass it, the two audits
-    disagree, and that is raised instead."""
-    _check_vertices(tuple(graph.vertices[t] for t in ids))
-    try:
-        cycle = _cycle_through(graph, ids)
-    except KeyError:
-        raise ShapeError("the walk steps between two vertices with no edge") from None
-    cycle_audit(cycle, A, desc)
-    raise FalsificationError(
-        "the batched cycle audit failed a cycle that cycle_audit passes",
-        payload=cycle.as_json(),
-    )

@@ -747,7 +747,7 @@ def _first_failure(graph, walks, A, desc):
 def _walk_oracle(graph, walks, A, desc):
     """The outcome of EvenCycle and cycle_audit on the first of any walks
     they reject.  A walk's vertices are checked before its edges, and a step
-    with no edge is the ShapeError that audit_cycle_walks names it by."""
+    with no edge is the ShapeError that _cycle_through names it by."""
 
     def audit(ids):
         cyclelab._check_vertices(tuple(graph.vertices[t] for t in ids))
@@ -921,8 +921,12 @@ class TestBatchedAudit:
             ([a, c, b, d], "consecutive cycle vertices must alternate sides"),
             ([a, b, off, d], "the walk steps between two vertices with no edge"),
         ]:
-            with pytest.raises(ShapeError, match=re.escape(message)):
-                audit_cycle_walks(g, [[a, b, c, d], walk], A, desc)
+            for call in (
+                lambda: audit_cycle_walks(g, [[a, b, c, d], walk], A, desc),
+                lambda: _cycle_through(g, walk),
+            ):
+                with pytest.raises(ShapeError, match=re.escape(message)):
+                    call()
 
     @staticmethod
     def runs(walks):
@@ -1075,8 +1079,8 @@ class TestBatchedAudit:
         assert seen > 10
 
     def test_new_root(self):
-        # a walk from another root starts again: its side is read off its
-        # own root, and a wrong value on its first edge fails it
+        # a walk from another root starts again from that root, and a
+        # wrong value on its first edge fails it
         seen = 0
         for g, A, desc, walks in self.prefix_cases():
             for p, q, c in self.prefix_pairs(walks):
@@ -1279,12 +1283,33 @@ class TestBatchedAudit:
         assume(nonzero)
         assert nonzero[-1] % r == 0 and nonzero[0] % d == 0
 
-    def test_disagreement_is_a_falsification(self, monkeypatch):
-        _, A, g = cover_instance(12)
-        walk = walk_length(g.neighbours, 4, 1)[0][0]
+    def test_oracle_verdict_is_final(self, monkeypatch):
+        # with cycle_audit passing every cycle, a walk handed to it passes.
+        # The head of the first walks carries a wrong term on its last edge,
+        # so all its walks go to cycle_audit; the heads after it share its
+        # first vertices, keep the states before that edge, and are still
+        # certified, so cycle_audit sees no other walk
+        _, A, g = cover_instance(20)
+        desc = APDescriptor(1, 1, 1, len(A))
+        walks = _pipeline_walks(g)
+        p, q, _ = next((p, q, c) for p, q, c in self.prefix_pairs(walks) if c >= 2)
+        head = p[:-1]
+        j = self.index_of(g, head[-2], head[-1])
+        bad = [w for w in walks if w[:-1] == head]
+
+        def certified(w):
+            cycle = _cycle_through(g, w)
+            coeffs = cycle_poly(cycle, desc).coeffs
+            return j not in cycle.indices and coeffs[1] != 0 and coeffs[-1] != 0
+
+        good = [w for w in walks[walks.index(q) :] if certified(w)][:40]
+        assert good[0][:2] == head[:2] and len(good) == 40
         A = list(A)
-        A[_cycle_through(g, walk).indices[0]] += 1
-        monkeypatch.setattr(cyclelab, "cycle_audit", lambda cycle, A, desc: None)
-        with pytest.raises(FalsificationError, match="batched cycle audit failed") as exc:
-            audit_cycle_walks(g, [walk], A, APDescriptor(1, 1, 1, len(A)))
-        assert exc.value.payload == _cycle_through(g, walk).as_json()
+        A[j] += 1
+        message = f"edge {len(head) - 2} of the cycle does not carry term {j}"
+        assert _walk_oracle(g, bad, A, desc) == (ShapeError, message, None)
+        assert _walk_oracle(g, good, A, desc) is None
+        handed = []
+        monkeypatch.setattr(cyclelab, "cycle_audit", lambda cycle, A, desc: handed.append(cycle))
+        audit_cycle_walks(g, bad + good, A, desc)
+        assert handed == [_cycle_through(g, w) for w in bad]
