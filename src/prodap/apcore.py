@@ -9,8 +9,8 @@ by an independent re-verification that A is still covered by products of the
 shrunken set; the case analysis is never trusted on its own.  The reduction
 ends because each step lowers the total prime multiplicity Omega of the set.
 A step divides every element b by some q in {1, p, p**2}, so the step's drop,
-the sum of Omega(q) over its divisors, is read off the divisors alone and the
-set itself is never factorized.  The drop equals the set's Omega decrease
+the sum of Omega(q) over its divisors, is read off the quotients q alone and
+the set itself is never factorized.  The drop equals the set's Omega decrease
 unless two elements meet on one quotient, which lowers Omega further; a step
 whose drop is 0 falsifies the reduction.
 
@@ -25,9 +25,10 @@ as a FalsificationError rather than as a silently wrong witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from functools import cached_property
+from itertools import filterfalse, islice, repeat
 from math import gcd
-from operator import eq, floordiv, mul
+from operator import eq, floordiv, mul, ne
 
 from .errors import FalsificationError, InputError, RepresentationError, ShapeError, digit_safe
 from .exactnum import DEFAULT_TABLE, valuation
@@ -159,14 +160,35 @@ def verify_coverage(A: list[int], B: list[int]) -> dict:
     return dict(zip(rest, pairs))
 
 
+def _sorted_unique(xs) -> tuple:
+    """``tuple(sorted(set(xs)))`` with the same survivor of equal elements
+    (the first in xs, as ``set`` keeps it and the sort is stable); the set is
+    built only when two sorted neighbours are equal."""
+    s = sorted(xs)
+    if all(map(ne, s, islice(s, 1, None))):
+        return tuple(s)
+    return tuple(sorted(set(s)))
+
+
 @dataclass(frozen=True)
 class ReductionStep:
+    """One step of ``reduce_ap``.  ``before`` is the set before the step (the
+    previous step's ``result_set`` object, or the sorted input set) and
+    ``quotients[i]`` the q in {1, p, p**2} that divides ``before[i]``; both
+    are empty for the terminal gcd extraction."""
+
     prime: int | None  # None for the terminal gcd extraction
     case: str  # "k1" | "partition-B1B2B3" | "extract-gcd"
-    divisors: tuple[tuple[int, int], ...]  # (element before, divisor applied)
+    before: tuple[int, ...]
+    quotients: tuple[int, ...]
     result_set: tuple[int, ...]
     result_desc: APDescriptor
-    measure_drop: int  # sum of Omega(q) over the divisors; 0 for extract-gcd
+    measure_drop: int  # sum of Omega(q) over the quotients; 0 for extract-gcd
+
+    @cached_property
+    def divisors(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (element before, divisor applied)."""
+        return tuple(zip(self.before, self.quotients))
 
 
 @dataclass(frozen=True)
@@ -192,7 +214,7 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
     r, d, L = validate_ap(A)
     if not all(map(isinstance, B, repeat(int))) or min(B, default=1) < 1:
         raise InputError("base-set elements must be positive integers")
-    cur_B = sorted(set(B))
+    cur_B = _sorted_unique(B)
     pairs = verify_coverage(A, cur_B)
 
     steps: list[ReductionStep] = []
@@ -211,21 +233,20 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
         if k_r == 1:
             # every term carries exactly one factor p; strip one p from the
             # divisible elements of B and divide A by p
-            qs = list(map(gcd, cur_B, repeat(p)))
+            qs = tuple(map(gcd, cur_B, repeat(p)))
             ap_div = p
             case = "k1"
         else:
             # k_d > k_r >= 2: terms carry exactly p**k_r; split B by valuation
             # (0, 1..k_r-1, >= k_r, read off gcd(b, p**k_r)) and divide A by p**2
             split = dict.fromkeys((p**e for e in range(1, k_r)), p) | {1: 1, p**k_r: p * p}
-            qs = list(map(split.__getitem__, map(gcd, cur_B, repeat(p**k_r))))
+            qs = tuple(map(split.__getitem__, map(gcd, cur_B, repeat(p**k_r))))
             ap_div = p * p
             case = "partition-B1B2B3"
-        divisors = tuple(zip(cur_B, qs))
         # b // q has Omega(b) - Omega(q) for q in {1, p, p**2}; quotients
         # that meet lower it further
         drop = len(qs) - qs.count(1) + qs.count(p * p)
-        new_B = sorted(set(map(floordiv, cur_B, qs)))
+        new_B = _sorted_unique(map(floordiv, cur_B, qs))
         r //= ap_div
         d //= ap_div
         new_A = list(range(r, r + d * L, d))
@@ -251,8 +272,9 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
             ReductionStep(
                 prime=p,
                 case=case,
-                divisors=divisors,
-                result_set=tuple(new_B),
+                before=cur_B,
+                quotients=qs,
+                result_set=new_B,
                 result_desc=APDescriptor(1, r, d, L),
                 measure_drop=drop,
             )
@@ -270,14 +292,15 @@ def reduce_ap(A: list[int], B: list[int]) -> tuple[list[int], APDescriptor, Redu
             ReductionStep(
                 prime=None,
                 case="extract-gcd",
-                divisors=(),
-                result_set=tuple(cur_B),
+                before=(),
+                quotients=(),
+                result_set=cur_B,
                 result_desc=desc,
                 measure_drop=0,
             )
         )
     trace = ReductionTrace(tuple(steps), k0, pairs)
-    return cur_B, desc, trace
+    return list(cur_B), desc, trace
 
 
 def gcd_bound_audit(desc: APDescriptor) -> tuple[bool, tuple[int, int, int]]:

@@ -9,7 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import prodap
@@ -85,6 +85,29 @@ def check_drops(B, trace):
             (k - 1) * omega_sum([c]) for c, k in quotients.items()
         )
         before, n = s.result_set, n + 1
+    return n
+
+
+def check_columns(B, trace):
+    """Each non-terminal step's columns: ``before`` is the previous step's
+    ``result_set`` object (the sorted input set for the first step),
+    ``quotients`` runs alongside it, and ``divisors`` pairs the two.  The
+    terminal gcd extraction has empty columns.  Returns the number of
+    non-terminal steps."""
+    prev, n = None, 0
+    for s in trace.steps:
+        if s.case == "extract-gcd":
+            assert s.before == s.quotients == () and s.divisors == ()
+            continue
+        if prev is None:
+            assert s.before == tuple(sorted(set(B)))
+        else:
+            assert s.before is prev.result_set
+        assert type(s.before) is type(s.quotients) is tuple
+        assert len(s.before) == len(s.quotients)
+        assert s.divisors == tuple(zip(s.before, s.quotients))
+        assert s.divisors is s.divisors
+        prev, n = s, n + 1
     return n
 
 
@@ -384,6 +407,66 @@ class TestReduce:
         # the divisors against the valuation split, at k_r = 1, 2 and above
         ks = Counter(k for A, _, trace in traces for k in check_divisors(A, trace))
         assert ks[1] and ks[2] and sum(n for k, n in ks.items() if k >= 3)
+
+    def test_steps_hold_columns(self):
+        # each step holds the set before it and its quotients; the pairs are
+        # built from them when read, and two runs give equal, equal-hashing
+        # traces
+        rng = random.Random(0xC015)
+        cases = [
+            ([2, 6, 10, 14], [1, 2, 3, 5, 6, 7]),
+            ([8, 24, 40, 56], [1, 2, 3, 4, 5, 6, 7, 8, 12, 20, 28]),
+        ]
+        cases += [inflated_instance(rng) for _ in range(100)]
+        for A, B in cases:
+            trace = reduce_ap(A, B)[2]
+            assert check_columns(B, trace) == check_drops(B, trace)
+            again = reduce_ap(A, B)[2]
+            assert again == trace and hash(again) == hash(trace)
+            assert [s.divisors for s in again.steps] == [s.divisors for s in trace.steps]
+
+    def test_shuffled_duplicated_base(self):
+        # repeats and order in B change neither B', the descriptor nor the
+        # trace; True may stand in for 1
+        rng = random.Random(0x5EED)
+        for _ in range(100):
+            A, B = inflated_instance(rng)
+            messy = B + rng.choices(B, k=rng.randint(1, len(B))) + [True] * (1 in B)
+            rng.shuffle(messy)
+            got, want = reduce_ap(A, messy), reduce_ap(A, sorted(set(B)))
+            assert got == want and hash(got[2]) == hash(want[2])
+            assert [s.divisors for s in got[2].steps] == [s.divisors for s in want[2].steps]
+            check_columns(messy, got[2])
+
+
+class TestSortedUnique:
+    # ints past 2**62, small ints with repeats and bools, which equal 0 and 1
+    values = st.one_of(
+        st.integers(-3, 8), st.booleans(), st.integers(2**62 - 2, 2**62 + 2), st.integers()
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(values, max_size=30),
+        st.sampled_from(["drawn", "sorted", "reversed", "shuffled"]),
+        st.randoms(),
+    )
+    @example([3, 1, 3, 1], "drawn", random.Random(0))
+    @example([True, 1, 2], "drawn", random.Random(0))
+    @example([1, True, 2], "drawn", random.Random(0))
+    @example([2**63, 2**62 + 1, 2**63, 2**62 + 1], "drawn", random.Random(0))
+    def test_matches_sorted_set(self, xs, order, rnd):
+        if order == "sorted":
+            xs.sort()
+        elif order == "reversed":
+            xs.sort(reverse=True)
+        elif order == "shuffled":
+            rnd.shuffle(xs)
+        want = tuple(sorted(set(xs)))
+        got = apcore._sorted_unique(xs)
+        assert got == want
+        # the same survivor of equal elements: True against 1
+        assert list(map(type, got)) == list(map(type, want))
 
 
 class TestGcdBound:
