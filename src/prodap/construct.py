@@ -8,18 +8,19 @@ part until both parts land in the set.  Threshold comparisons against ln n
 are decided by an integer enclosure of ln n, never by a float.
 
 ``coverage_check`` certifies all of [1, floor(n*ln n)] from one witness
-table w, where x splits as (w[x], x / w[x]), and that table is the
+table w, where x splits as (w[x - 1], x / w[x - 1]), and that table is the
 certificate: the witnesses are read from it on demand, so no per-x object is
 kept.  Every prime comes from the shared prime table, which the cover set
-grows to M once, so a later call with no larger M sieves nothing.  Each
-prime above floor(ln n) sieves its multiples into w, so w[x] is x's largest
-prime whenever that prime is above floor(ln n); the other x, 1
-and the floor(ln n)-smooth x, are enumerated from the primes up to
-floor(ln n) and split by the transfer loop, which writes the smaller factor,
-or M + 1, which divides no x, when it fails.  Three passes over the table
-check every x with no mask, and only when one fails does an ascending scan
-look for the least bad x.  ``split_factor`` splits a single x by trial
-division and shares the transfer loop with it.
+grows to M once, so a later call with no larger M sieves nothing.  w starts
+as a copy of the table's largest-prime-factor column over [1, M], which the
+table builds once and extends only past the largest M asked for; so w[x - 1]
+is x's largest prime whenever that prime is above floor(ln n).  The other x,
+1 and the floor(ln n)-smooth x, are enumerated from the primes up to
+floor(ln n) and split by the transfer loop, which overwrites their entries
+with the smaller factor, or M + 1, which divides no x, when it fails.  Three
+passes over the table check every x with no mask, and only when one fails
+does an ascending scan look for the least bad x.  ``split_factor`` splits a
+single x by trial division and shares the transfer loop with it.
 """
 
 from __future__ import annotations
@@ -177,29 +178,20 @@ def split_factor(
 def _witness_table(
     result: ConstructionResult, table: PrimeTable
 ) -> tuple[list[int], frozenset, dict]:
-    """(w, smooth, failed): w[x] is the smaller factor of a witness
-    (w[x], x / w[x]) for each x in [1, M]; smooth holds x = 1 and the
+    """(w, smooth, failed): w[x - 1] is the smaller factor of a witness
+    (w[x - 1], x / w[x - 1]) for each x in [1, M]; smooth holds x = 1 and the
     floor(ln n)-smooth x, whose witnesses the transfer loop wrote; failed maps
     each such x whose loop failed, or handed back a pair with d1*d2 != x, to
-    what it returned, and its w[x] is M + 1, which divides no x.
+    what it returned, and its entry is M + 1, which divides no x.
 
-    Every other x has a prime above floor(ln n), and w[x] is the largest:
-    each such prime writes its multiples in ascending order, so the largest
-    is written last.  A prime above M // 2 has no multiple in [1, M] but
-    itself, so it writes only w[p].  The primes come from the table, which
-    ``cover_set`` has already grown to M."""
+    w starts as a private copy of the table's largest-prime-factor column over
+    [1, M], so every other x, which has a prime above floor(ln n), keeps its
+    largest prime.  The transfer loop then overwrites 1 and the smooth x."""
     n, M, members = result.n, result.M, result._members
-    primes = table.primes_upto(M)
-    cut, half = bisect_right(primes, _floor_ln(n)), bisect_right(primes, M // 2)
-    small = primes[:cut]
-    w = [1] * (M + 1)
-    for p in primes[cut:half]:
-        w[p::p] = [p] * (M // p)
-    for p in primes[half:]:
-        w[p] = p
+    w = table.largest_prime_factors(M)
     # each smooth x with its primes, ascending, built from the small primes
     smooth = [(1, [])]
-    for p in small:
+    for p in table.primes_upto(_floor_ln(n)):
         for x, primes in smooth[:]:
             while (x := x * p) <= M:
                 primes = [*primes, p]
@@ -209,16 +201,16 @@ def _witness_table(
         found = _transfer(primes[-1], x // primes[-1], primes[:-1], members)
         if found is None or found[0] * found[1] != x:
             failed[x] = found
-            w[x] = M + 1
+            w[x - 1] = M + 1
         else:
-            w[x] = found[0]
+            w[x - 1] = found[0]
     return w, frozenset(x for x, _ in smooth), failed
 
 
 class _CertificateView(Mapping):
     """Read-only mapping over x = 1..M, ascending, read on demand from the
     coverage certificate: the witness table w, where x splits as
-    (w[x], x / w[x]), and the set of unit and transfer x."""
+    (w[x - 1], x / w[x - 1]), and the set of unit and transfer x."""
 
     def __init__(self, M: int, w: list[int], smooth: frozenset) -> None:
         self._M, self._w, self._smooth = M, w, smooth
@@ -237,7 +229,7 @@ class _WitnessView(_CertificateView):
     def __getitem__(self, x: int) -> tuple[int, int]:
         if not (isinstance(x, int) and 1 <= x <= self._M):
             raise KeyError(x)
-        p = self._w[x]
+        p = self._w[x - 1]
         q = x // p
         return (q, p) if q <= p else (p, q)
 
@@ -263,25 +255,25 @@ def coverage_check(n: int, table: PrimeTable | None = None) -> ConstructionResul
     elements, with one witness per x.  A missing witness is a falsification,
     not a crash.
 
-    The witness table holds (w[x], x/w[x]) for every x: for x with a prime
-    p > floor(ln n) (exact, since ln n is irrational), p is its largest
-    prime, which also gives x/p < n since p*n > n*ln n >= x; the other x are
-    enumerated from the primes up to floor(ln n) and split by the transfer
-    loop.  Three passes over the table re-check every witness: x % w[x] == 0,
-    w[x] in the set and x // w[x] in the set.  Only when one fails is the
-    least bad x looked for.  The result's witnesses and methods read the
-    pairs from the table when looked up."""
+    The witness table holds (w[x - 1], x / w[x - 1]) for every x: for x with
+    a prime p > floor(ln n) (exact, since ln n is irrational), p is its
+    largest prime, which also gives x/p < n since p*n > n*ln n >= x; the
+    other x are enumerated from the primes up to floor(ln n) and split by the
+    transfer loop.  Three passes over the table re-check every witness, with
+    p = w[x - 1]: x % p == 0, p in the set and x // p in the set.  Only when
+    one fails is the least bad x looked for.  The result's witnesses and
+    methods read the pairs from the table when looked up."""
     table = table or DEFAULT_TABLE
     result = cover_set(n, table)
     w, smooth, failed = _witness_table(result, table)
     members = result._members
-    xs, ws = range(1, result.M + 1), w[1:]
+    xs = range(1, result.M + 1)
     if (
-        any(map(mod, xs, ws))
-        or not members.issuperset(ws)
-        or not members.issuperset(map(floordiv, xs, ws))
+        any(map(mod, xs, w))
+        or not members.issuperset(w)
+        or not members.issuperset(map(floordiv, xs, w))
     ):
-        for x, p in zip(xs, ws):
+        for x, p in zip(xs, w):
             if x % p or p not in members or x // p not in members:
                 break
         if x not in failed:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import isqrt
 
 from .errors import CapacityError, DomainError, FieldMismatchError, InputError, digit_safe
@@ -50,6 +50,10 @@ class PrimeTable:
     ``factorize`` divides by the sieved primes one at a time and grows the
     sieve only when the division runs past its last prime.  ``is_prime`` is
     the verdict of ``factorize``.
+
+    ``largest_prime_factors`` copies from a cached column, lpf[x] = the
+    largest prime of x (1 for x = 0, 1), that grows only to the largest m a
+    caller has asked for, never to the sieve's limit.
     """
 
     def __init__(self, capacity: int = DEFAULT_SIEVE_CAPACITY):
@@ -58,6 +62,7 @@ class PrimeTable:
         self.capacity = capacity
         self._limit = 0
         self._primes: list[int] = []
+        self._lpf = [1, 1]
 
     @property
     def limit(self) -> int:
@@ -85,6 +90,30 @@ class PrimeTable:
             return []
         self._ensure(n)
         return self._primes[: bisect_right(self._primes, n)]
+
+    def largest_prime_factors(self, m: int) -> list[int]:
+        """[lpf(1), ..., lpf(m)], a new list, where lpf(x) is the largest
+        prime of x and lpf(1) = 1.
+
+        Only the column's tail (old m, m] is written, in place, from the
+        primes that ``primes_upto(m)`` gives: each prime writes its
+        multiples in the tail in ascending order of the prime, so the
+        largest is written last, and a prime above m // 2 writes only
+        itself."""
+        if m < 1:
+            raise DomainError("largest_prime_factors needs m >= 1, got {}", m)
+        lpf = self._lpf
+        old = len(lpf) - 1
+        if m > old:
+            primes = self.primes_upto(m)
+            lpf.extend(repeat(1, m - old))
+            half = bisect_right(primes, m // 2)
+            for p in primes[:half]:
+                start = (old // p + 1) * p  # p's first multiple past old
+                lpf[start::p] = [p] * ((m - start) // p + 1)
+            for p in primes[bisect_right(primes, max(old, m // 2)) :]:
+                lpf[p] = p
+        return lpf[1 : m + 1]
 
     def is_prime(self, n: int) -> bool:
         """Exact primality for n <= capacity**2; beyond that, CapacityError.

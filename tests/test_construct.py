@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodap
-from prodap import construct
+from prodap import construct, irregular
+from prodap.apcore import APDescriptor
 from prodap.construct import (
     cover_set,
     coverage_check,
@@ -25,6 +26,7 @@ from prodap.construct import (
 )
 from prodap.errors import CapacityError, DomainError, FalsificationError, InputError
 from prodap.exactnum import DEFAULT_TABLE, PrimeTable
+from prodap.irregular import prime_window
 
 from instances import primes_between
 
@@ -65,14 +67,15 @@ def split_factor_oracle(x, n, result, table=None):
 
 
 def corrupt_table(monkeypatch, changes):
-    """Make coverage_check read a witness table with w[x] = value for each
-    x: value in changes, set after the transfers have written theirs."""
+    """Make coverage_check read a witness table whose entry for x is value,
+    w[x - 1] = value, for each x: value in changes, set after the transfers
+    have written theirs."""
     real = construct._witness_table
 
     def corrupted(result, table):
         w, smooth, failed = real(result, table)
         for x, value in changes.items():
-            w[x] = value
+            w[x - 1] = value
         return w, smooth, failed
 
     monkeypatch.setattr(construct, "_witness_table", corrupted)
@@ -305,15 +308,15 @@ class TestCoverage:
         table = PrimeTable()
         res = cover_set(1000, table)
         w, smooth, failed = construct._witness_table(res, table)
-        assert len(w) == res.M + 1 and w[1] == 1 and failed == {}
+        assert len(w) == res.M and w[0] == 1 and failed == {}
         floor_ln = decimal_floor_mul_ln(1, 1000, 50)
         for x in range(2, res.M + 1):
             p = table.factorize(x)[-1][0]
             if p > floor_ln:
-                assert w[x] == p and x not in smooth
+                assert w[x - 1] == p and x not in smooth
             else:
                 assert x in smooth
-                assert (w[x], x // w[x]) == split_factor_oracle(x, 1000, res, table)[:2]
+                assert (w[x - 1], x // w[x - 1]) == split_factor_oracle(x, 1000, res, table)[:2]
 
     @pytest.mark.parametrize("n", [*range(3, 61), 1000])
     def test_transfer_x_are_the_smooth_x(self, n):
@@ -342,6 +345,54 @@ class TestCoverage:
         assert res.elements == fresh.elements
         assert list(res.witnesses.items()) == list(fresh.witnesses.items())
         assert list(res.methods.items()) == list(fresh.methods.items())
+
+
+class TestColumnCache:
+    """Each call's witness table is a private copy of the prime table's
+    largest-prime-factor column: no call sees another's writes."""
+
+    @staticmethod
+    def certificate(res):
+        return list(res.witnesses.items()), list(res.methods.items())
+
+    def test_corrupted_call_leaves_the_cache_clean(self, monkeypatch):
+        # a corrupted entry and a failed transfer, which writes M + 1
+        table = PrimeTable()
+        real = construct._transfer
+        with monkeypatch.context() as m:
+            corrupt_table(m, {458: 227})
+            m.setattr(
+                construct, "_transfer",
+                lambda d1, d2, *args: None if d1 * d2 == 432 else real(d1, d2, *args),
+            )
+            with pytest.raises(FalsificationError, match=re.escape("no witness for 432")):
+                coverage_check(100, table)
+        fresh = self.certificate(coverage_check(100, PrimeTable()))
+        assert self.certificate(coverage_check(100, table)) == fresh
+
+    def test_earlier_view_survives_a_larger_call(self):
+        table = PrimeTable()
+        res = coverage_check(500, table)
+        coverage_check(5000, table)
+        assert self.certificate(res) == self.certificate(coverage_check(500, PrimeTable()))
+
+    def test_mutated_certificate_leaves_the_cache(self):
+        table = PrimeTable()
+        res = coverage_check(500, table)
+        res.witnesses._w[:] = [res.M + 1] * res.M
+        fresh = self.certificate(coverage_check(500, PrimeTable()))
+        assert self.certificate(coverage_check(500, table)) == fresh
+
+    def test_column_grows_only_to_m(self, monkeypatch):
+        # the prime window sieves the table to 2 * 10**6; the cover of n = 500
+        # still builds its column only to M = 3107
+        table = PrimeTable()
+        monkeypatch.setattr(irregular, "DEFAULT_TABLE", table)
+        prime_window(APDescriptor(1, 1, 1, 4 * 10**6 + 1))
+        assert table.limit == 2 * 10**6
+        res = coverage_check(500, table)
+        assert len(table._lpf) == res.M + 1 == 3108
+        assert self.certificate(res) == self.certificate(coverage_check(500, PrimeTable()))
 
 
 class TestCertificate:

@@ -248,6 +248,52 @@ class TestSieveGrowth:
                 assert table.primes == oracle.primes, requests
 
 
+class TestLargestPrimeFactors:
+    """The cached column against factorize: lpf(x) = factorize(x)[-1][0]."""
+
+    @staticmethod
+    def oracle(m):
+        table = PrimeTable()
+        return [1] + [table.factorize(x)[-1][0] for x in range(2, m + 1)]
+
+    def test_fresh_table(self):
+        table = PrimeTable()
+        assert table.largest_prime_factors(5000) == self.oracle(5000)
+        assert len(table._lpf) == 5001
+
+    def test_shared_table(self):
+        assert DEFAULT_TABLE.largest_prime_factors(5000) == self.oracle(5000)
+
+    @pytest.mark.parametrize(
+        "requests",
+        [[100, 5000, 300, 7000], [1, 2, 3, 4, 1031, 1032, 1033, 2048, 2049], [7000, 1, 6999]],
+    )
+    def test_requests_out_of_order(self, requests):
+        # each request extends only the column's tail, and never past the
+        # largest m asked for so far
+        table, oracle = PrimeTable(), self.oracle(max(requests))
+        for i, m in enumerate(requests):
+            assert table.largest_prime_factors(m) == oracle[:m], m
+            assert len(table._lpf) == max(1, *requests[: i + 1]) + 1, m
+
+    def test_copy_is_private(self):
+        table = PrimeTable()
+        table.largest_prime_factors(300)[:] = [0] * 300
+        assert table.largest_prime_factors(300) == self.oracle(300)
+
+    def test_capacity_leaves_the_column(self):
+        table = PrimeTable(capacity=194)
+        assert table.largest_prime_factors(194) == self.oracle(194)
+        with pytest.raises(CapacityError, match="sieve limit 195 exceeds capacity 194$"):
+            table.largest_prime_factors(195)
+        assert len(table._lpf) == 195
+
+    @pytest.mark.parametrize("m", [0, -1, -5])
+    def test_rejects_m_below_one(self, m):
+        with pytest.raises(DomainError, match="needs m >= 1"):
+            PrimeTable().largest_prime_factors(m)
+
+
 class TestFactorize:
     def test_examples(self):
         factorize = DEFAULT_TABLE.factorize
