@@ -127,13 +127,17 @@ def first_pairs(A, base) -> list[tuple | None]:
     return pairs
 
 
+def uncovered_term(A, i: int) -> RepresentationError:
+    """The error for term i of A, a term with no factor pair in the set;
+    named by index, since a term may be too long to print."""
+    return RepresentationError("term {} is not a product of two set elements", i, term=A[i])
+
+
 def factor_pairs(A, base) -> list[tuple]:
     """``first_pairs``; RepresentationError at the first term with none."""
     pairs = first_pairs(A, base)
     if None in pairs:
-        # named by index: a term may be too long to print
-        i = pairs.index(None)
-        raise RepresentationError("term {} is not a product of two set elements", i, term=A[i])
+        raise uncovered_term(A, pairs.index(None))
     return pairs
 
 
@@ -153,10 +157,7 @@ def verify_coverage(A: list[int], B: list[int]) -> dict:
         return {}
     pairs = first_pairs(rest, sorted(B))
     if None in pairs:
-        term = rest[pairs.index(None)]
-        raise RepresentationError(
-            "term {} is not a product of two set elements", A.index(term), term=term
-        )
+        raise uncovered_term(A, A.index(rest[pairs.index(None)]))
     return dict(zip(rest, pairs))
 
 

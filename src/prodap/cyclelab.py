@@ -311,16 +311,7 @@ def cycle_poly(cycle: EvenCycle, desc: APDescriptor) -> CyclePoly:
     return CyclePoly(k, coeffs, nonzero[0], nonzero[-1], max(cycle.indices))
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    d_divides_cl: bool
-    r_divides_cm: bool
-    coeff_bound_ok: bool
-    c_l: int
-    c_m: int
-
-
-def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityReport:
+def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> None:
     """Assert d | c_l, r | c_m, and |c_t| <= 2*C(k,t)*(max index)^t; any
     failure raises FalsificationError carrying the full evidence."""
     if not desc.is_reduced:
@@ -332,7 +323,6 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
         abs(c) <= 2 * comb(poly.k, t) * poly.max_index**t
         for t, c in enumerate(poly.coeffs)
     )
-    report = DivisibilityReport(d_ok, r_ok, bound_ok, c_l, c_m)
     if not (d_ok and r_ok and bound_ok):
         raise FalsificationError(
             "cycle coefficient audit failed",
@@ -346,7 +336,6 @@ def divisibility_audit(poly: CyclePoly, desc: APDescriptor) -> DivisibilityRepor
                 "descriptor": desc.as_payload(),
             },
         )
-    return report
 
 
 def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
@@ -364,43 +353,42 @@ def cycle_audit(cycle: EvenCycle, A, desc: APDescriptor) -> CyclePoly:
 
 def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     """cycle_audit on the cycle through each vertex-id walk of graph, with no
-    EvenCycle, CyclePoly or DivisibilityReport for a walk that passes the
-    fast checks below.
+    EvenCycle or CyclePoly for a walk that passes the fast checks below.
 
     One rule decides each walk.  It passes when every fast check passes;
     otherwise cycle_audit(_cycle_through(graph, ids), A, desc) passes it or
     raises, so every failure, its message and its payload are the oracle's.
     The fast checks read only the walk's edges, A and desc: a reduced
     descriptor, length >= 4, new vertices, an edge on every step, each index
-    in range, each edge value equal to its term of A, the product identity,
+    j in range, each edge value equal to its term A[j] and to D*(r + d*j),
     the head's bound certificate, c_1 != 0, c_k != 0, d | c_1, r | c_k and
-    vanishing at (r, d).  Sides and index newness need no check of their
-    own: every RepGraph edge joins a side-0 id to a side-1 id, so a vertex on
-    the wrong side, or a walk of odd length, misses an edge; and each index
-    sits on exactly one edge, so a repeated index is a repeated edge and
-    revisits a vertex.
+    vanishing at (r, d).  With every term tied to the descriptor, vanishing
+    is the product identity: each side of the cycle has k edges, so its
+    product of A values is D^k times its product of r + d*j.  Sides and
+    index newness need no check of their own: every RepGraph edge joins a
+    side-0 id to a side-1 id, so a vertex on the wrong side, or a walk of
+    odd length, misses an edge; and each index sits on exactly one edge, so
+    a repeated index is a repeated edge and revisits a vertex.
 
     A walk's head is its first n - 1 vertices.  The audit keeps one state
     per prefix of the current head, taken after each of its edges: the
-    products of the A values at edge positions 0, 2, ... and at 1, 3, ...;
-    the products P_O and P_E of r + d*j over the indices j at those
-    positions; the elementary symmetric functions O and E of those indices;
-    and the largest index so far.  A new head keeps the states of the
-    prefix it shares with the head before, none when the root or the walk
-    length changes, and checks only its new vertices and edges.  A new edge
-    multiplies two products and extends O or E by one index, in O(k).  So a
-    run of walks that share a head, as the walk order of _walk_lengths gives
-    them, costs one head, and consecutive heads share most of their prefix.
-    A head that fails a check stops at the vertex or edge that fails it:
-    its walks go to cycle_audit, and the states before that point stay for
-    the heads after.
+    products P_O and P_E of r + d*j over the indices j at edge positions 0,
+    2, ... and at 1, 3, ...; the elementary symmetric functions O and E of
+    those indices; and the largest index so far.  A new head keeps the
+    states of the prefix it shares with the head before, none when the root
+    or the walk length changes, and checks only its new vertices and edges.
+    A new edge multiplies one product and extends O or E by one index, in
+    O(k).  So a run of walks that share a head, as the walk order of
+    _walk_lengths gives them, costs one head, and consecutive heads share
+    most of their prefix.  A head that fails a check stops at the vertex or
+    edge that fails it: its walks go to cycle_audit, and the states before
+    that point stay for the heads after.
 
     The last vertex w of a walk adds the edges (head[-1], w) at position
-    n - 2, index x, and (w, root), index y.  The A products must then agree
-    with A[x] and A[y] joined, and each coefficient is c_t = delta_t +
-    y*E_(t-1) - x*O_(t-1), delta_t = E_t - O_t.  Per head, only delta, the
-    bound certificate and the constants of c_1 and c_k are taken, which
-    leaves O(1) numeric work per walk:
+    n - 2, index x, and (w, root), index y.  Each coefficient is then c_t =
+    delta_t + y*E_(t-1) - x*O_(t-1), delta_t = E_t - O_t.  Per head, only
+    delta, the bound certificate and the constants of c_1 and c_k are
+    taken, which leaves O(1) numeric work per walk:
     - vanishing, in product form: sum_t c_t*r^(k-t)*d^t = P_E*(r + d*y) -
       P_O*(r + d*x), because sum_s e_s(S)*r^(|S|-s)*d^s is the product of
       r + d*i over i in S;
@@ -414,12 +402,12 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
     lookup = graph.edge_lookup
     indices, values = graph.indices, graph.values
     n_terms = len(A)
-    r, d = desc.r, desc.d
+    D, r, d = desc.D, desc.r, desc.d
     reduced = desc.is_reduced
     head = None
     # path holds the head's vertex ids as far as they pass, and state, per
-    # prefix of path after its last edge, the A products at positions 0, 2,
-    # ... and 1, 3, ..., P_O and P_E, O and E, and the largest index
+    # prefix of path after its last edge, P_O and P_E, O and E, and the
+    # largest index
     for ids in walks:
         if len(ids) < 4 or not reduced:
             head, fast = None, False  # the next walk starts from its root
@@ -429,31 +417,33 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
                 n = len(ids)
                 twice_comb = [2 * comb(n // 2, t) for t in range(n // 2 + 1)]
                 root = head[0]
-                path, state = [root], [(1, 1, 1, 1, [1], [1], -1)]
+                path, state = [root], [(1, 1, [1], [1], -1)]
             else:
                 c = 1
                 while c < n - 1 and head[c] == prev[c]:
                     c += 1
                 del path[c:], state[c:]
-            a_o, a_e, p_o, p_e, odd, even, top = state[-1]
+            p_o, p_e, odd, even, top = state[-1]
             for t in range(len(path), n - 1):
                 v = head[t]
                 p = lookup.get((path[-1], v))
                 if p is None or v in path:
                     break
                 j = indices[p]
-                if not 0 <= j < n_terms or values[p] != A[j]:
+                if not 0 <= j < n_terms:
                     break
-                a = A[j]
+                u = r + d * j
+                if not values[p] == A[j] == D * u:
+                    break
                 if t & 1:  # the edge into v is at position t - 1, even
-                    a_o, p_o = a_o * a, p_o * (r + d * j)
+                    p_o *= u
                     odd = [1] + [e + j * f for e, f in zip(odd[1:] + [0], odd)]
                 else:
-                    a_e, p_e = a_e * a, p_e * (r + d * j)
+                    p_e *= u
                     even = [1] + [e + j * f for e, f in zip(even[1:] + [0], even)]
                 top = max(top, j)
                 path.append(v)
-                state.append((a_o, a_e, p_o, p_e, odd, even, top))
+                state.append((p_o, p_e, odd, even, top))
             delta = [e - o for e, o in zip(even, odd)] + [0]
             fast = len(path) == n - 1 and _bound_certificate(delta, even, odd, top, twice_comb)
             d1, e_top, o_top, last = delta[1], even[-1], odd[-1], path[-1]
@@ -463,12 +453,12 @@ def audit_cycle_walks(graph: RepGraph, walks, A, desc: APDescriptor) -> None:
             if px is not None and py is not None and w not in path:
                 x, y = indices[px], indices[py]
                 if 0 <= x < n_terms and 0 <= y < n_terms:
-                    a_x, a_y = A[x], A[y]
+                    u_x, u_y = r + d * x, r + d * y
                     c_1, c_k = d1 + y - x, y * e_top - x * o_top
                     if (
-                        values[px] == a_x and values[py] == a_y and a_o * a_x == a_e * a_y
+                        values[px] == A[x] == D * u_x and values[py] == A[y] == D * u_y
                         and c_1 and c_k and not c_1 % d and not c_k % r
-                        and p_e * (r + d * y) == p_o * (r + d * x)
+                        and p_e * u_y == p_o * u_x
                     ):
                         continue
         cycle_audit(_cycle_through(graph, ids), A, desc)

@@ -142,10 +142,8 @@ class PrimeTable:
                 if p * p > rem:
                     break
                 if rem % p == 0:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
-                        e += 1
+                    e = valuation(rem, p)
+                    rem //= p**e
                     out.append((p, e))
             else:
                 # past the last sieved prime: grow only while the cofactor

@@ -21,8 +21,8 @@ from functools import cached_property
 from itertools import combinations_with_replacement, count, filterfalse, repeat
 from operator import floordiv, itemgetter, mod, sub
 
-from .apcore import APDescriptor, factor_pairs
-from .errors import CapacityError, InputError, RepresentationError
+from .apcore import APDescriptor, factor_pairs, uncovered_term
+from .errors import CapacityError, InputError
 from .exactnum import QuadElem
 
 DEFAULT_EXACT_LIMIT = 200_000
@@ -219,9 +219,7 @@ def build_rep_graph(B, A, pairs=None) -> RepGraph:
         cofactors = list(map(floordiv, column, repeat(x0)))
         if any(map(mod, column, repeat(x0))) or not all(map(index_of.__contains__, cofactors)):
             term = next(a for a in column if a % x0 or a // x0 not in index_of)
-            raise RepresentationError(
-                "term {} is not a product of two set elements", A.index(term), term=term
-            )
+            raise uncovered_term(A, A.index(term))
         firsts = pairs | dict(zip(column, zip(repeat(x0), cofactors)))
         pairs = list(map(firsts.__getitem__, A))
     return RepGraph(

@@ -3,6 +3,7 @@ falsification)."""
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,10 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import prodap
+from prodap import cyclelab
 from prodap.apcore import APDescriptor
 from prodap.cli import main
 from prodap.exactnum import DEFAULT_TABLE, QuadElem
-from prodap.harness import demo_instance_file, instance_to_json
+from prodap.harness import InstanceFile, demo_instance_file, instance_to_json
 from prodap.jsonio import MAX_DESCRIPTOR_TERMS, dumps_canonical, enc_quad, load_json
 
 from instances import inflated_reduce_instance
@@ -31,7 +33,6 @@ def save_instance(path, inst):
 @pytest.fixture
 def cover10_instance(tmp_path):
     from prodap.construct import cover_set
-    from prodap.harness import InstanceFile
 
     path = tmp_path / "cover10.json"
     res = cover_set(10)
@@ -88,10 +89,15 @@ class TestConstruct:
     def test_capacity_exit_code(self, tmp_path):
         assert run(["construct", "--n", 50, "--capacity", 60]) == 3
 
-    def test_capacity_exit_code_with_verify(self):
+    def test_capacity_exit_code_with_verify(self, capsys):
         # the cover set sieves the prime table to M = 195, which a capacity
         # below it refuses before the certificate is built
-        assert run(["construct", "--n", 50, "--capacity", 60, "--verify"]) == 3
+        for capacity in (60, 194):
+            assert run(["construct", "--n", 50, "--capacity", capacity, "--verify"]) == 3
+            assert capsys.readouterr() == (
+                "", f"capacity error: sieve limit 195 exceeds capacity {capacity}\n"
+            )
+        assert run(["construct", "--n", 50, "--capacity", 195, "--verify"]) == 0
 
     def test_zero_capacity_is_input_error(self):
         # 0 is a capacity, not "no override": PrimeTable rejects it
@@ -195,7 +201,6 @@ class TestFindApAndGraph:
         # taken when classification, selection and the forest verdict were
         # three separate passes over one mutable report
         from prodap.construct import cover_set
-        from prodap.harness import InstanceFile
 
         if case.startswith("cover"):
             res = cover_set(int(case[len("cover"):]))
@@ -219,7 +224,6 @@ class TestFindApAndGraph:
 class TestReduce:
     def test_reduce_instance(self, tmp_path):
         from prodap.apcore import APDescriptor
-        from prodap.harness import InstanceFile
 
         path = tmp_path / "inst.json"
         out = tmp_path / "red.json"
@@ -235,7 +239,6 @@ class TestReduce:
         # V_i = right*(r + 2i); reduction leaves D = q*left*right, d = 2, and
         # the reduced terms pass 2**62 (formerly the O(L^2) pure-Python scan)
         from prodap.apcore import APDescriptor
-        from prodap.harness import InstanceFile
 
         L, r, q, left, right = 1500, 1_000_003, 23, 11 * 13**3 * 17, 13**3 * 17**2
         D, U = q * left * right, 2 * q * left
@@ -258,8 +261,6 @@ class TestReduce:
     def test_output_pinned(self, tmp_path, capsys):
         # sha256 of the stdout report, one step of each case: k1 at 2,
         # partition at 3, gcd extraction of 7
-        from prodap.harness import InstanceFile
-
         elements, claim = inflated_reduce_instance(6, 5, 6, 2, 3, 7)
         path = tmp_path / "inst.json"
         save_instance(path, InstanceFile("integer", elements, ap=claim))
@@ -275,8 +276,6 @@ class TestReduce:
     def test_untouched_element_is_not_factorized(self, tmp_path, capsys, command):
         # 1..4 need no step, so the 31-digit prime beside them, whose
         # primality the default sieve cannot certify, is never factorized
-        from prodap.harness import InstanceFile
-
         big = 10**30 + 57
         path = tmp_path / "inst.json"
         save_instance(path, InstanceFile("integer", [1, 2, 3, 4, big], ap=APDescriptor(1, 1, 1, 4)))
@@ -305,8 +304,6 @@ class TestReduce:
 
     def test_difference_past_capacity(self, tmp_path, capsys):
         # factorizing the difference is reduction work, so it stays bounded
-        from prodap.harness import InstanceFile
-
         big = 10**30 + 57
         path = tmp_path / "inst.json"
         claim = APDescriptor(1, 1, big, 3)
@@ -318,8 +315,6 @@ class TestReduce:
         # factorizing 2**60 needs no prime past 2, so the shared table must
         # not be sieved toward sqrt(2**60) (capped at 10**8); a subprocess
         # has a DEFAULT_TABLE no other test has grown
-        from prodap.harness import InstanceFile
-
         path = tmp_path / "inst.json"
         out = tmp_path / "red.json"
         save_instance(path, InstanceFile("integer", [2**60, 3, 5, 7], ap=APDescriptor(2**60, 3, 2, 3)))
@@ -343,8 +338,6 @@ class TestReduce:
         # d is the product of two primes near 10**7, so the division runs
         # past every sieved prime until the limit passes sqrt(d): 1024
         # doubles to 2**24, the first power past 9999982
-        from prodap.harness import InstanceFile
-
         path = tmp_path / "inst.json"
         out = tmp_path / "red.json"
         claim = APDescriptor(1, 1, 9999973 * 9999991, 3)
@@ -458,6 +451,20 @@ class TestBigIntegers:
 
 
 class TestStudyCmd:
+    def test_skipped_rows_reported(self, tmp_path, capsys):
+        # a longest-AP limit below every product set skips each trial
+        out = tmp_path / "study.csv"
+        argv = ["study", "--generators", "random", "--sizes", 20, "--trials", 2, "--limit", 5]
+        assert run(argv + ["--out", out]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for trial, line in enumerate(lines):
+            assert re.fullmatch(
+                rf"skipped random n=20 trial={trial}: set size \d+ exceeds limit 5; "
+                "pass a larger limit",
+                line,
+            ), line
+
     def test_csv_written(self, tmp_path):
         out = tmp_path / "study.csv"
         assert run(
@@ -568,6 +575,17 @@ class TestPipelineCmd:
         assert run(["pipeline", "--in", path, "--out", out]) == 0
         assert load_json(out)["stages"]["ap"]["source"] == "search"
 
+    def test_falsification_exits_4(self, tmp_path, capsys, monkeypatch):
+        # C(k, t) taken as 0 for t >= 1 breaks the |c_t| bound: the report
+        # is written, and the exit code and stderr say it falsifies
+        monkeypatch.setattr(cyclelab, "comb", lambda k, t: int(t == 0))
+        out = tmp_path / "rep.json"
+        assert run(["pipeline", "--demo", "cover100", "--cycle-cap", 2, "--out", out]) == 4
+        assert capsys.readouterr().err == "falsification report produced\n"
+        rep = load_json(out)
+        assert rep["ok"] is False
+        assert [f["message"] for f in rep["falsifications"]] == ["cycle coefficient audit failed"]
+
     def test_cycle_cap_below_one(self, tmp_path, capsys):
         # an audit capped at no cycles would report all_pass on nothing
         out = tmp_path / "rep.json"
@@ -578,6 +596,65 @@ class TestPipelineCmd:
 
 
 class TestExitCodes:
+    # each subcommand's precondition on its input: exit 2 with its message
+    PRECONDITIONS = {
+        "find-ap on a quadratic file": (
+            ["find-ap", "--in", "{quad}"],
+            "longest-AP search needs ordered values; use a claim instead",
+        ),
+        "rationalize on an integer file": (
+            ["rationalize", "--in", "{integer}"], "rationalize expects a quadratic instance",
+        ),
+        "reduce without a claim": (
+            ["reduce", "--in", "{integer}"], "instance has no claimed progression to reduce",
+        ),
+        "cycles --audit without --ap": (
+            ["cycles", "--graph", "{graph}", "--audit"],
+            "--audit needs --ap with the reduced descriptor",
+        ),
+        "quadratic claim with d = 2": (
+            ["pipeline", "--in", "{quad_d2}"],
+            "quadratic pipeline expects a claim with D = 1 and d = 1",
+        ),
+        "no 3-term progression": (
+            ["pipeline", "--in", "{pair}"], "no progression of length >= 3 found (best length 2)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PRECONDITIONS))
+    def test_precondition_is_input_error(self, tmp_path, capsys, cover10_instance, case):
+        quad = {"field": "quadratic", "m": "2",
+                "elements": [{"a": "0", "b": "1/2"}, {"a": "0", "b": "2"}]}
+        files = {
+            "quad": {**quad, "ap": {"D": "1", "r": "2", "d": "1", "L": 5}},
+            "quad_d2": {**quad, "ap": {"D": "1", "r": "2", "d": "2", "L": 5}},
+            "integer": {"field": "integer", "elements": ["1", "2", "3"]},
+            "pair": {"field": "integer", "elements": ["1", "2"]},
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in [*files, "graph", "ap"]}
+        for name, obj in files.items():
+            paths[name].write_text(json.dumps(obj))
+        # a graph with a cycle, so that cycles reaches its audit
+        paths["ap"].write_text(json.dumps({"D": "1", "r": "1", "d": "1", "L": 23}))
+        argv = ["graph", "--set", cover10_instance, "--ap", paths["ap"], "--out", paths["graph"]]
+        assert run(argv) == 0
+        argv, message = self.PRECONDITIONS[case]
+        assert run([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_missing_input_is_io_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run(["reduce", "--in", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"i/o error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.json"
+        assert run(["construct", "--n", 10, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+
     def test_malformed_instance_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"field": "integer"}))
@@ -696,6 +773,8 @@ class TestExitCodes:
             ("integer", ["1", "2", "6", "7"], {"u": 1, "v": 1, "index": 3, "value": "4"},
              "edge index 3 used twice"),
             ("rational", ["1", "3", "6/2", "7"], None, "element 3 appears twice"),
+            ("integer", ["1", "2", "6", "7"], {"u": 0, "v": 4, "index": 4, "value": "7"},
+             "edge endpoint out of range: (u, v) = (0, 4) on edge 4 of value 7"),
         ],
     )
     def test_non_simple_graph_is_input_error(
@@ -790,6 +869,107 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["find-ap", "--in", cover10_instance, "--mode", "exact"])
         assert exc.value.code == 2
+
+
+def console(*argv, memory_limit=None):
+    """``python -m prodap.cli argv`` in a child process, as the console
+    script runs it.  memory_limit, in bytes, caps the child's address space
+    (RLIMIT_AS), and only the child's."""
+
+    def limit_child():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
+    src = Path(prodap.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "prodap.cli", *map(str, argv)], cwd=src,
+        capture_output=True, text=True, timeout=300,
+        preexec_fn=None if memory_limit is None else limit_child,
+    )
+
+
+class TestConsoleRuns:
+    """Whole runs of the command line in a child process."""
+
+    def test_edge_order_changes_no_output(self, tmp_path, cover10_instance):
+        ap, graph, reverse = (tmp_path / name for name in ("ap.json", "g.json", "rev.json"))
+        ap.write_text(json.dumps({"D": "1", "r": "1", "d": "1", "L": 23}))
+        assert console("graph", "--set", cover10_instance, "--ap", ap, "--out", graph).returncode == 0
+        obj = json.loads(graph.read_text())
+        obj["edges"].reverse()
+        reverse.write_text(json.dumps(obj))
+        outputs = []
+        for path in (graph, reverse):
+            runs = [
+                console("irregular", "--graph", path, "--ap", ap),
+                console("cycles", "--graph", path, "--k", 4, "--audit", "--ap", ap),
+            ]
+            assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
+            outputs.append([p.stdout for p in runs])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["cycle"] is not None
+
+    def test_cover12_claim(self, tmp_path):
+        # one audited 6-cycle, indices (8, 26, 20, 13, 21, 10), has c_1 = 0
+        # and is handed to cycle_audit
+        path = tmp_path / "cover12claim.json"
+        res = prodap.cover_set(12)
+        save_instance(path, InstanceFile("integer", list(res.elements), ap=APDescriptor(1, 1, 1, 29)))
+        proc = console("pipeline", "--in", path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["ok"] and report["stages"]["cycles"]["audited"] == 47
+
+    @pytest.mark.parametrize("cap, audited", [(None, 200), (1000, 4000)])
+    def test_cover500_claim(self, tmp_path, cap, audited):
+        # long runs of cycle walks whose heads share a prefix, at the
+        # default cap and at 1000
+        path = tmp_path / "cover500claim.json"
+        save_instance(
+            path, InstanceFile("integer", list(prodap.cover_set(500).elements),
+                               ap=APDescriptor(1, 1, 1, 3107))
+        )
+        proc = console("pipeline", "--in", path, *(() if cap is None else ("--cycle-cap", cap)))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        cycles = report["stages"]["cycles"]
+        assert report["ok"] and cycles["audited"] == audited
+        assert all(row["stopped"] == "cap" for row in cycles["by_length"])
+
+    def test_quadratic_graph_cycle_audit(self, tmp_path):
+        # cycle_audit on QuadElem edge values: the square on terms 2, 3, 4
+        # and 6 of the claim 2..6, and the claim r = 3 whose terms it does
+        # not carry
+        quad, graph, claim, other = (
+            tmp_path / name for name in ("quad.json", "g.json", "ap.json", "ap3.json")
+        )
+        quad.write_text(json.dumps({
+            "field": "quadratic", "m": "2",
+            "elements": [{"a": "0", "b": b} for b in ("1/2", "2", "1", "3", "5")],
+        }))
+        claim.write_text(json.dumps({"D": "1", "r": "2", "d": "1", "L": 5}))
+        other.write_text(json.dumps({"D": "1", "r": "3", "d": "1", "L": 5}))
+        assert console("graph", "--set", quad, "--ap", claim, "--out", graph).returncode == 0
+        proc = console("cycles", "--graph", graph, "--k", 2, "--audit", "--ap", claim)
+        assert proc.returncode == 0, proc.stderr
+        audit = json.loads(proc.stdout)["audit"]
+        assert (audit["coefficients"], audit["l"], audit["m"]) == (["0", "-1", "2"], 1, 2)
+        proc = console("cycles", "--graph", graph, "--k", 2, "--audit", "--ap", other)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "input error: edge 0 of the cycle does not carry term 0\n"
+
+    def test_huge_cycle_cap_stops_on_steps(self):
+        # closed walks count against the step budget, so a cap past any
+        # count stops lengths 6-10 on the budget within 1 GiB
+        proc = console(
+            "pipeline", "--demo", "cover100", "--cycle-cap", 10**20, memory_limit=1 << 30
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["stages"]["cycles"]["by_length"]
+        assert [(row["length"], row["stopped"]) for row in rows] == [
+            (4, None), (6, "steps"), (8, "steps"), (10, "steps")
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,30 @@ class TestPipeline:
         text = dumps_canonical(pipeline(self.golden_instance(kind, seed), cap))
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[(kind, seed, cap)]
 
+    def test_benchmark_mix_digest(self):
+        # sha256 of the 410 canonical reports, one after another, of the
+        # pipeline benchmark's instance mix: unclaimed cover sets for n =
+        # 12..40, claimed [1, M] for n = 40..100, and the quadratic 4-cycle
+        # instances of seeds 0..63 over m = 2, 3, 5, 6, 7
+        instances = [InstanceFile("integer", list(cover_set(n).elements)) for n in range(12, 41)]
+        for n in range(40, 101):
+            res = cover_set(n)
+            instances.append(
+                InstanceFile("integer", list(res.elements), ap=APDescriptor(1, 1, 1, res.M))
+            )
+        for seed in range(64):
+            for m in (2, 3, 5, 6, 7):
+                elements = list(harness.random_quad_cycle_instance(seed, m).elements)
+                instances.append(
+                    InstanceFile("quadratic", elements, m=m, ap=APDescriptor(1, 2, 1, 5))
+                )
+        digest = hashlib.sha256()
+        for inst in instances:
+            digest.update(dumps_canonical(pipeline(inst)).encode())
+        assert digest.hexdigest() == (
+            "0d3a355fc843fed0dc3ddc13c62ea12b60fe5676fea70054d68d227e49b65132"
+        )
+
     def test_fabricated_claim_fails_loudly(self):
         inst = InstanceFile("integer", [2, 3, 5], ap=APDescriptor(1, 5, 1, 3))
         with pytest.raises(RepresentationError):

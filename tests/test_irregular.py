@@ -79,11 +79,13 @@ class TestWindow:
         for L in (2051, 3107):
             prime_window(APDescriptor(1, 1, 1, L))
             assert table.limit == 2048, L
-        # an empty table sieves only to the window's last prime
+        # an empty table sieves only to the window's last prime: 71 primes
+        # from 1039 to 1553
         table = PrimeTable()
         monkeypatch.setattr(irregular, "DEFAULT_TABLE", table)
-        prime_window(APDescriptor(1, 1, 1, 3107))
+        window = prime_window(APDescriptor(1, 1, 1, 3107)).primes
         assert table.limit == 1553
+        assert (len(window), window[0], window[-1]) == (71, 1039, 1553)
 
 
 class TestHitCount:
